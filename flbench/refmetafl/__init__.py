@@ -1,0 +1,66 @@
+"""Deterministic federated-learning simulator with a meta-feature-driven
+aggregation optimizer and a FedAvg baseline."""
+
+from .aggregator import (
+    AggregationOutcome,
+    ClientReport,
+    MetaParams,
+    adapt_meta_params,
+    aggregate,
+    contraction_estimate,
+    fedavg_weights,
+    generalization_bound,
+    global_loss,
+    jensen_gap,
+    meta_agg,
+    phi_gradient,
+    phi_objective,
+    weights_closed_form,
+    weights_iterative,
+)
+from .datagen import (
+    ClientDataset,
+    PartitionConfig,
+    inject_label_noise,
+    label_distribution,
+    load_csv,
+    make_blobs,
+    partition_dirichlet,
+    save_csv,
+)
+from .federation import (
+    ComparisonSummary,
+    DataConfig,
+    ExperimentConfig,
+    RoundRecord,
+    build_federation,
+    compare_runs,
+    kl_divergence_diagnostic,
+    run_experiment,
+)
+from .metafeatures import (
+    CompositeErrorConfig,
+    MetaFeatures,
+    composite_error,
+    extract,
+)
+from .models import (
+    ModelSpec,
+    PerformanceMetrics,
+    TrainConfig,
+    evaluate,
+    init_params,
+    local_loss,
+    train_local,
+)
+from .numerics import (
+    ParamVector,
+    WeightVector,
+    finite_diff_grad,
+    make_rng,
+    project_simplex,
+    softmax_neg,
+    weighted_sum,
+)
+
+__version__ = "0.1.0"

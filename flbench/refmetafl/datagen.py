@@ -1,0 +1,266 @@
+"""Synthetic classification tasks, non-IID client partitioning, and CSV I/O.
+
+Every generator is a pure function of its seed. The CSV contract:
+comma-separated, '.' decimal, UTF-8, optional single header row, label
+as the last column holding zero-based integers.
+"""
+
+from __future__ import annotations
+
+import csv
+from dataclasses import dataclass, field
+
+import numpy as np
+
+from .numerics import make_rng
+
+__all__ = [
+    "ClientDataset",
+    "PartitionConfig",
+    "make_blobs",
+    "partition_dirichlet",
+    "inject_label_noise",
+    "load_csv",
+    "save_csv",
+    "label_distribution",
+]
+
+MAX_PARTITION_ATTEMPTS = 100
+
+
+@dataclass(frozen=True, eq=False)
+class ClientDataset:
+    """Feature matrix plus integer labels for one client (or a pool)."""
+
+    features: np.ndarray
+    labels: np.ndarray
+
+    def __post_init__(self):
+        x = np.array(self.features, dtype=np.float64, copy=True)
+        y = np.array(self.labels, dtype=np.int64, copy=True).reshape(-1)
+        if x.ndim != 2 or x.shape[0] < 1:
+            raise ValueError("features must be a nonempty n x d matrix")
+        if not np.all(np.isfinite(x)):
+            raise ValueError("features contain non-finite values")
+        if y.shape[0] != x.shape[0]:
+            raise ValueError("label count does not match sample count")
+        if np.any(y < 0):
+            raise ValueError("labels must be nonnegative integers")
+        x.flags.writeable = False
+        y.flags.writeable = False
+        object.__setattr__(self, "features", x)
+        object.__setattr__(self, "labels", y)
+
+    @property
+    def n(self) -> int:
+        return self.features.shape[0]
+
+    @property
+    def dim(self) -> int:
+        return self.features.shape[1]
+
+    def subset(self, indices: np.ndarray) -> "ClientDataset":
+        return ClientDataset(self.features[indices], self.labels[indices])
+
+
+@dataclass(frozen=True)
+class PartitionConfig:
+    """Controls the Dirichlet label-skew split across clients.
+
+    noise_clients and label_noise_rate are carried here for the
+    orchestrator; partitioning itself never alters labels.
+    """
+
+    num_clients: int
+    dirichlet_beta: float = 1.0
+    val_fraction: float = 0.2
+    noise_clients: frozenset[int] = field(default_factory=frozenset)
+    label_noise_rate: float = 0.0
+    seed: int = 0
+
+    def __post_init__(self):
+        if self.num_clients < 1:
+            raise ValueError("num_clients must be >= 1")
+        if self.dirichlet_beta <= 0.0:
+            raise ValueError("dirichlet_beta must be positive")
+        if not 0.0 < self.val_fraction < 1.0:
+            raise ValueError("val_fraction must lie in (0, 1)")
+        if not 0.0 <= self.label_noise_rate < 1.0:
+            raise ValueError("label_noise_rate must lie in [0, 1)")
+        clients = frozenset(int(c) for c in self.noise_clients)
+        if any(c < 0 or c >= self.num_clients for c in clients):
+            raise ValueError("noise_clients must be a subset of {0..K-1}")
+        object.__setattr__(self, "noise_clients", clients)
+
+
+def make_blobs(
+    num_classes: int, dim: int, n: int, spread: float, seed: int
+) -> ClientDataset:
+    """Gaussian class clusters around unit-separated random centroids.
+
+    Centroids are rescaled so the minimum pairwise distance is exactly 1;
+    the label multiset is balanced within +-1 and the sample order is a
+    seeded shuffle.
+    """
+    if num_classes < 2:
+        raise ValueError("num_classes must be >= 2")
+    if n < num_classes:
+        raise ValueError("need at least one sample per class")
+    if dim < 1:
+        raise ValueError("dim must be >= 1")
+    if spread <= 0.0:
+        raise ValueError("spread must be positive")
+    rng = make_rng(seed)
+    while True:
+        centroids = rng.normal(size=(num_classes, dim))
+        diffs = centroids[:, None, :] - centroids[None, :, :]
+        dists = np.sqrt((diffs**2).sum(axis=2))
+        min_dist = dists[np.triu_indices(num_classes, k=1)].min()
+        if min_dist > 0.0:
+            break
+    centroids /= min_dist
+    labels = np.arange(n, dtype=np.int64) % num_classes
+    labels = labels[rng.permutation(n)]
+    features = centroids[labels] + spread * rng.normal(size=(n, dim))
+    return ClientDataset(features, labels)
+
+
+def partition_dirichlet(
+    data: ClientDataset, cfg: PartitionConfig
+) -> list[tuple[ClientDataset, ClientDataset]]:
+    """Split a pool across clients via per-class Dirichlet(beta) proportions.
+
+    Each sample lands with exactly one client; per client the samples are
+    then split into train/val by val_fraction. Assignments leaving any
+    client without at least one train and one val sample are redrawn, up
+    to MAX_PARTITION_ATTEMPTS times.
+    """
+    k = cfg.num_clients
+    if data.n < k:
+        raise ValueError(f"infeasible (n < K): {data.n} samples for {k} clients")
+    rng = make_rng(cfg.seed)
+    classes = np.unique(data.labels)
+    for _ in range(MAX_PARTITION_ATTEMPTS):
+        assignment = [[] for _ in range(k)]
+        for cls in classes:
+            idx = np.nonzero(data.labels == cls)[0]
+            idx = idx[rng.permutation(idx.size)]
+            props = rng.dirichlet(np.full(k, cfg.dirichlet_beta))
+            bounds = np.floor(np.cumsum(props) * idx.size).astype(int)
+            bounds[-1] = idx.size
+            start = 0
+            for client, stop in enumerate(bounds):
+                assignment[client].extend(idx[start:stop].tolist())
+                start = stop
+        if all(len(a) >= 2 for a in assignment):
+            splits = []
+            for a in assignment:
+                idx = np.asarray(a, dtype=np.int64)
+                idx = idx[rng.permutation(idx.size)]
+                n_val = int(round(cfg.val_fraction * idx.size))
+                n_val = min(max(n_val, 1), idx.size - 1)
+                splits.append((data.subset(idx[n_val:]), data.subset(idx[:n_val])))
+            return splits
+    raise ValueError(
+        f"retry exhaustion: no assignment with >=1 train and >=1 val sample "
+        f"per client after {MAX_PARTITION_ATTEMPTS} attempts"
+    )
+
+
+def inject_label_noise(
+    data: ClientDataset, rate: float, seed: int, num_classes: int | None = None
+) -> ClientDataset:
+    """Reassign exactly round(rate * n) labels, each to a different class.
+
+    num_classes defaults to max(label)+1 inferred from the data; pass it
+    explicitly when the dataset does not contain every class.
+    """
+    if not 0.0 <= rate < 1.0:
+        raise ValueError("rate must lie in [0, 1)")
+    if num_classes is None:
+        num_classes = int(data.labels.max()) + 1
+    if num_classes < 2:
+        raise ValueError("need at least 2 classes to flip labels")
+    count = int(round(rate * data.n))
+    if count == 0:
+        return data
+    rng = make_rng(seed)
+    flip = rng.choice(data.n, size=count, replace=False)
+    labels = data.labels.copy()
+    draws = rng.integers(0, num_classes - 1, size=count)
+    old = labels[flip]
+    labels[flip] = np.where(draws < old, draws, draws + 1)
+    return ClientDataset(data.features, labels)
+
+
+def load_csv(path: str, num_classes: int, has_header: bool = False) -> ClientDataset:
+    """Parse a feature+label CSV file into a ClientDataset.
+
+    Errors carry 1-based file line numbers (the header, when present,
+    counts as line 1).
+    """
+    rows: list[list[float]] = []
+    labels: list[int] = []
+    width = None
+    try:
+        handle = open(path, newline="", encoding="utf-8")
+    except FileNotFoundError:
+        raise ValueError(f"missing file: {path}") from None
+    with handle:
+        reader = csv.reader(handle)
+        for line_no, row in enumerate(reader, start=1):
+            if has_header and line_no == 1:
+                continue
+            if not row:
+                continue
+            if width is None:
+                width = len(row)
+                if width < 2:
+                    raise ValueError(f"row {line_no}: need >= 1 feature and a label")
+            elif len(row) != width:
+                raise ValueError(
+                    f"row {line_no}: ragged row with {len(row)} cells, expected {width}"
+                )
+            values = []
+            for col, cell in enumerate(row):
+                try:
+                    values.append(float(cell))
+                except ValueError:
+                    raise ValueError(
+                        f"row {line_no}: non-numeric cell {cell!r} in column {col}"
+                    ) from None
+            if not all(np.isfinite(v) for v in values):
+                raise ValueError(f"row {line_no}: non-finite cell")
+            label = values[-1]
+            if not float(label).is_integer():
+                raise ValueError(f"row {line_no}: non-integer label {label!r}")
+            label = int(label)
+            if label < 0 or label >= num_classes:
+                raise ValueError(
+                    f"row {line_no}: label {label} out of range [0, {num_classes})"
+                )
+            rows.append(values[:-1])
+            labels.append(label)
+    if not rows:
+        raise ValueError("empty dataset")
+    return ClientDataset(np.asarray(rows), np.asarray(labels))
+
+
+def save_csv(data: ClientDataset, path: str, header: bool = False) -> None:
+    """Write a dataset in the load_csv format at full float64 precision."""
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        if header:
+            writer.writerow([f"x{j}" for j in range(data.dim)] + ["label"])
+        for x, y in zip(data.features, data.labels):
+            writer.writerow([repr(float(v)) for v in x] + [int(y)])
+
+
+def label_distribution(data: ClientDataset, num_classes: int) -> np.ndarray:
+    """Empirical class proportions over the labels; sums to 1."""
+    if num_classes < 1:
+        raise ValueError("num_classes must be >= 1")
+    if np.any(data.labels >= num_classes):
+        raise ValueError("label out of range for num_classes")
+    counts = np.bincount(data.labels, minlength=num_classes).astype(np.float64)
+    return counts / counts.sum()

@@ -1,0 +1,329 @@
+"""Round-loop orchestration: local training, reporting, aggregation,
+meta-parameter adaptation, and per-round record keeping.
+
+Every round trains all clients from the current global parameters,
+collects (theta_k, metrics, meta-features) reports, optionally re-tunes
+alpha on the server-held validation split, aggregates, and broadcasts.
+Client steps are pure functions of their inputs, so they could run
+concurrently; this implementation runs them sequentially in client-id
+order, which also fixes the reduction order for determinism.
+"""
+
+from __future__ import annotations
+
+import time
+from dataclasses import dataclass, field, replace
+from typing import Sequence
+
+import numpy as np
+
+from .aggregator import (
+    ClientReport,
+    MetaParams,
+    adapt_meta_params,
+    aggregate,
+    fedavg_weights,
+    meta_agg,
+)
+from .datagen import (
+    ClientDataset,
+    PartitionConfig,
+    inject_label_noise,
+    label_distribution,
+    load_csv,
+    make_blobs,
+    partition_dirichlet,
+)
+from .metafeatures import extract
+from .models import ModelSpec, TrainConfig, evaluate, init_params, train_local
+from .numerics import ParamVector, WeightVector, derive_seed, make_rng
+
+__all__ = [
+    "AGGREGATOR_MODES",
+    "DataConfig",
+    "ExperimentConfig",
+    "RoundRecord",
+    "ComparisonSummary",
+    "build_federation",
+    "collect_reports",
+    "run_rounds",
+    "run_experiment",
+    "shares_data_setup",
+    "compare_runs",
+    "kl_divergence_diagnostic",
+]
+
+AGGREGATOR_MODES = ("metafl_closed", "metafl_mirror", "metafl_projected", "fedavg")
+
+_MODE_TO_SOLVER = {
+    "metafl_closed": "closed_form",
+    "metafl_mirror": "iterative_mirror",
+    "metafl_projected": "iterative_projected",
+}
+
+
+@dataclass(frozen=True)
+class DataConfig:
+    """Where the sample pool comes from: synthetic blobs or a CSV file."""
+
+    n_samples: int = 400
+    spread: float = 0.5
+    global_val_fraction: float = 0.2
+    csv_path: str | None = None
+
+    def __post_init__(self):
+        if self.n_samples < 2:
+            raise ValueError("n_samples must be >= 2")
+        if self.spread <= 0.0:
+            raise ValueError("spread must be positive")
+        if not 0.0 < self.global_val_fraction < 1.0:
+            raise ValueError("global_val_fraction must lie in (0, 1)")
+
+
+@dataclass(frozen=True)
+class ExperimentConfig:
+    """Everything a run depends on; run_experiment is pure in this value."""
+
+    spec: ModelSpec
+    partition: PartitionConfig
+    train: TrainConfig
+    meta: MetaParams
+    data: DataConfig = field(default_factory=DataConfig)
+    rounds: int = 1
+    aggregator_mode: str = "metafl_closed"
+    alpha_grid: tuple[float, ...] = ()
+    seed: int = 0
+    target_accuracy: float = 0.9
+    log_h: float = 1.0
+
+    def __post_init__(self):
+        if self.rounds < 1:
+            raise ValueError("rounds must be >= 1")
+        if self.aggregator_mode not in AGGREGATOR_MODES:
+            raise ValueError(f"aggregator_mode must be one of {AGGREGATOR_MODES}")
+        grid = tuple(float(a) for a in self.alpha_grid)
+        if any(not np.isfinite(a) or a < 0.0 for a in grid):
+            raise ValueError("alpha_grid entries must be finite and >= 0")
+        if not 0.0 < self.target_accuracy <= 1.0:
+            raise ValueError("target_accuracy must lie in (0, 1]")
+        if self.log_h < 0.0:
+            raise ValueError("log_h must be >= 0")
+        object.__setattr__(self, "alpha_grid", grid)
+
+
+@dataclass(frozen=True)
+class RoundRecord:
+    """Observables of one federation round."""
+
+    round: int
+    weights: WeightVector
+    alpha_used: float
+    global_val_loss: float
+    global_val_accuracy: float
+    per_client_val_loss: tuple[float, ...]
+    phi_value: float
+    wall_ms: int
+
+
+@dataclass(frozen=True)
+class ComparisonSummary:
+    """Paired per-round metrics of two runs differing only in aggregation.
+
+    rows hold (round, loss_a, acc_a, loss_b, acc_b). The shared target
+    accuracy is run B's terminal accuracy (B is the baseline by
+    convention); rounds_to_target_* is None when never reached.
+    """
+
+    rows: tuple[tuple[int, float, float, float, float], ...]
+    target_accuracy: float
+    rounds_to_target_a: int | None
+    rounds_to_target_b: int | None
+    terminal_accuracy_a: float
+    terminal_accuracy_b: float
+    terminal_accuracy_diff: float
+    mean_accuracy_diff: float
+
+
+def build_federation(
+    cfg: ExperimentConfig,
+) -> tuple[list[tuple[ClientDataset, ClientDataset]], ClientDataset]:
+    """Materialize client (train, val) splits and the server's IID holdout.
+
+    The holdout is drawn before partitioning. Label noise corrupts the
+    marked clients' train splits only, so client validation losses
+    honestly reflect the damage.
+    """
+    spec = cfg.spec
+    if cfg.data.csv_path is not None:
+        pool = load_csv(cfg.data.csv_path, spec.num_classes)
+        if pool.dim != spec.input_dim:
+            raise ValueError(
+                f"csv feature dim {pool.dim} does not match model input_dim {spec.input_dim}"
+            )
+    else:
+        pool = make_blobs(
+            spec.num_classes, spec.input_dim, cfg.data.n_samples, cfg.data.spread, cfg.seed
+        )
+    rng = make_rng([cfg.seed, 1])
+    order = rng.permutation(pool.n)
+    n_holdout = max(1, int(round(cfg.data.global_val_fraction * pool.n)))
+    if n_holdout >= pool.n:
+        raise ValueError("global validation holdout would consume every sample")
+    global_val = pool.subset(order[:n_holdout])
+    rest = pool.subset(order[n_holdout:])
+    clients = partition_dirichlet(rest, cfg.partition)
+    noisy = []
+    for k, (train, val) in enumerate(clients):
+        if k in cfg.partition.noise_clients and cfg.partition.label_noise_rate > 0.0:
+            train = inject_label_noise(
+                train,
+                cfg.partition.label_noise_rate,
+                derive_seed(cfg.partition.seed, k, 11),
+                spec.num_classes,
+            )
+        noisy.append((train, val))
+    return noisy, global_val
+
+
+def collect_reports(
+    cfg: ExperimentConfig,
+    clients: Sequence[tuple[ClientDataset, ClientDataset]],
+    theta: ParamVector,
+    round_index: int,
+) -> list[ClientReport]:
+    """Train, evaluate, and profile every client for one round.
+
+    All clients share the round's shuffle seed, so identical clients
+    produce identical reports.
+    """
+    spec = cfg.spec
+    round_seed = derive_seed(cfg.train.seed, round_index)
+    reports = []
+    for k, (train, val) in enumerate(clients):
+        try:
+            cfg_k = replace(cfg.train, seed=round_seed)
+            theta_k = train_local(spec, theta, train, cfg_k)
+            perf = evaluate(spec, theta_k, val, train)
+            meta_x = extract(spec, theta, theta_k, train, val, cfg_k)
+        except Exception as err:
+            raise RuntimeError(f"round {round_index}, client {k}: {err}") from err
+        reports.append(ClientReport(k, theta_k, perf, meta_x, train.n))
+    return reports
+
+
+def run_rounds(
+    cfg: ExperimentConfig,
+    clients: Sequence[tuple[ClientDataset, ClientDataset]],
+    global_val: ClientDataset,
+    theta: ParamVector,
+) -> tuple[ParamVector, list[RoundRecord]]:
+    """Execute cfg.rounds federation rounds from the given global state."""
+    spec = cfg.spec
+    mp = cfg.meta
+    history: list[RoundRecord] = []
+    for t in range(1, cfg.rounds + 1):
+        started = time.perf_counter()
+        reports = collect_reports(cfg, clients, theta, t)
+        try:
+            if cfg.aggregator_mode == "fedavg":
+                weights = fedavg_weights([r.n_k for r in reports])
+                theta_g = aggregate(reports, weights, 0.0)
+                alpha_used = 0.0
+                phi_value = 0.0
+            else:
+                if len(cfg.alpha_grid) > 1:
+                    mp = adapt_meta_params(mp, cfg.alpha_grid, reports, spec, global_val)
+                outcome = meta_agg(reports, mp, _MODE_TO_SOLVER[cfg.aggregator_mode])
+                weights = outcome.weights
+                theta_g = outcome.theta_g
+                alpha_used = mp.alpha
+                phi_value = outcome.phi_value
+            server_perf = evaluate(spec, theta_g, global_val)
+        except Exception as err:
+            raise RuntimeError(f"round {t}, aggregation: {err}") from err
+        history.append(
+            RoundRecord(
+                round=t,
+                weights=weights,
+                alpha_used=alpha_used,
+                global_val_loss=server_perf.val_loss,
+                global_val_accuracy=server_perf.val_accuracy,
+                per_client_val_loss=tuple(r.perf.val_loss for r in reports),
+                phi_value=phi_value,
+                wall_ms=int((time.perf_counter() - started) * 1000.0),
+            )
+        )
+        theta = theta_g
+    return theta, history
+
+
+def run_experiment(cfg: ExperimentConfig) -> tuple[ParamVector, list[RoundRecord]]:
+    """Build the federation, initialize parameters, and run all rounds."""
+    clients, global_val = build_federation(cfg)
+    theta = init_params(cfg.spec, derive_seed(cfg.seed, 2))
+    return run_rounds(cfg, clients, global_val, theta)
+
+
+def shares_data_setup(a: ExperimentConfig, b: ExperimentConfig) -> bool:
+    """True when two configs differ at most in how they aggregate."""
+    return (
+        a.spec == b.spec
+        and a.partition == b.partition
+        and a.train == b.train
+        and a.data == b.data
+        and a.seed == b.seed
+        and a.rounds == b.rounds
+    )
+
+
+def compare_runs(cfg_a: ExperimentConfig, cfg_b: ExperimentConfig) -> ComparisonSummary:
+    """Run two configs on identical data and pair their round metrics."""
+    if not shares_data_setup(cfg_a, cfg_b):
+        raise ValueError("configs must share data setup")
+    _, hist_a = run_experiment(cfg_a)
+    _, hist_b = run_experiment(cfg_b)
+    rows = tuple(
+        (ra.round, ra.global_val_loss, ra.global_val_accuracy,
+         rb.global_val_loss, rb.global_val_accuracy)
+        for ra, rb in zip(hist_a, hist_b)
+    )
+    terminal_a = hist_a[-1].global_val_accuracy
+    terminal_b = hist_b[-1].global_val_accuracy
+    target = terminal_b
+
+    def first_reaching(history, goal):
+        for rec in history:
+            if rec.global_val_accuracy >= goal:
+                return rec.round
+        return None
+
+    diffs = [ra.global_val_accuracy - rb.global_val_accuracy for ra, rb in zip(hist_a, hist_b)]
+    return ComparisonSummary(
+        rows=rows,
+        target_accuracy=target,
+        rounds_to_target_a=first_reaching(hist_a, target),
+        rounds_to_target_b=first_reaching(hist_b, target),
+        terminal_accuracy_a=terminal_a,
+        terminal_accuracy_b=terminal_b,
+        terminal_accuracy_diff=terminal_a - terminal_b,
+        mean_accuracy_diff=float(np.mean(diffs)),
+    )
+
+
+def kl_divergence_diagnostic(
+    clients: Sequence[ClientDataset], num_classes: int
+) -> float:
+    """Mean KL divergence of client label distributions from their average.
+
+    Uses the 0 * ln(0/q) = 0 convention and clamps zero denominators at
+    1e-12.
+    """
+    if len(clients) == 0:
+        raise ValueError("empty client list")
+    dists = np.stack([label_distribution(d, num_classes) for d in clients])
+    avg = dists.mean(axis=0)
+    total = 0.0
+    for p in dists:
+        nz = p > 0.0
+        total += float((p[nz] * np.log(p[nz] / np.maximum(avg[nz], 1e-12))).sum())
+    return total / len(clients)

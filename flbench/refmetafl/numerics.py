@@ -1,0 +1,169 @@
+"""Deterministic vector math and simplex geometry primitives.
+
+All arithmetic is 64-bit floating point. Randomness anywhere in the
+package flows through :func:`make_rng`, which pins the generator to
+numpy's PCG64 so identical seeds give identical streams across runs
+and platforms.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Callable, Sequence
+
+import numpy as np
+
+__all__ = [
+    "ParamVector",
+    "WeightVector",
+    "Rng",
+    "make_rng",
+    "derive_seed",
+    "softmax_neg",
+    "project_simplex",
+    "weighted_sum",
+    "finite_diff_grad",
+]
+
+#: Deterministic generator type used throughout the package.
+Rng = np.random.Generator
+
+SIMPLEX_SUM_TOL = 1e-9
+
+
+def make_rng(seed: int | Sequence[int]) -> Rng:
+    """Seeded PCG64 generator; the single PRNG algorithm used in this repo."""
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+
+
+def derive_seed(*parts: int) -> int:
+    """Mix integer parts into a fresh 64-bit seed, deterministically."""
+    return int(np.random.SeedSequence(list(parts)).generate_state(1, np.uint64)[0])
+
+
+def _freeze(arr: np.ndarray) -> np.ndarray:
+    out = np.array(arr, dtype=np.float64, copy=True).reshape(-1)
+    out.flags.writeable = False
+    return out
+
+
+@dataclass(frozen=True, eq=False)
+class ParamVector:
+    """Flat vector of real-valued model parameters.
+
+    Coordinates are finite float64; the array is copied and frozen at
+    construction so instances are safe to share across threads.
+    """
+
+    coords: np.ndarray
+
+    def __post_init__(self):
+        arr = np.asarray(self.coords, dtype=np.float64)
+        if arr.ndim != 1 or arr.size < 1:
+            raise ValueError("parameter vector must be 1-D with dim >= 1")
+        if not np.all(np.isfinite(arr)):
+            raise ValueError("parameter vector has non-finite coordinates")
+        object.__setattr__(self, "coords", _freeze(arr))
+
+    @property
+    def dim(self) -> int:
+        return self.coords.size
+
+    def __len__(self) -> int:
+        return self.coords.size
+
+
+@dataclass(frozen=True, eq=False)
+class WeightVector:
+    """Point on the probability simplex: entries >= 0, sum within 1e-9 of 1."""
+
+    weights: np.ndarray
+
+    def __post_init__(self):
+        arr = np.asarray(self.weights, dtype=np.float64)
+        if arr.ndim != 1 or arr.size < 1:
+            raise ValueError("weight vector must be 1-D with K >= 1")
+        if not np.all(np.isfinite(arr)):
+            raise ValueError("weight vector has non-finite entries")
+        if np.any(arr < 0.0):
+            raise ValueError("weight vector has negative entries")
+        if abs(float(arr.sum()) - 1.0) > SIMPLEX_SUM_TOL:
+            raise ValueError(f"weights sum to {arr.sum():.17g}, not 1")
+        object.__setattr__(self, "weights", _freeze(arr))
+
+    @property
+    def k(self) -> int:
+        return self.weights.size
+
+    def __len__(self) -> int:
+        return self.weights.size
+
+
+def softmax_neg(values: Sequence[float], alpha: float) -> WeightVector:
+    """Weights proportional to exp(-alpha * value), normalized to sum 1.
+
+    Computed with max-shift normalization so large alpha*value products
+    cannot overflow; adding a constant to all values leaves the result
+    unchanged.
+    """
+    v = np.asarray(values, dtype=np.float64).reshape(-1)
+    if v.size == 0:
+        raise ValueError("empty cohort")
+    if not np.all(np.isfinite(v)):
+        raise ValueError("non-finite error metric")
+    if not np.isfinite(alpha) or alpha < 0.0:
+        raise ValueError("alpha must be finite and >= 0")
+    z = -alpha * v
+    z -= z.max()
+    e = np.exp(z)
+    return WeightVector(e / e.sum())
+
+
+def project_simplex(point: Sequence[float]) -> WeightVector:
+    """Euclidean projection onto the probability simplex.
+
+    Sort-and-threshold construction: the unique nearest simplex point is
+    max(x - tau, 0) with tau chosen so the result sums to 1.
+    """
+    x = np.asarray(point, dtype=np.float64).reshape(-1)
+    if x.size == 0:
+        raise ValueError("empty point")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("non-finite coordinates")
+    u = np.sort(x)[::-1]
+    css = np.cumsum(u) - 1.0
+    idx = np.arange(1, x.size + 1)
+    rho = np.nonzero(u - css / idx > 0.0)[0][-1]
+    tau = css[rho] / (rho + 1.0)
+    return WeightVector(np.maximum(x - tau, 0.0))
+
+
+def weighted_sum(vectors: Sequence[ParamVector], w: WeightVector) -> ParamVector:
+    """Coordinate-wise sum of w_k * theta_k; exact for 0/1 weights."""
+    if len(vectors) != w.k:
+        raise ValueError(f"got {len(vectors)} vectors for {w.k} weights")
+    dim = vectors[0].dim
+    for i, vec in enumerate(vectors):
+        if vec.dim != dim:
+            raise ValueError(f"dimension mismatch at index {i}: {vec.dim} != {dim}")
+    stacked = np.stack([vec.coords for vec in vectors])
+    return ParamVector(w.weights @ stacked)
+
+
+def finite_diff_grad(
+    f: Callable[[np.ndarray], float], x: Sequence[float], h: float
+) -> np.ndarray:
+    """Central-difference gradient (f(x + h e_i) - f(x - h e_i)) / (2h)."""
+    if h <= 0.0:
+        raise ValueError("step h must be positive")
+    x0 = np.asarray(x, dtype=np.float64).reshape(-1)
+    grad = np.empty_like(x0)
+    for i in range(x0.size):
+        step = np.zeros_like(x0)
+        step[i] = h
+        fp = float(f(x0 + step))
+        fm = float(f(x0 - step))
+        if not (np.isfinite(fp) and np.isfinite(fm)):
+            raise ValueError(f"non-finite evaluation at coordinate {i}")
+        grad[i] = (fp - fm) / (2.0 * h)
+    return grad
