@@ -10,7 +10,6 @@ from .aggregator import (
     contraction_estimate,
     fedavg_weights,
     generalization_bound,
-    global_loss,
     jensen_gap,
     meta_agg,
     phi_gradient,
@@ -41,7 +40,6 @@ from .federation import (
 from .metafeatures import (
     CompositeErrorConfig,
     MetaFeatures,
-    composite_error,
     extract,
 )
 from .models import (

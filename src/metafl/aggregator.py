@@ -43,7 +43,6 @@ __all__ = [
     "phi_gradient",
     "weights_iterative",
     "aggregate",
-    "global_loss",
     "fedavg_weights",
     "meta_agg",
     "adapt_meta_params",
@@ -101,12 +100,15 @@ class MetaParams:
 
 @dataclass(frozen=True)
 class ClientReport:
-    """One client's per-round submission to the server."""
+    """One client's per-round submission to the server.
+
+    meta is None when the composite error weights no meta-feature.
+    """
 
     client_id: int
     theta_k: ParamVector
     perf: PerformanceMetrics
-    meta: MetaFeatures
+    meta: MetaFeatures | None
     n_k: int
 
     def __post_init__(self):
@@ -123,7 +125,6 @@ class AggregationOutcome:
     errors_E: np.ndarray
     phi_value: float
     solver_iters: int
-    global_loss: float
 
 
 def weights_closed_form(errors: Sequence[float], alpha: float) -> WeightVector:
@@ -230,24 +231,6 @@ def aggregate(
     return ParamVector(mean.coords / (1.0 + lam))
 
 
-def global_loss(
-    reports: Sequence[ClientReport],
-    w: WeightVector,
-    theta_g: ParamVector,
-    lam: float,
-) -> float:
-    """Weighted client validation losses plus lambda * ||theta_g||^2."""
-    if len(reports) != w.k:
-        raise ValueError(f"got {len(reports)} reports for {w.k} weights")
-    if not np.isfinite(lam) or lam < 0.0:
-        raise ValueError("lam must be finite and >= 0")
-    losses = np.array([r.perf.val_loss for r in reports])
-    value = float(w.weights @ losses) + lam * float(theta_g.coords @ theta_g.coords)
-    if not np.isfinite(value):
-        raise ValueError("non-finite global loss")
-    return value
-
-
 def fedavg_weights(n: Sequence[int]) -> WeightVector:
     """Sample-share weights n_k / n."""
     counts = np.asarray(n, dtype=np.float64).reshape(-1)
@@ -289,7 +272,6 @@ def meta_agg(
         errors_E=errors,
         phi_value=phi,
         solver_iters=iters,
-        global_loss=global_loss(reports, weights, theta_g, mp.lam),
     )
 
 

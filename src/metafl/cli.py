@@ -40,6 +40,7 @@ from .federation import (
     collect_reports,
     compare_runs,
     kl_divergence_diagnostic,
+    rounds_to_target,
     run_rounds,
     shares_data_setup,
 )
@@ -411,14 +412,11 @@ def write_rounds_csv(history: list[RoundRecord], path: Path, include_timing: boo
     _write(path, "\n".join(lines) + "\n")
 
 
-def _rounds_to_target(history: list[RoundRecord], target: float):
-    for rec in history:
-        if rec.global_val_accuracy >= target:
-            return rec.round
-    return "not_reached"
+def _or_not_reached(rounds: int | None):
+    return "not_reached" if rounds is None else rounds
 
 
-def _summary_payload(cfg: ExperimentConfig, history, clients, global_val) -> dict:
+def _summary_payload(cfg: ExperimentConfig, history, clients) -> dict:
     final = history[-1]
     mp = cfg.meta
     if cfg.aggregator_mode != "fedavg":
@@ -431,7 +429,7 @@ def _summary_payload(cfg: ExperimentConfig, history, clients, global_val) -> dic
     return {
         "terminal_accuracy": final.global_val_accuracy,
         "terminal_loss": final.global_val_loss,
-        "rounds_to_target": _rounds_to_target(history, cfg.target_accuracy),
+        "rounds_to_target": _or_not_reached(rounds_to_target(history, cfg.target_accuracy)),
         "weights_final": [float(w) for w in final.weights.weights],
         "alpha_final": final.alpha_used,
         "contraction_estimate": contraction,
@@ -445,10 +443,8 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def write_compare_csv(summary: ComparisonSummary, path: Path) -> None:
-    to_a = summary.rounds_to_target_a
-    to_b = summary.rounds_to_target_b
-    cell_a = "not_reached" if to_a is None else str(to_a)
-    cell_b = "not_reached" if to_b is None else str(to_b)
+    cell_a = str(_or_not_reached(summary.rounds_to_target_a))
+    cell_b = str(_or_not_reached(summary.rounds_to_target_b))
     header = [
         "round",
         "global_val_loss_a",
@@ -505,7 +501,7 @@ def cmd_run(config_path: str, out_dir: str, no_timing: bool = False) -> int:
         theta0 = init_params(cfg.spec, derive_seed(cfg.seed, 2))
         _, history = run_rounds(cfg, clients, global_val, theta0)
         write_rounds_csv(history, out / "rounds.csv", include_timing=not no_timing)
-        _write_json(out / "summary.json", _summary_payload(cfg, history, clients, global_val))
+        _write_json(out / "summary.json", _summary_payload(cfg, history, clients))
         _write(out / "config_echo.txt", serialize_config(cfg))
     except Exception as err:
         print(f"runtime error: {err}", file=sys.stderr)
@@ -541,8 +537,8 @@ def cmd_compare(config_a: str, config_b: str, out_dir: str) -> int:
                 "terminal_accuracy_diff": summary.terminal_accuracy_diff,
                 "mean_accuracy_diff": summary.mean_accuracy_diff,
                 "target_accuracy": summary.target_accuracy,
-                "rounds_to_target_a": summary.rounds_to_target_a or "not_reached",
-                "rounds_to_target_b": summary.rounds_to_target_b or "not_reached",
+                "rounds_to_target_a": _or_not_reached(summary.rounds_to_target_a),
+                "rounds_to_target_b": _or_not_reached(summary.rounds_to_target_b),
                 "winner": winner,
             },
         )
@@ -564,7 +560,10 @@ def cmd_diagnose(config_path: str, out_dir: str) -> int:
     try:
         clients, global_val = build_federation(cfg)
         theta0 = init_params(cfg.spec, derive_seed(cfg.seed, 2))
-        reports = collect_reports(cfg, clients, theta0, 1)
+        # The probe aggregates in closed form whatever the config's mode,
+        # so its reports carry the features that form weights.
+        closed = replace(cfg, aggregator_mode="metafl_closed")
+        reports = collect_reports(closed, clients, theta0, 1)
         outcome = meta_agg(reports, cfg.meta, "closed_form")
         contraction = contraction_estimate(
             list(outcome.errors_E), cfg.meta, CONTRACTION_SAMPLES, make_rng([cfg.seed, 4])

@@ -4,6 +4,8 @@ meta-parameter adaptation, and per-round record keeping.
 Every round trains all clients from the current global parameters,
 collects (theta_k, metrics, meta-features) reports, optionally re-tunes
 alpha on the server-held validation split, aggregates, and broadcasts.
+Meta-features are extracted only when they can move a weight: the mode
+is not fedavg and some meta.c coefficient is nonzero.
 Client steps are pure functions of their inputs, so they could run
 concurrently; this implementation runs them sequentially in client-id
 order, which also fixes the reduction order for determinism.
@@ -50,6 +52,7 @@ __all__ = [
     "run_experiment",
     "shares_data_setup",
     "compare_runs",
+    "rounds_to_target",
     "kl_divergence_diagnostic",
 ]
 
@@ -194,17 +197,18 @@ def collect_reports(
     """Train, evaluate, and profile every client for one round.
 
     All clients share the round's shuffle seed, so identical clients
-    produce identical reports.
+    produce identical reports. Each report's meta is None unless the
+    mode is not fedavg and some meta.c coefficient is nonzero.
     """
     spec = cfg.spec
-    round_seed = derive_seed(cfg.train.seed, round_index)
+    round_train = replace(cfg.train, seed=derive_seed(cfg.train.seed, round_index))
+    with_meta = cfg.aggregator_mode != "fedavg" and cfg.meta.c.uses_features
     reports = []
     for k, (train, val) in enumerate(clients):
         try:
-            cfg_k = replace(cfg.train, seed=round_seed)
-            theta_k = train_local(spec, theta, train, cfg_k)
-            perf = evaluate(spec, theta_k, val, train)
-            meta_x = extract(spec, theta, theta_k, train, val, cfg_k)
+            theta_k = train_local(spec, theta, train, round_train)
+            perf = evaluate(spec, theta_k, val)
+            meta_x = extract(spec, theta, theta_k, train, val, round_train) if with_meta else None
         except Exception as err:
             raise RuntimeError(f"round {round_index}, client {k}: {err}") from err
         reports.append(ClientReport(k, theta_k, perf, meta_x, train.n))
@@ -276,6 +280,14 @@ def shares_data_setup(a: ExperimentConfig, b: ExperimentConfig) -> bool:
     )
 
 
+def rounds_to_target(history: Sequence[RoundRecord], target: float) -> int | None:
+    """First round whose server accuracy reaches target; None if none does."""
+    for rec in history:
+        if rec.global_val_accuracy >= target:
+            return rec.round
+    return None
+
+
 def compare_runs(cfg_a: ExperimentConfig, cfg_b: ExperimentConfig) -> ComparisonSummary:
     """Run two configs on identical data and pair their round metrics."""
     if not shares_data_setup(cfg_a, cfg_b):
@@ -290,19 +302,12 @@ def compare_runs(cfg_a: ExperimentConfig, cfg_b: ExperimentConfig) -> Comparison
     terminal_a = hist_a[-1].global_val_accuracy
     terminal_b = hist_b[-1].global_val_accuracy
     target = terminal_b
-
-    def first_reaching(history, goal):
-        for rec in history:
-            if rec.global_val_accuracy >= goal:
-                return rec.round
-        return None
-
     diffs = [ra.global_val_accuracy - rb.global_val_accuracy for ra, rb in zip(hist_a, hist_b)]
     return ComparisonSummary(
         rows=rows,
         target_accuracy=target,
-        rounds_to_target_a=first_reaching(hist_a, target),
-        rounds_to_target_b=first_reaching(hist_b, target),
+        rounds_to_target_a=rounds_to_target(hist_a, target),
+        rounds_to_target_b=rounds_to_target(hist_b, target),
         terminal_accuracy_a=terminal_a,
         terminal_accuracy_b=terminal_b,
         terminal_accuracy_diff=terminal_a - terminal_b,

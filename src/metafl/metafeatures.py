@@ -2,7 +2,8 @@
 
 The composite error for client k is its validation loss plus an affine
 combination of (optionally cohort-normalized) meta-features; with all
-coefficients zero it reduces to the loss alone.
+coefficients zero it reduces to the loss alone, and no features are
+needed.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ __all__ = [
     "MetaFeatures",
     "CompositeErrorConfig",
     "extract",
-    "composite_error",
     "composite_errors",
 ]
 
@@ -71,6 +71,11 @@ class CompositeErrorConfig:
         if not all(np.isfinite(coeffs)):
             raise ValueError("coefficients must be finite")
         object.__setattr__(self, "c", coeffs)
+
+    @property
+    def uses_features(self) -> bool:
+        """True when some coefficient is nonzero, so features can move E_k."""
+        return any(v != 0.0 for v in self.c)
 
 
 def _entropy(labels: np.ndarray, num_classes: int) -> float:
@@ -122,21 +127,27 @@ def extract(
 
 def composite_errors(
     losses: Sequence[float],
-    cohort: Sequence[MetaFeatures],
+    cohort: Sequence[MetaFeatures | None],
     cfg: CompositeErrorConfig,
 ) -> np.ndarray:
     """Composite error for every cohort member at once.
 
     With cfg.normalize each feature column is min-max scaled over the
     cohort; a constant column scales to 0 so it cannot tilt the errors.
+    When no coefficient is nonzero the errors are the losses, and the
+    cohort's entries may be None.
     """
     if len(losses) != len(cohort):
         raise ValueError("losses and cohort lengths differ")
     if len(cohort) == 0:
         raise ValueError("empty cohort")
-    loss_arr = np.asarray(losses, dtype=np.float64)
+    loss_arr = np.array(losses, dtype=np.float64)
     if not np.all(np.isfinite(loss_arr)):
         raise ValueError("non-finite loss")
+    if not cfg.uses_features:
+        return loss_arr
+    if any(m is None for m in cohort):
+        raise ValueError("nonzero coefficients need every member's meta-features")
     matrix = np.stack([m.as_array() for m in cohort])
     if cfg.normalize:
         lo = matrix.min(axis=0)
@@ -147,21 +158,3 @@ def composite_errors(
         scaled[:, active] = (matrix[:, active] - lo[active]) / span[active]
         matrix = scaled
     return loss_arr + matrix @ np.asarray(cfg.c)
-
-
-def composite_error(
-    loss_k: float,
-    x: MetaFeatures,
-    cohort: Sequence[MetaFeatures],
-    cfg: CompositeErrorConfig,
-) -> float:
-    """Composite error for the cohort member ``x``."""
-    idx = next((i for i, m in enumerate(cohort) if m is x), None)
-    if idx is None:
-        try:
-            idx = list(cohort).index(x)
-        except ValueError:
-            raise ValueError("x must be a member of the cohort") from None
-    losses = np.zeros(len(cohort))
-    losses[idx] = loss_k
-    return float(composite_errors(losses, cohort, cfg)[idx])

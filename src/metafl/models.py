@@ -83,13 +83,12 @@ class PerformanceMetrics:
 
     val_loss: float
     val_accuracy: float
-    train_loss: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.val_loss) and np.isfinite(self.train_loss)):
-            raise ValueError("losses must be finite")
-        if self.val_loss < 0.0 or self.train_loss < 0.0:
-            raise ValueError("losses must be nonnegative")
+        if not np.isfinite(self.val_loss):
+            raise ValueError("val_loss must be finite")
+        if self.val_loss < 0.0:
+            raise ValueError("val_loss must be nonnegative")
         if not 0.0 <= self.val_accuracy <= 1.0:
             raise ValueError("val_accuracy must lie in [0, 1]")
 
@@ -144,13 +143,12 @@ def _mean_ce(logits: np.ndarray, y: np.ndarray) -> float:
 
 def _ce_grad_arrays(
     spec: ModelSpec, theta: np.ndarray, x: np.ndarray, y: np.ndarray, l2: float
-) -> Tuple[float, np.ndarray]:
+) -> np.ndarray:
     n = x.shape[0]
     onehot_err_scale = 1.0 / n
     if spec.hidden_dim == 0:
         w, b = _unpack(spec, theta)
         z = x @ w + b
-        loss = _mean_ce(z, y)
         p = _softmax_rows(z)
         p[np.arange(n), y] -= 1.0
         p *= onehot_err_scale
@@ -160,7 +158,6 @@ def _ce_grad_arrays(
         z1 = x @ w1 + b1
         a1 = np.maximum(z1, 0.0) if spec.activation == "relu" else np.tanh(z1)
         z2 = a1 @ w2 + b2
-        loss = _mean_ce(z2, y)
         g2 = _softmax_rows(z2)
         g2[np.arange(n), y] -= 1.0
         g2 *= onehot_err_scale
@@ -170,9 +167,8 @@ def _ce_grad_arrays(
             [(x.T @ dz1).ravel(), dz1.sum(axis=0), (a1.T @ g2).ravel(), g2.sum(axis=0)]
         )
     if l2 > 0.0:
-        loss += 0.5 * l2 * float(theta @ theta)
         grad += l2 * theta
-    return loss, grad
+    return grad
 
 
 def _softmax_rows(z: np.ndarray) -> np.ndarray:
@@ -210,7 +206,7 @@ def train_local(
         order = rng.permutation(n)
         for start in range(0, n, cfg.batch_size):
             batch = order[start : start + cfg.batch_size]
-            _, grad = _ce_grad_arrays(
+            grad = _ce_grad_arrays(
                 spec, theta, data.features[batch], data.labels[batch], cfg.l2
             )
             theta -= cfg.learning_rate * grad
@@ -219,27 +215,14 @@ def train_local(
     return ParamVector(theta)
 
 
-def evaluate(
-    spec: ModelSpec,
-    params: ParamVector,
-    data: ClientDataset,
-    train_data: ClientDataset | None = None,
-) -> PerformanceMetrics:
-    """Mean cross-entropy (nats) and top-1 accuracy on ``data``.
-
-    train_loss is measured on ``train_data`` when supplied, otherwise it
-    mirrors the loss on ``data``.
-    """
+def evaluate(spec: ModelSpec, params: ParamVector, data: ClientDataset) -> PerformanceMetrics:
+    """Mean cross-entropy (nats) and top-1 accuracy on ``data``."""
     _check_dims(spec, params.coords, data.features)
     logits = _logits(spec, params.coords, data.features)
     val_loss = _mean_ce(logits, data.labels)
     preds = np.argmax(logits, axis=1)
     val_acc = float(np.mean(preds == data.labels))
-    if train_data is None:
-        train_loss = val_loss
-    else:
-        train_loss = local_loss(spec, params, train_data)
-    return PerformanceMetrics(val_loss, val_acc, train_loss)
+    return PerformanceMetrics(val_loss, val_acc)
 
 
 def local_loss(spec: ModelSpec, params: ParamVector, data: ClientDataset) -> float:
@@ -253,7 +236,11 @@ def loss_and_grad(
 ) -> Tuple[float, np.ndarray]:
     """Training objective and its analytic gradient over the full dataset."""
     _check_dims(spec, params.coords, data.features)
-    return _ce_grad_arrays(spec, params.coords, data.features, data.labels, l2)
+    theta = params.coords
+    loss = _mean_ce(_logits(spec, theta, data.features), data.labels)
+    if l2 > 0.0:
+        loss += 0.5 * l2 * float(theta @ theta)
+    return loss, _ce_grad_arrays(spec, theta, data.features, data.labels, l2)
 
 
 def predict_proba(

@@ -57,7 +57,7 @@ def plain_report(cid, coords, val_loss, n_k):
     return ClientReport(
         client_id=cid,
         theta_k=ParamVector(coords),
-        perf=PerformanceMetrics(val_loss, 0.5, val_loss),
+        perf=PerformanceMetrics(val_loss, 0.5),
         meta=MetaFeatures(
             dataset_size=n_k,
             label_entropy=0.5,

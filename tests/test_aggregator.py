@@ -14,7 +14,6 @@ from metafl.aggregator import (
     contraction_estimate,
     fedavg_weights,
     generalization_bound,
-    global_loss,
     jensen_gap,
     meta_agg,
     phi_gradient,
@@ -39,7 +38,7 @@ def report(cid, coords, val_loss, n_k, entropy=0.5):
     return ClientReport(
         client_id=cid,
         theta_k=ParamVector(coords),
-        perf=PerformanceMetrics(val_loss, 0.5, val_loss),
+        perf=PerformanceMetrics(val_loss, 0.5),
         meta=MetaFeatures(
             dataset_size=n_k,
             label_entropy=entropy,
@@ -229,22 +228,6 @@ class TestAggregate:
             aggregate([report(0, [1.0], 0.1, 1)], WeightVector([0.5, 0.5]), 0.0)
 
 
-class TestGlobalLoss:
-    def test_single_client(self):
-        r = report(0, [1.0], 0.42, 3)
-        assert global_loss([r], WeightVector([1.0]), r.theta_k, 0.0) == 0.42
-
-    def test_zero_params_no_regularizer(self):
-        r = report(0, [1.0, 1.0], 0.3, 3)
-        theta = ParamVector([0.0, 0.0])
-        assert global_loss([r], WeightVector([1.0]), theta, 2.0) == 0.3
-
-    def test_hand_value(self):
-        reports = [report(0, [1.0, 1.0], 0.2, 4), report(1, [1.0, 1.0], 0.6, 4)]
-        value = global_loss(reports, WeightVector([0.5, 0.5]), ParamVector([1.0, 1.0]), 1.0)
-        np.testing.assert_allclose(value, 2.4, atol=1e-12)
-
-
 class TestFedAvgWeights:
     def test_equal_counts(self):
         np.testing.assert_array_equal(fedavg_weights([5, 5]).weights, [0.5, 0.5])
@@ -324,11 +307,6 @@ class TestMetaAgg:
         out = meta_agg(reports, MetaParams(alpha=1.0))
         assert np.isfinite(out.phi_value)
         assert out.solver_iters == 0
-        np.testing.assert_allclose(
-            out.global_loss,
-            float(out.weights.weights @ np.array([0.2, 0.8])),
-            rtol=1e-15,
-        )
 
     def test_empty_cohort(self):
         with pytest.raises(ValueError, match="empty cohort"):

@@ -227,6 +227,17 @@ class TestCmdDiagnose:
         payload = json.loads((out / "diagnostics.json").read_text())
         assert payload["contraction_estimate"] < 1.0
 
+    def test_fedavg_config_weights_features_like_closed(self, tmp_path):
+        # diagnose aggregates in closed form whatever the mode, so a fedavg
+        # config's nonzero meta.c must still reach the composite errors
+        cfg = MINIMAL + "data.n_samples = 200\nmeta.c = 0,1,0,2,0\n"
+        payloads = []
+        for mode in ("fedavg", "metafl_closed"):
+            path = write(tmp_path, cfg + f"aggregator = {mode}\n", f"{mode}.txt")
+            assert cmd_diagnose(path, str(tmp_path / mode)) == 0
+            payloads.append((tmp_path / mode / "diagnostics.json").read_bytes())
+        assert payloads[0] == payloads[1]
+
 
 class TestMain:
     def test_dispatch_run(self, tmp_path):

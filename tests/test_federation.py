@@ -6,18 +6,22 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from metafl import federation
 from metafl.datagen import ClientDataset, PartitionConfig, make_blobs, save_csv
 from metafl.federation import (
     DataConfig,
     ExperimentConfig,
     build_federation,
+    collect_reports,
     compare_runs,
     kl_divergence_diagnostic,
+    rounds_to_target,
     run_experiment,
     run_rounds,
     shares_data_setup,
 )
 from metafl.aggregator import MetaParams
+from metafl.metafeatures import CompositeErrorConfig, MetaFeatures, extract
 from metafl.models import ModelSpec, TrainConfig, init_params, train_local
 from metafl.numerics import derive_seed
 
@@ -119,6 +123,45 @@ class TestRunExperiment:
             run_rounds(cfg, [(bad, bad)], bad, init_params(cfg.spec, 0))
 
 
+WEIGHTED = CompositeErrorConfig(c=(0.0, 0.1, 0.05, 0.1, 0.05))
+THREE_CLIENTS = PartitionConfig(num_clients=3, dirichlet_beta=5.0, seed=3)
+
+
+class TestCollectReports:
+    @pytest.mark.parametrize(
+        "mode, meta",
+        [("fedavg", MetaParams(alpha=1.0, c=WEIGHTED)), ("metafl_closed", MetaParams(alpha=1.0))],
+    )
+    def test_unweighted_features_not_extracted(self, monkeypatch, mode, meta):
+        def refuse(*args):
+            raise AssertionError("extract called")
+
+        monkeypatch.setattr(federation, "extract", refuse)
+        cfg = small_config(aggregator_mode=mode, meta=meta, partition=THREE_CLIENTS)
+        clients, _ = build_federation(cfg)
+        theta = init_params(cfg.spec, derive_seed(cfg.seed, 2))
+        reports = collect_reports(cfg, clients, theta, 1)
+        assert len(reports) == 3
+        assert all(r.meta is None for r in reports)
+
+    def test_weighted_features_extracted_once_per_client_round(self, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return extract(*args)
+
+        monkeypatch.setattr(federation, "extract", counting)
+        cfg = small_config(meta=MetaParams(alpha=1.0, c=WEIGHTED), partition=THREE_CLIENTS)
+        clients, _ = build_federation(cfg)
+        theta = init_params(cfg.spec, derive_seed(cfg.seed, 2))
+        reports = collect_reports(cfg, clients, theta, 1)
+        assert len(calls) == 3
+        assert all(isinstance(r.meta, MetaFeatures) for r in reports)
+        run_experiment(cfg)
+        assert len(calls) == 3 + 3 * cfg.rounds
+
+
 class TestBuildFederation:
     def test_holdout_plus_clients_cover_pool(self):
         cfg = small_config()
@@ -199,6 +242,15 @@ class TestCompareRuns:
         if summary.rounds_to_target_a is not None:
             round_a = summary.rounds_to_target_a
             assert summary.rows[round_a - 1][2] >= summary.target_accuracy
+
+
+class TestRoundsToTarget:
+    def test_first_round_reaching(self):
+        _, history = run_experiment(small_config(rounds=3))
+        accs = [rec.global_val_accuracy for rec in history]
+        assert rounds_to_target(history, min(accs)) == 1
+        assert rounds_to_target(history, max(accs)) == accs.index(max(accs)) + 1
+        assert rounds_to_target(history, 1.5) is None
 
 
 class TestKlDiagnostic:

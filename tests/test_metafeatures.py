@@ -10,7 +10,6 @@ from metafl.datagen import ClientDataset, make_blobs
 from metafl.metafeatures import (
     CompositeErrorConfig,
     MetaFeatures,
-    composite_error,
     composite_errors,
     extract,
 )
@@ -104,30 +103,38 @@ class TestExtract:
 
 class TestCompositeError:
     def test_zero_coefficients_return_loss(self):
-        cohort = [feat(entropy=0.1), feat(entropy=0.9)]
-        cfg = CompositeErrorConfig()
-        assert composite_error(0.37, cohort[0], cohort, cfg) == 0.37
+        losses = np.array([0.37, 1e-300, 2.5, 0.0, 7.0 / 3.0])
+        cohort = [feat(entropy=0.1 * i, size=i + 1) for i in range(losses.size)]
+        # bitwise what the weighted form gives with every coefficient zero
+        weighted = losses + np.stack([m.as_array() for m in cohort]) @ np.zeros(5)
+        for members in (cohort, [None] * losses.size):
+            errors = composite_errors(losses, members, CompositeErrorConfig())
+            assert errors.tobytes() == losses.tobytes() == weighted.tobytes()
+            assert errors is not losses
+
+    def test_nonzero_coefficients_need_features(self):
+        cfg = CompositeErrorConfig(c=(0.0, 0.5, 0.0, 0.0, 0.0))
+        with pytest.raises(ValueError, match="meta-features"):
+            composite_errors([0.1, 0.2], [feat(), None], cfg)
 
     def test_identical_cohort_scales_to_zero(self):
         cohort = [feat(entropy=0.4, size=12)] * 3
         cfg = CompositeErrorConfig(c=(1.0, -2.0, 3.0, 0.5, 0.7), normalize=True)
-        assert composite_error(0.25, cohort[0], cohort, cfg) == 0.25
+        np.testing.assert_array_equal(composite_errors([0.25] * 3, cohort, cfg), [0.25] * 3)
 
     def test_hand_value(self):
-        # cohort entropies (0, 1, 0.8): min-max scales x's entropy to 0.8,
-        # so E = 0.4 + 0.5 * 0.8 = 0.8
-        x = feat(entropy=0.8)
-        cohort = [feat(entropy=0.0), feat(entropy=1.0), x]
+        # cohort entropies (0, 1, 0.8): min-max scales the last entropy to
+        # 0.8, so its E = 0.4 + 0.5 * 0.8 = 0.8
+        cohort = [feat(entropy=0.0), feat(entropy=1.0), feat(entropy=0.8)]
         cfg = CompositeErrorConfig(c=(0.0, 0.5, 0.0, 0.0, 0.0), normalize=True)
-        np.testing.assert_allclose(composite_error(0.4, x, cohort, cfg), 0.8, atol=1e-12)
+        errors = composite_errors([0.0, 0.0, 0.4], cohort, cfg)
+        np.testing.assert_allclose(errors[2], 0.8, atol=1e-12)
 
     def test_unnormalized_uses_raw_features(self):
-        x = feat(entropy=0.8)
-        cohort = [feat(entropy=0.0), x]
+        cohort = [feat(entropy=0.0), feat(entropy=0.8)]
         cfg = CompositeErrorConfig(c=(0.0, 2.0, 0.0, 0.0, 0.0), normalize=False)
-        np.testing.assert_allclose(
-            composite_error(0.1, x, cohort, cfg), 0.1 + 2.0 * 0.8, atol=1e-12
-        )
+        errors = composite_errors([0.0, 0.1], cohort, cfg)
+        np.testing.assert_allclose(errors[1], 0.1 + 2.0 * 0.8, atol=1e-12)
 
     def test_monotone_in_loss(self):
         rng = make_rng(41)
@@ -136,8 +143,11 @@ class TestCompositeError:
             for _ in range(6)
         ]
         cfg = CompositeErrorConfig(c=(0.2, 0.3, 0.1, 0.4, 0.5), normalize=True)
-        losses = np.sort(rng.uniform(0, 2, size=10))
-        values = [composite_error(l, cohort[2], cohort, cfg) for l in losses]
+        values = []
+        for loss in np.sort(rng.uniform(0, 2, size=10)):
+            losses = np.zeros(len(cohort))
+            losses[2] = loss
+            values.append(composite_errors(losses, cohort, cfg)[2])
         assert all(b >= a for a, b in zip(values, values[1:]))
 
     def test_normalization_range(self):
@@ -163,17 +173,6 @@ class TestCompositeError:
             errors = composite_errors(np.zeros(len(cohort)), cohort, cfg)
             np.testing.assert_allclose(errors, scaled[:, j], atol=1e-12)
 
-    def test_membership_required(self):
-        cohort = [feat(entropy=0.1)]
-        with pytest.raises(ValueError, match="member"):
-            composite_error(0.1, feat(entropy=0.9), cohort, CompositeErrorConfig())
-
-    def test_equal_member_found_by_value(self):
-        x = feat(entropy=0.5)
-        cohort = [feat(entropy=0.2), feat(entropy=0.5)]
-        cfg = CompositeErrorConfig(c=(0.0, 1.0, 0.0, 0.0, 0.0), normalize=True)
-        np.testing.assert_allclose(composite_error(0.0, x, cohort, cfg), 1.0, atol=1e-12)
-
     def test_bad_coefficient_length(self):
         with pytest.raises(ValueError, match="coefficients"):
             CompositeErrorConfig(c=(1.0, 2.0))
@@ -181,7 +180,7 @@ class TestCompositeError:
     def test_non_finite_loss(self):
         cohort = [feat()]
         with pytest.raises(ValueError, match="non-finite"):
-            composite_error(float("nan"), cohort[0], cohort, CompositeErrorConfig())
+            composite_errors([float("nan")], cohort, CompositeErrorConfig())
 
     def test_meta_features_validation(self):
         with pytest.raises(ValueError, match="nonnegative"):

@@ -133,18 +133,11 @@ class TestEvaluate:
             perf.val_loss, reference_mean_ce(LOGISTIC_2D, theta, data), atol=1e-9
         )
 
-    def test_train_loss_from_train_data(self):
-        val = make_blobs(2, 2, 20, 0.5, 3)
-        train = make_blobs(2, 2, 30, 0.5, 4)
-        params = init_params(LOGISTIC_2D, 0)
-        perf = evaluate(LOGISTIC_2D, params, val, train)
-        assert perf.train_loss == local_loss(LOGISTIC_2D, params, train)
-
     def test_metrics_validation(self):
         with pytest.raises(ValueError, match="val_accuracy"):
-            PerformanceMetrics(0.1, 1.5, 0.1)
+            PerformanceMetrics(0.1, 1.5)
         with pytest.raises(ValueError, match="finite"):
-            PerformanceMetrics(float("nan"), 0.5, 0.1)
+            PerformanceMetrics(float("nan"), 0.5)
 
 
 class TestLocalLoss:
