@@ -82,8 +82,8 @@ class MetaParams:
             raise ValueError("alpha must be finite and >= 0")
         if not np.isfinite(self.lam) or self.lam < 0.0:
             raise ValueError("lam must be finite and >= 0")
-        if self.tau is not None and not self.tau > 0.0:
-            raise ValueError("tau must be positive when given")
+        if self.tau is not None and not (np.isfinite(self.tau) and self.tau > 0.0):
+            raise ValueError("tau must be finite and positive when given")
         if not np.isfinite(self.eta) or self.eta < 0.0:
             raise ValueError("eta must be finite and >= 0")
         if self.max_iters < 1:

@@ -19,8 +19,9 @@ import json
 import os
 import sys
 from dataclasses import replace
+from operator import attrgetter
 from pathlib import Path
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .aggregator import (
     MetaParams,
@@ -44,7 +45,7 @@ from .federation import (
     run_rounds,
     shares_data_setup,
 )
-from .metafeatures import FEATURE_FIELDS, CompositeErrorConfig
+from .metafeatures import CompositeErrorConfig
 from .models import ModelSpec, TrainConfig, init_params
 from .numerics import derive_seed, make_rng
 
@@ -64,8 +65,6 @@ class ConfigError(Exception):
 # ----------------------------------------------------------------------
 # config file parsing
 # ----------------------------------------------------------------------
-
-_REQUIRED = object()
 
 
 def _parse_raw(text: str) -> dict[str, str]:
@@ -87,28 +86,6 @@ def _parse_raw(text: str) -> dict[str, str]:
     return raw
 
 
-def _take(raw: dict[str, str], key: str, parse: Callable[[str], object], default=_REQUIRED):
-    if key not in raw:
-        if default is _REQUIRED:
-            raise ConfigError(f"missing required key '{key}'")
-        return default
-    value = raw.pop(key)
-    try:
-        return parse(value)
-    except ConfigError:
-        raise
-    except Exception as err:
-        raise ConfigError(f"invalid value for key '{key}': {err}") from None
-
-
-def _as_int(value: str) -> int:
-    return int(value)
-
-
-def _as_float(value: str) -> float:
-    return float(value)
-
-
 def _as_bool(value: str) -> bool:
     low = value.lower()
     if low in ("true", "1", "yes"):
@@ -118,175 +95,148 @@ def _as_bool(value: str) -> bool:
     raise ValueError(f"expected true/false, got {value!r}")
 
 
-def _as_floats(value: str) -> tuple[float, ...]:
-    if not value:
-        return ()
-    return tuple(float(part.strip()) for part in value.split(","))
+def _as_mode(value: str) -> str:
+    if value not in AGGREGATOR_MODES:
+        raise ValueError(f"must be one of {AGGREGATOR_MODES}")
+    return value
 
 
-def _as_ints(value: str) -> tuple[int, ...]:
-    if not value:
-        return ()
-    return tuple(int(part.strip()) for part in value.split(","))
+def _split(value: str, cast: Callable[[str], object]) -> tuple:
+    """Comma-separated values; the empty string gives no values."""
+    return tuple(cast(part.strip()) for part in value.split(",")) if value else ()
+
+
+class _Kind(NamedTuple):
+    """How one config value is read from text and echoed back."""
+
+    parse: Callable[[str], object]
+    show: Callable[[object], str]
+
+
+_INT = _Kind(int, str)
+_FLOAT = _Kind(float, repr)
+_STR = _Kind(str, str)
+_MODE = _Kind(_as_mode, str)
+_BOOL = _Kind(_as_bool, lambda v: "true" if v else "false")
+_FLOATS = _Kind(lambda v: _split(v, float), lambda v: ",".join(map(repr, v)))
+_IDS = _Kind(lambda v: frozenset(_split(v, int)), lambda v: ",".join(map(str, sorted(v))))
+
+
+class _Key(NamedTuple):
+    """One config key: the ExperimentConfig attribute path of the section
+    object it sets ("" for the top level), that object's field, its kind."""
+
+    key: str
+    section: str
+    field: str
+    kind: _Kind
+
+
+#: Every config key, in echo order.
+_KEYS = (
+    _Key("seed", "", "seed", _INT),
+    _Key("rounds", "", "rounds", _INT),
+    _Key("aggregator", "", "aggregator_mode", _MODE),
+    _Key("alpha_grid", "", "alpha_grid", _FLOATS),
+    _Key("target_accuracy", "", "target_accuracy", _FLOAT),
+    _Key("diagnostics.log_h", "", "log_h", _FLOAT),
+    _Key("model.input_dim", "spec", "input_dim", _INT),
+    _Key("model.hidden_dim", "spec", "hidden_dim", _INT),
+    _Key("model.num_classes", "spec", "num_classes", _INT),
+    _Key("model.activation", "spec", "activation", _STR),
+    _Key("data.n_samples", "data", "n_samples", _INT),
+    _Key("data.spread", "data", "spread", _FLOAT),
+    _Key("data.global_val_fraction", "data", "global_val_fraction", _FLOAT),
+    _Key("data.csv_path", "data", "csv_path", _STR),
+    _Key("partition.num_clients", "partition", "num_clients", _INT),
+    _Key("partition.dirichlet_beta", "partition", "dirichlet_beta", _FLOAT),
+    _Key("partition.val_fraction", "partition", "val_fraction", _FLOAT),
+    _Key("partition.noise_clients", "partition", "noise_clients", _IDS),
+    _Key("partition.label_noise_rate", "partition", "label_noise_rate", _FLOAT),
+    _Key("partition.seed", "partition", "seed", _INT),
+    _Key("train.learning_rate", "train", "learning_rate", _FLOAT),
+    _Key("train.epochs", "train", "epochs", _INT),
+    _Key("train.batch_size", "train", "batch_size", _INT),
+    _Key("train.seed", "train", "seed", _INT),
+    _Key("train.l2", "train", "l2", _FLOAT),
+    _Key("meta.alpha", "meta", "alpha", _FLOAT),
+    _Key("meta.lambda", "meta", "lam", _FLOAT),
+    _Key("meta.tau", "meta", "tau", _FLOAT),
+    _Key("meta.eta", "meta", "eta", _FLOAT),
+    _Key("meta.max_iters", "meta", "max_iters", _INT),
+    _Key("meta.tol", "meta", "tol", _FLOAT),
+    _Key("meta.c", "meta.c", "c", _FLOATS),
+    _Key("meta.normalize", "meta.c", "normalize", _BOOL),
+)
+
+#: Section dataclasses in build order (each before the section holding
+#: it), with the prefix of their validation errors.
+_SECTIONS = {
+    "spec": (ModelSpec, "invalid 'model.*' section: "),
+    "data": (DataConfig, "invalid 'data.*' section: "),
+    "partition": (PartitionConfig, "invalid 'partition.*' section: "),
+    "train": (TrainConfig, "invalid 'train.*' section: "),
+    "meta.c": (CompositeErrorConfig, "invalid value for key 'meta.c': "),
+    "meta": (MetaParams, "invalid 'meta.*' section: "),
+    "": (ExperimentConfig, ""),
+}
+
+#: Defaults of the CLI where its dataclass has none.
+_CLI_DEFAULTS = {"model.input_dim": "2", "train.learning_rate": "0.1"}
+
+_BY_KEY = {row.key: row for row in _KEYS}
 
 
 def build_config(raw: dict[str, str], seed_override: int | None = None) -> ExperimentConfig:
-    """Assemble and validate an ExperimentConfig from raw key-value pairs."""
-    raw = dict(raw)
-    seed = _take(raw, "seed", _as_int, 0)
-    if seed_override is not None:
-        seed = seed_override
-    rounds = _take(raw, "rounds", _as_int)
-    mode = _take(raw, "aggregator", str, "metafl_closed")
-    if mode not in AGGREGATOR_MODES:
-        raise ConfigError(f"invalid value for key 'aggregator': must be one of {AGGREGATOR_MODES}")
-    alpha_grid = _take(raw, "alpha_grid", _as_floats, ())
-    target_accuracy = _take(raw, "target_accuracy", _as_float, 0.9)
-    log_h = _take(raw, "diagnostics.log_h", _as_float, 1.0)
+    """Assemble and validate an ExperimentConfig from raw key-value pairs.
 
-    def section(name, builder, fields):
-        kwargs = {key: _take(raw, f"{name}.{key}", parse, default) for key, parse, default in fields}
+    An absent key takes its dataclass default; the partition and train
+    seeds default to sub-seeds of the top-level seed.
+    """
+    unknown = sorted(raw.keys() - _BY_KEY.keys())
+    if unknown:
+        raise ConfigError(f"unknown key '{unknown[0]}'")
+    for key in ("rounds", "partition.num_clients"):
+        if key not in raw:
+            raise ConfigError(f"missing required key '{key}'")
+    kwargs: dict[str, dict] = {section: {} for section in _SECTIONS}
+    for key, value in {**_CLI_DEFAULTS, **raw}.items():
+        row = _BY_KEY[key]
         try:
-            return builder(**kwargs)
-        except (ValueError, TypeError) as err:
-            raise ConfigError(f"invalid '{name}.*' section: {err}") from None
-
-    spec = section(
-        "model",
-        ModelSpec,
-        [
-            ("input_dim", _as_int, 2),
-            ("hidden_dim", _as_int, 0),
-            ("num_classes", _as_int, 2),
-            ("activation", str, "relu"),
-        ],
-    )
-    data = section(
-        "data",
-        DataConfig,
-        [
-            ("n_samples", _as_int, 400),
-            ("spread", _as_float, 0.5),
-            ("global_val_fraction", _as_float, 0.2),
-            ("csv_path", str, None),
-        ],
-    )
-    partition = section(
-        "partition",
-        PartitionConfig,
-        [
-            ("num_clients", _as_int, _REQUIRED),
-            ("dirichlet_beta", _as_float, 1.0),
-            ("val_fraction", _as_float, 0.2),
-            ("noise_clients", lambda v: frozenset(_as_ints(v)), frozenset()),
-            ("label_noise_rate", _as_float, 0.0),
-            ("seed", _as_int, derive_seed(seed, 101)),
-        ],
-    )
-    train = section(
-        "train",
-        TrainConfig,
-        [
-            ("learning_rate", _as_float, 0.1),
-            ("epochs", _as_int, 1),
-            ("batch_size", _as_int, 32),
-            ("seed", _as_int, derive_seed(seed, 102)),
-            ("l2", _as_float, 0.0),
-        ],
-    )
-    coeffs = _take(raw, "meta.c", _as_floats, tuple(0.0 for _ in FEATURE_FIELDS))
-    normalize = _take(raw, "meta.normalize", _as_bool, True)
-    try:
-        composite = CompositeErrorConfig(c=coeffs, normalize=normalize)
-    except ValueError as err:
-        raise ConfigError(f"invalid value for key 'meta.c': {err}") from None
-    meta_kwargs = dict(
-        alpha=_take(raw, "meta.alpha", _as_float, 1.0),
-        lam=_take(raw, "meta.lambda", _as_float, 0.0),
-        eta=_take(raw, "meta.eta", _as_float, 0.1),
-        max_iters=_take(raw, "meta.max_iters", _as_int, 500),
-        tol=_take(raw, "meta.tol", _as_float, 1e-10),
-        c=composite,
-    )
-    tau = _take(raw, "meta.tau", _as_float, None)
-    if tau is not None:
-        meta_kwargs["tau"] = tau
-    try:
-        meta = MetaParams(**meta_kwargs)
-    except ValueError as err:
-        raise ConfigError(f"invalid 'meta.*' section: {err}") from None
-    if raw:
-        raise ConfigError(f"unknown key '{sorted(raw)[0]}'")
-    try:
-        return ExperimentConfig(
-            spec=spec,
-            partition=partition,
-            train=train,
-            meta=meta,
-            data=data,
-            rounds=rounds,
-            aggregator_mode=mode,
-            alpha_grid=alpha_grid,
-            seed=seed,
-            target_accuracy=target_accuracy,
-            log_h=log_h,
-        )
-    except ValueError as err:
-        raise ConfigError(str(err)) from None
+            kwargs[row.section][row.field] = row.kind.parse(value)
+        except ValueError as err:
+            raise ConfigError(f"invalid value for key '{key}': {err}") from None
+    top = kwargs[""]
+    if seed_override is not None:
+        top["seed"] = seed_override
+    seed = top.get("seed", ExperimentConfig.seed)
+    if seed < 0:
+        raise ConfigError("seed must be >= 0")
+    kwargs["partition"].setdefault("seed", derive_seed(seed, 101))
+    kwargs["train"].setdefault("seed", derive_seed(seed, 102))
+    for section, (cls, error_prefix) in _SECTIONS.items():
+        try:
+            built = cls(**kwargs[section])
+        except ValueError as err:
+            raise ConfigError(f"{error_prefix}{err}") from None
+        if section:
+            parent, _, name = section.rpartition(".")
+            kwargs[parent][name] = built
+    return built
 
 
 def serialize_config(cfg: ExperimentConfig) -> str:
-    """Canonical key-value form; parsing it back gives an equal config."""
-    lines = [
-        f"seed = {cfg.seed}",
-        f"rounds = {cfg.rounds}",
-        f"aggregator = {cfg.aggregator_mode}",
-    ]
-    if cfg.alpha_grid:
-        lines.append("alpha_grid = " + ",".join(repr(a) for a in cfg.alpha_grid))
-    lines += [
-        f"target_accuracy = {cfg.target_accuracy!r}",
-        f"diagnostics.log_h = {cfg.log_h!r}",
-        f"model.input_dim = {cfg.spec.input_dim}",
-        f"model.hidden_dim = {cfg.spec.hidden_dim}",
-        f"model.num_classes = {cfg.spec.num_classes}",
-        f"model.activation = {cfg.spec.activation}",
-        f"data.n_samples = {cfg.data.n_samples}",
-        f"data.spread = {cfg.data.spread!r}",
-        f"data.global_val_fraction = {cfg.data.global_val_fraction!r}",
-    ]
-    if cfg.data.csv_path is not None:
-        lines.append(f"data.csv_path = {cfg.data.csv_path}")
-    lines += [
-        f"partition.num_clients = {cfg.partition.num_clients}",
-        f"partition.dirichlet_beta = {cfg.partition.dirichlet_beta!r}",
-        f"partition.val_fraction = {cfg.partition.val_fraction!r}",
-    ]
-    if cfg.partition.noise_clients:
-        lines.append(
-            "partition.noise_clients = "
-            + ",".join(str(c) for c in sorted(cfg.partition.noise_clients))
-        )
-    lines += [
-        f"partition.label_noise_rate = {cfg.partition.label_noise_rate!r}",
-        f"partition.seed = {cfg.partition.seed}",
-        f"train.learning_rate = {cfg.train.learning_rate!r}",
-        f"train.epochs = {cfg.train.epochs}",
-        f"train.batch_size = {cfg.train.batch_size}",
-        f"train.seed = {cfg.train.seed}",
-        f"train.l2 = {cfg.train.l2!r}",
-        f"meta.alpha = {cfg.meta.alpha!r}",
-        f"meta.lambda = {cfg.meta.lam!r}",
-    ]
-    if cfg.meta.tau is not None:
-        lines.append(f"meta.tau = {cfg.meta.tau!r}")
-    lines += [
-        f"meta.eta = {cfg.meta.eta!r}",
-        f"meta.max_iters = {cfg.meta.max_iters}",
-        f"meta.tol = {cfg.meta.tol!r}",
-        "meta.c = " + ",".join(repr(v) for v in cfg.meta.c.c),
-        f"meta.normalize = {'true' if cfg.meta.c.normalize else 'false'}",
-    ]
+    """Canonical key-value form; parsing it back gives an equal config.
+
+    Keys whose value is None or an empty collection are left out.
+    """
+    sections = {name: attrgetter(name)(cfg) if name else cfg for name in _SECTIONS}
+    lines = []
+    for row in _KEYS:
+        value = getattr(sections[row.section], row.field)
+        if value is None or value in ((), frozenset()):
+            continue
+        lines.append(f"{row.key} = {row.kind.show(value)}")
     return "\n".join(lines) + "\n"
 
 

@@ -8,6 +8,7 @@ as the last column holding zero-based integers.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -81,12 +82,14 @@ class PartitionConfig:
     def __post_init__(self):
         if self.num_clients < 1:
             raise ValueError("num_clients must be >= 1")
-        if self.dirichlet_beta <= 0.0:
-            raise ValueError("dirichlet_beta must be positive")
+        if not np.isfinite(self.dirichlet_beta) or self.dirichlet_beta <= 0.0:
+            raise ValueError("dirichlet_beta must be finite and positive")
         if not 0.0 < self.val_fraction < 1.0:
             raise ValueError("val_fraction must lie in (0, 1)")
         if not 0.0 <= self.label_noise_rate < 1.0:
             raise ValueError("label_noise_rate must lie in [0, 1)")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         clients = frozenset(int(c) for c in self.noise_clients)
         if any(c < 0 or c >= self.num_clients for c in clients):
             raise ValueError("noise_clients must be a subset of {0..K-1}")
@@ -229,7 +232,7 @@ def load_csv(path: str, num_classes: int, has_header: bool = False) -> ClientDat
                     raise ValueError(
                         f"row {line_no}: non-numeric cell {cell!r} in column {col}"
                     ) from None
-            if not all(np.isfinite(v) for v in values):
+            if not all(math.isfinite(v) for v in values):
                 raise ValueError(f"row {line_no}: non-finite cell")
             label = values[-1]
             if not float(label).is_integer():

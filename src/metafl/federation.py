@@ -77,8 +77,8 @@ class DataConfig:
     def __post_init__(self):
         if self.n_samples < 2:
             raise ValueError("n_samples must be >= 2")
-        if self.spread <= 0.0:
-            raise ValueError("spread must be positive")
+        if not np.isfinite(self.spread) or self.spread <= 0.0:
+            raise ValueError("spread must be finite and positive")
         if not 0.0 < self.global_val_fraction < 1.0:
             raise ValueError("global_val_fraction must lie in (0, 1)")
 
@@ -109,8 +109,10 @@ class ExperimentConfig:
             raise ValueError("alpha_grid entries must be finite and >= 0")
         if not 0.0 < self.target_accuracy <= 1.0:
             raise ValueError("target_accuracy must lie in (0, 1]")
-        if self.log_h < 0.0:
-            raise ValueError("log_h must be >= 0")
+        if not np.isfinite(self.log_h) or self.log_h < 0.0:
+            raise ValueError("log_h must be finite and >= 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         object.__setattr__(self, "alpha_grid", grid)
 
 

@@ -67,14 +67,16 @@ class TrainConfig:
     l2: float = 0.0
 
     def __post_init__(self):
-        if self.learning_rate <= 0.0:
-            raise ValueError("learning_rate must be positive")
+        if not np.isfinite(self.learning_rate) or self.learning_rate <= 0.0:
+            raise ValueError("learning_rate must be finite and positive")
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if self.l2 < 0.0:
-            raise ValueError("l2 must be >= 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
+        if not np.isfinite(self.l2) or self.l2 < 0.0:
+            raise ValueError("l2 must be finite and >= 0")
 
 
 @dataclass(frozen=True)

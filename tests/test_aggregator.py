@@ -471,6 +471,8 @@ class TestMetaParams:
             MetaParams(alpha=-1.0)
         with pytest.raises(ValueError, match="tau"):
             MetaParams(alpha=1.0, tau=0.0)
+        with pytest.raises(ValueError, match="tau"):
+            MetaParams(alpha=1.0, tau=float("inf"))
         with pytest.raises(ValueError, match="tol"):
             MetaParams(alpha=1.0, tol=2.0)
 

@@ -1,12 +1,20 @@
 """Command-line front end: config parsing, outputs, exit codes."""
 
 import json
+import re
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from metafl.aggregator import MetaParams
 from metafl.cli import (
+    _KEYS,
     PRESETS,
     ConfigError,
+    _parse_raw,
+    build_config,
     cmd_compare,
     cmd_diagnose,
     cmd_run,
@@ -14,6 +22,10 @@ from metafl.cli import (
     main,
     serialize_config,
 )
+from metafl.datagen import PartitionConfig
+from metafl.federation import AGGREGATOR_MODES, DataConfig, ExperimentConfig
+from metafl.metafeatures import CompositeErrorConfig
+from metafl.models import ACTIVATIONS, ModelSpec, TrainConfig
 
 MINIMAL = "rounds = 2\npartition.num_clients = 2\n"
 
@@ -28,6 +40,94 @@ partition.num_clients = 2
 partition.dirichlet_beta = 5.0
 train.learning_rate = 0.1
 """
+
+
+#: Configs that must exit 2, with the part of the message naming the fault.
+EXIT_2_CONFIGS = {
+    "missing_rounds": ("partition.num_clients = 2\n", "rounds"),
+    "negative_seed": (MINIMAL + "seed = -3\n", "seed"),
+    "negative_partition_seed": (MINIMAL + "partition.seed = -4\n", "'partition.*'"),
+    "negative_train_seed": (MINIMAL + "train.seed = -1\n", "'train.*'"),
+    "nan_learning_rate": (MINIMAL + "train.learning_rate = nan\n", "'train.*'"),
+    "inf_learning_rate": (MINIMAL + "train.learning_rate = inf\n", "'train.*'"),
+    "nan_l2": (MINIMAL + "train.l2 = nan\n", "'train.*'"),
+    "inf_spread": (MINIMAL + "data.spread = inf\n", "'data.*'"),
+    "nan_dirichlet_beta": (MINIMAL + "partition.dirichlet_beta = nan\n", "'partition.*'"),
+    "nan_log_h": (MINIMAL + "diagnostics.log_h = nan\n", "log_h"),
+    "inf_log_h": (MINIMAL + "diagnostics.log_h = inf\n", "log_h"),
+    "inf_tau": (MINIMAL + "meta.tau = inf\n", "'meta.*'"),
+}
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+POSITIVE = st.floats(min_value=1e-6, max_value=1e6)
+NONNEGATIVE = st.floats(min_value=0.0, max_value=1e6)
+OPEN_UNIT = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+SEEDS = st.integers(0, 2**64 - 1)
+
+
+@st.composite
+def experiment_configs(draw):
+    """Valid configs that set every config key, optional ones included."""
+    k = draw(st.integers(1, 20))
+    return ExperimentConfig(
+        spec=ModelSpec(
+            input_dim=draw(st.integers(1, 64)),
+            hidden_dim=draw(st.integers(0, 64)),
+            num_classes=draw(st.integers(2, 10)),
+            activation=draw(st.sampled_from(ACTIVATIONS)),
+        ),
+        data=DataConfig(
+            n_samples=draw(st.integers(2, 10**6)),
+            spread=draw(POSITIVE),
+            global_val_fraction=draw(OPEN_UNIT),
+            csv_path=draw(st.none() | st.text("ab./_-", max_size=8)),
+        ),
+        partition=PartitionConfig(
+            num_clients=k,
+            dirichlet_beta=draw(POSITIVE),
+            val_fraction=draw(OPEN_UNIT),
+            noise_clients=draw(st.frozensets(st.integers(0, k - 1))),
+            label_noise_rate=draw(st.floats(0.0, 1.0, exclude_max=True)),
+            seed=draw(SEEDS),
+        ),
+        train=TrainConfig(
+            learning_rate=draw(POSITIVE),
+            epochs=draw(st.integers(0, 10)),
+            batch_size=draw(st.integers(1, 512)),
+            seed=draw(SEEDS),
+            l2=draw(NONNEGATIVE),
+        ),
+        meta=MetaParams(
+            alpha=draw(NONNEGATIVE),
+            lam=draw(NONNEGATIVE),
+            tau=draw(st.none() | POSITIVE),
+            eta=draw(NONNEGATIVE),
+            max_iters=draw(st.integers(1, 1000)),
+            tol=draw(OPEN_UNIT),
+            c=CompositeErrorConfig(
+                c=draw(st.tuples(*[FINITE] * 5)), normalize=draw(st.booleans())
+            ),
+        ),
+        rounds=draw(st.integers(1, 100)),
+        aggregator_mode=draw(st.sampled_from(AGGREGATOR_MODES)),
+        alpha_grid=tuple(draw(st.lists(NONNEGATIVE, max_size=5))),
+        seed=draw(SEEDS),
+        target_accuracy=draw(st.floats(0.0, 1.0, exclude_min=True)),
+        log_h=draw(NONNEGATIVE),
+    )
+
+
+@st.composite
+def config_texts(draw):
+    """Echoes of valid configs with values replaced, lines dropped and junk added."""
+    lines = serialize_config(draw(experiment_configs())).splitlines()
+    bad = st.one_of(st.integers(-3, 3).map(str), st.floats().map(repr), st.text(max_size=6))
+    for i in draw(st.lists(st.integers(0, len(lines) - 1), max_size=3)):
+        lines[i] = lines[i].partition("=")[0] + "= " + draw(bad)
+    dropped = draw(st.sets(st.integers(0, len(lines) - 1), max_size=2))
+    lines = [line for i, line in enumerate(lines) if i not in dropped]
+    return "\n".join(draw(st.permutations(lines + draw(st.lists(st.text(), max_size=1)))))
 
 
 @pytest.fixture(autouse=True)
@@ -87,18 +187,64 @@ class TestConfigParsing:
         monkeypatch.setenv("METAFL_SEED", "abc")
         with pytest.raises(ConfigError, match="METAFL_SEED"):
             load_config(path)
+        monkeypatch.setenv("METAFL_SEED", "-1")
+        with pytest.raises(ConfigError, match="seed must be >= 0"):
+            load_config(path)
 
     def test_presets_all_build(self):
         for name in PRESETS:
             cfg = load_config(name)
             assert cfg.rounds >= 1
 
+    @settings(max_examples=200, deadline=None)
+    @given(cfg=experiment_configs())
+    def test_echo_round_trips_random_configs(self, cfg):
+        assert build_config(_parse_raw(serialize_config(cfg))) == cfg
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        text=st.text() | config_texts(),
+        seed_env=st.none()
+        | st.integers(-3, 3).map(str)
+        | st.text("0123456789-+ x", max_size=3),
+    )
+    def test_fuzzed_text_is_config_or_config_error(self, tmp_path_factory, text, seed_env):
+        path = tmp_path_factory.getbasetemp() / "fuzzed.cfg"
+        path.write_text(text, encoding="utf-8")
+        with pytest.MonkeyPatch.context() as patch:
+            if seed_env is not None:
+                patch.setenv("METAFL_SEED", seed_env)
+            try:
+                cfg = load_config(str(path))
+            except ConfigError:
+                return
+        assert build_config(_parse_raw(serialize_config(cfg))) == cfg
+
+    def test_readme_config_block_matches_keys(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        block = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
+        shown = {}  # key -> (uncommented, value)
+        for line in block.splitlines():
+            match = re.match(r"(#\s*)?([\w.]+)\s*=\s*(.*?)\s*(#.*)?$", line)
+            if match:
+                shown[match[2]] = (match[1] is None, match[3])
+        assert set(shown) == {row.key for row in _KEYS}
+        required = {key: shown[key][1] for key in ("rounds", "partition.num_clients")}
+        defaults = {
+            key: value
+            for key, (uncommented, value) in shown.items()
+            if uncommented and key not in required and value != "<seed-derived>"
+        }
+        assert build_config({**required, **defaults}) == build_config(required)
+
 
 class TestCmdRun:
-    def test_missing_rounds_exit_2(self, tmp_path, capsys):
-        code = cmd_run(write(tmp_path, "partition.num_clients = 2\n"), str(tmp_path / "out"))
+    @pytest.mark.parametrize("case", EXIT_2_CONFIGS)
+    def test_config_error_exit_2(self, tmp_path, capsys, case):
+        text, named = EXIT_2_CONFIGS[case]
+        code = cmd_run(write(tmp_path, text), str(tmp_path / "out"))
         assert code == 2
-        assert "rounds" in capsys.readouterr().err
+        assert named in capsys.readouterr().err
 
     def test_minimal_run(self, tmp_path):
         out = tmp_path / "out"

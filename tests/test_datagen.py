@@ -182,6 +182,13 @@ class TestCsv:
         with pytest.raises(ValueError, match="row 1.*non-numeric"):
             load_csv(str(path), 2)
 
+    def test_non_finite_cell(self, tmp_path):
+        path = tmp_path / "d.csv"
+        for bad_row in ("1.0,nan,1", "inf,2.0,1", "1.0,2.0,-inf"):
+            path.write_text(f"1.0,2.0,0\n{bad_row}\n")
+            with pytest.raises(ValueError, match="row 2: non-finite cell"):
+                load_csv(str(path), 2)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ValueError, match="missing file"):
             load_csv(str(tmp_path / "nope.csv"), 2)

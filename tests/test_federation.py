@@ -287,3 +287,9 @@ class TestExperimentConfig:
     def test_rejects_negative_grid(self):
         with pytest.raises(ValueError, match="alpha_grid"):
             small_config(alpha_grid=(-1.0,))
+
+    def test_rejects_negative_seed_and_nonfinite_log_h(self):
+        with pytest.raises(ValueError, match="seed"):
+            small_config(seed=-1)
+        with pytest.raises(ValueError, match="log_h"):
+            small_config(log_h=float("nan"))
