@@ -2,7 +2,8 @@
 
 The files under tests/golden/ pin the --no-timing outputs of all six
 presets, a compare run, a diagnose run and one small config that
-weights the meta-features. A refactor must leave them unchanged.
+weights the meta-features; each run case pins all three files that
+`metafl run` writes. A refactor must leave them unchanged.
 Re-bless them only for a change that is meant to move the outputs, and
 say why in CHANGES.md:
 
@@ -18,7 +19,7 @@ from metafl.cli import PRESETS, main
 
 GOLDEN = Path(__file__).parent / "golden"
 FEATURES_CFG = GOLDEN / "metafl_features.cfg"
-RUN_FILES = ("rounds.csv", "summary.json")
+RUN_FILES = ("rounds.csv", "summary.json", "config_echo.txt")
 
 #: case name -> (CLI arguments without -o, files compared)
 CASES = {
