@@ -36,6 +36,7 @@ from .federation import (
     compare_runs,
     kl_divergence_diagnostic,
     run_experiment,
+    set_up,
 )
 from .metafeatures import (
     CompositeErrorConfig,
@@ -54,7 +55,6 @@ from .models import (
 from .numerics import (
     ParamVector,
     WeightVector,
-    finite_diff_grad,
     make_rng,
     project_simplex,
     softmax_neg,

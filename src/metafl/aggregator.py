@@ -36,8 +36,8 @@ __all__ = [
     "MetaParams",
     "ClientReport",
     "AggregationOutcome",
+    "AGGREGATOR_MODES",
     "SOLVERS",
-    "AGG_MODES",
     "weights_closed_form",
     "phi_objective",
     "phi_gradient",
@@ -51,8 +51,10 @@ __all__ = [
     "generalization_bound",
 ]
 
+#: Aggregation modes, spelled as the config key `aggregator` takes them;
+#: every mode but fedavg weights clients through meta_agg.
+AGGREGATOR_MODES = ("metafl_closed", "metafl_mirror", "metafl_projected", "fedavg")
 SOLVERS = ("mirror", "projected")
-AGG_MODES = ("closed_form", "iterative_mirror", "iterative_projected")
 
 # Projected-gradient iterates can land on the boundary, where ln w blows
 # up; gradient evaluation clamps weights at this floor.
@@ -242,16 +244,18 @@ def fedavg_weights(n: Sequence[int]) -> WeightVector:
 
 
 def meta_agg(
-    reports: Sequence[ClientReport], mp: MetaParams, mode: str = "closed_form"
+    reports: Sequence[ClientReport], mp: MetaParams, mode: str = "metafl_closed"
 ) -> AggregationOutcome:
     """Full aggregation pass: composite errors, weight solve, shrunk
     weighted sum, and the bookkeeping objective values.
 
+    mode is a metafl_* entry of AGGREGATOR_MODES; metafl_mirror and
+    metafl_projected solve with the weights_iterative solver they name.
     alpha = 0 (with tau unset) means temperature-free uniform averaging
     in every mode; it is the exact alpha -> 0 limit of both routes.
     """
-    if mode not in AGG_MODES:
-        raise ValueError(f"mode must be one of {AGG_MODES}")
+    if mode not in AGGREGATOR_MODES or mode == "fedavg":
+        raise ValueError(f"mode must be a metafl_* entry of {AGGREGATOR_MODES}, got {mode!r}")
     if len(reports) == 0:
         raise ValueError("empty cohort")
     losses = [r.perf.val_loss for r in reports]
@@ -259,11 +263,10 @@ def meta_agg(
     iters = 0
     if mp.alpha == 0.0 and mp.tau is None:
         weights = WeightVector(np.full(len(reports), 1.0 / len(reports)))
-    elif mode == "closed_form":
+    elif mode == "metafl_closed":
         weights = weights_closed_form(errors, mp.alpha)
     else:
-        solver = "mirror" if mode == "iterative_mirror" else "projected"
-        weights, iters, _ = weights_iterative(errors, mp, solver)
+        weights, iters, _ = weights_iterative(errors, mp, mode.removeprefix("metafl_"))
     theta_g = aggregate(reports, weights, mp.lam)
     phi = phi_objective(weights, errors, mp.resolved_tau())
     return AggregationOutcome(
@@ -294,7 +297,7 @@ def adapt_meta_params(
     best_loss = math.inf
     for alpha in candidates:
         trial = replace(mp, alpha=alpha, tau=None)
-        outcome = meta_agg(reports, trial, "closed_form")
+        outcome = meta_agg(reports, trial)
         loss = local_loss(spec, outcome.theta_g, global_val)
         if (
             best_alpha is None

@@ -15,6 +15,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -24,6 +25,7 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 from .aggregator import (
+    AGGREGATOR_MODES,
     MetaParams,
     contraction_estimate,
     generalization_bound,
@@ -32,21 +34,20 @@ from .aggregator import (
 )
 from .datagen import PartitionConfig
 from .federation import (
-    AGGREGATOR_MODES,
     ComparisonSummary,
     DataConfig,
     ExperimentConfig,
     RoundRecord,
-    build_federation,
     collect_reports,
     compare_runs,
     kl_divergence_diagnostic,
     rounds_to_target,
     run_rounds,
+    set_up,
     shares_data_setup,
 )
 from .metafeatures import CompositeErrorConfig
-from .models import ModelSpec, TrainConfig, init_params
+from .models import ModelSpec, TrainConfig
 from .numerics import derive_seed, make_rng
 
 __all__ = ["ConfigError", "load_config", "serialize_config", "PRESETS", "main"]
@@ -322,7 +323,10 @@ def load_config(path_or_preset: str) -> ExperimentConfig:
         except OSError as err:
             raise ConfigError(f"cannot read config {path_or_preset!r}: {err}") from None
         raw = _parse_raw(text)
-    return build_config(raw, _seed_override())
+    cfg = build_config(raw, _seed_override())
+    if cfg.data.csv_path is not None and not os.path.isfile(cfg.data.csv_path):
+        raise ConfigError(f"invalid value for key 'data.csv_path': no file {cfg.data.csv_path!r}")
+    return cfg
 
 
 # ----------------------------------------------------------------------
@@ -366,16 +370,23 @@ def _or_not_reached(rounds: int | None):
     return "not_reached" if rounds is None else rounds
 
 
+def _theory(cfg: ExperimentConfig, mp: MetaParams, errors, clients) -> tuple:
+    """The diagnostics summary.json and diagnostics.json share:
+    (mirror-step contraction at errors, label-skew KL of the train splits,
+    their sample count m, the generalization bound)."""
+    rng = make_rng([cfg.seed, 4])
+    contraction = contraction_estimate(list(errors), mp, CONTRACTION_SAMPLES, rng)
+    kl = kl_divergence_diagnostic([train for train, _ in clients], cfg.spec.num_classes)
+    m = sum(train.n for train, _ in clients)
+    return contraction, kl, m, generalization_bound(cfg.log_h, m, kl)
+
+
 def _summary_payload(cfg: ExperimentConfig, history, clients) -> dict:
     final = history[-1]
     mp = cfg.meta
     if cfg.aggregator_mode != "fedavg":
         mp = replace(mp, alpha=final.alpha_used, tau=None)
-    contraction = contraction_estimate(
-        list(final.per_client_val_loss), mp, CONTRACTION_SAMPLES, make_rng([cfg.seed, 4])
-    )
-    kl = kl_divergence_diagnostic([train for train, _ in clients], cfg.spec.num_classes)
-    m_total = sum(train.n for train, _ in clients)
+    contraction, kl, _, bound = _theory(cfg, mp, final.per_client_val_loss, clients)
     return {
         "terminal_accuracy": final.global_val_accuracy,
         "terminal_loss": final.global_val_loss,
@@ -384,7 +395,7 @@ def _summary_payload(cfg: ExperimentConfig, history, clients) -> dict:
         "alpha_final": final.alpha_used,
         "contraction_estimate": contraction,
         "kl_diagnostic": kl,
-        "generalization_bound": generalization_bound(cfg.log_h, m_total, kl),
+        "generalization_bound": bound,
     }
 
 
@@ -407,20 +418,8 @@ def write_compare_csv(summary: ComparisonSummary, path: Path) -> None:
     ]
     lines = [",".join(header)]
     for rnd, loss_a, acc_a, loss_b, acc_b in summary.rows:
-        lines.append(
-            ",".join(
-                [
-                    str(rnd),
-                    _fmt(loss_a),
-                    _fmt(acc_a),
-                    _fmt(loss_b),
-                    _fmt(acc_b),
-                    _fmt(acc_a - acc_b),
-                    cell_a,
-                    cell_b,
-                ]
-            )
-        )
+        values = (loss_a, acc_a, loss_b, acc_b, acc_a - acc_b)
+        lines.append(",".join([str(rnd), *map(_fmt, values), cell_a, cell_b]))
     _write(path, "\n".join(lines) + "\n")
 
 
@@ -438,108 +437,91 @@ def _prepare_out_dir(out_dir: str) -> Path:
     return path
 
 
-def cmd_run(config_path: str, out_dir: str, no_timing: bool = False) -> int:
+def _exit_code(command: Callable[..., None]) -> Callable[..., int]:
+    """The exit-code policy of every command: 0 when it returns, 2 on a
+    ConfigError, 3 on any other failure, with the error on stderr."""
+
+    @functools.wraps(command)
+    def run(*args, **kwargs) -> int:
+        try:
+            command(*args, **kwargs)
+        except ConfigError as err:
+            print(f"config error: {err}", file=sys.stderr)
+            return EXIT_CONFIG
+        except Exception as err:
+            print(f"runtime error: {err}", file=sys.stderr)
+            return EXIT_RUNTIME
+        return EXIT_OK
+
+    return run
+
+
+@_exit_code
+def cmd_run(config_path: str, out_dir: str, no_timing: bool = False) -> None:
     """Run one experiment; write rounds.csv, summary.json, config_echo.txt."""
-    try:
-        cfg = load_config(config_path)
-        out = _prepare_out_dir(out_dir)
-    except ConfigError as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        clients, global_val = build_federation(cfg)
-        theta0 = init_params(cfg.spec, derive_seed(cfg.seed, 2))
-        _, history = run_rounds(cfg, clients, global_val, theta0)
-        write_rounds_csv(history, out / "rounds.csv", include_timing=not no_timing)
-        _write_json(out / "summary.json", _summary_payload(cfg, history, clients))
-        _write(out / "config_echo.txt", serialize_config(cfg))
-    except Exception as err:
-        print(f"runtime error: {err}", file=sys.stderr)
-        return EXIT_RUNTIME
-    return EXIT_OK
+    cfg = load_config(config_path)
+    out = _prepare_out_dir(out_dir)
+    clients, global_val, theta0 = set_up(cfg)
+    _, history = run_rounds(cfg, clients, global_val, theta0)
+    write_rounds_csv(history, out / "rounds.csv", include_timing=not no_timing)
+    _write_json(out / "summary.json", _summary_payload(cfg, history, clients))
+    _write(out / "config_echo.txt", serialize_config(cfg))
 
 
-def cmd_compare(config_a: str, config_b: str, out_dir: str) -> int:
+@_exit_code
+def cmd_compare(config_a: str, config_b: str, out_dir: str) -> None:
     """Run two data-matched configs; write compare.csv and compare_summary.json."""
-    try:
-        cfg_a = load_config(config_a)
-        cfg_b = load_config(config_b)
-        if not shares_data_setup(cfg_a, cfg_b):
-            raise ConfigError("configs must share data setup")
-        out = _prepare_out_dir(out_dir)
-    except ConfigError as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        summary = compare_runs(cfg_a, cfg_b)
-        write_compare_csv(summary, out / "compare.csv")
-        if summary.terminal_accuracy_diff > 0:
-            winner = "a"
-        elif summary.terminal_accuracy_diff < 0:
-            winner = "b"
-        else:
-            winner = "tie"
-        _write_json(
-            out / "compare_summary.json",
-            {
-                "terminal_accuracy_a": summary.terminal_accuracy_a,
-                "terminal_accuracy_b": summary.terminal_accuracy_b,
-                "terminal_accuracy_diff": summary.terminal_accuracy_diff,
-                "mean_accuracy_diff": summary.mean_accuracy_diff,
-                "target_accuracy": summary.target_accuracy,
-                "rounds_to_target_a": _or_not_reached(summary.rounds_to_target_a),
-                "rounds_to_target_b": _or_not_reached(summary.rounds_to_target_b),
-                "winner": winner,
-            },
-        )
-    except Exception as err:
-        print(f"runtime error: {err}", file=sys.stderr)
-        return EXIT_RUNTIME
-    return EXIT_OK
+    cfg_a = load_config(config_a)
+    cfg_b = load_config(config_b)
+    if not shares_data_setup(cfg_a, cfg_b):
+        raise ConfigError("configs must share data setup")
+    out = _prepare_out_dir(out_dir)
+    summary = compare_runs(cfg_a, cfg_b)
+    write_compare_csv(summary, out / "compare.csv")
+    diff = summary.terminal_accuracy_diff
+    winner = "a" if diff > 0 else "b" if diff < 0 else "tie"
+    _write_json(
+        out / "compare_summary.json",
+        {
+            "terminal_accuracy_a": summary.terminal_accuracy_a,
+            "terminal_accuracy_b": summary.terminal_accuracy_b,
+            "terminal_accuracy_diff": summary.terminal_accuracy_diff,
+            "mean_accuracy_diff": summary.mean_accuracy_diff,
+            "target_accuracy": summary.target_accuracy,
+            "rounds_to_target_a": _or_not_reached(summary.rounds_to_target_a),
+            "rounds_to_target_b": _or_not_reached(summary.rounds_to_target_b),
+            "winner": winner,
+        },
+    )
 
 
-def cmd_diagnose(config_path: str, out_dir: str) -> int:
+@_exit_code
+def cmd_diagnose(config_path: str, out_dir: str) -> None:
     """Probe fixed-point, convexity, and divergence diagnostics on a
     seeded one-round instance; write diagnostics.json."""
-    try:
-        cfg = load_config(config_path)
-        out = _prepare_out_dir(out_dir)
-    except ConfigError as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        clients, global_val = build_federation(cfg)
-        theta0 = init_params(cfg.spec, derive_seed(cfg.seed, 2))
-        # The probe aggregates in closed form whatever the config's mode,
-        # so its reports carry the features that form weights.
-        closed = replace(cfg, aggregator_mode="metafl_closed")
-        reports = collect_reports(closed, clients, theta0, 1)
-        outcome = meta_agg(reports, cfg.meta, "closed_form")
-        contraction = contraction_estimate(
-            list(outcome.errors_E), cfg.meta, CONTRACTION_SAMPLES, make_rng([cfg.seed, 4])
-        )
-        gap = jensen_gap(
-            cfg.spec, [r.theta_k for r in reports], outcome.weights, global_val
-        )
-        kl = kl_divergence_diagnostic([train for train, _ in clients], cfg.spec.num_classes)
-        m_total = sum(train.n for train, _ in clients)
-        _write_json(
-            out / "diagnostics.json",
-            {
-                "contraction_estimate": contraction,
-                "jensen_gap": gap,
-                "kl_diagnostic": kl,
-                "generalization_bound": generalization_bound(cfg.log_h, m_total, kl),
-                "eta": cfg.meta.eta,
-                "tau": cfg.meta.resolved_tau(),
-                "m": m_total,
-                "log_h": cfg.log_h,
-            },
-        )
-    except Exception as err:
-        print(f"runtime error: {err}", file=sys.stderr)
-        return EXIT_RUNTIME
-    return EXIT_OK
+    cfg = load_config(config_path)
+    out = _prepare_out_dir(out_dir)
+    clients, global_val, theta0 = set_up(cfg)
+    # The probe aggregates in closed form whatever the config's mode,
+    # so its reports carry the features that form weights.
+    closed = replace(cfg, aggregator_mode="metafl_closed")
+    reports = collect_reports(closed, clients, theta0, 1)
+    outcome = meta_agg(reports, cfg.meta, closed.aggregator_mode)
+    contraction, kl, m, bound = _theory(cfg, cfg.meta, outcome.errors_E, clients)
+    gap = jensen_gap(cfg.spec, [r.theta_k for r in reports], outcome.weights, global_val)
+    _write_json(
+        out / "diagnostics.json",
+        {
+            "contraction_estimate": contraction,
+            "jensen_gap": gap,
+            "kl_diagnostic": kl,
+            "generalization_bound": bound,
+            "eta": cfg.meta.eta,
+            "tau": cfg.meta.resolved_tau(),
+            "m": m,
+            "log_h": cfg.log_h,
+        },
+    )
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -1,8 +1,8 @@
 """Synthetic classification tasks, non-IID client partitioning, and CSV I/O.
 
 Every generator is a pure function of its seed. The CSV contract:
-comma-separated, '.' decimal, UTF-8, optional single header row, label
-as the last column holding zero-based integers.
+comma-separated, '.' decimal, UTF-8, no header row, label as the last
+column holding zero-based integers.
 """
 
 from __future__ import annotations
@@ -171,17 +171,12 @@ def partition_dirichlet(
 
 
 def inject_label_noise(
-    data: ClientDataset, rate: float, seed: int, num_classes: int | None = None
+    data: ClientDataset, rate: float, seed: int, num_classes: int
 ) -> ClientDataset:
-    """Reassign exactly round(rate * n) labels, each to a different class.
-
-    num_classes defaults to max(label)+1 inferred from the data; pass it
-    explicitly when the dataset does not contain every class.
-    """
+    """Reassign exactly round(rate * n) labels, each to a different one of
+    num_classes classes."""
     if not 0.0 <= rate < 1.0:
         raise ValueError("rate must lie in [0, 1)")
-    if num_classes is None:
-        num_classes = int(data.labels.max()) + 1
     if num_classes < 2:
         raise ValueError("need at least 2 classes to flip labels")
     count = int(round(rate * data.n))
@@ -196,11 +191,10 @@ def inject_label_noise(
     return ClientDataset(data.features, labels)
 
 
-def load_csv(path: str, num_classes: int, has_header: bool = False) -> ClientDataset:
+def load_csv(path: str, num_classes: int) -> ClientDataset:
     """Parse a feature+label CSV file into a ClientDataset.
 
-    Errors carry 1-based file line numbers (the header, when present,
-    counts as line 1).
+    Errors carry 1-based file line numbers.
     """
     rows: list[list[float]] = []
     labels: list[int] = []
@@ -212,8 +206,6 @@ def load_csv(path: str, num_classes: int, has_header: bool = False) -> ClientDat
     with handle:
         reader = csv.reader(handle)
         for line_no, row in enumerate(reader, start=1):
-            if has_header and line_no == 1:
-                continue
             if not row:
                 continue
             if width is None:
@@ -249,12 +241,10 @@ def load_csv(path: str, num_classes: int, has_header: bool = False) -> ClientDat
     return ClientDataset(np.asarray(rows), np.asarray(labels))
 
 
-def save_csv(data: ClientDataset, path: str, header: bool = False) -> None:
+def save_csv(data: ClientDataset, path: str) -> None:
     """Write a dataset in the load_csv format at full float64 precision."""
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
-        if header:
-            writer.writerow([f"x{j}" for j in range(data.dim)] + ["label"])
         for x, y in zip(data.features, data.labels):
             writer.writerow([repr(float(v)) for v in x] + [int(y)])
 

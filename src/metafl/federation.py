@@ -1,6 +1,10 @@
 """Round-loop orchestration: local training, reporting, aggregation,
 meta-parameter adaptation, and per-round record keeping.
 
+set_up gives a config's client splits, server holdout and initial
+parameters. run_experiment, every CLI command and compare_runs start
+from it; compare_runs sets up once and runs both arms on that data.
+
 Every round trains all clients from the current global parameters,
 collects (theta_k, metrics, meta-features) reports, optionally re-tunes
 alpha on the server-held validation split, aggregates, and broadcasts.
@@ -20,6 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .aggregator import (
+    AGGREGATOR_MODES,
     ClientReport,
     MetaParams,
     adapt_meta_params,
@@ -41,12 +46,12 @@ from .models import ModelSpec, TrainConfig, evaluate, init_params, train_local
 from .numerics import ParamVector, WeightVector, derive_seed, make_rng
 
 __all__ = [
-    "AGGREGATOR_MODES",
     "DataConfig",
     "ExperimentConfig",
     "RoundRecord",
     "ComparisonSummary",
     "build_federation",
+    "set_up",
     "collect_reports",
     "run_rounds",
     "run_experiment",
@@ -55,14 +60,6 @@ __all__ = [
     "rounds_to_target",
     "kl_divergence_diagnostic",
 ]
-
-AGGREGATOR_MODES = ("metafl_closed", "metafl_mirror", "metafl_projected", "fedavg")
-
-_MODE_TO_SOLVER = {
-    "metafl_closed": "closed_form",
-    "metafl_mirror": "iterative_mirror",
-    "metafl_projected": "iterative_projected",
-}
 
 
 @dataclass(frozen=True)
@@ -81,6 +78,8 @@ class DataConfig:
             raise ValueError("spread must be finite and positive")
         if not 0.0 < self.global_val_fraction < 1.0:
             raise ValueError("global_val_fraction must lie in (0, 1)")
+        if self.csv_path == "":
+            raise ValueError("csv_path must not be empty")
 
 
 @dataclass(frozen=True)
@@ -190,6 +189,15 @@ def build_federation(
     return noisy, global_val
 
 
+def set_up(
+    cfg: ExperimentConfig,
+) -> tuple[list[tuple[ClientDataset, ClientDataset]], ClientDataset, ParamVector]:
+    """(clients, global_val, theta0): the config's federation and its
+    initial global parameters, the arguments run_rounds takes after cfg."""
+    clients, global_val = build_federation(cfg)
+    return clients, global_val, init_params(cfg.spec, derive_seed(cfg.seed, 2))
+
+
 def collect_reports(
     cfg: ExperimentConfig,
     clients: Sequence[tuple[ClientDataset, ClientDataset]],
@@ -239,7 +247,7 @@ def run_rounds(
             else:
                 if len(cfg.alpha_grid) > 1:
                     mp = adapt_meta_params(mp, cfg.alpha_grid, reports, spec, global_val)
-                outcome = meta_agg(reports, mp, _MODE_TO_SOLVER[cfg.aggregator_mode])
+                outcome = meta_agg(reports, mp, cfg.aggregator_mode)
                 weights = outcome.weights
                 theta_g = outcome.theta_g
                 alpha_used = mp.alpha
@@ -264,10 +272,8 @@ def run_rounds(
 
 
 def run_experiment(cfg: ExperimentConfig) -> tuple[ParamVector, list[RoundRecord]]:
-    """Build the federation, initialize parameters, and run all rounds."""
-    clients, global_val = build_federation(cfg)
-    theta = init_params(cfg.spec, derive_seed(cfg.seed, 2))
-    return run_rounds(cfg, clients, global_val, theta)
+    """Set up the federation and run all rounds."""
+    return run_rounds(cfg, *set_up(cfg))
 
 
 def shares_data_setup(a: ExperimentConfig, b: ExperimentConfig) -> bool:
@@ -291,11 +297,12 @@ def rounds_to_target(history: Sequence[RoundRecord], target: float) -> int | Non
 
 
 def compare_runs(cfg_a: ExperimentConfig, cfg_b: ExperimentConfig) -> ComparisonSummary:
-    """Run two configs on identical data and pair their round metrics."""
+    """Run two configs on one federation and pair their round metrics."""
     if not shares_data_setup(cfg_a, cfg_b):
         raise ValueError("configs must share data setup")
-    _, hist_a = run_experiment(cfg_a)
-    _, hist_b = run_experiment(cfg_b)
+    fed = set_up(cfg_a)
+    _, hist_a = run_rounds(cfg_a, *fed)
+    _, hist_b = run_rounds(cfg_b, *fed)
     rows = tuple(
         (ra.round, ra.global_val_loss, ra.global_val_accuracy,
          rb.global_val_loss, rb.global_val_accuracy)

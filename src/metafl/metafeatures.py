@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .datagen import ClientDataset
-from .models import ModelSpec, TrainConfig, local_loss, train_local
+from .models import ModelSpec, TrainConfig, local_loss, param_count, train_local
 from .numerics import ParamVector
 
 __all__ = [
@@ -105,7 +105,7 @@ def extract(
     update_norm = float(np.linalg.norm(theta_k.coords - theta_prev.coords))
 
     probe_spec = ModelSpec(spec.input_dim, 0, spec.num_classes, spec.activation)
-    probe_zero = ParamVector(np.zeros(spec.input_dim * spec.num_classes + spec.num_classes))
+    probe_zero = ParamVector(np.zeros(param_count(probe_spec)))
     probe_cfg = replace(cfg, epochs=1)
     probe = train_local(probe_spec, probe_zero, train, probe_cfg)
     data_complexity = local_loss(probe_spec, probe, val)

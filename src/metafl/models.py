@@ -25,8 +25,6 @@ __all__ = [
     "train_local",
     "evaluate",
     "local_loss",
-    "loss_and_grad",
-    "predict_proba",
 ]
 
 ACTIVATIONS = ("relu", "tanh")
@@ -243,11 +241,3 @@ def loss_and_grad(
     if l2 > 0.0:
         loss += 0.5 * l2 * float(theta @ theta)
     return loss, _ce_grad_arrays(spec, theta, data.features, data.labels, l2)
-
-
-def predict_proba(
-    spec: ModelSpec, params: ParamVector, data: ClientDataset
-) -> np.ndarray:
-    """Row-stochastic class probabilities for every sample."""
-    _check_dims(spec, params.coords, data.features)
-    return _softmax_rows(_logits(spec, params.coords, data.features))

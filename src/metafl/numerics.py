@@ -22,7 +22,6 @@ __all__ = [
     "softmax_neg",
     "project_simplex",
     "weighted_sum",
-    "finite_diff_grad",
 ]
 
 #: Deterministic generator type used throughout the package.

@@ -105,7 +105,7 @@ def test_c2_simplex_invariants_everywhere():
         produced.append(weights_iterative(errors, mp, "mirror")[0])
         produced.append(weights_iterative(errors, mp, "projected")[0])
         produced.append(weights_closed_form(errors, 1.0))
-    for mode in ("closed_form", "iterative_mirror", "iterative_projected"):
+    for mode in ("metafl_closed", "metafl_mirror", "metafl_projected"):
         reports = [
             plain_report(i, rng.normal(size=4), float(rng.uniform(0.05, 1.0)), 2 + i)
             for i in range(6)
@@ -242,7 +242,7 @@ def test_c6_fedavg_embedding():
             plain_report(i, thetas[i], float(np.log(counts.max() / counts[i])), int(counts[i]))
             for i in range(k)
         ]
-        out = meta_agg(reports, MetaParams(alpha=1.0, lam=0.0), "closed_form")
+        out = meta_agg(reports, MetaParams(alpha=1.0, lam=0.0), "metafl_closed")
         fa_w = fedavg_weights(counts)
         fa_theta = aggregate(reports, fa_w, 0.0)
         worst_w = max(worst_w, float(np.abs(out.weights.weights - fa_w.weights).max()))
@@ -331,11 +331,11 @@ def test_c9_scalability_smoke():
         clients, _ = build_federation(cfg)
         theta0 = init_params(cfg.spec, 1)
         reports = collect_reports(cfg, clients, theta0, 1)
-        meta_agg(reports, cfg.meta, "closed_form")  # warm-up
+        meta_agg(reports, cfg.meta, "metafl_closed")  # warm-up
         reps = 200
         t0 = time.perf_counter()
         for _ in range(reps):
-            meta_agg(reports, cfg.meta, "closed_form")
+            meta_agg(reports, cfg.meta, "metafl_closed")
         agg_time[k] = (time.perf_counter() - t0) / reps
     ratio = agg_time[50] / agg_time[10]
     gap = abs(accuracy[50] - accuracy[10])

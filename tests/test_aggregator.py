@@ -267,8 +267,8 @@ class TestMetaAgg:
             for i in range(5)
         ]
         mp = MetaParams(alpha=1.0, eta=0.1, tol=1e-10)
-        a = meta_agg(reports, mp, "closed_form")
-        b = meta_agg(reports, mp, "iterative_mirror")
+        a = meta_agg(reports, mp, "metafl_closed")
+        b = meta_agg(reports, mp, "metafl_mirror")
         assert np.abs(a.weights.weights - b.weights.weights).max() < 1e-6
         assert np.abs(a.theta_g.coords - b.theta_g.coords).max() < 1e-6
 
@@ -279,7 +279,7 @@ class TestMetaAgg:
             for i in range(4)
         ]
         mp = MetaParams(alpha=0.0)
-        for mode in ("closed_form", "iterative_mirror", "iterative_projected"):
+        for mode in ("metafl_closed", "metafl_mirror", "metafl_projected"):
             out = meta_agg(reports, mp, mode)
             np.testing.assert_array_equal(out.weights.weights, [0.25] * 4)
 
@@ -296,7 +296,7 @@ class TestMetaAgg:
                 report(i, thetas[i], float(np.log(counts.max() / counts[i])), int(counts[i]))
                 for i in range(k)
             ]
-            out = meta_agg(reports, MetaParams(alpha=1.0, lam=0.0), "closed_form")
+            out = meta_agg(reports, MetaParams(alpha=1.0, lam=0.0), "metafl_closed")
             fa = fedavg_weights(counts)
             assert np.abs(out.weights.weights - fa.weights).max() < 1e-12
             want = aggregate(reports, fa, 0.0)
@@ -311,6 +311,12 @@ class TestMetaAgg:
     def test_empty_cohort(self):
         with pytest.raises(ValueError, match="empty cohort"):
             meta_agg([], MetaParams(alpha=1.0))
+
+    @pytest.mark.parametrize("mode", ["fedavg", "closed_form", "metafl_newton"])
+    def test_rejects_non_metafl_mode(self, mode):
+        reports = [report(0, [1.0], 0.2, 5), report(1, [3.0], 0.8, 5)]
+        with pytest.raises(ValueError, match="mode must be a metafl_"):
+            meta_agg(reports, MetaParams(alpha=1.0), mode)
 
 
 class TestAdaptMetaParams:
@@ -337,7 +343,7 @@ class TestAdaptMetaParams:
         pool = make_blobs(2, 2, 400, 0.3, 5)
         clean = pool.subset(np.arange(200))
         global_val = pool.subset(np.arange(200, 400))
-        noisy = inject_label_noise(clean, 0.4, 7)
+        noisy = inject_label_noise(clean, 0.4, 7, num_classes=2)
         cfg = TrainConfig(learning_rate=0.5, epochs=5, seed=3)
         theta0 = init_params(spec, 0)
         good = train_local(spec, theta0, clean, cfg)
@@ -350,7 +356,7 @@ class TestAdaptMetaParams:
         # exhaustive oracle over the grid
         losses = {}
         for alpha in candidates:
-            out = meta_agg(reports, MetaParams(alpha=alpha), "closed_form")
+            out = meta_agg(reports, MetaParams(alpha=alpha), "metafl_closed")
             losses[alpha] = local_loss(spec, out.theta_g, global_val)
         assert losses[5.0] < losses[0.0]
         mp = adapt_meta_params(MetaParams(alpha=1.0), candidates, reports, spec, global_val)

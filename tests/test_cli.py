@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from metafl.aggregator import MetaParams
+from metafl import federation
+from metafl.aggregator import AGGREGATOR_MODES, MetaParams
 from metafl.cli import (
     _KEYS,
     PRESETS,
@@ -23,7 +24,7 @@ from metafl.cli import (
     serialize_config,
 )
 from metafl.datagen import PartitionConfig
-from metafl.federation import AGGREGATOR_MODES, DataConfig, ExperimentConfig
+from metafl.federation import DataConfig, ExperimentConfig
 from metafl.metafeatures import CompositeErrorConfig
 from metafl.models import ACTIVATIONS, ModelSpec, TrainConfig
 
@@ -56,6 +57,8 @@ EXIT_2_CONFIGS = {
     "nan_log_h": (MINIMAL + "diagnostics.log_h = nan\n", "log_h"),
     "inf_log_h": (MINIMAL + "diagnostics.log_h = inf\n", "log_h"),
     "inf_tau": (MINIMAL + "meta.tau = inf\n", "'meta.*'"),
+    "empty_csv_path": (MINIMAL + "data.csv_path =\n", "csv_path"),
+    "missing_csv_path": (MINIMAL + "data.csv_path = nope.csv\n", "data.csv_path"),
 }
 
 
@@ -81,7 +84,7 @@ def experiment_configs(draw):
             n_samples=draw(st.integers(2, 10**6)),
             spread=draw(POSITIVE),
             global_val_fraction=draw(OPEN_UNIT),
-            csv_path=draw(st.none() | st.text("ab./_-", max_size=8)),
+            csv_path=draw(st.none() | st.text("ab./_-", min_size=1, max_size=8)),
         ),
         partition=PartitionConfig(
             num_clients=k,
@@ -383,6 +386,17 @@ class TestCmdDiagnose:
             assert cmd_diagnose(path, str(tmp_path / mode)) == 0
             payloads.append((tmp_path / mode / "diagnostics.json").read_bytes())
         assert payloads[0] == payloads[1]
+
+
+@pytest.mark.parametrize("command", [cmd_run, cmd_diagnose])
+def test_builds_federation_once(tmp_path, monkeypatch, command):
+    calls = []
+    original = federation.build_federation
+    monkeypatch.setattr(
+        federation, "build_federation", lambda cfg: calls.append(cfg) or original(cfg)
+    )
+    assert command(write(tmp_path, MINIMAL), str(tmp_path / "out")) == 0
+    assert len(calls) == 1
 
 
 class TestMain:

@@ -125,12 +125,12 @@ class TestPartitionDirichlet:
 class TestInjectLabelNoise:
     def test_zero_rate_identity(self):
         data = make_blobs(2, 2, 30, 0.5, 0)
-        out = inject_label_noise(data, 0.0, 1)
+        out = inject_label_noise(data, 0.0, 1, num_classes=2)
         np.testing.assert_array_equal(out.labels, data.labels)
 
     def test_exact_flip_count(self):
         data = make_blobs(2, 2, 10, 0.5, 0)
-        out = inject_label_noise(data, 0.5, 3)
+        out = inject_label_noise(data, 0.5, 3, num_classes=2)
         assert int(np.sum(out.labels != data.labels)) == 5
 
     def test_flips_always_change_class(self):
@@ -157,12 +157,6 @@ class TestCsv:
         data = load_csv(str(path), 2)
         np.testing.assert_array_equal(data.features, [[1.5, 2.0], [-0.25, 3.5]])
         np.testing.assert_array_equal(data.labels, [0, 1])
-
-    def test_header_flag(self, tmp_path):
-        path = tmp_path / "d.csv"
-        path.write_text("x0,x1,label\n1.0,2.0,1\n")
-        data = load_csv(str(path), 2, has_header=True)
-        assert data.n == 1
 
     def test_label_out_of_range_names_row(self, tmp_path):
         path = tmp_path / "d.csv"

@@ -212,6 +212,16 @@ class TestBuildFederation:
 
 
 class TestCompareRuns:
+    def test_builds_federation_once(self, monkeypatch):
+        calls = []
+        original = federation.build_federation
+        monkeypatch.setattr(
+            federation, "build_federation", lambda cfg: calls.append(cfg) or original(cfg)
+        )
+        cfg = small_config()
+        compare_runs(cfg, replace(cfg, aggregator_mode="fedavg"))
+        assert len(calls) == 1
+
     def test_identical_configs_zero_diffs(self):
         cfg = small_config(rounds=3)
         summary = compare_runs(cfg, cfg)

@@ -15,7 +15,6 @@ from metafl.models import (
     local_loss,
     loss_and_grad,
     param_count,
-    predict_proba,
     train_local,
 )
 from metafl.numerics import ParamVector, finite_diff_grad, make_rng
@@ -195,25 +194,13 @@ class TestGradients:
         # layout: W1 (2x2), b1 (2), W2 (2x2), b2 (2)
         theta = np.array([1.0, 0.0, 0.0, -1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.5, -0.5])
         data = ClientDataset([[2.0, 3.0]], [0])
-        probs = predict_proba(spec, ParamVector(theta), data)
+        loss = local_loss(spec, ParamVector(theta), data)
         # hidden = relu([2, -3]) = [2, 0]; logits = [2 + 0.5, 0 - 0.5]
-        z = np.array([2.5, -0.5])
-        want = np.exp(z - z.max())
-        want /= want.sum()
-        np.testing.assert_allclose(probs[0], want, atol=1e-12)
+        want = math.log(math.exp(2.5) + math.exp(-0.5)) - 2.5
+        assert loss == pytest.approx(want, abs=1e-12)
 
 
 class TestPredictions:
-    def test_rows_are_distributions(self):
-        rng = make_rng(37)
-        for spec in [LOGISTIC_2D,
-                     ModelSpec(input_dim=2, hidden_dim=3, num_classes=4)]:
-            data = make_blobs(spec.num_classes, spec.input_dim, 30, 1.0, 5)
-            theta = ParamVector(rng.normal(size=param_count(spec)) * 2.0)
-            probs = predict_proba(spec, theta, data)
-            assert np.all(probs >= 0.0)
-            np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-9)
-
     def test_argmax_tie_break_lowest_index(self):
         data = ClientDataset([[1.0, 1.0]], [1])
         perf = evaluate(LOGISTIC_2D, ParamVector(np.zeros(6)), data)
