@@ -50,6 +50,7 @@ from .models import (
     evaluate,
     init_params,
     local_loss,
+    train_cohort,
     train_local,
 )
 from .numerics import (

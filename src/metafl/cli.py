@@ -314,7 +314,11 @@ def _seed_override() -> int | None:
 
 
 def load_config(path_or_preset: str) -> ExperimentConfig:
-    """Read a config file or preset name into a validated ExperimentConfig."""
+    """Read a config file or preset name into a validated ExperimentConfig.
+
+    A relative data.csv_path in a file is taken from the file's directory
+    and echoed as an absolute path.
+    """
     if path_or_preset in PRESETS and not os.path.exists(path_or_preset):
         raw = dict(PRESETS[path_or_preset])
     else:
@@ -323,6 +327,11 @@ def load_config(path_or_preset: str) -> ExperimentConfig:
         except OSError as err:
             raise ConfigError(f"cannot read config {path_or_preset!r}: {err}") from None
         raw = _parse_raw(text)
+        csv_path = raw.get("data.csv_path")
+        if csv_path and not os.path.isabs(csv_path):
+            # a relative pool path names a file beside the config, wherever it runs from
+            config_dir = os.path.dirname(os.path.abspath(path_or_preset))
+            raw["data.csv_path"] = os.path.join(config_dir, csv_path)
     cfg = build_config(raw, _seed_override())
     if cfg.data.csv_path is not None and not os.path.isfile(cfg.data.csv_path):
         raise ConfigError(f"invalid value for key 'data.csv_path': no file {cfg.data.csv_path!r}")

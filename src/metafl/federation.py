@@ -10,9 +10,12 @@ collects (theta_k, metrics, meta-features) reports, optionally re-tunes
 alpha on the server-held validation split, aggregates, and broadcasts.
 Meta-features are extracted only when they can move a weight: the mode
 is not fedavg and some meta.c coefficient is nonzero.
-Client steps are pure functions of their inputs, so they could run
-concurrently; this implementation runs them sequentially in client-id
-order, which also fixes the reduction order for determinism.
+The cohort trains in lockstep (models.train_cohort): each client draws
+the same shuffles as it would alone and does the same arithmetic on its
+own batches, grouped with the other clients on batches of one length
+into stacked steps. Nothing is reduced across clients, so every client's
+parameters are bitwise those of training it alone, and reports stay in
+client-id order.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from .datagen import (
     partition_dirichlet,
 )
 from .metafeatures import extract
-from .models import ModelSpec, TrainConfig, evaluate, init_params, train_local
+from .models import ClientError, ModelSpec, TrainConfig, evaluate, init_params, train_cohort
 from .numerics import ParamVector, WeightVector, derive_seed, make_rng
 
 __all__ = [
@@ -207,18 +210,27 @@ def collect_reports(
     """Train, evaluate, and profile every client for one round.
 
     All clients share the round's shuffle seed, so identical clients
-    produce identical reports. Each report's meta is None unless the
-    mode is not fedavg and some meta.c coefficient is nonzero.
+    produce identical reports. The cohort trains in one train_cohort
+    call and, when some meta.c coefficient is nonzero and the mode is
+    not fedavg, is profiled in one extract call; otherwise each report's
+    meta is None. A failure names the round and the first failing client
+    in client-id order of its phase (training, meta-features, evaluation).
     """
     spec = cfg.spec
     round_train = replace(cfg.train, seed=derive_seed(cfg.train.seed, round_index))
     with_meta = cfg.aggregator_mode != "fedavg" and cfg.meta.c.uses_features
+    trains = [train for train, _ in clients]
+    try:
+        thetas = train_cohort(spec, [theta] * len(clients), trains, round_train)
+        metas = [None] * len(clients)
+        if with_meta:
+            metas = extract(spec, theta, thetas, clients, round_train)
+    except ClientError as err:
+        raise RuntimeError(f"round {round_index}, client {err.index}: {err}") from err
     reports = []
-    for k, (train, val) in enumerate(clients):
+    for k, (theta_k, meta_x, (train, val)) in enumerate(zip(thetas, metas, clients)):
         try:
-            theta_k = train_local(spec, theta, train, round_train)
             perf = evaluate(spec, theta_k, val)
-            meta_x = extract(spec, theta, theta_k, train, val, round_train) if with_meta else None
         except Exception as err:
             raise RuntimeError(f"round {round_index}, client {k}: {err}") from err
         reports.append(ClientReport(k, theta_k, perf, meta_x, train.n))

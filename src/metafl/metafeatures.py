@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .datagen import ClientDataset
-from .models import ModelSpec, TrainConfig, local_loss, param_count, train_local
+from .models import ClientError, ModelSpec, TrainConfig, local_loss, param_count, train_cohort
 from .numerics import ParamVector
 
 __all__ = [
@@ -88,41 +88,51 @@ def _entropy(labels: np.ndarray, num_classes: int) -> float:
 def extract(
     spec: ModelSpec,
     theta_prev: ParamVector,
-    theta_k: ParamVector,
-    train: ClientDataset,
-    val: ClientDataset,
+    thetas: Sequence[ParamVector],
+    clients: Sequence[tuple[ClientDataset, ClientDataset]],
     cfg: TrainConfig,
-) -> MetaFeatures:
-    """Compute the meta-feature vector for one client round.
+) -> list[MetaFeatures]:
+    """Meta-feature vectors of a cohort's round, one per (train, val) client.
 
+    thetas holds each client's parameters after training from theta_prev.
     data_complexity is the validation loss of a linear probe trained for
     one epoch from zero on the client's train split; lr_sensitivity is
     the validation-loss delta from one extra training epoch at 1.5x the
     learning rate versus 1x, per unit of relative perturbation (0.5).
+    The probe, 1x and 1.5x epochs each train the whole cohort in one
+    train_cohort call. Raises ClientError naming the first failing client.
     """
-    if theta_prev.dim != theta_k.dim:
-        raise ValueError("dimension mismatch between previous and current parameters")
-    update_norm = float(np.linalg.norm(theta_k.coords - theta_prev.coords))
-
+    if len(thetas) != len(clients):
+        raise ValueError("thetas and clients lengths differ")
+    for k, theta_k in enumerate(thetas):
+        if theta_k.dim != theta_prev.dim:
+            raise ClientError(k, "dimension mismatch between previous and current parameters")
+    trains = [train for train, _ in clients]
     probe_spec = ModelSpec(spec.input_dim, 0, spec.num_classes, spec.activation)
     probe_zero = ParamVector(np.zeros(param_count(probe_spec)))
-    probe_cfg = replace(cfg, epochs=1)
-    probe = train_local(probe_spec, probe_zero, train, probe_cfg)
-    data_complexity = local_loss(probe_spec, probe, val)
-
     one_epoch = replace(cfg, epochs=1)
     bumped = replace(cfg, epochs=1, learning_rate=1.5 * cfg.learning_rate)
-    loss_base = local_loss(spec, train_local(spec, theta_k, train, one_epoch), val)
-    loss_bump = local_loss(spec, train_local(spec, theta_k, train, bumped), val)
-    lr_sensitivity = abs(loss_bump - loss_base) / 0.5
+    probes = train_cohort(probe_spec, [probe_zero] * len(clients), trains, one_epoch)
+    bases = train_cohort(spec, thetas, trains, one_epoch)
+    bumps = train_cohort(spec, thetas, trains, bumped)
 
-    return MetaFeatures(
-        dataset_size=train.n,
-        label_entropy=_entropy(train.labels, spec.num_classes),
-        update_norm=update_norm,
-        data_complexity=data_complexity,
-        lr_sensitivity=lr_sensitivity,
-    )
+    out = []
+    for k, ((train, val), theta_k, probe, base, bump) in enumerate(
+        zip(clients, thetas, probes, bases, bumps)
+    ):
+        try:
+            loss_base = local_loss(spec, base, val)
+            loss_bump = local_loss(spec, bump, val)
+            out.append(MetaFeatures(
+                dataset_size=train.n,
+                label_entropy=_entropy(train.labels, spec.num_classes),
+                update_norm=float(np.linalg.norm(theta_k.coords - theta_prev.coords)),
+                data_complexity=local_loss(probe_spec, probe, val),
+                lr_sensitivity=abs(loss_bump - loss_base) / 0.5,
+            ))
+        except ValueError as err:
+            raise ClientError(k, str(err)) from err
+    return out
 
 
 def composite_errors(

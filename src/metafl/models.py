@@ -9,7 +9,7 @@ include the penalty. Argmax ties break toward the lowest class index.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -22,7 +22,9 @@ __all__ = [
     "PerformanceMetrics",
     "param_count",
     "init_params",
+    "ClientError",
     "train_local",
+    "train_cohort",
     "evaluate",
     "local_loss",
 ]
@@ -102,16 +104,19 @@ def param_count(spec: ModelSpec) -> int:
 
 
 def _unpack(spec: ModelSpec, theta: np.ndarray):
+    """Views of the layers of theta [..., P]: weights [..., fan_in, fan_out]
+    and biases [..., 1, fan_out], so a bias broadcasts over batch rows."""
     d, h, c = spec.input_dim, spec.hidden_dim, spec.num_classes
+    lead = theta.shape[:-1]
     if h == 0:
-        w = theta[: d * c].reshape(d, c)
-        b = theta[d * c :]
-        return w, b
-    w1 = theta[: d * h].reshape(d, h)
-    b1 = theta[d * h : d * h + h]
-    w2 = theta[d * h + h : d * h + h + h * c].reshape(h, c)
-    b2 = theta[d * h + h + h * c :]
-    return w1, b1, w2, b2
+        return theta[..., : d * c].reshape(*lead, d, c), theta[..., None, d * c :]
+    end1, end2 = d * h + h, d * h + h + h * c
+    return (
+        theta[..., : d * h].reshape(*lead, d, h),
+        theta[..., None, d * h : end1],
+        theta[..., end1:end2].reshape(*lead, h, c),
+        theta[..., None, end2:],
+    )
 
 
 def _check_dims(spec: ModelSpec, theta: np.ndarray, x: np.ndarray) -> None:
@@ -142,38 +147,39 @@ def _mean_ce(logits: np.ndarray, y: np.ndarray) -> float:
 
 
 def _ce_grad_arrays(
-    spec: ModelSpec, theta: np.ndarray, x: np.ndarray, y: np.ndarray, l2: float
+    spec: ModelSpec, theta: np.ndarray, x: np.ndarray, onehot: np.ndarray, l2: float
 ) -> np.ndarray:
-    n = x.shape[0]
-    onehot_err_scale = 1.0 / n
+    """Batch gradients for a stack of members: theta [G, P], x [G, n, d]
+    and one-hot labels [G, n, c] give [G, P]. Every operation acts within
+    one member (a matmul per member, reductions over its own rows), so
+    member g's gradient is bitwise the one its batch would give alone."""
+    onehot_err_scale = 1.0 / x.shape[1]
+    xt = x.transpose(0, 2, 1)
     if spec.hidden_dim == 0:
         w, b = _unpack(spec, theta)
-        z = x @ w + b
-        p = _softmax_rows(z)
-        p[np.arange(n), y] -= 1.0
+        p = _softmax_rows(x @ w + b)
+        p -= onehot
         p *= onehot_err_scale
-        grad = np.concatenate([(x.T @ p).ravel(), p.sum(axis=0)])
+        parts = [xt @ p, p.sum(axis=1)]
     else:
         w1, b1, w2, b2 = _unpack(spec, theta)
         z1 = x @ w1 + b1
         a1 = np.maximum(z1, 0.0) if spec.activation == "relu" else np.tanh(z1)
-        z2 = a1 @ w2 + b2
-        g2 = _softmax_rows(z2)
-        g2[np.arange(n), y] -= 1.0
+        g2 = _softmax_rows(a1 @ w2 + b2)
+        g2 -= onehot
         g2 *= onehot_err_scale
-        da1 = g2 @ w2.T
+        da1 = g2 @ w2.transpose(0, 2, 1)
         dz1 = da1 * (z1 > 0.0) if spec.activation == "relu" else da1 * (1.0 - a1**2)
-        grad = np.concatenate(
-            [(x.T @ dz1).ravel(), dz1.sum(axis=0), (a1.T @ g2).ravel(), g2.sum(axis=0)]
-        )
+        parts = [xt @ dz1, dz1.sum(axis=1), a1.transpose(0, 2, 1) @ g2, g2.sum(axis=1)]
+    grad = np.concatenate([part.reshape(len(theta), -1) for part in parts], axis=1)
     if l2 > 0.0:
         grad += l2 * theta
     return grad
 
 
 def _softmax_rows(z: np.ndarray) -> np.ndarray:
-    e = np.exp(z - z.max(axis=1, keepdims=True))
-    return e / e.sum(axis=1, keepdims=True)
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def init_params(spec: ModelSpec, seed: int) -> ParamVector:
@@ -192,27 +198,102 @@ def init_params(spec: ModelSpec, seed: int) -> ParamVector:
     return ParamVector(np.concatenate(parts))
 
 
+class ClientError(ValueError):
+    """A failure of one member of a cohort; index is its cohort position."""
+
+    def __init__(self, index: int, message: str):
+        super().__init__(message)
+        self.index = index
+
+
 def train_local(
     spec: ModelSpec, params: ParamVector, data: ClientDataset, cfg: TrainConfig
 ) -> ParamVector:
     """Seeded mini-batch SGD on cross-entropy (+ ridge); input left untouched."""
-    _check_dims(spec, params.coords, data.features)
-    theta = params.coords.copy()
-    if cfg.epochs == 0:
-        return params
+    return train_cohort(spec, [params], [data], cfg)[0]
+
+
+def train_cohort(
+    spec: ModelSpec,
+    starts: Sequence[ParamVector],
+    datasets: Sequence[ClientDataset],
+    cfg: TrainConfig,
+) -> list[ParamVector]:
+    """train_local for every (start, data) pair, bitwise, in lockstep.
+
+    Each member shuffles with its own make_rng(cfg.seed), one permutation
+    per epoch, and walks its batches in order. At every global step the
+    members still training take one stacked SGD step per batch length.
+    Batches are never padded and nothing is reduced across members.
+    Raises ClientError naming the first failing member in cohort order.
+    """
+    if len(starts) != len(datasets):
+        raise ValueError("starts and datasets lengths differ")
+    for k, (params, data) in enumerate(zip(starts, datasets)):
+        try:
+            _check_dims(spec, params.coords, data.features)
+        except ValueError as err:
+            raise ClientError(k, str(err)) from None
+    if cfg.epochs == 0 or not starts:
+        return list(starts)
+    size, epochs = cfg.batch_size, cfg.epochs
+    n = np.array([data.n for data in datasets])
+    per_epoch = -(-n // size)
+    tail = n - (per_epoch - 1) * size
+    steps = epochs * per_epoch
+    # Most steps first, so the members still training at a step are a
+    # prefix; then longest last batch first, so members on batches of one
+    # length mostly sit together and their group is a slice.
+    order = np.lexsort((-tail, -steps))
+    n, per_epoch, tail, steps = n[order], per_epoch[order], tail[order], steps[order]
+    offset = np.cumsum(n) - n
+
+    # walk holds each member's rows in visiting order: every epoch is a
+    # permutation, all drawn from one fresh make_rng(cfg.seed) per member.
     rng = make_rng(cfg.seed)
-    n = data.n
-    for _ in range(cfg.epochs):
-        order = rng.permutation(n)
-        for start in range(0, n, cfg.batch_size):
-            batch = order[start : start + cfg.batch_size]
-            grad = _ce_grad_arrays(
-                spec, theta, data.features[batch], data.labels[batch], cfg.l2
-            )
-            theta -= cfg.learning_rate * grad
-    if not np.all(np.isfinite(theta)):
-        raise ValueError("training diverged to non-finite parameters")
-    return ParamVector(theta)
+    fresh = rng.bit_generator.state
+    walk = []
+    for n_k, offset_k in zip(n.tolist(), offset.tolist()):
+        rng.bit_generator.state = fresh  # a new make_rng(cfg.seed), at a tenth of the cost
+        walk += [offset_k + rng.permutation(n_k) for _ in range(epochs)]
+    walk = np.concatenate(walk)
+
+    # The plan has one batch per (member, step), ordered by step, then batch
+    # length, then member; each run of equal (step, length) is a group that
+    # takes one stacked SGD step. rows lists the batches' rows in plan order.
+    member = np.repeat(np.arange(n.size), steps)
+    step = np.arange(member.size) - np.repeat(np.cumsum(steps) - steps, steps)
+    epoch, within = np.divmod(step, per_epoch[member])
+    start = epochs * offset[member] + epoch * n[member] + within * size
+    length = np.where(within == per_epoch[member] - 1, tail[member], size)
+    plan = np.lexsort((member, length, step))
+    member, step, start, length = member[plan], step[plan], start[plan], length[plan]
+    end = np.cumsum(length)
+    rows = walk[np.repeat(start - (end - length), length) + np.arange(end[-1])]
+    cuts = np.flatnonzero((step[1:] != step[:-1]) | (length[1:] != length[:-1])) + 1
+    lo, hi = np.append(0, cuts), np.append(cuts, member.size)
+    contiguous = member[hi - 1] - member[lo] == hi - lo - 1
+
+    x = np.concatenate([datasets[k].features for k in order])
+    onehot = np.eye(spec.num_classes)[np.concatenate([datasets[k].labels for k in order])]
+    theta = np.stack([starts[k].coords for k in order])
+    for g0, g1, r0, r1, m0, in_place in zip(
+        lo.tolist(), hi.tolist(), (end - length)[lo].tolist(), end[hi - 1].tolist(),
+        member[lo].tolist(), contiguous.tolist(),
+    ):
+        batch_rows = rows[r0:r1].reshape(g1 - g0, -1)
+        sel = slice(m0, m0 + g1 - g0) if in_place else member[g0:g1]
+        th = theta[sel]
+        th -= cfg.learning_rate * _ce_grad_arrays(spec, th, x[batch_rows], onehot[batch_rows], cfg.l2)
+        if not in_place:
+            theta[sel] = th
+
+    trained = np.empty_like(theta)
+    trained[order] = theta
+    finite = np.isfinite(trained).all(axis=1)
+    if not finite.all():
+        raise ClientError(int(np.argmin(finite)), "training diverged to non-finite parameters")
+    return [ParamVector(row) for row in trained]
 
 
 def evaluate(spec: ModelSpec, params: ParamVector, data: ClientDataset) -> PerformanceMetrics:
@@ -240,4 +321,5 @@ def loss_and_grad(
     loss = _mean_ce(_logits(spec, theta, data.features), data.labels)
     if l2 > 0.0:
         loss += 0.5 * l2 * float(theta @ theta)
-    return loss, _ce_grad_arrays(spec, theta, data.features, data.labels, l2)
+    onehot = np.eye(spec.num_classes)[data.labels]
+    return loss, _ce_grad_arrays(spec, theta[None], data.features[None], onehot[None], l2)[0]

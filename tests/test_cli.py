@@ -1,6 +1,7 @@
 """Command-line front end: config parsing, outputs, exit codes."""
 
 import json
+import os
 import re
 from pathlib import Path
 
@@ -23,7 +24,7 @@ from metafl.cli import (
     main,
     serialize_config,
 )
-from metafl.datagen import PartitionConfig
+from metafl.datagen import PartitionConfig, make_blobs, save_csv
 from metafl.federation import DataConfig, ExperimentConfig
 from metafl.metafeatures import CompositeErrorConfig
 from metafl.models import ACTIVATIONS, ModelSpec, TrainConfig
@@ -308,6 +309,18 @@ class TestCmdRun:
         assert cmd_run(path, str(out)) == 0
         echoed = load_config(str(out / "config_echo.txt"))
         assert echoed == load_config(path)
+
+    def test_relative_csv_path_is_beside_config(self, tmp_path, monkeypatch):
+        pool = make_blobs(2, 2, 60, 0.5, 3)
+        (tmp_path / "dir").mkdir()
+        save_csv(pool, str(tmp_path / "dir" / "pool.csv"))
+        write(tmp_path / "dir", MINIMAL + "data.csv_path = pool.csv\n")
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", "dir/cfg.txt", "-o", "out", "--no-timing"]) == 0
+        echoed = load_config("out/config_echo.txt")
+        assert os.path.isabs(echoed.data.csv_path)
+        assert os.path.samefile(echoed.data.csv_path, tmp_path / "dir" / "pool.csv")
+        assert echoed == load_config("dir/cfg.txt")
 
     def test_runtime_failure_exit_3(self, tmp_path, capsys):
         bad_csv = tmp_path / "bad.csv"

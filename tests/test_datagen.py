@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from metafl.datagen import (
     ClientDataset,
@@ -14,6 +16,7 @@ from metafl.datagen import (
     save_csv,
 )
 from metafl.models import ModelSpec, TrainConfig, evaluate, init_params, train_local
+from metafl.numerics import make_rng
 
 
 def sorted_rows(data: ClientDataset) -> np.ndarray:
@@ -65,6 +68,33 @@ class TestPartitionDirichlet:
         )
         assert merged.n == data.n
         np.testing.assert_array_equal(sorted_rows(merged), sorted_rows(data))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n=st.integers(2, 120),
+        num_clients=st.integers(1, 12),
+        num_classes=st.integers(1, 5),
+        beta=st.floats(0.05, 100.0),
+        val_fraction=st.floats(0.05, 0.95),
+        seeds=st.tuples(st.integers(0, 2**32), st.integers(0, 2**32)),
+    )
+    def test_places_each_sample_exactly_once(self, n, num_clients, num_classes, beta, val_fraction, seeds):
+        # the first feature is the sample's id, so the splits must hold every id once
+        labels = make_rng(seeds[0]).integers(0, num_classes, n)
+        pool = ClientDataset(np.column_stack([np.arange(n), np.zeros(n)]), labels)
+        cfg = PartitionConfig(num_clients, beta, val_fraction, seed=seeds[1])
+        try:
+            splits = partition_dirichlet(pool, cfg)
+        except ValueError as err:
+            # n < K, or no draw gave every client a train and a val sample
+            if not str(err).startswith(("infeasible", "retry exhaustion")):
+                raise
+            reject()
+        assert len(splits) == num_clients
+        ids = np.concatenate([part.features[:, 0] for pair in splits for part in pair])
+        np.testing.assert_array_equal(np.sort(ids), np.arange(n))
+        for part in (part for pair in splits for part in pair):
+            np.testing.assert_array_equal(part.labels, labels[part.features[:, 0].astype(int)])
 
     def test_sample_counts_add_up(self):
         data = make_blobs(2, 2, 150, 0.8, 4)

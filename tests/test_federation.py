@@ -144,7 +144,7 @@ class TestCollectReports:
         assert len(reports) == 3
         assert all(r.meta is None for r in reports)
 
-    def test_weighted_features_extracted_once_per_client_round(self, monkeypatch):
+    def test_weighted_features_extracted_once_per_round(self, monkeypatch):
         calls = []
 
         def counting(*args):
@@ -156,10 +156,22 @@ class TestCollectReports:
         clients, _ = build_federation(cfg)
         theta = init_params(cfg.spec, derive_seed(cfg.seed, 2))
         reports = collect_reports(cfg, clients, theta, 1)
-        assert len(calls) == 3
+        assert len(calls) == 1
+        _, prev, thetas, cohort, _ = calls[0]
+        assert prev is theta and cohort is clients
+        assert list(thetas) == [r.theta_k for r in reports]  # ParamVector compares by identity
         assert all(isinstance(r.meta, MetaFeatures) for r in reports)
         run_experiment(cfg)
-        assert len(calls) == 3 + 3 * cfg.rounds
+        assert len(calls) == 1 + cfg.rounds
+
+    def test_failure_names_diverging_client(self):
+        cfg = small_config(partition=THREE_CLIENTS)
+        clients, global_val = build_federation(cfg)
+        train, val = clients[1]
+        clients[1] = (ClientDataset(train.features * 1e160, train.labels), val)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(RuntimeError, match="round 1, client 1: training diverged"):
+                run_rounds(cfg, clients, global_val, init_params(cfg.spec, 0))
 
 
 class TestBuildFederation:

@@ -13,7 +13,7 @@ from metafl.metafeatures import (
     composite_errors,
     extract,
 )
-from metafl.models import ModelSpec, TrainConfig, init_params, local_loss, train_local
+from metafl.models import ClientError, ModelSpec, TrainConfig, init_params, local_loss, train_local
 from metafl.numerics import ParamVector, make_rng
 
 SPEC = ModelSpec(input_dim=3, hidden_dim=0, num_classes=2)
@@ -30,6 +30,12 @@ def feat(entropy=0.0, size=10, norm=0.0, complexity=0.0, sens=0.0):
     )
 
 
+def extract_one(theta_prev, theta_k, train, val, cfg=CFG):
+    """extract for a cohort of one client."""
+    (x,) = extract(SPEC, theta_prev, [theta_k], [(train, val)], cfg)
+    return x
+
+
 @pytest.fixture(scope="module")
 def client_data():
     train = make_blobs(2, 3, 60, 0.6, 1)
@@ -41,21 +47,21 @@ class TestExtract:
     def test_zero_update_norm(self, client_data):
         train, val = client_data
         theta = init_params(SPEC, 0)
-        x = extract(SPEC, theta, theta, train, val, CFG)
+        x = extract_one(theta, theta, train, val)
         assert x.update_norm == 0.0
 
     def test_update_norm_value(self, client_data):
         train, val = client_data
         a = init_params(SPEC, 0)
         b = ParamVector(a.coords + 1.0)
-        x = extract(SPEC, a, b, train, val, CFG)
+        x = extract_one(a, b, train, val)
         np.testing.assert_allclose(x.update_norm, math.sqrt(a.dim), rtol=1e-12)
 
     def test_balanced_binary_entropy(self):
         train = ClientDataset(np.zeros((40, 3)) + np.arange(3), [0, 1] * 20)
         val = make_blobs(2, 3, 10, 0.6, 3)
         theta = init_params(SPEC, 0)
-        x = extract(SPEC, theta, theta, train, val, CFG)
+        x = extract_one(theta, theta, train, val)
         np.testing.assert_allclose(x.label_entropy, math.log(2), atol=1e-12)
 
     def test_skewed_entropy_value(self):
@@ -63,18 +69,18 @@ class TestExtract:
         train = ClientDataset(np.ones((40, 3)), [0] * 30 + [1] * 10)
         val = make_blobs(2, 3, 10, 0.6, 3)
         theta = init_params(SPEC, 0)
-        x = extract(SPEC, theta, theta, train, val, CFG)
+        x = extract_one(theta, theta, train, val)
         np.testing.assert_allclose(x.label_entropy, 0.5623351446188083, atol=1e-6)
 
     def test_dataset_size(self, client_data):
         train, val = client_data
         theta = init_params(SPEC, 0)
-        assert extract(SPEC, theta, theta, train, val, CFG).dataset_size == train.n
+        assert extract_one(theta, theta, train, val).dataset_size == train.n
 
     def test_data_complexity_is_linear_probe_val_loss(self, client_data):
         train, val = client_data
         theta = init_params(SPEC, 0)
-        x = extract(SPEC, theta, theta, train, val, CFG)
+        x = extract_one(theta, theta, train, val)
         probe = train_local(
             SPEC, ParamVector(np.zeros(theta.dim)), train, replace(CFG, epochs=1)
         )
@@ -83,7 +89,7 @@ class TestExtract:
     def test_lr_sensitivity_definition(self, client_data):
         train, val = client_data
         theta = init_params(SPEC, 4)
-        x = extract(SPEC, theta, theta, train, val, CFG)
+        x = extract_one(theta, theta, train, val)
         one = replace(CFG, epochs=1)
         bumped = replace(CFG, epochs=1, learning_rate=1.5 * CFG.learning_rate)
         base = local_loss(SPEC, train_local(SPEC, theta, train, one), val)
@@ -94,11 +100,28 @@ class TestExtract:
         train, val = client_data
         a = init_params(SPEC, 1)
         b = train_local(SPEC, a, train, CFG)
-        x1 = extract(SPEC, a, b, train, val, CFG)
-        x2 = extract(SPEC, a, b, train, val, CFG)
+        x1 = extract_one(a, b, train, val)
+        x2 = extract_one(a, b, train, val)
         assert x1 == x2
         assert np.all(x1.as_array() >= 0.0)
         assert np.all(np.isfinite(x1.as_array()))
+
+
+    def test_cohort_equals_one_client_calls(self, client_data):
+        train, val = client_data
+        other = make_blobs(2, 3, 37, 0.9, 4), make_blobs(2, 3, 11, 0.9, 5)
+        prev = init_params(SPEC, 2)
+        thetas = [train_local(SPEC, prev, t, CFG) for t in (train, other[0])]
+        cohort = extract(SPEC, prev, thetas, [(train, val), other], CFG)
+        assert cohort == [extract_one(prev, th, *pair) for th, pair in zip(thetas, [(train, val), other])]
+
+    def test_failure_names_client(self, client_data):
+        train, val = client_data
+        prev = init_params(SPEC, 0)
+        short = ParamVector(prev.coords[:-1])
+        with pytest.raises(ClientError, match="dimension mismatch") as info:
+            extract(SPEC, prev, [prev, short], [(train, val)] * 2, CFG)
+        assert info.value.index == 1
 
 
 class TestCompositeError:

@@ -4,9 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from metafl.datagen import ClientDataset, make_blobs
 from metafl.models import (
+    ACTIVATIONS,
+    ClientError,
     ModelSpec,
     PerformanceMetrics,
     TrainConfig,
@@ -15,6 +19,7 @@ from metafl.models import (
     local_loss,
     loss_and_grad,
     param_count,
+    train_cohort,
     train_local,
 )
 from metafl.numerics import ParamVector, finite_diff_grad, make_rng
@@ -36,6 +41,72 @@ def reference_mean_ce(spec, theta, data):
         exps = [math.exp(v) for v in z]
         total += -math.log(exps[int(y)] / sum(exps))
     return total / data.n
+
+
+def reference_train_local(spec, params, data, cfg):
+    """The per-client SGD loop that train_cohort replaced, kept as the
+    reference its results must equal bitwise."""
+    theta = params.coords.copy()
+    rng = make_rng(cfg.seed)
+    for _ in range(cfg.epochs):
+        order = rng.permutation(data.n)
+        for start in range(0, data.n, cfg.batch_size):
+            batch = order[start : start + cfg.batch_size]
+            x, y = data.features[batch], data.labels[batch]
+            theta -= cfg.learning_rate * reference_grad(spec, theta, x, y, cfg.l2)
+    return theta
+
+
+def reference_grad(spec, theta, x, y, l2):
+    d, h, c = spec.input_dim, spec.hidden_dim, spec.num_classes
+    n = x.shape[0]
+
+    def softmax(z):
+        e = np.exp(z - z.max(axis=1, keepdims=True))
+        return e / e.sum(axis=1, keepdims=True)
+
+    if h == 0:
+        w, b = theta[: d * c].reshape(d, c), theta[d * c :]
+        p = softmax(x @ w + b)
+        p[np.arange(n), y] -= 1.0
+        p *= 1.0 / n
+        grad = np.concatenate([(x.T @ p).ravel(), p.sum(axis=0)])
+    else:
+        w1, b1 = theta[: d * h].reshape(d, h), theta[d * h : d * h + h]
+        w2, b2 = theta[d * h + h : d * h + h + h * c].reshape(h, c), theta[d * h + h + h * c :]
+        z1 = x @ w1 + b1
+        a1 = np.maximum(z1, 0.0) if spec.activation == "relu" else np.tanh(z1)
+        g2 = softmax(a1 @ w2 + b2)
+        g2[np.arange(n), y] -= 1.0
+        g2 *= 1.0 / n
+        da1 = g2 @ w2.T
+        dz1 = da1 * (z1 > 0.0) if spec.activation == "relu" else da1 * (1.0 - a1**2)
+        grad = np.concatenate(
+            [(x.T @ dz1).ravel(), dz1.sum(axis=0), (a1.T @ g2).ravel(), g2.sum(axis=0)]
+        )
+    if l2 > 0.0:
+        grad += l2 * theta
+    return grad
+
+
+@st.composite
+def cohorts(draw):
+    """(spec, starts, datasets, cfg): K 1-12 clients of 1-79 samples with
+    unequal starts, batch 1-17, epochs 0-3, softmax/relu/tanh, l2 0 or 0.01."""
+    d, c = draw(st.integers(1, 5)), draw(st.integers(2, 4))
+    spec = ModelSpec(d, draw(st.sampled_from([0, 3])), c, draw(st.sampled_from(ACTIVATIONS)))
+    cfg = TrainConfig(
+        learning_rate=draw(st.floats(0.01, 1.0)),
+        epochs=draw(st.integers(0, 3)),
+        batch_size=draw(st.integers(1, 17)),
+        seed=draw(st.integers(0, 2**32)),
+        l2=draw(st.sampled_from([0.0, 0.01])),
+    )
+    sizes = draw(st.lists(st.integers(1, 79), min_size=1, max_size=12))
+    rng = make_rng(draw(st.integers(0, 2**32)))
+    datasets = [ClientDataset(rng.normal(size=(n, d)), rng.integers(0, c, n)) for n in sizes]
+    starts = [ParamVector(rng.normal(scale=0.5, size=param_count(spec))) for _ in sizes]
+    return spec, starts, datasets, cfg
 
 
 class TestInitParams:
@@ -107,6 +178,40 @@ class TestTrainLocal:
         with pytest.raises(ValueError, match="dimension mismatch"):
             train_local(LOGISTIC_2D, init_params(LOGISTIC_2D, 0), data,
                         TrainConfig(learning_rate=0.1))
+
+
+class TestTrainCohort:
+    @settings(max_examples=60, deadline=None)
+    @given(cohort=cohorts())
+    def test_equals_one_client_calls(self, cohort):
+        spec, starts, datasets, cfg = cohort
+        together = train_cohort(spec, starts, datasets, cfg)
+        assert len(together) == len(starts)
+        for start, data, got in zip(starts, datasets, together):
+            alone = train_cohort(spec, [start], [data], cfg)[0]
+            assert np.array_equal(got.coords, alone.coords)
+            assert np.array_equal(got.coords, reference_train_local(spec, start, data, cfg))
+
+    def test_failure_names_first_member_in_cohort_order(self):
+        # members 1 and 2 diverge; the lockstep order is by batch count,
+        # member 2 first and member 0 last
+        pool = make_blobs(2, 2, 30, 0.5, 1)
+        good = pool.subset(np.arange(10))
+        small = ClientDataset(pool.features[:20] * 1e160, pool.labels[:20])
+        large = ClientDataset(pool.features * 1e160, pool.labels)
+        cfg = TrainConfig(learning_rate=0.1, epochs=2, batch_size=4)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ClientError, match="diverged") as info:
+                train_cohort(LOGISTIC_2D, [init_params(LOGISTIC_2D, 0)] * 3, [good, small, large], cfg)
+        assert info.value.index == 1
+
+    def test_dimension_mismatch_names_member(self):
+        good = make_blobs(2, 2, 20, 0.5, 3)
+        wide = make_blobs(2, 3, 20, 0.5, 3)
+        with pytest.raises(ClientError, match="dimension mismatch") as info:
+            train_cohort(LOGISTIC_2D, [init_params(LOGISTIC_2D, 0)] * 3, [good, wide, good],
+                         TrainConfig(learning_rate=0.1))
+        assert info.value.index == 1
 
 
 class TestEvaluate:
