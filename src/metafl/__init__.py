@@ -3,7 +3,6 @@ aggregation optimizer and a FedAvg baseline."""
 
 from .aggregator import (
     AggregationOutcome,
-    ClientReport,
     MetaParams,
     adapt_meta_params,
     aggregate,
@@ -14,7 +13,6 @@ from .aggregator import (
     meta_agg,
     phi_gradient,
     phi_objective,
-    weights_closed_form,
     weights_iterative,
 )
 from .datagen import (
@@ -25,9 +23,9 @@ from .datagen import (
     load_csv,
     make_blobs,
     partition_dirichlet,
-    save_csv,
 )
 from .federation import (
+    Cohort,
     ComparisonSummary,
     DataConfig,
     ExperimentConfig,
@@ -40,7 +38,7 @@ from .federation import (
 )
 from .metafeatures import (
     CompositeErrorConfig,
-    MetaFeatures,
+    composite_errors,
     extract,
 )
 from .models import (

@@ -21,24 +21,15 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .datagen import ClientDataset
-from .metafeatures import CompositeErrorConfig, MetaFeatures, composite_errors
-from .models import ModelSpec, PerformanceMetrics, local_loss
-from .numerics import (
-    ParamVector,
-    Rng,
-    WeightVector,
-    project_simplex,
-    softmax_neg,
-    weighted_sum,
-)
+from .metafeatures import CompositeErrorConfig
+from .models import ModelSpec, local_loss
+from .numerics import ParamVector, Rng, WeightVector, _project_simplex, softmax_neg, weighted_sum
 
 __all__ = [
     "MetaParams",
-    "ClientReport",
     "AggregationOutcome",
     "AGGREGATOR_MODES",
     "SOLVERS",
-    "weights_closed_form",
     "phi_objective",
     "phi_gradient",
     "weights_iterative",
@@ -86,6 +77,8 @@ class MetaParams:
             raise ValueError("lam must be finite and >= 0")
         if self.tau is not None and not (np.isfinite(self.tau) and self.tau > 0.0):
             raise ValueError("tau must be finite and positive when given")
+        if self.tau is None and self.alpha > 0.0 and not np.isfinite(1.0 / self.alpha):
+            raise ValueError("alpha must be 0 or have a finite 1/alpha when tau is unset")
         if not np.isfinite(self.eta) or self.eta < 0.0:
             raise ValueError("eta must be finite and >= 0")
         if self.max_iters < 1:
@@ -101,37 +94,18 @@ class MetaParams:
 
 
 @dataclass(frozen=True)
-class ClientReport:
-    """One client's per-round submission to the server.
-
-    meta is None when the composite error weights no meta-feature.
-    """
-
-    client_id: int
-    theta_k: ParamVector
-    perf: PerformanceMetrics
-    meta: MetaFeatures | None
-    n_k: int
-
-    def __post_init__(self):
-        if self.n_k < 1:
-            raise ValueError("n_k must be >= 1")
-
-
-@dataclass(frozen=True)
 class AggregationOutcome:
-    """Aggregated parameters plus the weighting evidence behind them."""
+    """Aggregated parameters plus the weighting evidence behind them.
+
+    solver_iters and solver_residual are those weights_iterative returned,
+    and 0 when no iterative solve ran.
+    """
 
     theta_g: ParamVector
     weights: WeightVector
-    errors_E: np.ndarray
     phi_value: float
     solver_iters: int
-
-
-def weights_closed_form(errors: Sequence[float], alpha: float) -> WeightVector:
-    """Exact softmax weights over negated composite errors."""
-    return softmax_neg(errors, alpha)
+    solver_residual: float
 
 
 def _check_errors(errors: Sequence[float]) -> np.ndarray:
@@ -156,6 +130,11 @@ def phi_objective(w: WeightVector, errors: Sequence[float], tau: float) -> float
     return float(wv @ e) + tau * entropy_term
 
 
+def _gradient(w: np.ndarray, e: np.ndarray, tau: float) -> np.ndarray:
+    """E_k + tau (1 + ln w_k), with w clamped at BOUNDARY_CLAMP."""
+    return e + tau * (1.0 + np.log(np.maximum(w, BOUNDARY_CLAMP)))
+
+
 def phi_gradient(w: WeightVector, errors: Sequence[float], tau: float) -> np.ndarray:
     """Analytic gradient E_k + tau (1 + ln w_k); defined on the interior only."""
     e = _check_errors(errors)
@@ -165,25 +144,24 @@ def phi_gradient(w: WeightVector, errors: Sequence[float], tau: float) -> np.nda
         raise ValueError("tau must be finite and >= 0")
     if np.any(w.weights <= 0.0):
         raise ValueError("boundary gradient undefined")
-    return e + tau * (1.0 + np.log(w.weights))
+    return _gradient(w.weights, e, tau)
 
 
 def _mirror_step(w: np.ndarray, e: np.ndarray, tau: float, eta: float) -> np.ndarray:
     if eta == 0.0:
         return w
-    wc = np.maximum(w, BOUNDARY_CLAMP)
-    z = np.log(wc) - eta * (e + tau * (1.0 + np.log(wc)))
+    z = np.log(np.maximum(w, BOUNDARY_CLAMP)) - eta * _gradient(w, e, tau)
     z -= z.max()
     out = np.exp(z)
     return out / out.sum()
 
 
 def _projected_step(w: np.ndarray, e: np.ndarray, tau: float, eta: float) -> np.ndarray:
-    wc = np.maximum(w, BOUNDARY_CLAMP)
-    grad = e + tau * (1.0 + np.log(wc))
+    """One projected-gradient step; a non-finite target is returned as is,
+    for the solver loop to report as divergence."""
     with np.errstate(over="ignore", invalid="ignore"):
-        target = w - eta * grad
-    return project_simplex(target).weights
+        target = w - eta * _gradient(w, e, tau)
+    return _project_simplex(target) if np.isfinite(target).all() else target
 
 
 _STEPS = {"mirror": _mirror_step, "projected": _projected_step}
@@ -208,10 +186,7 @@ def weights_iterative(
     w = np.full(k, 1.0 / k)
     residual = math.inf
     for t in range(1, mp.max_iters + 1):
-        try:
-            w_next = step(w, e, tau, mp.eta)
-        except ValueError as err:
-            raise ValueError(f"divergence in {solver} solver at iteration {t}") from err
+        w_next = step(w, e, tau, mp.eta)
         if not np.all(np.isfinite(w_next)):
             raise ValueError(f"divergence in {solver} solver at iteration {t}")
         residual = float(np.abs(w_next - w).max())
@@ -221,15 +196,11 @@ def weights_iterative(
     return WeightVector(w), mp.max_iters, residual
 
 
-def aggregate(
-    reports: Sequence[ClientReport], w: WeightVector, lam: float
-) -> ParamVector:
-    """Weighted parameter sum shrunk by 1/(1 + lambda)."""
+def aggregate(thetas: np.ndarray, w: WeightVector, lam: float) -> ParamVector:
+    """Weighted sum of the rows of thetas [K, P], shrunk by 1/(1 + lambda)."""
     if not np.isfinite(lam) or lam < 0.0:
         raise ValueError("lam must be finite and >= 0")
-    if len(reports) != w.k:
-        raise ValueError(f"got {len(reports)} reports for {w.k} weights")
-    mean = weighted_sum([r.theta_k for r in reports], w)
+    mean = weighted_sum(thetas, w)
     return ParamVector(mean.coords / (1.0 + lam))
 
 
@@ -244,51 +215,49 @@ def fedavg_weights(n: Sequence[int]) -> WeightVector:
 
 
 def meta_agg(
-    reports: Sequence[ClientReport], mp: MetaParams, mode: str = "metafl_closed"
+    thetas: np.ndarray, errors: np.ndarray, mp: MetaParams, mode: str = "metafl_closed"
 ) -> AggregationOutcome:
-    """Full aggregation pass: composite errors, weight solve, shrunk
-    weighted sum, and the bookkeeping objective values.
+    """Weight solve over the composite errors E [K], shrunk weighted sum
+    of the parameter rows thetas [K, P], and the bookkeeping values.
 
     mode is a metafl_* entry of AGGREGATOR_MODES; metafl_mirror and
     metafl_projected solve with the weights_iterative solver they name.
     alpha = 0 (with tau unset) means temperature-free uniform averaging
-    in every mode; it is the exact alpha -> 0 limit of both routes.
+    in every mode; it is the exact alpha -> 0 limit of both routes, and
+    the closed form's softmax at alpha = 0.
     """
     if mode not in AGGREGATOR_MODES or mode == "fedavg":
         raise ValueError(f"mode must be a metafl_* entry of {AGGREGATOR_MODES}, got {mode!r}")
-    if len(reports) == 0:
-        raise ValueError("empty cohort")
-    losses = [r.perf.val_loss for r in reports]
-    errors = composite_errors(losses, [r.meta for r in reports], mp.c)
-    iters = 0
-    if mp.alpha == 0.0 and mp.tau is None:
-        weights = WeightVector(np.full(len(reports), 1.0 / len(reports)))
-    elif mode == "metafl_closed":
-        weights = weights_closed_form(errors, mp.alpha)
+    e = _check_errors(errors)
+    iters, residual = 0, 0.0
+    if mode == "metafl_closed":
+        weights = softmax_neg(e, mp.alpha)
+    elif mp.alpha == 0.0 and mp.tau is None:
+        weights = WeightVector(np.full(e.size, 1.0 / e.size))
     else:
-        weights, iters, _ = weights_iterative(errors, mp, mode.removeprefix("metafl_"))
-    theta_g = aggregate(reports, weights, mp.lam)
-    phi = phi_objective(weights, errors, mp.resolved_tau())
+        weights, iters, residual = weights_iterative(e, mp, mode.removeprefix("metafl_"))
     return AggregationOutcome(
-        theta_g=theta_g,
+        theta_g=aggregate(thetas, weights, mp.lam),
         weights=weights,
-        errors_E=errors,
-        phi_value=phi,
+        phi_value=phi_objective(weights, e, mp.resolved_tau()),
         solver_iters=iters,
+        solver_residual=residual,
     )
 
 
 def adapt_meta_params(
     mp: MetaParams,
     candidates_alpha: Sequence[float],
-    reports: Sequence[ClientReport],
+    thetas: np.ndarray,
+    errors: np.ndarray,
     spec: ModelSpec,
     global_val: ClientDataset,
 ) -> MetaParams:
-    """Grid-search alpha: aggregate with each candidate and keep the one
-    whose aggregated model scores the lowest loss on the server-held
-    validation set. Ties break toward the smallest alpha; tau resets to
-    track the winner.
+    """Grid-search alpha: weight the errors E [K] by each candidate's
+    closed form, aggregate the rows of thetas [K, P], and keep the
+    candidate whose aggregated model scores the lowest loss on the
+    server-held validation set. Ties break toward the smallest alpha;
+    tau resets to track the winner.
     """
     candidates = [float(a) for a in candidates_alpha]
     if not candidates:
@@ -296,9 +265,8 @@ def adapt_meta_params(
     best_alpha = None
     best_loss = math.inf
     for alpha in candidates:
-        trial = replace(mp, alpha=alpha, tau=None)
-        outcome = meta_agg(reports, trial)
-        loss = local_loss(spec, outcome.theta_g, global_val)
+        theta = aggregate(thetas, softmax_neg(errors, alpha), mp.lam)
+        loss = local_loss(spec, theta, global_val)
         if (
             best_alpha is None
             or loss < best_loss
@@ -350,24 +318,23 @@ def contraction_estimate(
 
 def jensen_gap(
     spec: ModelSpec,
-    thetas: Sequence[ParamVector],
+    thetas: np.ndarray,
     w: WeightVector,
     data: ClientDataset,
     loss_fn: Callable[[ParamVector], float] | None = None,
 ) -> float:
-    """Weighted mean loss minus loss of the weighted mean parameters.
+    """Weighted mean loss of the rows of thetas [K, P] minus the loss of
+    their weighted mean.
 
     Nonnegative whenever the loss is convex in the parameters, which
     holds for hidden_dim = 0 models. loss_fn overrides the default
     model loss on ``data`` (used by surrogate-loss checks).
     """
-    if len(thetas) != w.k:
-        raise ValueError(f"got {len(thetas)} parameter vectors for {w.k} weights")
     if loss_fn is None:
         loss_fn = lambda theta: local_loss(spec, theta, data)
     mean_theta = weighted_sum(thetas, w)
     mean_of_losses = float(
-        w.weights @ np.array([loss_fn(theta) for theta in thetas])
+        w.weights @ np.array([loss_fn(ParamVector(theta)) for theta in thetas])
     )
     return mean_of_losses - loss_fn(mean_theta)
 

@@ -9,7 +9,8 @@ Commands:
 '#' comments, one `key = value` per line) or the name of a shipped
 preset. The METAFL_SEED environment variable overrides the top-level
 seed. Exit codes: 0 success, 2 config error, 3 runtime numerical
-failure.
+failure. `run` warns on stderr for each round whose iterative weight
+solve stopped at meta.max_iters with its residual still >= meta.tol.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 from .aggregator import (
-    AGGREGATOR_MODES,
     MetaParams,
     contraction_estimate,
     generalization_bound,
@@ -46,7 +46,7 @@ from .federation import (
     set_up,
     shares_data_setup,
 )
-from .metafeatures import CompositeErrorConfig
+from .metafeatures import CompositeErrorConfig, composite_errors
 from .models import ModelSpec, TrainConfig
 from .numerics import derive_seed, make_rng
 
@@ -96,12 +96,6 @@ def _as_bool(value: str) -> bool:
     raise ValueError(f"expected true/false, got {value!r}")
 
 
-def _as_mode(value: str) -> str:
-    if value not in AGGREGATOR_MODES:
-        raise ValueError(f"must be one of {AGGREGATOR_MODES}")
-    return value
-
-
 def _split(value: str, cast: Callable[[str], object]) -> tuple:
     """Comma-separated values; the empty string gives no values."""
     return tuple(cast(part.strip()) for part in value.split(",")) if value else ()
@@ -117,7 +111,6 @@ class _Kind(NamedTuple):
 _INT = _Kind(int, str)
 _FLOAT = _Kind(float, repr)
 _STR = _Kind(str, str)
-_MODE = _Kind(_as_mode, str)
 _BOOL = _Kind(_as_bool, lambda v: "true" if v else "false")
 _FLOATS = _Kind(lambda v: _split(v, float), lambda v: ",".join(map(repr, v)))
 _IDS = _Kind(lambda v: frozenset(_split(v, int)), lambda v: ",".join(map(str, sorted(v))))
@@ -137,7 +130,7 @@ class _Key(NamedTuple):
 _KEYS = (
     _Key("seed", "", "seed", _INT),
     _Key("rounds", "", "rounds", _INT),
-    _Key("aggregator", "", "aggregator_mode", _MODE),
+    _Key("aggregator", "", "aggregator_mode", _STR),
     _Key("alpha_grid", "", "alpha_grid", _FLOATS),
     _Key("target_accuracy", "", "target_accuracy", _FLOAT),
     _Key("diagnostics.log_h", "", "log_h", _FLOAT),
@@ -472,6 +465,11 @@ def cmd_run(config_path: str, out_dir: str, no_timing: bool = False) -> None:
     out = _prepare_out_dir(out_dir)
     clients, global_val, theta0 = set_up(cfg)
     _, history = run_rounds(cfg, clients, global_val, theta0)
+    for rec in history:
+        if rec.solver_residual >= cfg.meta.tol:
+            print(f"warning: round {rec.round}: {cfg.aggregator_mode} solve stopped after "
+                  f"{rec.solver_iters} iterations with residual {rec.solver_residual:.3g} "
+                  f">= meta.tol {cfg.meta.tol:.3g}", file=sys.stderr)
     write_rounds_csv(history, out / "rounds.csv", include_timing=not no_timing)
     _write_json(out / "summary.json", _summary_payload(cfg, history, clients))
     _write(out / "config_echo.txt", serialize_config(cfg))
@@ -512,12 +510,13 @@ def cmd_diagnose(config_path: str, out_dir: str) -> None:
     out = _prepare_out_dir(out_dir)
     clients, global_val, theta0 = set_up(cfg)
     # The probe aggregates in closed form whatever the config's mode,
-    # so its reports carry the features that form weights.
+    # so its cohort carries the features that form weights.
     closed = replace(cfg, aggregator_mode="metafl_closed")
-    reports = collect_reports(closed, clients, theta0, 1)
-    outcome = meta_agg(reports, cfg.meta, closed.aggregator_mode)
-    contraction, kl, m, bound = _theory(cfg, cfg.meta, outcome.errors_E, clients)
-    gap = jensen_gap(cfg.spec, [r.theta_k for r in reports], outcome.weights, global_val)
+    cohort = collect_reports(closed, clients, theta0, 1)
+    errors = composite_errors(cohort.val_loss, cohort.features, cfg.meta.c)
+    outcome = meta_agg(cohort.thetas, errors, cfg.meta, closed.aggregator_mode)
+    contraction, kl, m, bound = _theory(cfg, cfg.meta, errors, clients)
+    gap = jensen_gap(cfg.spec, cohort.thetas, outcome.weights, global_val)
     _write_json(
         out / "diagnostics.json",
         {

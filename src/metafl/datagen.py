@@ -1,4 +1,4 @@
-"""Synthetic classification tasks, non-IID client partitioning, and CSV I/O.
+"""Synthetic classification tasks, non-IID client partitioning, and CSV loading.
 
 Every generator is a pure function of its seed. The CSV contract:
 comma-separated, '.' decimal, UTF-8, no header row, label as the last
@@ -22,7 +22,6 @@ __all__ = [
     "partition_dirichlet",
     "inject_label_noise",
     "load_csv",
-    "save_csv",
     "label_distribution",
 ]
 
@@ -239,14 +238,6 @@ def load_csv(path: str, num_classes: int) -> ClientDataset:
     if not rows:
         raise ValueError("empty dataset")
     return ClientDataset(np.asarray(rows), np.asarray(labels))
-
-
-def save_csv(data: ClientDataset, path: str) -> None:
-    """Write a dataset in the load_csv format at full float64 precision."""
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        for x, y in zip(data.features, data.labels):
-            writer.writerow([repr(float(v)) for v in x] + [int(y)])
 
 
 def label_distribution(data: ClientDataset, num_classes: int) -> np.ndarray:

@@ -1,21 +1,23 @@
-"""Round-loop orchestration: local training, reporting, aggregation,
-meta-parameter adaptation, and per-round record keeping.
+"""Round-loop orchestration: local training, the round's cohort,
+aggregation, meta-parameter adaptation, and per-round record keeping.
 
 set_up gives a config's client splits, server holdout and initial
 parameters. run_experiment, every CLI command and compare_runs start
 from it; compare_runs sets up once and runs both arms on that data.
 
-Every round trains all clients from the current global parameters,
-collects (theta_k, metrics, meta-features) reports, optionally re-tunes
-alpha on the server-held validation split, aggregates, and broadcasts.
+Every round trains all clients from the current global parameters and
+collects one Cohort: the trained parameters as a [K, P] matrix plus the
+validation losses, train-split sizes and, when weighted, the [K, 5]
+meta-feature matrix, row k for client k. The round then computes the
+composite errors E once, optionally re-tunes alpha on the server-held
+validation split, aggregates, and broadcasts.
 Meta-features are extracted only when they can move a weight: the mode
 is not fedavg and some meta.c coefficient is nonzero.
 The cohort trains in lockstep (models.train_cohort): each client draws
 the same shuffles as it would alone and does the same arithmetic on its
 own batches, grouped with the other clients on batches of one length
 into stacked steps. Nothing is reduced across clients, so every client's
-parameters are bitwise those of training it alone, and reports stay in
-client-id order.
+parameters are bitwise those of training it alone.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import numpy as np
 
 from .aggregator import (
     AGGREGATOR_MODES,
-    ClientReport,
+    AggregationOutcome,
     MetaParams,
     adapt_meta_params,
     aggregate,
@@ -44,7 +46,7 @@ from .datagen import (
     make_blobs,
     partition_dirichlet,
 )
-from .metafeatures import extract
+from .metafeatures import composite_errors, extract
 from .models import ClientError, ModelSpec, TrainConfig, evaluate, init_params, train_cohort
 from .numerics import ParamVector, WeightVector, derive_seed, make_rng
 
@@ -52,6 +54,7 @@ __all__ = [
     "DataConfig",
     "ExperimentConfig",
     "RoundRecord",
+    "Cohort",
     "ComparisonSummary",
     "build_federation",
     "set_up",
@@ -105,10 +108,14 @@ class ExperimentConfig:
         if self.rounds < 1:
             raise ValueError("rounds must be >= 1")
         if self.aggregator_mode not in AGGREGATOR_MODES:
-            raise ValueError(f"aggregator_mode must be one of {AGGREGATOR_MODES}")
+            raise ValueError(
+                f"aggregator must be one of {AGGREGATOR_MODES}, got {self.aggregator_mode!r}"
+            )
         grid = tuple(float(a) for a in self.alpha_grid)
-        if any(not np.isfinite(a) or a < 0.0 for a in grid):
-            raise ValueError("alpha_grid entries must be finite and >= 0")
+        if any(
+            not np.isfinite(a) or a < 0.0 or (a > 0.0 and not np.isfinite(1.0 / a)) for a in grid
+        ):
+            raise ValueError("alpha_grid entries must be finite and >= 0, with a finite 1/alpha")
         if not 0.0 < self.target_accuracy <= 1.0:
             raise ValueError("target_accuracy must lie in (0, 1]")
         if not np.isfinite(self.log_h) or self.log_h < 0.0:
@@ -120,7 +127,8 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class RoundRecord:
-    """Observables of one federation round."""
+    """Observables of one federation round. solver_iters and
+    solver_residual are the weight solve's, 0 when no iterative solve ran."""
 
     round: int
     weights: WeightVector
@@ -129,7 +137,33 @@ class RoundRecord:
     global_val_accuracy: float
     per_client_val_loss: tuple[float, ...]
     phi_value: float
+    solver_iters: int
+    solver_residual: float
     wall_ms: int
+
+
+@dataclass(frozen=True, eq=False)
+class Cohort:
+    """One round's trained cohort, row k for client k: parameters thetas
+    [K, P], validation losses val_loss [K], train-split sizes n_k [K], and
+    the meta-feature matrix features [K, len(FEATURE_FIELDS)], or None
+    when no coefficient weights it. The fields hold read-only views."""
+
+    thetas: np.ndarray
+    val_loss: np.ndarray
+    n_k: np.ndarray
+    features: np.ndarray | None = None
+
+    def __post_init__(self):
+        k = len(self.thetas)
+        if self.thetas.ndim != 2 or k < 1 or {self.val_loss.shape, self.n_k.shape} != {(k,)}:
+            raise ValueError("need thetas [K, P] with K >= 1, and val_loss and n_k [K]")
+        for name in ("thetas", "val_loss", "n_k", "features"):
+            arr = getattr(self, name)
+            if arr is not None:
+                view = arr.view()
+                view.flags.writeable = False
+                object.__setattr__(self, name, view)
 
 
 @dataclass(frozen=True)
@@ -206,15 +240,15 @@ def collect_reports(
     clients: Sequence[tuple[ClientDataset, ClientDataset]],
     theta: ParamVector,
     round_index: int,
-) -> list[ClientReport]:
+) -> Cohort:
     """Train, evaluate, and profile every client for one round.
 
     All clients share the round's shuffle seed, so identical clients
-    produce identical reports. The cohort trains in one train_cohort
-    call and, when some meta.c coefficient is nonzero and the mode is
-    not fedavg, is profiled in one extract call; otherwise each report's
-    meta is None. A failure names the round and the first failing client
-    in client-id order of its phase (training, meta-features, evaluation).
+    produce identical rows. The cohort trains in one train_cohort call
+    and, when some meta.c coefficient is nonzero and the mode is not
+    fedavg, is profiled in one extract call; otherwise features is None.
+    A failure names the round and the first failing client in client-id
+    order of its phase (training, meta-features, evaluation).
     """
     spec = cfg.spec
     round_train = replace(cfg.train, seed=derive_seed(cfg.train.seed, round_index))
@@ -222,19 +256,21 @@ def collect_reports(
     trains = [train for train, _ in clients]
     try:
         thetas = train_cohort(spec, [theta] * len(clients), trains, round_train)
-        metas = [None] * len(clients)
-        if with_meta:
-            metas = extract(spec, theta, thetas, clients, round_train)
+        features = extract(spec, theta, thetas, clients, round_train) if with_meta else None
     except ClientError as err:
         raise RuntimeError(f"round {round_index}, client {err.index}: {err}") from err
-    reports = []
-    for k, (theta_k, meta_x, (train, val)) in enumerate(zip(thetas, metas, clients)):
+    val_loss = np.empty(len(clients))
+    for k, (theta_k, (_, val)) in enumerate(zip(thetas, clients)):
         try:
-            perf = evaluate(spec, theta_k, val)
+            val_loss[k] = evaluate(spec, theta_k, val).val_loss
         except Exception as err:
             raise RuntimeError(f"round {round_index}, client {k}: {err}") from err
-        reports.append(ClientReport(k, theta_k, perf, meta_x, train.n))
-    return reports
+    return Cohort(
+        thetas=np.stack([theta_k.coords for theta_k in thetas]),
+        val_loss=val_loss,
+        n_k=np.array([train.n for train in trains]),
+        features=features,
+    )
 
 
 def run_rounds(
@@ -246,40 +282,41 @@ def run_rounds(
     """Execute cfg.rounds federation rounds from the given global state."""
     spec = cfg.spec
     mp = cfg.meta
+    fedavg = cfg.aggregator_mode == "fedavg"
     history: list[RoundRecord] = []
     for t in range(1, cfg.rounds + 1):
         started = time.perf_counter()
-        reports = collect_reports(cfg, clients, theta, t)
+        cohort = collect_reports(cfg, clients, theta, t)
         try:
-            if cfg.aggregator_mode == "fedavg":
-                weights = fedavg_weights([r.n_k for r in reports])
-                theta_g = aggregate(reports, weights, 0.0)
-                alpha_used = 0.0
-                phi_value = 0.0
+            if fedavg:
+                weights = fedavg_weights(cohort.n_k)
+                theta_g = aggregate(cohort.thetas, weights, 0.0)
+                outcome = AggregationOutcome(theta_g, weights, 0.0, 0, 0.0)
             else:
+                errors = composite_errors(cohort.val_loss, cohort.features, mp.c)
                 if len(cfg.alpha_grid) > 1:
-                    mp = adapt_meta_params(mp, cfg.alpha_grid, reports, spec, global_val)
-                outcome = meta_agg(reports, mp, cfg.aggregator_mode)
-                weights = outcome.weights
-                theta_g = outcome.theta_g
-                alpha_used = mp.alpha
-                phi_value = outcome.phi_value
-            server_perf = evaluate(spec, theta_g, global_val)
+                    mp = adapt_meta_params(
+                        mp, cfg.alpha_grid, cohort.thetas, errors, spec, global_val
+                    )
+                outcome = meta_agg(cohort.thetas, errors, mp, cfg.aggregator_mode)
+            server_perf = evaluate(spec, outcome.theta_g, global_val)
         except Exception as err:
             raise RuntimeError(f"round {t}, aggregation: {err}") from err
         history.append(
             RoundRecord(
                 round=t,
-                weights=weights,
-                alpha_used=alpha_used,
+                weights=outcome.weights,
+                alpha_used=0.0 if fedavg else mp.alpha,
                 global_val_loss=server_perf.val_loss,
                 global_val_accuracy=server_perf.val_accuracy,
-                per_client_val_loss=tuple(r.perf.val_loss for r in reports),
-                phi_value=phi_value,
+                per_client_val_loss=tuple(cohort.val_loss.tolist()),
+                phi_value=outcome.phi_value,
+                solver_iters=outcome.solver_iters,
+                solver_residual=outcome.solver_residual,
                 wall_ms=int((time.perf_counter() - started) * 1000.0),
             )
         )
-        theta = theta_g
+        theta = outcome.theta_g
     return theta, history
 
 

@@ -1,13 +1,15 @@
 """Per-client descriptors and the composite error they feed.
 
-The composite error for client k is its validation loss plus an affine
-combination of (optionally cohort-normalized) meta-features; with all
-coefficients zero it reduces to the loss alone, and no features are
-needed.
+A cohort's meta-features form a [K, len(FEATURE_FIELDS)] matrix, one row
+per client in FEATURE_FIELDS column order. The composite error for
+client k is its validation loss plus an affine combination of its
+(optionally cohort-normalized) row; with all coefficients zero it
+reduces to the loss alone, and no features are needed.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -19,13 +21,12 @@ from .numerics import ParamVector
 
 __all__ = [
     "FEATURE_FIELDS",
-    "MetaFeatures",
     "CompositeErrorConfig",
     "extract",
     "composite_errors",
 ]
 
-#: Coefficient order used by CompositeErrorConfig.c.
+#: Feature-matrix column order, also the order of CompositeErrorConfig.c.
 FEATURE_FIELDS = (
     "dataset_size",
     "label_entropy",
@@ -33,27 +34,6 @@ FEATURE_FIELDS = (
     "data_complexity",
     "lr_sensitivity",
 )
-
-
-@dataclass(frozen=True)
-class MetaFeatures:
-    """Descriptors of one client's data and learning dynamics."""
-
-    dataset_size: int
-    label_entropy: float
-    update_norm: float
-    data_complexity: float
-    lr_sensitivity: float
-
-    def __post_init__(self):
-        values = self.as_array()
-        if not np.all(np.isfinite(values)):
-            raise ValueError("meta-features must be finite")
-        if np.any(values < 0.0):
-            raise ValueError("meta-features must be nonnegative")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([getattr(self, f) for f in FEATURE_FIELDS], dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -91,8 +71,9 @@ def extract(
     thetas: Sequence[ParamVector],
     clients: Sequence[tuple[ClientDataset, ClientDataset]],
     cfg: TrainConfig,
-) -> list[MetaFeatures]:
-    """Meta-feature vectors of a cohort's round, one per (train, val) client.
+) -> np.ndarray:
+    """Meta-feature matrix of a cohort's round, one row per (train, val)
+    client, in FEATURE_FIELDS column order.
 
     thetas holds each client's parameters after training from theta_prev.
     data_complexity is the validation loss of a linear probe trained for
@@ -100,7 +81,8 @@ def extract(
     the validation-loss delta from one extra training epoch at 1.5x the
     learning rate versus 1x, per unit of relative perturbation (0.5).
     The probe, 1x and 1.5x epochs each train the whole cohort in one
-    train_cohort call. Raises ClientError naming the first failing client.
+    train_cohort call. Every feature must be finite and nonnegative.
+    Raises ClientError naming the first failing client.
     """
     if len(thetas) != len(clients):
         raise ValueError("thetas and clients lengths differ")
@@ -116,49 +98,55 @@ def extract(
     bases = train_cohort(spec, thetas, trains, one_epoch)
     bumps = train_cohort(spec, thetas, trains, bumped)
 
-    out = []
+    rows = []
     for k, ((train, val), theta_k, probe, base, bump) in enumerate(
         zip(clients, thetas, probes, bases, bumps)
     ):
         try:
             loss_base = local_loss(spec, base, val)
             loss_bump = local_loss(spec, bump, val)
-            out.append(MetaFeatures(
-                dataset_size=train.n,
-                label_entropy=_entropy(train.labels, spec.num_classes),
-                update_norm=float(np.linalg.norm(theta_k.coords - theta_prev.coords)),
-                data_complexity=local_loss(probe_spec, probe, val),
-                lr_sensitivity=abs(loss_bump - loss_base) / 0.5,
-            ))
+            row = (
+                train.n,
+                _entropy(train.labels, spec.num_classes),
+                float(np.linalg.norm(theta_k.coords - theta_prev.coords)),
+                local_loss(probe_spec, probe, val),
+                abs(loss_bump - loss_base) / 0.5,
+            )
         except ValueError as err:
             raise ClientError(k, str(err)) from err
-    return out
+        if not all(map(math.isfinite, row)):
+            raise ClientError(k, "meta-features must be finite")
+        if min(row) < 0.0:
+            raise ClientError(k, "meta-features must be nonnegative")
+        rows.append(row)
+    return np.array(rows, dtype=np.float64)
 
 
 def composite_errors(
     losses: Sequence[float],
-    cohort: Sequence[MetaFeatures | None],
+    features: np.ndarray | None,
     cfg: CompositeErrorConfig,
 ) -> np.ndarray:
     """Composite error for every cohort member at once.
 
-    With cfg.normalize each feature column is min-max scaled over the
-    cohort; a constant column scales to 0 so it cannot tilt the errors.
-    When no coefficient is nonzero the errors are the losses, and the
-    cohort's entries may be None.
+    features is the cohort's [K, len(FEATURE_FIELDS)] matrix. With
+    cfg.normalize each column is min-max scaled over the cohort; a
+    constant column scales to 0 so it cannot tilt the errors. When no
+    coefficient is nonzero the errors are the losses, and features may
+    be None.
     """
-    if len(losses) != len(cohort):
-        raise ValueError("losses and cohort lengths differ")
-    if len(cohort) == 0:
-        raise ValueError("empty cohort")
     loss_arr = np.array(losses, dtype=np.float64)
+    if loss_arr.size == 0:
+        raise ValueError("empty cohort")
     if not np.all(np.isfinite(loss_arr)):
         raise ValueError("non-finite loss")
     if not cfg.uses_features:
         return loss_arr
-    if any(m is None for m in cohort):
-        raise ValueError("nonzero coefficients need every member's meta-features")
-    matrix = np.stack([m.as_array() for m in cohort])
+    if features is None:
+        raise ValueError("nonzero coefficients need the cohort's meta-features")
+    matrix = np.asarray(features, dtype=np.float64)
+    if matrix.shape != (loss_arr.size, len(FEATURE_FIELDS)):
+        raise ValueError(f"features shape {matrix.shape} does not match {loss_arr.size} losses")
     if cfg.normalize:
         lo = matrix.min(axis=0)
         hi = matrix.max(axis=0)

@@ -9,7 +9,7 @@ include the penalty. Argmax ties break toward the lowest class index.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Sequence
 
 import numpy as np
 
@@ -311,15 +311,3 @@ def local_loss(spec: ModelSpec, params: ParamVector, data: ClientDataset) -> flo
     _check_dims(spec, params.coords, data.features)
     return _mean_ce(_logits(spec, params.coords, data.features), data.labels)
 
-
-def loss_and_grad(
-    spec: ModelSpec, params: ParamVector, data: ClientDataset, l2: float = 0.0
-) -> Tuple[float, np.ndarray]:
-    """Training objective and its analytic gradient over the full dataset."""
-    _check_dims(spec, params.coords, data.features)
-    theta = params.coords
-    loss = _mean_ce(_logits(spec, theta, data.features), data.labels)
-    if l2 > 0.0:
-        loss += 0.5 * l2 * float(theta @ theta)
-    onehot = np.eye(spec.num_classes)[data.labels]
-    return loss, _ce_grad_arrays(spec, theta[None], data.features[None], onehot[None], l2)[0]

@@ -9,7 +9,7 @@ and platforms.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -118,6 +118,17 @@ def softmax_neg(values: Sequence[float], alpha: float) -> WeightVector:
     return WeightVector(e / e.sum())
 
 
+def _project_simplex(x: np.ndarray) -> np.ndarray:
+    """Euclidean projection of a finite 1-D array onto the simplex,
+    unchecked: the inner step of the projected solver."""
+    u = np.sort(x)[::-1]
+    css = np.cumsum(u) - 1.0
+    idx = np.arange(1, x.size + 1)
+    rho = np.nonzero(u - css / idx > 0.0)[0][-1]
+    tau = css[rho] / (rho + 1.0)
+    return np.maximum(x - tau, 0.0)
+
+
 def project_simplex(point: Sequence[float]) -> WeightVector:
     """Euclidean projection onto the probability simplex.
 
@@ -129,40 +140,12 @@ def project_simplex(point: Sequence[float]) -> WeightVector:
         raise ValueError("empty point")
     if not np.all(np.isfinite(x)):
         raise ValueError("non-finite coordinates")
-    u = np.sort(x)[::-1]
-    css = np.cumsum(u) - 1.0
-    idx = np.arange(1, x.size + 1)
-    rho = np.nonzero(u - css / idx > 0.0)[0][-1]
-    tau = css[rho] / (rho + 1.0)
-    return WeightVector(np.maximum(x - tau, 0.0))
+    return WeightVector(_project_simplex(x))
 
 
-def weighted_sum(vectors: Sequence[ParamVector], w: WeightVector) -> ParamVector:
-    """Coordinate-wise sum of w_k * theta_k; exact for 0/1 weights."""
-    if len(vectors) != w.k:
-        raise ValueError(f"got {len(vectors)} vectors for {w.k} weights")
-    dim = vectors[0].dim
-    for i, vec in enumerate(vectors):
-        if vec.dim != dim:
-            raise ValueError(f"dimension mismatch at index {i}: {vec.dim} != {dim}")
-    stacked = np.stack([vec.coords for vec in vectors])
-    return ParamVector(w.weights @ stacked)
-
-
-def finite_diff_grad(
-    f: Callable[[np.ndarray], float], x: Sequence[float], h: float
-) -> np.ndarray:
-    """Central-difference gradient (f(x + h e_i) - f(x - h e_i)) / (2h)."""
-    if h <= 0.0:
-        raise ValueError("step h must be positive")
-    x0 = np.asarray(x, dtype=np.float64).reshape(-1)
-    grad = np.empty_like(x0)
-    for i in range(x0.size):
-        step = np.zeros_like(x0)
-        step[i] = h
-        fp = float(f(x0 + step))
-        fm = float(f(x0 - step))
-        if not (np.isfinite(fp) and np.isfinite(fm)):
-            raise ValueError(f"non-finite evaluation at coordinate {i}")
-        grad[i] = (fp - fm) / (2.0 * h)
-    return grad
+def weighted_sum(thetas: np.ndarray, w: WeightVector) -> ParamVector:
+    """w @ thetas: the weighted sum of the rows of a [K, P] parameter
+    matrix; exact for 0/1 weights."""
+    if len(thetas) != w.k:
+        raise ValueError(f"got {len(thetas)} parameter rows for {w.k} weights")
+    return ParamVector(w.weights @ thetas)

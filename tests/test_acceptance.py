@@ -11,10 +11,11 @@ import numpy as np
 from metafl.aggregator import (
     MetaParams,
     _mirror_step,
+    aggregate,
     fedavg_weights,
     jensen_gap,
     meta_agg,
-    weights_closed_form,
+    phi_gradient,
     weights_iterative,
 )
 from metafl.cli import PRESETS, build_config, main
@@ -27,46 +28,16 @@ from metafl.federation import (
     compare_runs,
     run_experiment,
 )
-from metafl.metafeatures import MetaFeatures
-from metafl.models import (
-    ModelSpec,
-    PerformanceMetrics,
-    TrainConfig,
-    init_params,
-    loss_and_grad,
-    param_count,
-)
-from metafl.aggregator import ClientReport, aggregate, phi_gradient
-from metafl.numerics import (
-    ParamVector,
-    WeightVector,
-    finite_diff_grad,
-    make_rng,
-    project_simplex,
-    softmax_neg,
-)
+from metafl.metafeatures import composite_errors
+from metafl.models import ModelSpec, TrainConfig, init_params, param_count
+from metafl.numerics import ParamVector, WeightVector, make_rng, project_simplex, softmax_neg
+from testkit import finite_diff_grad, loss_and_grad
 
 
 def verdict(cid: str, ok: bool, detail: str):
     line = f"[{cid}] {'PASS' if ok else 'FAIL'} {detail}"
     print(line, flush=True)
     assert ok, line
-
-
-def plain_report(cid, coords, val_loss, n_k):
-    return ClientReport(
-        client_id=cid,
-        theta_k=ParamVector(coords),
-        perf=PerformanceMetrics(val_loss, 0.5),
-        meta=MetaFeatures(
-            dataset_size=n_k,
-            label_entropy=0.5,
-            update_norm=0.0,
-            data_complexity=0.0,
-            lr_sensitivity=0.0,
-        ),
-        n_k=n_k,
-    )
 
 
 def test_c1_solver_closed_form_equivalence():
@@ -80,7 +51,7 @@ def test_c1_solver_closed_form_equivalence():
         alpha = float(rng.choice([0.5, 1.0, 2.0]))
         mp = MetaParams(alpha=alpha, eta=0.1, tol=1e-10, max_iters=500)
         solved, _, _ = weights_iterative(errors, mp, "mirror")
-        closed = weights_closed_form(errors, alpha)
+        closed = softmax_neg(errors, alpha)
         worst = max(worst, float(np.abs(solved.weights - closed.weights).max()))
     elapsed = time.perf_counter() - started
     verdict(
@@ -104,13 +75,10 @@ def test_c2_simplex_invariants_everywhere():
         mp = MetaParams(alpha=float(rng.choice([0.5, 1.0, 2.0])), eta=0.1)
         produced.append(weights_iterative(errors, mp, "mirror")[0])
         produced.append(weights_iterative(errors, mp, "projected")[0])
-        produced.append(weights_closed_form(errors, 1.0))
+        produced.append(softmax_neg(errors, 1.0))
     for mode in ("metafl_closed", "metafl_mirror", "metafl_projected"):
-        reports = [
-            plain_report(i, rng.normal(size=4), float(rng.uniform(0.05, 1.0)), 2 + i)
-            for i in range(6)
-        ]
-        produced.append(meta_agg(reports, MetaParams(alpha=1.0), mode).weights)
+        thetas, errors = rng.normal(size=(6, 4)), rng.uniform(0.05, 1.0, size=6)
+        produced.append(meta_agg(thetas, errors, MetaParams(alpha=1.0), mode).weights)
     _, history = run_experiment(
         ExperimentConfig(
             spec=ModelSpec(input_dim=2, hidden_dim=0, num_classes=2),
@@ -217,11 +185,11 @@ def test_c5_convexity_gap():
     worst = np.inf
     for _ in range(100):
         k = int(rng.integers(2, 7))
-        thetas = [ParamVector(rng.normal(size=param_count(spec))) for _ in range(k)]
+        thetas = rng.normal(size=(k, param_count(spec)))
         w = softmax_neg(rng.uniform(0, 1, size=k), 1.0)
         worst = min(worst, jensen_gap(spec, thetas, w, data))
-    shared = ParamVector(rng.normal(size=param_count(spec)))
-    zero_gap = jensen_gap(spec, [shared, shared, shared], WeightVector([0.2, 0.3, 0.5]), data)
+    shared = np.tile(rng.normal(size=param_count(spec)), (3, 1))
+    zero_gap = jensen_gap(spec, shared, WeightVector([0.2, 0.3, 0.5]), data)
     verdict(
         "C5 convexity gap",
         worst >= -1e-9 and zero_gap == 0.0,
@@ -237,14 +205,11 @@ def test_c6_fedavg_embedding():
     for _ in range(50):
         k = int(rng.integers(2, 12))
         counts = rng.integers(1, 300, size=k)
-        thetas = [rng.normal(size=5) for _ in range(k)]
-        reports = [
-            plain_report(i, thetas[i], float(np.log(counts.max() / counts[i])), int(counts[i]))
-            for i in range(k)
-        ]
-        out = meta_agg(reports, MetaParams(alpha=1.0, lam=0.0), "metafl_closed")
+        thetas = rng.normal(size=(k, 5))
+        errors = np.log(counts.max() / counts)
+        out = meta_agg(thetas, errors, MetaParams(alpha=1.0, lam=0.0), "metafl_closed")
         fa_w = fedavg_weights(counts)
-        fa_theta = aggregate(reports, fa_w, 0.0)
+        fa_theta = aggregate(thetas, fa_w, 0.0)
         worst_w = max(worst_w, float(np.abs(out.weights.weights - fa_w.weights).max()))
         worst_theta = max(worst_theta, float(np.abs(out.theta_g.coords - fa_theta.coords).max()))
     verdict(
@@ -330,12 +295,17 @@ def test_c9_scalability_smoke():
         cfg = config_for(k)
         clients, _ = build_federation(cfg)
         theta0 = init_params(cfg.spec, 1)
-        reports = collect_reports(cfg, clients, theta0, 1)
-        meta_agg(reports, cfg.meta, "metafl_closed")  # warm-up
+        cohort = collect_reports(cfg, clients, theta0, 1)
+
+        def aggregation_step():
+            errors = composite_errors(cohort.val_loss, cohort.features, cfg.meta.c)
+            meta_agg(cohort.thetas, errors, cfg.meta, "metafl_closed")
+
+        aggregation_step()  # warm-up
         reps = 200
         t0 = time.perf_counter()
         for _ in range(reps):
-            meta_agg(reports, cfg.meta, "metafl_closed")
+            aggregation_step()
         agg_time[k] = (time.perf_counter() - t0) / reps
     ratio = agg_time[50] / agg_time[10]
     gap = abs(accuracy[50] - accuracy[10])

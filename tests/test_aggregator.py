@@ -4,9 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from metafl import aggregator, numerics
 from metafl.aggregator import (
-    ClientReport,
+    BOUNDARY_CLAMP,
     MetaParams,
     _mirror_step,
     adapt_meta_params,
@@ -18,49 +21,30 @@ from metafl.aggregator import (
     meta_agg,
     phi_gradient,
     phi_objective,
-    weights_closed_form,
     weights_iterative,
 )
 from metafl.datagen import inject_label_noise, make_blobs
-from metafl.metafeatures import MetaFeatures
-from metafl.models import (
-    ModelSpec,
-    PerformanceMetrics,
-    TrainConfig,
-    init_params,
-    local_loss,
-    train_local,
-)
-from metafl.numerics import ParamVector, WeightVector, finite_diff_grad, make_rng
+from metafl.models import ModelSpec, TrainConfig, init_params, local_loss, param_count, train_local
+from metafl.numerics import ParamVector, WeightVector, make_rng, project_simplex, softmax_neg
+from testkit import finite_diff_grad
 
 
-def report(cid, coords, val_loss, n_k, entropy=0.5):
-    return ClientReport(
-        client_id=cid,
-        theta_k=ParamVector(coords),
-        perf=PerformanceMetrics(val_loss, 0.5),
-        meta=MetaFeatures(
-            dataset_size=n_k,
-            label_entropy=entropy,
-            update_norm=0.0,
-            data_complexity=0.0,
-            lr_sensitivity=0.0,
-        ),
-        n_k=n_k,
-    )
+def rows(*coords):
+    """A [K, P] parameter matrix from K rows."""
+    return np.array(coords, dtype=np.float64)
 
 
 class TestClosedForm:
     def test_equal_errors_uniform(self):
-        w = weights_closed_form([0.2, 0.2, 0.2], 7.0)
+        w = softmax_neg([0.2, 0.2, 0.2], 7.0)
         np.testing.assert_array_equal(w.weights, [1 / 3, 1 / 3, 1 / 3])
 
     def test_sharp_limit(self):
-        w = weights_closed_form([0.1, 0.9], 1e3)
+        w = softmax_neg([0.1, 0.9], 1e3)
         assert w.weights[0] >= 0.99
 
     def test_two_point_value(self):
-        w = weights_closed_form([0.1, 0.5], 1.0)
+        w = softmax_neg([0.1, 0.5], 1.0)
         np.testing.assert_allclose(
             w.weights, [0.598687660112452, 0.401312339887548], atol=1e-6
         )
@@ -123,6 +107,25 @@ class TestPhi:
             assert np.max(np.abs(grad - fd) / denom) < 1e-5
 
 
+def reference_projected(errors, mp):
+    """The projected solver written out, stepping through the public
+    project_simplex: (weights, iterations, residual)."""
+    e = np.asarray(errors, dtype=np.float64)
+    if e.size == 1:
+        return np.ones(1), 0, 0.0
+    tau = mp.resolved_tau()
+    w = np.full(e.size, 1.0 / e.size)
+    residual = math.inf
+    for t in range(1, mp.max_iters + 1):
+        grad = e + tau * (1.0 + np.log(np.maximum(w, BOUNDARY_CLAMP)))
+        w_next = project_simplex(w - mp.eta * grad).weights
+        residual = float(np.abs(w_next - w).max())
+        w = w_next
+        if residual < mp.tol:
+            return w, t, residual
+    return w, mp.max_iters, residual
+
+
 class TestIterativeSolvers:
     def test_singleton(self):
         w, iters, residual = weights_iterative([0.4], MetaParams(alpha=1.0))
@@ -138,7 +141,7 @@ class TestIterativeSolvers:
     def test_matches_closed_form(self, solver):
         mp = MetaParams(alpha=1.0, eta=0.1, tol=1e-10)
         w, iters, _ = weights_iterative([0.1, 0.5], mp, solver)
-        want = weights_closed_form([0.1, 0.5], 1.0).weights
+        want = softmax_neg([0.1, 0.5], 1.0).weights
         np.testing.assert_allclose(w.weights, want, atol=1e-6)
         assert iters < mp.max_iters
 
@@ -151,7 +154,7 @@ class TestIterativeSolvers:
             alpha = float(rng.choice([0.5, 1.0, 2.0]))
             mp = MetaParams(alpha=alpha, eta=0.1, tol=1e-10)
             w, _, _ = weights_iterative(e, mp, "mirror")
-            want = weights_closed_form(e, alpha).weights
+            want = softmax_neg(e, alpha).weights
             assert np.abs(w.weights - want).max() < 1e-6
 
     @pytest.mark.parametrize("solver", ["mirror", "projected"])
@@ -201,10 +204,33 @@ class TestIterativeSolvers:
         with pytest.raises(ValueError, match="solver"):
             weights_iterative([0.1], MetaParams(alpha=1.0), "newton")
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(st.floats(0.0, 5.0), min_size=1, max_size=40),
+        st.floats(0.25, 32.0),
+        st.sampled_from([0.01, 0.1, 0.5]),
+        st.integers(1, 200),
+    )
+    def test_projected_equals_reference_loop(self, errors, alpha, eta, max_iters):
+        mp = MetaParams(alpha=alpha, eta=eta, max_iters=max_iters)
+        w, iters, residual = weights_iterative(errors, mp, "projected")
+        want_w, want_iters, want_residual = reference_projected(errors, mp)
+        assert w.weights.tobytes() == want_w.tobytes()
+        assert (iters, residual) == (want_iters, want_residual)
+
+    def test_projected_solve_skips_public_projection(self, monkeypatch):
+        def refuse(point):
+            raise AssertionError("project_simplex called")
+
+        monkeypatch.setattr(numerics, "project_simplex", refuse)
+        monkeypatch.setattr(aggregator, "project_simplex", refuse, raising=False)
+        w, iters, _ = weights_iterative([0.1, 0.5, 0.3], MetaParams(alpha=4.0), "projected")
+        assert iters >= 1 and w.k == 3
+
 
 class TestAggregate:
     def test_single_client_identity(self):
-        out = aggregate([report(0, [2.0, 4.0], 0.1, 5)], WeightVector([1.0]), 0.0)
+        out = aggregate(rows([2.0, 4.0]), WeightVector([1.0]), 0.0)
         np.testing.assert_array_equal(out.coords, [2.0, 4.0])
 
     def test_shrinkage_matches_grid_oracle(self):
@@ -214,18 +240,17 @@ class TestAggregate:
         scales = np.linspace(0.0, 1.0, 1_000_001)
         objective = (scales - 1.0) ** 2 * (theta @ theta) + lam * scales**2 * (theta @ theta)
         s_star = scales[int(np.argmin(objective))]
-        out = aggregate([report(0, theta, 0.1, 5)], WeightVector([1.0]), lam)
+        out = aggregate(rows(theta), WeightVector([1.0]), lam)
         np.testing.assert_allclose(out.coords, s_star * theta, atol=1e-5)
         np.testing.assert_allclose(out.coords, [1.0, 2.0], atol=1e-12)
 
     def test_weighted_sum_value(self):
-        reports = [report(0, [4.0, 0.0], 0.1, 5), report(1, [0.0, 4.0], 0.2, 5)]
-        out = aggregate(reports, WeightVector([0.25, 0.75]), 0.0)
+        out = aggregate(rows([4.0, 0.0], [0.0, 4.0]), WeightVector([0.25, 0.75]), 0.0)
         np.testing.assert_allclose(out.coords, [1.0, 3.0], rtol=1e-15)
 
     def test_length_mismatch(self):
-        with pytest.raises(ValueError, match="reports"):
-            aggregate([report(0, [1.0], 0.1, 1)], WeightVector([0.5, 0.5]), 0.0)
+        with pytest.raises(ValueError, match="1 parameter rows for 2 weights"):
+            aggregate(rows([1.0]), WeightVector([0.5, 0.5]), 0.0)
 
 
 class TestFedAvgWeights:
@@ -239,102 +264,139 @@ class TestFedAvgWeights:
         rng = make_rng(71)
         for _ in range(20):
             n = rng.integers(1, 500, size=int(rng.integers(2, 10)))
-            via_softmax = weights_closed_form(-np.log(n.astype(float)), 1.0).weights
+            via_softmax = softmax_neg(-np.log(n.astype(float)), 1.0).weights
             np.testing.assert_allclose(via_softmax, fedavg_weights(n).weights, atol=1e-12)
 
     def test_empty(self):
         with pytest.raises(ValueError, match="empty cohort"):
             fedavg_weights([])
+        with pytest.raises(ValueError, match="n_k must be >= 1"):
+            fedavg_weights([5, 0])
 
 
 class TestMetaAgg:
     def test_single_client_shrinkage(self):
-        r = report(0, [2.0, 6.0], 0.1, 5)
-        out = meta_agg([r], MetaParams(alpha=1.0, lam=1.0))
+        out = meta_agg(rows([2.0, 6.0]), np.array([0.1]), MetaParams(alpha=1.0, lam=1.0))
         np.testing.assert_array_equal(out.weights.weights, [1.0])
         np.testing.assert_allclose(out.theta_g.coords, [1.0, 3.0], rtol=1e-15)
 
     def test_equal_errors_midpoint(self):
-        reports = [report(0, [1.0, 0.0], 0.3, 5), report(1, [0.0, 1.0], 0.3, 5)]
-        out = meta_agg(reports, MetaParams(alpha=2.0))
+        out = meta_agg(rows([1.0, 0.0], [0.0, 1.0]), np.array([0.3, 0.3]), MetaParams(alpha=2.0))
         np.testing.assert_array_equal(out.weights.weights, [0.5, 0.5])
         np.testing.assert_allclose(out.theta_g.coords, [0.5, 0.5], rtol=1e-15)
 
     def test_closed_vs_mirror_cross_solver(self):
         rng = make_rng(73)
-        reports = [
-            report(i, rng.normal(size=4), float(rng.uniform(0.1, 1.0)), 5 + i)
-            for i in range(5)
-        ]
+        thetas = rng.normal(size=(5, 4))
+        errors = rng.uniform(0.1, 1.0, size=5)
         mp = MetaParams(alpha=1.0, eta=0.1, tol=1e-10)
-        a = meta_agg(reports, mp, "metafl_closed")
-        b = meta_agg(reports, mp, "metafl_mirror")
+        a = meta_agg(thetas, errors, mp, "metafl_closed")
+        b = meta_agg(thetas, errors, mp, "metafl_mirror")
         assert np.abs(a.weights.weights - b.weights.weights).max() < 1e-6
         assert np.abs(a.theta_g.coords - b.theta_g.coords).max() < 1e-6
 
     def test_alpha_zero_uniform_all_modes(self):
         rng = make_rng(79)
-        reports = [
-            report(i, rng.normal(size=3), float(rng.uniform(0.1, 1.0)), 2 + i)
-            for i in range(4)
-        ]
+        thetas = rng.normal(size=(4, 3))
+        errors = rng.uniform(0.1, 1.0, size=4)
         mp = MetaParams(alpha=0.0)
         for mode in ("metafl_closed", "metafl_mirror", "metafl_projected"):
-            out = meta_agg(reports, mp, mode)
+            out = meta_agg(thetas, errors, mp, mode)
             np.testing.assert_array_equal(out.weights.weights, [0.25] * 4)
 
     def test_fedavg_embedding(self):
-        # val_loss ln(max_n / n_k) equals -ln n_k up to a shift, which the
-        # softmax ignores, so alpha=1 reproduces the n_k/n weighting
+        # errors ln(max_n / n_k) / alpha equal -ln(n_k) / alpha up to a
+        # shift, which the softmax ignores, so any alpha reproduces the
+        # n_k/n weighting
         rng = make_rng(83)
-        for _ in range(20):
+        for _ in range(40):
             k = int(rng.integers(2, 9))
             counts = rng.integers(1, 200, size=k)
-            dim = int(rng.integers(1, 6))
-            thetas = [rng.normal(size=dim) for _ in range(k)]
-            reports = [
-                report(i, thetas[i], float(np.log(counts.max() / counts[i])), int(counts[i]))
-                for i in range(k)
-            ]
-            out = meta_agg(reports, MetaParams(alpha=1.0, lam=0.0), "metafl_closed")
+            thetas = rng.normal(size=(k, int(rng.integers(1, 6))))
+            alpha = 32.0 * (1.0 - float(rng.random()))  # in (0, 32]
+            errors = np.log(counts.max() / counts) / alpha
+            out = meta_agg(thetas, errors, MetaParams(alpha=alpha, lam=0.0), "metafl_closed")
             fa = fedavg_weights(counts)
             assert np.abs(out.weights.weights - fa.weights).max() < 1e-12
-            want = aggregate(reports, fa, 0.0)
+            want = aggregate(thetas, fa, 0.0)
             assert np.abs(out.theta_g.coords - want.coords).max() < 1e-12
 
     def test_outcome_bookkeeping(self):
-        reports = [report(0, [1.0], 0.2, 5), report(1, [3.0], 0.8, 5)]
-        out = meta_agg(reports, MetaParams(alpha=1.0))
+        thetas, errors = rows([1.0], [3.0]), np.array([0.2, 0.8])
+        out = meta_agg(thetas, errors, MetaParams(alpha=1.0))
         assert np.isfinite(out.phi_value)
-        assert out.solver_iters == 0
+        assert out.solver_iters == 0 and out.solver_residual == 0.0
+        mp = MetaParams(alpha=1.0, max_iters=3)
+        out = meta_agg(thetas, errors, mp, "metafl_projected")
+        _, iters, residual = weights_iterative(errors, mp, "projected")
+        assert (out.solver_iters, out.solver_residual) == (iters, residual) == (3, residual)
+        assert residual >= mp.tol
 
     def test_empty_cohort(self):
         with pytest.raises(ValueError, match="empty cohort"):
-            meta_agg([], MetaParams(alpha=1.0))
+            meta_agg(np.empty((0, 1)), np.empty(0), MetaParams(alpha=1.0))
 
     @pytest.mark.parametrize("mode", ["fedavg", "closed_form", "metafl_newton"])
     def test_rejects_non_metafl_mode(self, mode):
-        reports = [report(0, [1.0], 0.2, 5), report(1, [3.0], 0.8, 5)]
         with pytest.raises(ValueError, match="mode must be a metafl_"):
-            meta_agg(reports, MetaParams(alpha=1.0), mode)
+            meta_agg(rows([1.0], [3.0]), np.array([0.2, 0.8]), MetaParams(alpha=1.0), mode)
+
+
+def reference_alpha_search(mp, candidates, thetas, errors, spec, holdout):
+    """The per-candidate path the alpha search must reproduce bitwise:
+    uniform weights at alpha 0, else the softmax; the shrunk weighted sum;
+    its holdout loss; ties to the smallest alpha. Returns the winning
+    alpha with its weights and aggregate."""
+    k = len(errors)
+    best = None
+    for alpha in map(float, candidates):
+        w = np.full(k, 1.0 / k) if alpha == 0.0 else softmax_neg(errors, alpha).weights
+        theta = ParamVector((w @ thetas) / (1.0 + mp.lam))
+        loss = local_loss(spec, theta, holdout)
+        if best is None or loss < best[1] or (loss == best[1] and alpha < best[0]):
+            best = (alpha, loss, w, theta)
+    return best[0], best[2], best[3]
+
+
+@st.composite
+def alpha_search_cases(draw):
+    spec = ModelSpec(
+        input_dim=draw(st.integers(1, 4)),
+        hidden_dim=draw(st.integers(0, 3)),
+        num_classes=draw(st.integers(2, 3)),
+        activation=draw(st.sampled_from(["relu", "tanh"])),
+    )
+    k = draw(st.integers(1, 40))
+    thetas = make_rng(draw(st.integers(0, 2**32))).uniform(-3.0, 3.0, (k, param_count(spec)))
+    # small pools of values: equal errors make every alpha tie, and
+    # duplicate candidates are common
+    error_pool = draw(st.lists(st.floats(0.0, 5.0), min_size=1, max_size=3))
+    errors = np.array(draw(st.lists(st.sampled_from(error_pool), min_size=k, max_size=k)))
+    # no subnormal: a grid alpha needs a finite tau = 1/alpha
+    pool = draw(st.lists(st.floats(0.0, 32.0, allow_subnormal=False), min_size=1, max_size=4))
+    candidates = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=9))
+    lam = draw(st.floats(0.0, 10.0))
+    holdout = make_blobs(spec.num_classes, spec.input_dim, draw(st.integers(4, 30)), 0.7,
+                         draw(st.integers(0, 1000)))
+    return spec, thetas, errors, candidates, lam, holdout
 
 
 class TestAdaptMetaParams:
     def test_single_candidate(self):
-        reports = [report(0, [1.0, 0.0], 0.2, 5)]
         data = make_blobs(2, 2, 20, 0.5, 1)
         spec = ModelSpec(input_dim=2, hidden_dim=0, num_classes=2)
         # theta dim must match the spec
-        reports = [report(0, [1.0, 0.0, 0.0, 0.0, 0.0, 0.0], 0.2, 5)]
-        mp = adapt_meta_params(MetaParams(alpha=9.0), [3.5], reports, spec, data)
+        thetas = rows([1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+        mp = adapt_meta_params(MetaParams(alpha=9.0), [3.5], thetas, np.array([0.2]), spec, data)
         assert mp.alpha == 3.5
 
     def test_duplicate_candidates_deterministic(self):
         spec = ModelSpec(input_dim=2, hidden_dim=0, num_classes=2)
         data = make_blobs(2, 2, 30, 0.5, 2)
         rng = make_rng(89)
-        reports = [report(i, rng.normal(size=6), 0.3 + 0.1 * i, 5) for i in range(3)]
-        a = adapt_meta_params(MetaParams(alpha=1.0), [2.0, 2.0, 2.0], reports, spec, data)
+        thetas = rng.normal(size=(3, 6))
+        errors = 0.3 + 0.1 * np.arange(3)
+        a = adapt_meta_params(MetaParams(alpha=1.0), [2.0, 2.0, 2.0], thetas, errors, spec, data)
         assert a.alpha == 2.0
 
     def test_selects_downweighting_when_it_helps(self):
@@ -348,33 +410,43 @@ class TestAdaptMetaParams:
         theta0 = init_params(spec, 0)
         good = train_local(spec, theta0, clean, cfg)
         bad = train_local(spec, theta0, noisy, cfg)
-        reports = [
-            report(0, good.coords, local_loss(spec, good, clean), clean.n),
-            report(1, bad.coords, local_loss(spec, bad, clean), noisy.n),
-        ]
+        thetas = rows(good.coords, bad.coords)
+        errors = np.array([local_loss(spec, good, clean), local_loss(spec, bad, clean)])
         candidates = [0.0, 5.0]
         # exhaustive oracle over the grid
         losses = {}
         for alpha in candidates:
-            out = meta_agg(reports, MetaParams(alpha=alpha), "metafl_closed")
+            out = meta_agg(thetas, errors, MetaParams(alpha=alpha), "metafl_closed")
             losses[alpha] = local_loss(spec, out.theta_g, global_val)
         assert losses[5.0] < losses[0.0]
-        mp = adapt_meta_params(MetaParams(alpha=1.0), candidates, reports, spec, global_val)
+        mp = adapt_meta_params(MetaParams(alpha=1.0), candidates, thetas, errors, spec, global_val)
         assert mp.alpha == 5.0
 
     def test_tie_breaks_to_smallest(self):
         spec = ModelSpec(input_dim=2, hidden_dim=0, num_classes=2)
         data = make_blobs(2, 2, 20, 0.5, 3)
         # equal errors: every alpha yields uniform weights, so all tie
-        reports = [report(i, [0.5] * 6, 0.4, 5) for i in range(3)]
-        mp = adapt_meta_params(MetaParams(alpha=1.0), [4.0, 2.0, 7.0], reports, spec, data)
+        thetas, errors = np.full((3, 6), 0.5), np.full(3, 0.4)
+        mp = adapt_meta_params(MetaParams(alpha=1.0), [4.0, 2.0, 7.0], thetas, errors, spec, data)
         assert mp.alpha == 2.0
 
     def test_empty_grid(self):
         spec = ModelSpec(input_dim=2, hidden_dim=0, num_classes=2)
         data = make_blobs(2, 2, 20, 0.5, 3)
         with pytest.raises(ValueError, match="empty grid"):
-            adapt_meta_params(MetaParams(alpha=1.0), [], [report(0, [1.0] * 6, 0.1, 5)], spec, data)
+            adapt_meta_params(MetaParams(alpha=1.0), [], rows([1.0] * 6), np.array([0.1]), spec, data)
+
+    @settings(max_examples=150, deadline=None)
+    @given(alpha_search_cases())
+    def test_search_then_closed_solve_equal_reference(self, case):
+        spec, thetas, errors, candidates, lam, holdout = case
+        mp = adapt_meta_params(MetaParams(alpha=1.0, lam=lam, tau=2.0), candidates, thetas,
+                               errors, spec, holdout)
+        out = meta_agg(thetas, errors, mp, "metafl_closed")
+        alpha, w, theta = reference_alpha_search(mp, candidates, thetas, errors, spec, holdout)
+        assert mp.alpha == alpha and mp.tau is None
+        assert out.weights.weights.tobytes() == w.tobytes()
+        assert out.theta_g.coords.tobytes() == theta.coords.tobytes()
 
 
 class TestContractionEstimate:
@@ -414,8 +486,8 @@ class TestJensenGap:
     def test_identical_parameters_zero_gap(self):
         spec = ModelSpec(input_dim=2, hidden_dim=0, num_classes=2)
         data = make_blobs(2, 2, 30, 0.5, 1)
-        theta = init_params(spec, 3)
-        gap = jensen_gap(spec, [theta, theta], WeightVector([0.5, 0.5]), data)
+        theta = init_params(spec, 3).coords
+        gap = jensen_gap(spec, rows(theta, theta), WeightVector([0.5, 0.5]), data)
         assert gap == 0.0
 
     def test_quadratic_surrogate(self):
@@ -423,7 +495,7 @@ class TestJensenGap:
         data = make_blobs(2, 1, 10, 0.5, 1)
         gap = jensen_gap(
             spec,
-            [ParamVector([-1.0]), ParamVector([1.0])],
+            rows([-1.0], [1.0]),
             WeightVector([0.5, 0.5]),
             data,
             loss_fn=lambda theta: float(theta.coords[0] ** 2),
@@ -436,15 +508,15 @@ class TestJensenGap:
         data = make_blobs(3, 3, 40, 1.0, 7)
         for _ in range(30):
             k = int(rng.integers(2, 6))
-            thetas = [ParamVector(rng.normal(size=12)) for _ in range(k)]
-            w = weights_closed_form(rng.uniform(0, 1, size=k), 1.0)
+            thetas = rng.normal(size=(k, 12))
+            w = softmax_neg(rng.uniform(0, 1, size=k), 1.0)
             assert jensen_gap(spec, thetas, w, data) >= -1e-9
 
     def test_length_mismatch(self):
         spec = ModelSpec(input_dim=1, hidden_dim=0, num_classes=2)
         data = make_blobs(2, 1, 10, 0.5, 1)
         with pytest.raises(ValueError, match="weights"):
-            jensen_gap(spec, [ParamVector([1.0])], WeightVector([0.5, 0.5]), data)
+            jensen_gap(spec, rows([1.0]), WeightVector([0.5, 0.5]), data)
 
 
 class TestGeneralizationBound:
@@ -479,9 +551,8 @@ class TestMetaParams:
             MetaParams(alpha=1.0, tau=0.0)
         with pytest.raises(ValueError, match="tau"):
             MetaParams(alpha=1.0, tau=float("inf"))
+        with pytest.raises(ValueError, match="finite 1/alpha"):
+            MetaParams(alpha=5e-324)
+        assert MetaParams(alpha=5e-324, tau=1.0).resolved_tau() == 1.0
         with pytest.raises(ValueError, match="tol"):
             MetaParams(alpha=1.0, tol=2.0)
-
-    def test_client_report_validation(self):
-        with pytest.raises(ValueError, match="n_k"):
-            report(0, [1.0], 0.1, 0)

@@ -24,10 +24,11 @@ from metafl.cli import (
     main,
     serialize_config,
 )
-from metafl.datagen import PartitionConfig, make_blobs, save_csv
+from metafl.datagen import PartitionConfig, make_blobs
 from metafl.federation import DataConfig, ExperimentConfig
 from metafl.metafeatures import CompositeErrorConfig
 from metafl.models import ACTIVATIONS, ModelSpec, TrainConfig
+from testkit import save_csv
 
 MINIMAL = "rounds = 2\npartition.num_clients = 2\n"
 
@@ -60,12 +61,27 @@ EXIT_2_CONFIGS = {
     "inf_tau": (MINIMAL + "meta.tau = inf\n", "'meta.*'"),
     "empty_csv_path": (MINIMAL + "data.csv_path =\n", "csv_path"),
     "missing_csv_path": (MINIMAL + "data.csv_path = nope.csv\n", "data.csv_path"),
+    "unknown_aggregator": (MINIMAL + "aggregator = metafl_newton\n", "aggregator must be one of"),
+    "subnormal_alpha_grid": (MINIMAL + "alpha_grid = 0,5e-324\n", "alpha_grid"),
+    "subnormal_alpha": (MINIMAL + "meta.alpha = 5e-324\n", "'meta.*'"),
 }
 
+#: The pinned key set of summary.json.
+SUMMARY_KEYS = {
+    "terminal_accuracy",
+    "terminal_loss",
+    "rounds_to_target",
+    "weights_final",
+    "alpha_final",
+    "contraction_estimate",
+    "kl_diagnostic",
+    "generalization_bound",
+}
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 POSITIVE = st.floats(min_value=1e-6, max_value=1e6)
 NONNEGATIVE = st.floats(min_value=0.0, max_value=1e6)
+ALPHAS = st.floats(min_value=0.0, max_value=1e6, allow_subnormal=False)  # 1/alpha finite
 OPEN_UNIT = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
 SEEDS = st.integers(0, 2**64 - 1)
 
@@ -103,7 +119,7 @@ def experiment_configs(draw):
             l2=draw(NONNEGATIVE),
         ),
         meta=MetaParams(
-            alpha=draw(NONNEGATIVE),
+            alpha=draw(ALPHAS),
             lam=draw(NONNEGATIVE),
             tau=draw(st.none() | POSITIVE),
             eta=draw(NONNEGATIVE),
@@ -115,7 +131,7 @@ def experiment_configs(draw):
         ),
         rounds=draw(st.integers(1, 100)),
         aggregator_mode=draw(st.sampled_from(AGGREGATOR_MODES)),
-        alpha_grid=tuple(draw(st.lists(NONNEGATIVE, max_size=5))),
+        alpha_grid=tuple(draw(st.lists(ALPHAS, max_size=5))),
         seed=draw(SEEDS),
         target_accuracy=draw(st.floats(0.0, 1.0, exclude_min=True)),
         log_h=draw(NONNEGATIVE),
@@ -281,16 +297,7 @@ class TestCmdRun:
         out = tmp_path / "out"
         assert cmd_run(write(tmp_path, SMALL), str(out)) == 0
         summary = json.loads((out / "summary.json").read_text())
-        assert set(summary) == {
-            "terminal_accuracy",
-            "terminal_loss",
-            "rounds_to_target",
-            "weights_final",
-            "alpha_final",
-            "contraction_estimate",
-            "kl_diagnostic",
-            "generalization_bound",
-        }
+        assert set(summary) == SUMMARY_KEYS
         assert len(summary["weights_final"]) == 2
 
     def test_csv_cells_are_full_precision(self, tmp_path):
@@ -335,6 +342,23 @@ class TestCmdRun:
         assert cmd_run("preset_iid", str(out)) == 0
         rows = (out / "rounds.csv").read_text().strip().splitlines()
         assert len(rows) == 1 + 10
+
+    def test_converged_run_writes_nothing_to_stderr(self, tmp_path, capsys):
+        assert cmd_run("preset_iid", str(tmp_path / "out"), no_timing=True) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_unconverged_solve_warns_once_per_round(self, tmp_path, capsys):
+        text = SMALL.replace("metafl_closed", "metafl_projected") + "meta.max_iters = 1\n"
+        out = tmp_path / "out"
+        assert cmd_run(write(tmp_path, text), str(out), no_timing=True) == 0
+        lines = capsys.readouterr().err.splitlines()
+        assert [line.split(":")[:2] for line in lines] == [
+            ["warning", " round 1"], ["warning", " round 2"],
+        ]
+        assert all("metafl_projected solve stopped after 1 iterations" in line for line in lines)
+        assert all(">= meta.tol 1e-10" in line for line in lines)
+        summary = json.loads((out / "summary.json").read_text())
+        assert set(summary) == SUMMARY_KEYS
 
 
 class TestCmdCompare:

@@ -13,10 +13,10 @@ from metafl.datagen import (
     load_csv,
     make_blobs,
     partition_dirichlet,
-    save_csv,
 )
 from metafl.models import ModelSpec, TrainConfig, evaluate, init_params, train_local
 from metafl.numerics import make_rng
+from testkit import save_csv
 
 
 def sorted_rows(data: ClientDataset) -> np.ndarray:

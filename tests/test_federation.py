@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from metafl import federation
-from metafl.datagen import ClientDataset, PartitionConfig, make_blobs, save_csv
+from metafl.datagen import ClientDataset, PartitionConfig, make_blobs
 from metafl.federation import (
+    Cohort,
     DataConfig,
     ExperimentConfig,
     build_federation,
@@ -21,9 +22,10 @@ from metafl.federation import (
     shares_data_setup,
 )
 from metafl.aggregator import MetaParams
-from metafl.metafeatures import CompositeErrorConfig, MetaFeatures, extract
+from metafl.metafeatures import CompositeErrorConfig, composite_errors, extract
 from metafl.models import ModelSpec, TrainConfig, init_params, train_local
 from metafl.numerics import derive_seed
+from testkit import save_csv
 
 
 def small_config(**overrides) -> ExperimentConfig:
@@ -140,9 +142,9 @@ class TestCollectReports:
         cfg = small_config(aggregator_mode=mode, meta=meta, partition=THREE_CLIENTS)
         clients, _ = build_federation(cfg)
         theta = init_params(cfg.spec, derive_seed(cfg.seed, 2))
-        reports = collect_reports(cfg, clients, theta, 1)
-        assert len(reports) == 3
-        assert all(r.meta is None for r in reports)
+        cohort = collect_reports(cfg, clients, theta, 1)
+        assert cohort.thetas.shape == (3, theta.dim)
+        assert cohort.features is None
 
     def test_weighted_features_extracted_once_per_round(self, monkeypatch):
         calls = []
@@ -155,12 +157,12 @@ class TestCollectReports:
         cfg = small_config(meta=MetaParams(alpha=1.0, c=WEIGHTED), partition=THREE_CLIENTS)
         clients, _ = build_federation(cfg)
         theta = init_params(cfg.spec, derive_seed(cfg.seed, 2))
-        reports = collect_reports(cfg, clients, theta, 1)
+        cohort = collect_reports(cfg, clients, theta, 1)
         assert len(calls) == 1
-        _, prev, thetas, cohort, _ = calls[0]
-        assert prev is theta and cohort is clients
-        assert list(thetas) == [r.theta_k for r in reports]  # ParamVector compares by identity
-        assert all(isinstance(r.meta, MetaFeatures) for r in reports)
+        _, prev, thetas, pairs, _ = calls[0]
+        assert prev is theta and pairs is clients
+        np.testing.assert_array_equal(np.stack([t.coords for t in thetas]), cohort.thetas)
+        assert cohort.features.shape == (3, 5)
         run_experiment(cfg)
         assert len(calls) == 1 + cfg.rounds
 
@@ -172,6 +174,59 @@ class TestCollectReports:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(RuntimeError, match="round 1, client 1: training diverged"):
                 run_rounds(cfg, clients, global_val, init_params(cfg.spec, 0))
+
+
+class TestCohort:
+    def test_validation(self):
+        thetas, loss = np.zeros((2, 3)), np.array([0.1, 0.2])
+        with pytest.raises(ValueError, match=r"val_loss and n_k \[K\]"):
+            Cohort(thetas, loss[:1], np.array([4, 5]))
+        with pytest.raises(ValueError, match=r"val_loss and n_k \[K\]"):
+            Cohort(thetas, loss, np.array([4]))
+        with pytest.raises(ValueError, match="K >= 1"):
+            Cohort(np.zeros((0, 3)), loss[:0], np.array([], dtype=int))
+        with pytest.raises(ValueError, match="K >= 1"):
+            Cohort(np.zeros(3), loss, np.array([4, 5]))
+
+    def test_fields_are_read_only_views(self):
+        thetas = np.zeros((2, 3))
+        cohort = Cohort(thetas, np.array([0.1, 0.2]), np.array([4, 5]), np.zeros((2, 5)))
+        for arr in (cohort.thetas, cohort.val_loss, cohort.n_k, cohort.features):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 1
+        thetas[0, 0] = 1.0  # the caller's array stays writable
+        assert cohort.thetas[0, 0] == 1.0
+
+
+class TestRunRounds:
+    def test_composite_errors_once_per_round(self, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return composite_errors(*args)
+
+        monkeypatch.setattr(federation, "composite_errors", counting)
+        cfg = small_config(
+            rounds=3,
+            alpha_grid=(0.0, 1.0, 5.0),
+            meta=MetaParams(alpha=1.0, c=WEIGHTED),
+            partition=THREE_CLIENTS,
+        )
+        _, history = run_experiment(cfg)
+        assert len(calls) == cfg.rounds
+        for (losses, features, c), rec in zip(calls, history):
+            assert tuple(losses) == rec.per_client_val_loss
+            assert features.shape == (3, 5) and c == cfg.meta.c
+
+    def test_records_carry_solver_iterations_and_residual(self):
+        mp = MetaParams(alpha=4.0, max_iters=2)
+        _, projected = run_experiment(small_config(aggregator_mode="metafl_projected", meta=mp))
+        _, closed = run_experiment(small_config(meta=mp))
+        for rec in projected:
+            assert rec.solver_iters == 2 and rec.solver_residual >= mp.tol
+        for rec in closed:
+            assert (rec.solver_iters, rec.solver_residual) == (0, 0.0)
 
 
 class TestBuildFederation:
@@ -299,7 +354,7 @@ class TestKlDiagnostic:
 
 class TestExperimentConfig:
     def test_rejects_bad_mode(self):
-        with pytest.raises(ValueError, match="aggregator_mode"):
+        with pytest.raises(ValueError, match="aggregator must be one of .* got 'median'"):
             small_config(aggregator_mode="median")
 
     def test_rejects_bad_rounds(self):
@@ -309,6 +364,8 @@ class TestExperimentConfig:
     def test_rejects_negative_grid(self):
         with pytest.raises(ValueError, match="alpha_grid"):
             small_config(alpha_grid=(-1.0,))
+        with pytest.raises(ValueError, match="alpha_grid"):
+            small_config(alpha_grid=(0.0, 5e-324))
 
     def test_rejects_negative_seed_and_nonfinite_log_h(self):
         with pytest.raises(ValueError, match="seed"):

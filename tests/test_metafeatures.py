@@ -6,10 +6,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from metafl import metafeatures
 from metafl.datagen import ClientDataset, make_blobs
 from metafl.metafeatures import (
+    FEATURE_FIELDS,
     CompositeErrorConfig,
-    MetaFeatures,
     composite_errors,
     extract,
 )
@@ -21,19 +22,14 @@ CFG = TrainConfig(learning_rate=0.1, epochs=1, batch_size=16, seed=5)
 
 
 def feat(entropy=0.0, size=10, norm=0.0, complexity=0.0, sens=0.0):
-    return MetaFeatures(
-        dataset_size=size,
-        label_entropy=entropy,
-        update_norm=norm,
-        data_complexity=complexity,
-        lr_sensitivity=sens,
-    )
+    """One feature-matrix row, in FEATURE_FIELDS order."""
+    return [size, entropy, norm, complexity, sens]
 
 
 def extract_one(theta_prev, theta_k, train, val, cfg=CFG):
-    """extract for a cohort of one client."""
-    (x,) = extract(SPEC, theta_prev, [theta_k], [(train, val)], cfg)
-    return x
+    """extract for a cohort of one client, as {feature name: value}."""
+    (row,) = extract(SPEC, theta_prev, [theta_k], [(train, val)], cfg)
+    return dict(zip(FEATURE_FIELDS, row))
 
 
 @pytest.fixture(scope="module")
@@ -48,21 +44,21 @@ class TestExtract:
         train, val = client_data
         theta = init_params(SPEC, 0)
         x = extract_one(theta, theta, train, val)
-        assert x.update_norm == 0.0
+        assert x["update_norm"] == 0.0
 
     def test_update_norm_value(self, client_data):
         train, val = client_data
         a = init_params(SPEC, 0)
         b = ParamVector(a.coords + 1.0)
         x = extract_one(a, b, train, val)
-        np.testing.assert_allclose(x.update_norm, math.sqrt(a.dim), rtol=1e-12)
+        np.testing.assert_allclose(x["update_norm"], math.sqrt(a.dim), rtol=1e-12)
 
     def test_balanced_binary_entropy(self):
         train = ClientDataset(np.zeros((40, 3)) + np.arange(3), [0, 1] * 20)
         val = make_blobs(2, 3, 10, 0.6, 3)
         theta = init_params(SPEC, 0)
         x = extract_one(theta, theta, train, val)
-        np.testing.assert_allclose(x.label_entropy, math.log(2), atol=1e-12)
+        np.testing.assert_allclose(x["label_entropy"], math.log(2), atol=1e-12)
 
     def test_skewed_entropy_value(self):
         # frozen from the direct sum -sum(p ln p) with p = (3/4, 1/4)
@@ -70,12 +66,12 @@ class TestExtract:
         val = make_blobs(2, 3, 10, 0.6, 3)
         theta = init_params(SPEC, 0)
         x = extract_one(theta, theta, train, val)
-        np.testing.assert_allclose(x.label_entropy, 0.5623351446188083, atol=1e-6)
+        np.testing.assert_allclose(x["label_entropy"], 0.5623351446188083, atol=1e-6)
 
     def test_dataset_size(self, client_data):
         train, val = client_data
         theta = init_params(SPEC, 0)
-        assert extract_one(theta, theta, train, val).dataset_size == train.n
+        assert extract_one(theta, theta, train, val)["dataset_size"] == train.n
 
     def test_data_complexity_is_linear_probe_val_loss(self, client_data):
         train, val = client_data
@@ -84,7 +80,7 @@ class TestExtract:
         probe = train_local(
             SPEC, ParamVector(np.zeros(theta.dim)), train, replace(CFG, epochs=1)
         )
-        assert x.data_complexity == local_loss(SPEC, probe, val)
+        assert x["data_complexity"] == local_loss(SPEC, probe, val)
 
     def test_lr_sensitivity_definition(self, client_data):
         train, val = client_data
@@ -94,17 +90,18 @@ class TestExtract:
         bumped = replace(CFG, epochs=1, learning_rate=1.5 * CFG.learning_rate)
         base = local_loss(SPEC, train_local(SPEC, theta, train, one), val)
         bump = local_loss(SPEC, train_local(SPEC, theta, train, bumped), val)
-        np.testing.assert_allclose(x.lr_sensitivity, abs(bump - base) / 0.5, rtol=1e-15)
+        np.testing.assert_allclose(x["lr_sensitivity"], abs(bump - base) / 0.5, rtol=1e-15)
 
     def test_deterministic_and_finite(self, client_data):
         train, val = client_data
         a = init_params(SPEC, 1)
         b = train_local(SPEC, a, train, CFG)
-        x1 = extract_one(a, b, train, val)
-        x2 = extract_one(a, b, train, val)
-        assert x1 == x2
-        assert np.all(x1.as_array() >= 0.0)
-        assert np.all(np.isfinite(x1.as_array()))
+        x1 = extract(SPEC, a, [b], [(train, val)], CFG)
+        x2 = extract(SPEC, a, [b], [(train, val)], CFG)
+        assert x1.shape == (1, len(FEATURE_FIELDS))
+        assert x1.tobytes() == x2.tobytes()
+        assert np.all(x1 >= 0.0)
+        assert np.all(np.isfinite(x1))
 
 
     def test_cohort_equals_one_client_calls(self, client_data):
@@ -113,7 +110,9 @@ class TestExtract:
         prev = init_params(SPEC, 2)
         thetas = [train_local(SPEC, prev, t, CFG) for t in (train, other[0])]
         cohort = extract(SPEC, prev, thetas, [(train, val), other], CFG)
-        assert cohort == [extract_one(prev, th, *pair) for th, pair in zip(thetas, [(train, val), other])]
+        one_by_one = [extract(SPEC, prev, [th], [pair], CFG)[0]
+                      for th, pair in zip(thetas, [(train, val), other])]
+        assert cohort.tobytes() == np.array(one_by_one).tobytes()
 
     def test_failure_names_client(self, client_data):
         train, val = client_data
@@ -129,16 +128,18 @@ class TestCompositeError:
         losses = np.array([0.37, 1e-300, 2.5, 0.0, 7.0 / 3.0])
         cohort = [feat(entropy=0.1 * i, size=i + 1) for i in range(losses.size)]
         # bitwise what the weighted form gives with every coefficient zero
-        weighted = losses + np.stack([m.as_array() for m in cohort]) @ np.zeros(5)
-        for members in (cohort, [None] * losses.size):
-            errors = composite_errors(losses, members, CompositeErrorConfig())
+        weighted = losses + np.array(cohort, dtype=float) @ np.zeros(5)
+        for features in (np.array(cohort, dtype=float), None):
+            errors = composite_errors(losses, features, CompositeErrorConfig())
             assert errors.tobytes() == losses.tobytes() == weighted.tobytes()
             assert errors is not losses
 
     def test_nonzero_coefficients_need_features(self):
         cfg = CompositeErrorConfig(c=(0.0, 0.5, 0.0, 0.0, 0.0))
         with pytest.raises(ValueError, match="meta-features"):
-            composite_errors([0.1, 0.2], [feat(), None], cfg)
+            composite_errors([0.1, 0.2], None, cfg)
+        with pytest.raises(ValueError, match="features shape"):
+            composite_errors([0.1, 0.2], np.zeros((3, 5)), cfg)
 
     def test_identical_cohort_scales_to_zero(self):
         cohort = [feat(entropy=0.4, size=12)] * 3
@@ -183,7 +184,7 @@ class TestCompositeError:
             )
             for _ in range(8)
         ]
-        matrix = np.stack([m.as_array() for m in cohort])
+        matrix = np.array(cohort, dtype=float)
         lo, hi = matrix.min(axis=0), matrix.max(axis=0)
         span = np.where(hi > lo, hi - lo, 1.0)
         scaled = (matrix - lo) / span
@@ -205,8 +206,13 @@ class TestCompositeError:
         with pytest.raises(ValueError, match="non-finite"):
             composite_errors([float("nan")], cohort, CompositeErrorConfig())
 
-    def test_meta_features_validation(self):
-        with pytest.raises(ValueError, match="nonnegative"):
-            feat(entropy=-0.1)
-        with pytest.raises(ValueError, match="finite"):
-            feat(sens=float("inf"))
+    def test_meta_features_validation(self, monkeypatch, client_data):
+        # extract checks every row; a non-finite or negative feature names its client
+        train, val = client_data
+        prev = init_params(SPEC, 0)
+        for bad, message in ((float("inf"), "must be finite"), (-1.0, "must be nonnegative")):
+            losses = iter([0.5, 0.5, 0.5, 0.5, 0.5, bad])  # base, bump, probe per client
+            monkeypatch.setattr(metafeatures, "local_loss", lambda *args: next(losses))
+            with pytest.raises(ClientError, match=message) as info:
+                extract(SPEC, prev, [prev, prev], [(train, val)] * 2, CFG)
+            assert info.value.index == 1

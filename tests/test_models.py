@@ -17,12 +17,12 @@ from metafl.models import (
     evaluate,
     init_params,
     local_loss,
-    loss_and_grad,
     param_count,
     train_cohort,
     train_local,
 )
-from metafl.numerics import ParamVector, finite_diff_grad, make_rng
+from metafl.numerics import ParamVector, make_rng
+from testkit import finite_diff_grad, loss_and_grad
 
 LOGISTIC_2D = ModelSpec(input_dim=2, hidden_dim=0, num_classes=2)
 

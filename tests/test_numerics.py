@@ -6,12 +6,12 @@ import pytest
 from metafl.numerics import (
     ParamVector,
     WeightVector,
-    finite_diff_grad,
     make_rng,
     project_simplex,
     softmax_neg,
     weighted_sum,
 )
+from testkit import finite_diff_grad
 
 
 def assert_valid_weights(w: WeightVector):
@@ -162,48 +162,35 @@ class TestProjectSimplex:
 
 class TestWeightedSum:
     def test_identity(self):
-        out = weighted_sum([ParamVector([2.0, -3.0])], WeightVector([1.0]))
+        out = weighted_sum(np.array([[2.0, -3.0]]), WeightVector([1.0]))
         np.testing.assert_array_equal(out.coords, [2.0, -3.0])
 
     def test_cancellation(self):
-        out = weighted_sum(
-            [ParamVector([1.0, 2.0]), ParamVector([-1.0, -2.0])],
-            WeightVector([0.5, 0.5]),
-        )
+        out = weighted_sum(np.array([[1.0, 2.0], [-1.0, -2.0]]), WeightVector([0.5, 0.5]))
         np.testing.assert_array_equal(out.coords, [0.0, 0.0])
 
     def test_hand_value(self):
-        out = weighted_sum(
-            [ParamVector([4.0, 0.0]), ParamVector([0.0, 4.0])],
-            WeightVector([0.25, 0.75]),
-        )
+        out = weighted_sum(np.array([[4.0, 0.0], [0.0, 4.0]]), WeightVector([0.25, 0.75]))
         np.testing.assert_allclose(out.coords, [1.0, 3.0], rtol=1e-15)
 
     def test_exact_for_unit_weights(self):
-        vecs = [ParamVector([0.1, 0.2, 0.3]), ParamVector([7.0, 8.0, 9.0])]
-        out = weighted_sum(vecs, WeightVector([0.0, 1.0]))
+        out = weighted_sum(np.array([[0.1, 0.2, 0.3], [7.0, 8.0, 9.0]]), WeightVector([0.0, 1.0]))
         np.testing.assert_array_equal(out.coords, [7.0, 8.0, 9.0])
 
     def test_linearity(self):
         rng = make_rng(23)
         for _ in range(20):
             k = int(rng.integers(1, 6))
-            dim = int(rng.integers(1, 10))
-            vecs = [ParamVector(rng.normal(size=dim)) for _ in range(k)]
+            thetas = rng.normal(size=(k, int(rng.integers(1, 10))))
             w = softmax_neg(rng.normal(size=k), 1.0)
             s = float(rng.uniform(-3, 3))
-            lhs = s * weighted_sum(vecs, w).coords
-            rhs = weighted_sum([ParamVector(s * v.coords) for v in vecs], w).coords
+            lhs = s * weighted_sum(thetas, w).coords
+            rhs = weighted_sum(s * thetas, w).coords
             np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
-    def test_dimension_mismatch_names_index(self):
-        vecs = [ParamVector([1.0, 2.0]), ParamVector([1.0, 2.0, 3.0])]
-        with pytest.raises(ValueError, match="index 1"):
-            weighted_sum(vecs, WeightVector([0.5, 0.5]))
-
     def test_length_mismatch(self):
-        with pytest.raises(ValueError, match="weights"):
-            weighted_sum([ParamVector([1.0])], WeightVector([0.5, 0.5]))
+        with pytest.raises(ValueError, match="1 parameter rows for 2 weights"):
+            weighted_sum(np.array([[1.0]]), WeightVector([0.5, 0.5]))
 
 
 class TestFiniteDiffGrad:
