@@ -45,6 +45,7 @@ from .models import (
     ModelSpec,
     PerformanceMetrics,
     TrainConfig,
+    cohort_losses,
     evaluate,
     init_params,
     local_loss,

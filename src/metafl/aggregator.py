@@ -130,9 +130,14 @@ def phi_objective(w: WeightVector, errors: Sequence[float], tau: float) -> float
     return float(wv @ e) + tau * entropy_term
 
 
-def _gradient(w: np.ndarray, e: np.ndarray, tau: float) -> np.ndarray:
-    """E_k + tau (1 + ln w_k), with w clamped at BOUNDARY_CLAMP."""
-    return e + tau * (1.0 + np.log(np.maximum(w, BOUNDARY_CLAMP)))
+def _clamped_log(w: np.ndarray) -> np.ndarray:
+    """ln w_k with w clamped at BOUNDARY_CLAMP."""
+    return np.log(np.maximum(w, BOUNDARY_CLAMP))
+
+
+def _gradient(log_w: np.ndarray, e: np.ndarray, tau: float) -> np.ndarray:
+    """E_k + tau (1 + ln w_k), given log_w = _clamped_log(w)."""
+    return e + tau * (1.0 + log_w)
 
 
 def phi_gradient(w: WeightVector, errors: Sequence[float], tau: float) -> np.ndarray:
@@ -144,13 +149,14 @@ def phi_gradient(w: WeightVector, errors: Sequence[float], tau: float) -> np.nda
         raise ValueError("tau must be finite and >= 0")
     if np.any(w.weights <= 0.0):
         raise ValueError("boundary gradient undefined")
-    return _gradient(w.weights, e, tau)
+    return _gradient(_clamped_log(w.weights), e, tau)
 
 
 def _mirror_step(w: np.ndarray, e: np.ndarray, tau: float, eta: float) -> np.ndarray:
     if eta == 0.0:
         return w
-    z = np.log(np.maximum(w, BOUNDARY_CLAMP)) - eta * _gradient(w, e, tau)
+    log_w = _clamped_log(w)
+    z = log_w - eta * _gradient(log_w, e, tau)
     z -= z.max()
     out = np.exp(z)
     return out / out.sum()
@@ -160,7 +166,7 @@ def _projected_step(w: np.ndarray, e: np.ndarray, tau: float, eta: float) -> np.
     """One projected-gradient step; a non-finite target is returned as is,
     for the solver loop to report as divergence."""
     with np.errstate(over="ignore", invalid="ignore"):
-        target = w - eta * _gradient(w, e, tau)
+        target = w - eta * _gradient(_clamped_log(w), e, tau)
     return _project_simplex(target) if np.isfinite(target).all() else target
 
 

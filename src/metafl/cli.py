@@ -32,7 +32,7 @@ from .aggregator import (
     jensen_gap,
     meta_agg,
 )
-from .datagen import PartitionConfig
+from .datagen import ConfigError, PartitionConfig
 from .federation import (
     ComparisonSummary,
     DataConfig,
@@ -57,10 +57,6 @@ CONTRACTION_SAMPLES = 200
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
-
-
-class ConfigError(Exception):
-    """Raised for any config parse or validation problem (exit code 2)."""
 
 
 # ----------------------------------------------------------------------

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -16,6 +17,7 @@ import numpy as np
 from .numerics import make_rng
 
 __all__ = [
+    "ConfigError",
     "ClientDataset",
     "PartitionConfig",
     "make_blobs",
@@ -26,6 +28,11 @@ __all__ = [
 ]
 
 MAX_PARTITION_ATTEMPTS = 100
+
+
+class ConfigError(ValueError):
+    """An input that the user chose is invalid: a config value, or a file
+    it names. The command-line tool exits with code 2 on it."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -193,15 +200,38 @@ def inject_label_noise(
 def load_csv(path: str, num_classes: int) -> ClientDataset:
     """Parse a feature+label CSV file into a ClientDataset.
 
-    Errors carry 1-based file line numbers.
+    Raises ConfigError for a malformed file; errors carry 1-based file
+    line numbers.
     """
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # an empty file warns; _read_csv words it
+            table = np.loadtxt(
+                path, delimiter=",", dtype=np.float64, comments=None, ndmin=2, encoding="utf-8"
+            )
+    except (OSError, ValueError, Warning):
+        return _read_csv(path, num_classes)
+    labels = table[:, -1]
+    if (
+        table.shape[1] < 2
+        or not np.isfinite(table).all()
+        or not (labels == np.trunc(labels)).all()
+        or not ((labels >= 0) & (labels < num_classes)).all()
+    ):
+        return _read_csv(path, num_classes)
+    return ClientDataset(table[:, :-1], labels.astype(np.int64))
+
+
+def _read_csv(path: str, num_classes: int) -> ClientDataset:
+    """load_csv cell by cell: it reads what the one-call parse rejects
+    (a quoted cell, '1_0') and words every error with its row."""
     rows: list[list[float]] = []
     labels: list[int] = []
     width = None
     try:
         handle = open(path, newline="", encoding="utf-8")
     except FileNotFoundError:
-        raise ValueError(f"missing file: {path}") from None
+        raise ConfigError(f"missing file: {path}") from None
     with handle:
         reader = csv.reader(handle)
         for line_no, row in enumerate(reader, start=1):
@@ -210,9 +240,9 @@ def load_csv(path: str, num_classes: int) -> ClientDataset:
             if width is None:
                 width = len(row)
                 if width < 2:
-                    raise ValueError(f"row {line_no}: need >= 1 feature and a label")
+                    raise ConfigError(f"row {line_no}: need >= 1 feature and a label")
             elif len(row) != width:
-                raise ValueError(
+                raise ConfigError(
                     f"row {line_no}: ragged row with {len(row)} cells, expected {width}"
                 )
             values = []
@@ -220,23 +250,23 @@ def load_csv(path: str, num_classes: int) -> ClientDataset:
                 try:
                     values.append(float(cell))
                 except ValueError:
-                    raise ValueError(
+                    raise ConfigError(
                         f"row {line_no}: non-numeric cell {cell!r} in column {col}"
                     ) from None
             if not all(math.isfinite(v) for v in values):
-                raise ValueError(f"row {line_no}: non-finite cell")
+                raise ConfigError(f"row {line_no}: non-finite cell")
             label = values[-1]
             if not float(label).is_integer():
-                raise ValueError(f"row {line_no}: non-integer label {label!r}")
+                raise ConfigError(f"row {line_no}: non-integer label {label!r}")
             label = int(label)
             if label < 0 or label >= num_classes:
-                raise ValueError(
+                raise ConfigError(
                     f"row {line_no}: label {label} out of range [0, {num_classes})"
                 )
             rows.append(values[:-1])
             labels.append(label)
     if not rows:
-        raise ValueError("empty dataset")
+        raise ConfigError("empty dataset")
     return ClientDataset(np.asarray(rows), np.asarray(labels))
 
 

@@ -17,7 +17,11 @@ The cohort trains in lockstep (models.train_cohort): each client draws
 the same shuffles as it would alone and does the same arithmetic on its
 own batches, grouped with the other clients on batches of one length
 into stacked steps. Nothing is reduced across clients, so every client's
-parameters are bitwise those of training it alone.
+parameters are bitwise those of training it alone. The cohort is
+evaluated the same way (models.cohort_losses): clients whose validation
+splits have one length share one stacked forward pass, and each client's
+loss is bitwise the one models.evaluate gives it alone.
+A malformed CSV pool is a ConfigError naming data.csv_path and the row.
 """
 
 from __future__ import annotations
@@ -39,6 +43,7 @@ from .aggregator import (
 )
 from .datagen import (
     ClientDataset,
+    ConfigError,
     PartitionConfig,
     inject_label_noise,
     label_distribution,
@@ -47,7 +52,15 @@ from .datagen import (
     partition_dirichlet,
 )
 from .metafeatures import composite_errors, extract
-from .models import ClientError, ModelSpec, TrainConfig, evaluate, init_params, train_cohort
+from .models import (
+    ClientError,
+    ModelSpec,
+    TrainConfig,
+    cohort_losses,
+    evaluate,
+    init_params,
+    train_cohort,
+)
 from .numerics import ParamVector, WeightVector, derive_seed, make_rng
 
 __all__ = [
@@ -192,14 +205,20 @@ def build_federation(
 
     The holdout is drawn before partitioning. Label noise corrupts the
     marked clients' train splits only, so client validation losses
-    honestly reflect the damage.
+    honestly reflect the damage. A malformed CSV pool, or one whose
+    feature dim is not the model's, raises ConfigError naming data.csv_path.
     """
     spec = cfg.spec
     if cfg.data.csv_path is not None:
-        pool = load_csv(cfg.data.csv_path, spec.num_classes)
+        bad_pool = f"invalid value for key 'data.csv_path' ({cfg.data.csv_path}): "
+        try:
+            pool = load_csv(cfg.data.csv_path, spec.num_classes)
+        except ValueError as err:
+            raise ConfigError(f"{bad_pool}{err}") from None
         if pool.dim != spec.input_dim:
-            raise ValueError(
-                f"csv feature dim {pool.dim} does not match model input_dim {spec.input_dim}"
+            raise ConfigError(
+                f"{bad_pool}csv feature dim {pool.dim} does not match model "
+                f"input_dim {spec.input_dim}"
             )
     else:
         pool = make_blobs(
@@ -254,19 +273,20 @@ def collect_reports(
     round_train = replace(cfg.train, seed=derive_seed(cfg.train.seed, round_index))
     with_meta = cfg.aggregator_mode != "fedavg" and cfg.meta.c.uses_features
     trains = [train for train, _ in clients]
+    starts = np.broadcast_to(theta.coords, (len(clients), theta.dim))
     try:
-        thetas = train_cohort(spec, [theta] * len(clients), trains, round_train)
+        thetas = train_cohort(spec, starts, trains, round_train)
         features = extract(spec, theta, thetas, clients, round_train) if with_meta else None
+        val_loss = cohort_losses(spec, thetas, [val for _, val in clients])
+        bad = np.flatnonzero(~(np.isfinite(val_loss) & (val_loss >= 0.0)))
+        if bad.size:
+            k = int(bad[0])
+            problem = "nonnegative" if np.isfinite(val_loss[k]) else "finite"
+            raise ClientError(k, f"val_loss must be {problem}")
     except ClientError as err:
         raise RuntimeError(f"round {round_index}, client {err.index}: {err}") from err
-    val_loss = np.empty(len(clients))
-    for k, (theta_k, (_, val)) in enumerate(zip(thetas, clients)):
-        try:
-            val_loss[k] = evaluate(spec, theta_k, val).val_loss
-        except Exception as err:
-            raise RuntimeError(f"round {round_index}, client {k}: {err}") from err
     return Cohort(
-        thetas=np.stack([theta_k.coords for theta_k in thetas]),
+        thetas=thetas,
         val_loss=val_loss,
         n_k=np.array([train.n for train in trains]),
         features=features,

@@ -9,14 +9,13 @@ reduces to the loss alone, and no features are needed.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
 from .datagen import ClientDataset
-from .models import ClientError, ModelSpec, TrainConfig, local_loss, param_count, train_cohort
+from .models import ClientError, ModelSpec, TrainConfig, cohort_losses, param_count, train_cohort
 from .numerics import ParamVector
 
 __all__ = [
@@ -68,58 +67,50 @@ def _entropy(labels: np.ndarray, num_classes: int) -> float:
 def extract(
     spec: ModelSpec,
     theta_prev: ParamVector,
-    thetas: Sequence[ParamVector],
+    thetas: np.ndarray,
     clients: Sequence[tuple[ClientDataset, ClientDataset]],
     cfg: TrainConfig,
 ) -> np.ndarray:
     """Meta-feature matrix of a cohort's round, one row per (train, val)
     client, in FEATURE_FIELDS column order.
 
-    thetas holds each client's parameters after training from theta_prev.
-    data_complexity is the validation loss of a linear probe trained for
-    one epoch from zero on the client's train split; lr_sensitivity is
-    the validation-loss delta from one extra training epoch at 1.5x the
-    learning rate versus 1x, per unit of relative perturbation (0.5).
-    The probe, 1x and 1.5x epochs each train the whole cohort in one
-    train_cohort call. Every feature must be finite and nonnegative.
+    Row k of thetas [K, P] holds client k's parameters after training from
+    theta_prev. data_complexity is the validation loss of a linear probe
+    trained for one epoch from zero on the client's train split;
+    lr_sensitivity is the validation-loss delta from one extra training
+    epoch at 1.5x the learning rate versus 1x, per unit of relative
+    perturbation (0.5). The probe, 1x and 1.5x epochs each train the whole
+    cohort in one train_cohort call, and each is scored in one
+    cohort_losses call. Every feature must be finite and nonnegative.
     Raises ClientError naming the first failing client.
     """
-    if len(thetas) != len(clients):
-        raise ValueError("thetas and clients lengths differ")
-    for k, theta_k in enumerate(thetas):
-        if theta_k.dim != theta_prev.dim:
-            raise ClientError(k, "dimension mismatch between previous and current parameters")
+    shape = (len(clients), theta_prev.dim)
+    if thetas.shape != shape:
+        raise ValueError(f"dimension mismatch: parameters of shape {thetas.shape}, need {shape}")
     trains = [train for train, _ in clients]
+    vals = [val for _, val in clients]
     probe_spec = ModelSpec(spec.input_dim, 0, spec.num_classes, spec.activation)
-    probe_zero = ParamVector(np.zeros(param_count(probe_spec)))
+    probe_zero = np.zeros((len(clients), param_count(probe_spec)))
     one_epoch = replace(cfg, epochs=1)
     bumped = replace(cfg, epochs=1, learning_rate=1.5 * cfg.learning_rate)
-    probes = train_cohort(probe_spec, [probe_zero] * len(clients), trains, one_epoch)
+    probes = train_cohort(probe_spec, probe_zero, trains, one_epoch)
     bases = train_cohort(spec, thetas, trains, one_epoch)
     bumps = train_cohort(spec, thetas, trains, bumped)
-
-    rows = []
-    for k, ((train, val), theta_k, probe, base, bump) in enumerate(
-        zip(clients, thetas, probes, bases, bumps)
-    ):
-        try:
-            loss_base = local_loss(spec, base, val)
-            loss_bump = local_loss(spec, bump, val)
-            row = (
-                train.n,
-                _entropy(train.labels, spec.num_classes),
-                float(np.linalg.norm(theta_k.coords - theta_prev.coords)),
-                local_loss(probe_spec, probe, val),
-                abs(loss_bump - loss_base) / 0.5,
-            )
-        except ValueError as err:
-            raise ClientError(k, str(err)) from err
-        if not all(map(math.isfinite, row)):
-            raise ClientError(k, "meta-features must be finite")
-        if min(row) < 0.0:
-            raise ClientError(k, "meta-features must be nonnegative")
-        rows.append(row)
-    return np.array(rows, dtype=np.float64)
+    loss_base = cohort_losses(spec, bases, vals)
+    loss_bump = cohort_losses(spec, bumps, vals)
+    features = np.column_stack([
+        [train.n for train in trains],
+        [_entropy(train.labels, spec.num_classes) for train in trains],
+        [np.linalg.norm(row - theta_prev.coords) for row in thetas],
+        cohort_losses(probe_spec, probes, vals),
+        np.abs(loss_bump - loss_base) / 0.5,
+    ])
+    finite = np.isfinite(features).all(axis=1)
+    bad = np.flatnonzero(~finite | (features < 0.0).any(axis=1))
+    if bad.size:
+        problem = "finite" if not finite[bad[0]] else "nonnegative"
+        raise ClientError(int(bad[0]), f"meta-features must be {problem}")
+    return features
 
 
 def composite_errors(

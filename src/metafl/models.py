@@ -27,6 +27,7 @@ __all__ = [
     "train_cohort",
     "evaluate",
     "local_loss",
+    "cohort_losses",
 ]
 
 ACTIVATIONS = ("relu", "tanh")
@@ -130,6 +131,20 @@ def _check_dims(spec: ModelSpec, theta: np.ndarray, x: np.ndarray) -> None:
         )
 
 
+def _check_cohort(spec: ModelSpec, thetas: np.ndarray, datasets: Sequence[ClientDataset]) -> None:
+    """thetas must be [len(datasets), P]; a dataset of the wrong feature dim
+    raises ClientError naming the first such member."""
+    if thetas.shape != (len(datasets), param_count(spec)):
+        raise ValueError(
+            f"dimension mismatch: parameters of shape {thetas.shape}, need "
+            f"({len(datasets)}, {param_count(spec)})"
+        )
+    for k, data in enumerate(datasets):
+        if data.dim != spec.input_dim:
+            raise ClientError(k, f"dimension mismatch: features have dim {data.dim}, "
+                                 f"spec.input_dim={spec.input_dim}")
+
+
 def _logits(spec: ModelSpec, theta: np.ndarray, x: np.ndarray) -> np.ndarray:
     if spec.hidden_dim == 0:
         w, b = _unpack(spec, theta)
@@ -140,10 +155,13 @@ def _logits(spec: ModelSpec, theta: np.ndarray, x: np.ndarray) -> np.ndarray:
     return a1 @ w2 + b2
 
 
-def _mean_ce(logits: np.ndarray, y: np.ndarray) -> float:
-    m = logits.max(axis=1, keepdims=True)
-    lse = m[:, 0] + np.log(np.exp(logits - m).sum(axis=1))
-    return float(np.mean(lse - logits[np.arange(y.size), y]))
+def _mean_ce(logits: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Mean cross-entropy of logits [..., L, c] against labels [..., L],
+    reduced over L alone: one value per leading index."""
+    m = logits.max(axis=-1, keepdims=True)
+    lse = m[..., 0] + np.log(np.exp(logits - m).sum(axis=-1))
+    picked = logits.reshape(-1, logits.shape[-1])[np.arange(y.size), y.reshape(-1)]
+    return np.mean(lse - picked.reshape(y.shape), axis=-1)
 
 
 def _ce_grad_arrays(
@@ -210,16 +228,18 @@ def train_local(
     spec: ModelSpec, params: ParamVector, data: ClientDataset, cfg: TrainConfig
 ) -> ParamVector:
     """Seeded mini-batch SGD on cross-entropy (+ ridge); input left untouched."""
-    return train_cohort(spec, [params], [data], cfg)[0]
+    return ParamVector(train_cohort(spec, params.coords[None], [data], cfg)[0])
 
 
 def train_cohort(
     spec: ModelSpec,
-    starts: Sequence[ParamVector],
+    starts: np.ndarray,
     datasets: Sequence[ClientDataset],
     cfg: TrainConfig,
-) -> list[ParamVector]:
-    """train_local for every (start, data) pair, bitwise, in lockstep.
+) -> np.ndarray:
+    """train_local for every member k, from row k of starts [K, P] on
+    datasets[k], bitwise, in lockstep; returns the trained rows [K, P] as
+    a new array.
 
     Each member shuffles with its own make_rng(cfg.seed), one permutation
     per epoch, and walks its batches in order. At every global step the
@@ -227,15 +247,9 @@ def train_cohort(
     Batches are never padded and nothing is reduced across members.
     Raises ClientError naming the first failing member in cohort order.
     """
-    if len(starts) != len(datasets):
-        raise ValueError("starts and datasets lengths differ")
-    for k, (params, data) in enumerate(zip(starts, datasets)):
-        try:
-            _check_dims(spec, params.coords, data.features)
-        except ValueError as err:
-            raise ClientError(k, str(err)) from None
-    if cfg.epochs == 0 or not starts:
-        return list(starts)
+    _check_cohort(spec, starts, datasets)
+    if cfg.epochs == 0 or not datasets:
+        return np.array(starts, dtype=np.float64)
     size, epochs = cfg.batch_size, cfg.epochs
     n = np.array([data.n for data in datasets])
     per_epoch = -(-n // size)
@@ -276,7 +290,7 @@ def train_cohort(
 
     x = np.concatenate([datasets[k].features for k in order])
     onehot = np.eye(spec.num_classes)[np.concatenate([datasets[k].labels for k in order])]
-    theta = np.stack([starts[k].coords for k in order])
+    theta = np.asarray(starts, dtype=np.float64)[order]
     for g0, g1, r0, r1, m0, in_place in zip(
         lo.tolist(), hi.tolist(), (end - length)[lo].tolist(), end[hi - 1].tolist(),
         member[lo].tolist(), contiguous.tolist(),
@@ -293,14 +307,14 @@ def train_cohort(
     finite = np.isfinite(trained).all(axis=1)
     if not finite.all():
         raise ClientError(int(np.argmin(finite)), "training diverged to non-finite parameters")
-    return [ParamVector(row) for row in trained]
+    return trained
 
 
 def evaluate(spec: ModelSpec, params: ParamVector, data: ClientDataset) -> PerformanceMetrics:
     """Mean cross-entropy (nats) and top-1 accuracy on ``data``."""
     _check_dims(spec, params.coords, data.features)
     logits = _logits(spec, params.coords, data.features)
-    val_loss = _mean_ce(logits, data.labels)
+    val_loss = float(_mean_ce(logits, data.labels))
     preds = np.argmax(logits, axis=1)
     val_acc = float(np.mean(preds == data.labels))
     return PerformanceMetrics(val_loss, val_acc)
@@ -309,5 +323,36 @@ def evaluate(spec: ModelSpec, params: ParamVector, data: ClientDataset) -> Perfo
 def local_loss(spec: ModelSpec, params: ParamVector, data: ClientDataset) -> float:
     """Mean cross-entropy of the model on the dataset, in nats."""
     _check_dims(spec, params.coords, data.features)
-    return _mean_ce(_logits(spec, params.coords, data.features), data.labels)
+    return float(_mean_ce(_logits(spec, params.coords, data.features), data.labels))
 
+
+def cohort_losses(
+    spec: ModelSpec, thetas: np.ndarray, datasets: Sequence[ClientDataset]
+) -> np.ndarray:
+    """local_loss for every member k, of row k of thetas [K, P] on
+    datasets[k], bitwise; returns the losses [K].
+
+    Members whose datasets have one length share one stacked _logits call,
+    and each member's mean is taken over its own rows. Nothing is padded
+    or reduced across members. A dataset of the wrong feature dim raises
+    ClientError naming the first such member.
+    """
+    _check_cohort(spec, thetas, datasets)
+    losses = np.empty(len(datasets))
+    if not datasets:
+        return losses
+    # Sorted by length, each group's rows are one slice of x and y.
+    n = np.array([data.n for data in datasets])
+    order = np.argsort(n, kind="stable")
+    n = n[order]
+    x = np.concatenate([datasets[k].features for k in order])
+    y = np.concatenate([datasets[k].labels for k in order])
+    theta = thetas[order]
+    cuts = (np.flatnonzero(np.diff(n)) + 1).tolist()
+    offset = (np.cumsum(n) - n).tolist()
+    for lo, hi in zip([0, *cuts], [*cuts, len(n)]):
+        size, length = hi - lo, int(n[lo])
+        rows = slice(offset[lo], offset[lo] + size * length)
+        logits = _logits(spec, theta[lo:hi], x[rows].reshape(size, length, -1))
+        losses[order[lo:hi]] = _mean_ce(logits, y[rows].reshape(size, length))
+    return losses

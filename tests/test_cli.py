@@ -5,6 +5,7 @@ import os
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -330,12 +331,31 @@ class TestCmdRun:
         assert echoed == load_config("dir/cfg.txt")
 
     def test_runtime_failure_exit_3(self, tmp_path, capsys):
-        bad_csv = tmp_path / "bad.csv"
-        bad_csv.write_text("1.0,2.0,3.0,0\n0.5,1.5,2.5,1\n")  # 3 features, model wants 2
-        cfg = MINIMAL + f"data.csv_path = {bad_csv}\n"
-        code = cmd_run(write(tmp_path, cfg), str(tmp_path / "out"))
+        # a step of 1e300 on the ridge term overflows the parameters
+        cfg = MINIMAL + "train.learning_rate = 1e300\ntrain.l2 = 1\n"
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = cmd_run(write(tmp_path, cfg), str(tmp_path / "out"))
         assert code == 3
-        assert "runtime error" in capsys.readouterr().err
+        assert "runtime error: round 1, client 0: training diverged" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "pool, named",
+        [
+            ("1.0,2.0,0\n1.0,2.0,7\n", "row 2: label 7 out of range [0, 2)"),
+            ("1.0,2.0,0\n1.0,x,1\n", "row 2: non-numeric cell 'x' in column 1"),
+            ("1.0,2.0,0\n1.0,1\n", "row 2: ragged row with 2 cells, expected 3"),
+            ("1.0,2.0,3.0,0\n0.5,1.5,2.5,1\n",
+             "csv feature dim 3 does not match model input_dim 2"),
+        ],
+        ids=["bad_label", "non_numeric", "ragged", "dim_mismatch"],
+    )
+    def test_malformed_csv_pool_exit_2(self, tmp_path, capsys, pool, named):
+        (tmp_path / "pool.csv").write_text(pool)
+        cfg = "rounds = 1\npartition.num_clients = 2\ndata.csv_path = pool.csv\n"
+        assert cmd_run(write(tmp_path, cfg), str(tmp_path / "out")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: invalid value for key 'data.csv_path'")
+        assert named in err
 
     def test_preset_by_name(self, tmp_path):
         out = tmp_path / "out"

@@ -1,12 +1,16 @@
 """Synthetic data, partitioning, noise, and CSV round-trip tests."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
+from metafl import datagen
 from metafl.datagen import (
     ClientDataset,
+    ConfigError,
     PartitionConfig,
     inject_label_noise,
     label_distribution,
@@ -17,6 +21,58 @@ from metafl.datagen import (
 from metafl.models import ModelSpec, TrainConfig, evaluate, init_params, train_local
 from metafl.numerics import make_rng
 from testkit import save_csv
+
+
+def read_outcome(read, path, num_classes):
+    """What a CSV reader gives for a file: its arrays' bytes and shapes, or
+    its error's type and message."""
+    try:
+        data = read(str(path), num_classes)
+    except Exception as err:
+        return type(err), str(err)
+    return data.features.shape, data.features.tobytes(), data.labels.tobytes()
+
+
+@st.composite
+def csv_files(draw):
+    """(text, num_classes): a well-formed pool of random float64 features,
+    written with %.17g or repr, labels as integers or floats, random blank
+    lines, LF or CRLF endings."""
+    n, d, c = draw(st.integers(1, 20)), draw(st.integers(1, 5)), draw(st.integers(2, 4))
+    fmt = draw(st.sampled_from(["%.17g".__mod__, repr]))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    lines = []
+    for _ in range(n):
+        cells = [fmt(v) for v in draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                                                min_size=d, max_size=d))]
+        label = draw(st.integers(0, c - 1))
+        cells.append(draw(st.sampled_from([str(label), repr(float(label))])))
+        lines += [""] * draw(st.integers(0, 2)) + [",".join(cells)]
+    return newline.join(lines) + draw(st.sampled_from(["", newline])), c
+
+
+#: Files the one-call parse rejects or must not accept silently, each with
+#: what the row-by-row reader gives for it with 3 classes: its features, or
+#: its error message.
+ODD_FILES = {
+    "whitespace_line": ("1,2,0\n   \n3,4,1\n", "row 2: ragged row with 1 cells, expected 3"),
+    "quoted_cell": ('"1.5",2,0\n', [[1.5, 2.0]]),
+    "underscore": ("1_0,2,1\n", [[10.0, 2.0]]),
+    "bom": ("\ufeff1,2,0\n", "row 1: non-numeric cell '\\ufeff1' in column 0"),
+    "trailing_comma": ("1,2,0,\n", "row 1: non-numeric cell '' in column 3"),
+    "nan_cell": ("1,2,0\nnan,2,1\n", "row 2: non-finite cell"),
+    "inf_cell": ("1,inf,0\n", "row 1: non-finite cell"),
+    "non_integer_label": ("1,2,0\n1,2,0.5\n", "row 2: non-integer label 0.5"),
+    "label_out_of_range": ("1,2,3\n", "row 1: label 3 out of range [0, 3)"),
+    "negative_label": ("1,2,-1\n", "row 1: label -1 out of range [0, 3)"),
+    "ragged_row": ("1,2,0\n1,0\n", "row 2: ragged row with 2 cells, expected 3"),
+    "one_column": ("1\n2\n", "row 1: need >= 1 feature and a label"),
+    "single_row": ("0.5,-2,2\n", [[0.5, -2.0]]),
+    "spaces_around_cells": (" 1 , 2 ,0\r\n", [[1.0, 2.0]]),
+    "hash_in_cell": ("1,2#x,0\n", "row 1: non-numeric cell '2#x' in column 1"),
+    "empty": ("", "empty dataset"),
+    "blank_lines_only": ("\n\r\n\n", "empty dataset"),
+}
 
 
 def sorted_rows(data: ClientDataset) -> np.ndarray:
@@ -216,6 +272,42 @@ class TestCsv:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ValueError, match="missing file"):
             load_csv(str(tmp_path / "nope.csv"), 2)
+
+    @settings(max_examples=150, deadline=None)
+    @given(pool=csv_files())
+    def test_equals_row_reader(self, tmp_path_factory, pool):
+        text, num_classes = pool
+        path = tmp_path_factory.getbasetemp() / "pool.csv"
+        path.write_bytes(text.encode("utf-8"))
+        got = read_outcome(load_csv, path, num_classes)
+        assert len(got) == 3  # loaded
+        assert got == read_outcome(datagen._read_csv, path, num_classes)
+
+    @pytest.mark.parametrize("name", ODD_FILES)
+    def test_odd_file_equals_row_reader(self, tmp_path, name):
+        text, want = ODD_FILES[name]
+        path = tmp_path / "odd.csv"
+        path.write_bytes(text.encode("utf-8"))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = read_outcome(load_csv, path, 3)
+        assert caught == []  # numpy warns on a file with no data
+        assert got == read_outcome(datagen._read_csv, path, 3)
+        if isinstance(want, str):
+            assert got == (ConfigError, want)
+        else:
+            assert got[1] == np.array(want).tobytes()
+
+    def test_well_formed_file_parses_in_one_call(self, tmp_path, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("row-by-row reader called")
+
+        monkeypatch.setattr(datagen, "_read_csv", refuse)
+        path = tmp_path / "d.csv"
+        path.write_text("1.5,2.0,0\n\n-0.25,3.5,1\n")
+        data = load_csv(str(path), 2)
+        np.testing.assert_array_equal(data.features, [[1.5, 2.0], [-0.25, 3.5]])
+        np.testing.assert_array_equal(data.labels, [0, 1])
 
     def test_round_trip(self, tmp_path):
         data = make_blobs(3, 4, 40, 0.9, 13)

@@ -161,7 +161,7 @@ class TestCollectReports:
         assert len(calls) == 1
         _, prev, thetas, pairs, _ = calls[0]
         assert prev is theta and pairs is clients
-        np.testing.assert_array_equal(np.stack([t.coords for t in thetas]), cohort.thetas)
+        np.testing.assert_array_equal(thetas, cohort.thetas)
         assert cohort.features.shape == (3, 5)
         run_experiment(cfg)
         assert len(calls) == 1 + cfg.rounds
@@ -174,6 +174,16 @@ class TestCollectReports:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(RuntimeError, match="round 1, client 1: training diverged"):
                 run_rounds(cfg, clients, global_val, init_params(cfg.spec, 0))
+
+    def test_evaluation_failure_names_client(self):
+        # client 2's logits overflow on its validation split alone
+        cfg = small_config(partition=THREE_CLIENTS)
+        clients, _ = build_federation(cfg)
+        train, val = clients[2]
+        clients[2] = (train, ClientDataset(np.full_like(val.features, 1e308), val.labels))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(RuntimeError, match=r"^round 1, client 2: val_loss must be finite$"):
+                collect_reports(cfg, clients, init_params(cfg.spec, 0), 1)
 
 
 class TestCohort:

@@ -28,7 +28,7 @@ def feat(entropy=0.0, size=10, norm=0.0, complexity=0.0, sens=0.0):
 
 def extract_one(theta_prev, theta_k, train, val, cfg=CFG):
     """extract for a cohort of one client, as {feature name: value}."""
-    (row,) = extract(SPEC, theta_prev, [theta_k], [(train, val)], cfg)
+    (row,) = extract(SPEC, theta_prev, theta_k.coords[None], [(train, val)], cfg)
     return dict(zip(FEATURE_FIELDS, row))
 
 
@@ -96,8 +96,8 @@ class TestExtract:
         train, val = client_data
         a = init_params(SPEC, 1)
         b = train_local(SPEC, a, train, CFG)
-        x1 = extract(SPEC, a, [b], [(train, val)], CFG)
-        x2 = extract(SPEC, a, [b], [(train, val)], CFG)
+        x1 = extract(SPEC, a, b.coords[None], [(train, val)], CFG)
+        x2 = extract(SPEC, a, b.coords[None], [(train, val)], CFG)
         assert x1.shape == (1, len(FEATURE_FIELDS))
         assert x1.tobytes() == x2.tobytes()
         assert np.all(x1 >= 0.0)
@@ -108,19 +108,22 @@ class TestExtract:
         train, val = client_data
         other = make_blobs(2, 3, 37, 0.9, 4), make_blobs(2, 3, 11, 0.9, 5)
         prev = init_params(SPEC, 2)
-        thetas = [train_local(SPEC, prev, t, CFG) for t in (train, other[0])]
+        thetas = np.stack([train_local(SPEC, prev, t, CFG).coords for t in (train, other[0])])
         cohort = extract(SPEC, prev, thetas, [(train, val), other], CFG)
-        one_by_one = [extract(SPEC, prev, [th], [pair], CFG)[0]
+        one_by_one = [extract(SPEC, prev, th[None], [pair], CFG)[0]
                       for th, pair in zip(thetas, [(train, val), other])]
         assert cohort.tobytes() == np.array(one_by_one).tobytes()
 
     def test_failure_names_client(self, client_data):
         train, val = client_data
         prev = init_params(SPEC, 0)
-        short = ParamVector(prev.coords[:-1])
+        wide = make_blobs(2, 4, 20, 0.6, 2)
         with pytest.raises(ClientError, match="dimension mismatch") as info:
-            extract(SPEC, prev, [prev, short], [(train, val)] * 2, CFG)
+            extract(SPEC, prev, np.stack([prev.coords] * 2), [(train, val), (train, wide)], CFG)
         assert info.value.index == 1
+        short = np.stack([prev.coords[:-1]] * 2)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            extract(SPEC, prev, short, [(train, val)] * 2, CFG)
 
 
 class TestCompositeError:
@@ -210,9 +213,16 @@ class TestCompositeError:
         # extract checks every row; a non-finite or negative feature names its client
         train, val = client_data
         prev = init_params(SPEC, 0)
-        for bad, message in ((float("inf"), "must be finite"), (-1.0, "must be nonnegative")):
-            losses = iter([0.5, 0.5, 0.5, 0.5, 0.5, bad])  # base, bump, probe per client
-            monkeypatch.setattr(metafeatures, "local_loss", lambda *args: next(losses))
+        inf = float("inf")
+        cases = (
+            ([0.5, 0.5], [0.5, 0.5], [0.5, inf], "must be finite", 1),
+            ([0.5, 0.5], [0.5, 0.5], [0.5, -1.0], "must be nonnegative", 1),
+            # the lowest-numbered failing client, whichever pass it failed in
+            ([0.5, inf], [0.5, 0.5], [-1.0, 0.5], "must be nonnegative", 0),
+        )
+        for base, bump, probe, message, index in cases:
+            losses = iter(map(np.array, (base, bump, probe)))  # one [K] array per pass
+            monkeypatch.setattr(metafeatures, "cohort_losses", lambda *args: next(losses))
             with pytest.raises(ClientError, match=message) as info:
-                extract(SPEC, prev, [prev, prev], [(train, val)] * 2, CFG)
-            assert info.value.index == 1
+                extract(SPEC, prev, np.stack([prev.coords] * 2), [(train, val)] * 2, CFG)
+            assert info.value.index == index

@@ -14,6 +14,7 @@ from metafl.models import (
     ModelSpec,
     PerformanceMetrics,
     TrainConfig,
+    cohort_losses,
     evaluate,
     init_params,
     local_loss,
@@ -105,8 +106,24 @@ def cohorts(draw):
     sizes = draw(st.lists(st.integers(1, 79), min_size=1, max_size=12))
     rng = make_rng(draw(st.integers(0, 2**32)))
     datasets = [ClientDataset(rng.normal(size=(n, d)), rng.integers(0, c, n)) for n in sizes]
-    starts = [ParamVector(rng.normal(scale=0.5, size=param_count(spec))) for _ in sizes]
+    starts = rng.normal(scale=0.5, size=(len(sizes), param_count(spec)))
     return spec, starts, datasets, cfg
+
+
+@st.composite
+def scored_cohorts(draw):
+    """(spec, thetas, datasets): K 1-40 members of softmax, relu or tanh
+    models, with dataset lengths 1-300 drawn from a pool of at most 4, so
+    that lengths repeat and some exceed numpy's 128-element summation
+    block."""
+    d, c = draw(st.integers(1, 5)), draw(st.integers(2, 4))
+    spec = ModelSpec(d, draw(st.sampled_from([0, 3])), c, draw(st.sampled_from(ACTIVATIONS)))
+    pool = draw(st.lists(st.integers(1, 300), min_size=1, max_size=4))
+    sizes = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=40))
+    rng = make_rng(draw(st.integers(0, 2**32)))
+    datasets = [ClientDataset(rng.normal(size=(n, d)), rng.integers(0, c, n)) for n in sizes]
+    thetas = rng.normal(scale=2.0, size=(len(sizes), param_count(spec)))
+    return spec, thetas, datasets
 
 
 class TestInitParams:
@@ -186,11 +203,11 @@ class TestTrainCohort:
     def test_equals_one_client_calls(self, cohort):
         spec, starts, datasets, cfg = cohort
         together = train_cohort(spec, starts, datasets, cfg)
-        assert len(together) == len(starts)
+        assert together.shape == starts.shape
         for start, data, got in zip(starts, datasets, together):
-            alone = train_cohort(spec, [start], [data], cfg)[0]
-            assert np.array_equal(got.coords, alone.coords)
-            assert np.array_equal(got.coords, reference_train_local(spec, start, data, cfg))
+            alone = train_cohort(spec, start[None], [data], cfg)[0]
+            assert np.array_equal(got, alone)
+            assert np.array_equal(got, reference_train_local(spec, ParamVector(start), data, cfg))
 
     def test_failure_names_first_member_in_cohort_order(self):
         # members 1 and 2 diverge; the lockstep order is by batch count,
@@ -202,16 +219,52 @@ class TestTrainCohort:
         cfg = TrainConfig(learning_rate=0.1, epochs=2, batch_size=4)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(ClientError, match="diverged") as info:
-                train_cohort(LOGISTIC_2D, [init_params(LOGISTIC_2D, 0)] * 3, [good, small, large], cfg)
+                train_cohort(LOGISTIC_2D, starts(3), [good, small, large], cfg)
         assert info.value.index == 1
 
     def test_dimension_mismatch_names_member(self):
         good = make_blobs(2, 2, 20, 0.5, 3)
         wide = make_blobs(2, 3, 20, 0.5, 3)
         with pytest.raises(ClientError, match="dimension mismatch") as info:
-            train_cohort(LOGISTIC_2D, [init_params(LOGISTIC_2D, 0)] * 3, [good, wide, good],
-                         TrainConfig(learning_rate=0.1))
+            train_cohort(LOGISTIC_2D, starts(3), [good, wide, good], TrainConfig(learning_rate=0.1))
         assert info.value.index == 1
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            train_cohort(LOGISTIC_2D, starts(2), [good, good, good], TrainConfig(learning_rate=0.1))
+
+    def test_returns_new_array(self):
+        data = make_blobs(2, 2, 20, 0.5, 3)
+        start = starts(2)
+        for epochs in (0, 1):
+            out = train_cohort(LOGISTIC_2D, start, [data, data], TrainConfig(0.1, epochs=epochs))
+            assert not np.shares_memory(out, start)
+        np.testing.assert_array_equal(start, starts(2))
+
+
+def starts(k):
+    """k copies of init_params(LOGISTIC_2D, 0) as a [k, P] matrix."""
+    return np.tile(init_params(LOGISTIC_2D, 0).coords, (k, 1))
+
+
+class TestCohortLosses:
+    @settings(max_examples=60, deadline=None)
+    @given(cohort=scored_cohorts())
+    def test_equals_evaluate_per_member(self, cohort):
+        spec, thetas, datasets = cohort
+        losses = cohort_losses(spec, thetas, datasets)
+        alone = [evaluate(spec, ParamVector(th), d).val_loss for th, d in zip(thetas, datasets)]
+        assert losses.tobytes() == np.array(alone).tobytes()
+
+    def test_dimension_mismatch(self):
+        good = make_blobs(2, 2, 20, 0.5, 3)
+        wide = make_blobs(2, 3, 20, 0.5, 3)
+        with pytest.raises(ClientError, match="dimension mismatch") as info:
+            cohort_losses(LOGISTIC_2D, starts(3), [good, wide, wide])
+        assert info.value.index == 1
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            cohort_losses(LOGISTIC_2D, starts(3)[:, :-1], [good] * 3)
+
+    def test_empty_cohort(self):
+        assert cohort_losses(LOGISTIC_2D, starts(0), []).shape == (0,)
 
 
 class TestEvaluate:
