@@ -29,7 +29,6 @@ __all__ = [
     "MetaParams",
     "AggregationOutcome",
     "AGGREGATOR_MODES",
-    "SOLVERS",
     "phi_objective",
     "phi_gradient",
     "weights_iterative",
@@ -45,7 +44,6 @@ __all__ = [
 #: Aggregation modes, spelled as the config key `aggregator` takes them;
 #: every mode but fedavg weights clients through meta_agg.
 AGGREGATOR_MODES = ("metafl_closed", "metafl_mirror", "metafl_projected", "fedavg")
-SOLVERS = ("mirror", "projected")
 
 # Projected-gradient iterates can land on the boundary, where ln w blows
 # up; gradient evaluation clamps weights at this floor.
@@ -181,8 +179,8 @@ def weights_iterative(
 
     Returns (weights, iterations used, final residual).
     """
-    if solver not in SOLVERS:
-        raise ValueError(f"solver must be one of {SOLVERS}")
+    if solver not in _STEPS:
+        raise ValueError(f"solver must be one of {tuple(_STEPS)}")
     e = _check_errors(errors)
     k = e.size
     if k == 1:

@@ -20,6 +20,7 @@ import functools
 import json
 import os
 import sys
+import traceback
 from dataclasses import replace
 from operator import attrgetter
 from pathlib import Path
@@ -44,7 +45,6 @@ from .federation import (
     rounds_to_target,
     run_rounds,
     set_up,
-    shares_data_setup,
 )
 from .metafeatures import CompositeErrorConfig, composite_errors
 from .models import ModelSpec, TrainConfig
@@ -321,10 +321,7 @@ def load_config(path_or_preset: str) -> ExperimentConfig:
             # a relative pool path names a file beside the config, wherever it runs from
             config_dir = os.path.dirname(os.path.abspath(path_or_preset))
             raw["data.csv_path"] = os.path.join(config_dir, csv_path)
-    cfg = build_config(raw, _seed_override())
-    if cfg.data.csv_path is not None and not os.path.isfile(cfg.data.csv_path):
-        raise ConfigError(f"invalid value for key 'data.csv_path': no file {cfg.data.csv_path!r}")
-    return cfg
+    return build_config(raw, _seed_override())
 
 
 # ----------------------------------------------------------------------
@@ -382,7 +379,8 @@ def _theory(cfg: ExperimentConfig, mp: MetaParams, errors, clients) -> tuple:
 def _summary_payload(cfg: ExperimentConfig, history, clients) -> dict:
     final = history[-1]
     mp = cfg.meta
-    if cfg.aggregator_mode != "fedavg":
+    if cfg.aggregator_mode != "fedavg" and len(cfg.alpha_grid) > 1:
+        # the alpha search set alpha and reset tau to track it
         mp = replace(mp, alpha=final.alpha_used, tau=None)
     contraction, kl, _, bound = _theory(cfg, mp, final.per_client_val_loss, clients)
     return {
@@ -437,7 +435,9 @@ def _prepare_out_dir(out_dir: str) -> Path:
 
 def _exit_code(command: Callable[..., None]) -> Callable[..., int]:
     """The exit-code policy of every command: 0 when it returns, 2 on a
-    ConfigError, 3 on any other failure, with the error on stderr."""
+    ConfigError, 3 on any other failure, with the error on stderr. A
+    failure that is neither a ValueError nor a RuntimeError is a bug, so
+    its traceback is printed in full."""
 
     @functools.wraps(command)
     def run(*args, **kwargs) -> int:
@@ -446,8 +446,11 @@ def _exit_code(command: Callable[..., None]) -> Callable[..., int]:
         except ConfigError as err:
             print(f"config error: {err}", file=sys.stderr)
             return EXIT_CONFIG
-        except Exception as err:
+        except (ValueError, RuntimeError) as err:
             print(f"runtime error: {err}", file=sys.stderr)
+            return EXIT_RUNTIME
+        except Exception:
+            traceback.print_exc()
             return EXIT_RUNTIME
         return EXIT_OK
 
@@ -476,8 +479,6 @@ def cmd_compare(config_a: str, config_b: str, out_dir: str) -> None:
     """Run two data-matched configs; write compare.csv and compare_summary.json."""
     cfg_a = load_config(config_a)
     cfg_b = load_config(config_b)
-    if not shares_data_setup(cfg_a, cfg_b):
-        raise ConfigError("configs must share data setup")
     out = _prepare_out_dir(out_dir)
     summary = compare_runs(cfg_a, cfg_b)
     write_compare_csv(summary, out / "compare.csv")

@@ -232,6 +232,8 @@ def _read_csv(path: str, num_classes: int) -> ClientDataset:
         handle = open(path, newline="", encoding="utf-8")
     except FileNotFoundError:
         raise ConfigError(f"missing file: {path}") from None
+    except OSError as err:
+        raise ConfigError(f"cannot read file {path}: {err.strerror}") from None
     with handle:
         reader = csv.reader(handle)
         for line_no, row in enumerate(reader, start=1):

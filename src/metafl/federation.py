@@ -21,7 +21,8 @@ parameters are bitwise those of training it alone. The cohort is
 evaluated the same way (models.cohort_losses): clients whose validation
 splits have one length share one stacked forward pass, and each client's
 loss is bitwise the one models.evaluate gives it alone.
-A malformed CSV pool is a ConfigError naming data.csv_path and the row.
+Any fault in setting up the data is a ConfigError; a malformed CSV pool's
+names data.csv_path and the row.
 """
 
 from __future__ import annotations
@@ -56,6 +57,7 @@ from .models import (
     ClientError,
     ModelSpec,
     TrainConfig,
+    _check_nonnegative,
     cohort_losses,
     evaluate,
     init_params,
@@ -97,8 +99,6 @@ class DataConfig:
             raise ValueError("spread must be finite and positive")
         if not 0.0 < self.global_val_fraction < 1.0:
             raise ValueError("global_val_fraction must lie in (0, 1)")
-        if self.csv_path == "":
-            raise ValueError("csv_path must not be empty")
 
 
 @dataclass(frozen=True)
@@ -205,33 +205,33 @@ def build_federation(
 
     The holdout is drawn before partitioning. Label noise corrupts the
     marked clients' train splits only, so client validation losses
-    honestly reflect the damage. A malformed CSV pool, or one whose
-    feature dim is not the model's, raises ConfigError naming data.csv_path.
+    honestly reflect the damage. Any fault in drawing the pool, the
+    holdout or the partition raises one ConfigError, naming data.csv_path
+    when the pool is a CSV file.
     """
-    spec = cfg.spec
-    if cfg.data.csv_path is not None:
-        bad_pool = f"invalid value for key 'data.csv_path' ({cfg.data.csv_path}): "
-        try:
-            pool = load_csv(cfg.data.csv_path, spec.num_classes)
-        except ValueError as err:
-            raise ConfigError(f"{bad_pool}{err}") from None
-        if pool.dim != spec.input_dim:
-            raise ConfigError(
-                f"{bad_pool}csv feature dim {pool.dim} does not match model "
-                f"input_dim {spec.input_dim}"
+    spec, data = cfg.spec, cfg.data
+    source = f"invalid data set-up (synthetic pool, data.n_samples = {data.n_samples}): "
+    try:
+        if data.csv_path is not None:
+            source = f"invalid value for key 'data.csv_path' ({data.csv_path}): "
+            pool = load_csv(data.csv_path, spec.num_classes)
+            if pool.dim != spec.input_dim:
+                raise ValueError(
+                    f"csv feature dim {pool.dim} does not match model input_dim {spec.input_dim}"
+                )
+        else:
+            pool = make_blobs(
+                spec.num_classes, spec.input_dim, data.n_samples, data.spread, cfg.seed
             )
-    else:
-        pool = make_blobs(
-            spec.num_classes, spec.input_dim, cfg.data.n_samples, cfg.data.spread, cfg.seed
-        )
-    rng = make_rng([cfg.seed, 1])
-    order = rng.permutation(pool.n)
-    n_holdout = max(1, int(round(cfg.data.global_val_fraction * pool.n)))
-    if n_holdout >= pool.n:
-        raise ValueError("global validation holdout would consume every sample")
-    global_val = pool.subset(order[:n_holdout])
-    rest = pool.subset(order[n_holdout:])
-    clients = partition_dirichlet(rest, cfg.partition)
+        rng = make_rng([cfg.seed, 1])
+        order = rng.permutation(pool.n)
+        n_holdout = max(1, int(round(data.global_val_fraction * pool.n)))
+        if n_holdout >= pool.n:
+            raise ValueError("global validation holdout would consume every sample")
+        global_val = pool.subset(order[:n_holdout])
+        clients = partition_dirichlet(pool.subset(order[n_holdout:]), cfg.partition)
+    except ValueError as err:
+        raise ConfigError(f"{source}{err}") from None
     noisy = []
     for k, (train, val) in enumerate(clients):
         if k in cfg.partition.noise_clients and cfg.partition.label_noise_rate > 0.0:
@@ -278,11 +278,7 @@ def collect_reports(
         thetas = train_cohort(spec, starts, trains, round_train)
         features = extract(spec, theta, thetas, clients, round_train) if with_meta else None
         val_loss = cohort_losses(spec, thetas, [val for _, val in clients])
-        bad = np.flatnonzero(~(np.isfinite(val_loss) & (val_loss >= 0.0)))
-        if bad.size:
-            k = int(bad[0])
-            problem = "nonnegative" if np.isfinite(val_loss[k]) else "finite"
-            raise ClientError(k, f"val_loss must be {problem}")
+        _check_nonnegative("val_loss", val_loss[:, None])
     except ClientError as err:
         raise RuntimeError(f"round {round_index}, client {err.index}: {err}") from err
     return Cohort(
@@ -320,7 +316,7 @@ def run_rounds(
                     )
                 outcome = meta_agg(cohort.thetas, errors, mp, cfg.aggregator_mode)
             server_perf = evaluate(spec, outcome.theta_g, global_val)
-        except Exception as err:
+        except ValueError as err:
             raise RuntimeError(f"round {t}, aggregation: {err}") from err
         history.append(
             RoundRecord(
@@ -368,7 +364,7 @@ def rounds_to_target(history: Sequence[RoundRecord], target: float) -> int | Non
 def compare_runs(cfg_a: ExperimentConfig, cfg_b: ExperimentConfig) -> ComparisonSummary:
     """Run two configs on one federation and pair their round metrics."""
     if not shares_data_setup(cfg_a, cfg_b):
-        raise ValueError("configs must share data setup")
+        raise ConfigError("configs must share data setup")
     fed = set_up(cfg_a)
     _, hist_a = run_rounds(cfg_a, *fed)
     _, hist_b = run_rounds(cfg_b, *fed)

@@ -15,7 +15,9 @@ from typing import Sequence
 import numpy as np
 
 from .datagen import ClientDataset
-from .models import ClientError, ModelSpec, TrainConfig, cohort_losses, param_count, train_cohort
+from .models import (
+    ModelSpec, TrainConfig, _check_nonnegative, cohort_losses, param_count, train_cohort,
+)
 from .numerics import ParamVector
 
 __all__ = [
@@ -105,11 +107,7 @@ def extract(
         cohort_losses(probe_spec, probes, vals),
         np.abs(loss_bump - loss_base) / 0.5,
     ])
-    finite = np.isfinite(features).all(axis=1)
-    bad = np.flatnonzero(~finite | (features < 0.0).any(axis=1))
-    if bad.size:
-        problem = "finite" if not finite[bad[0]] else "nonnegative"
-        raise ClientError(int(bad[0]), f"meta-features must be {problem}")
+    _check_nonnegative("meta-features", features)
     return features
 
 

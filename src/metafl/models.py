@@ -120,17 +120,6 @@ def _unpack(spec: ModelSpec, theta: np.ndarray):
     )
 
 
-def _check_dims(spec: ModelSpec, theta: np.ndarray, x: np.ndarray) -> None:
-    if theta.size != param_count(spec):
-        raise ValueError(
-            f"dimension mismatch: {theta.size} parameters, spec needs {param_count(spec)}"
-        )
-    if x.shape[1] != spec.input_dim:
-        raise ValueError(
-            f"dimension mismatch: features have dim {x.shape[1]}, spec.input_dim={spec.input_dim}"
-        )
-
-
 def _check_cohort(spec: ModelSpec, thetas: np.ndarray, datasets: Sequence[ClientDataset]) -> None:
     """thetas must be [len(datasets), P]; a dataset of the wrong feature dim
     raises ClientError naming the first such member."""
@@ -143,6 +132,16 @@ def _check_cohort(spec: ModelSpec, thetas: np.ndarray, datasets: Sequence[Client
         if data.dim != spec.input_dim:
             raise ClientError(k, f"dimension mismatch: features have dim {data.dim}, "
                                  f"spec.input_dim={spec.input_dim}")
+
+
+def _check_nonnegative(name: str, values: np.ndarray) -> None:
+    """values [K, F] hold one row per cohort member; the first row with a
+    non-finite or negative entry raises ClientError naming that member."""
+    finite = np.isfinite(values).all(axis=1)
+    bad = np.flatnonzero(~finite | (values < 0.0).any(axis=1))
+    if bad.size:
+        problem = "finite" if not finite[bad[0]] else "nonnegative"
+        raise ClientError(int(bad[0]), f"{name} must be {problem}")
 
 
 def _logits(spec: ModelSpec, theta: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -312,7 +311,7 @@ def train_cohort(
 
 def evaluate(spec: ModelSpec, params: ParamVector, data: ClientDataset) -> PerformanceMetrics:
     """Mean cross-entropy (nats) and top-1 accuracy on ``data``."""
-    _check_dims(spec, params.coords, data.features)
+    _check_cohort(spec, params.coords[None], [data])
     logits = _logits(spec, params.coords, data.features)
     val_loss = float(_mean_ce(logits, data.labels))
     preds = np.argmax(logits, axis=1)
@@ -322,7 +321,7 @@ def evaluate(spec: ModelSpec, params: ParamVector, data: ClientDataset) -> Perfo
 
 def local_loss(spec: ModelSpec, params: ParamVector, data: ClientDataset) -> float:
     """Mean cross-entropy of the model on the dataset, in nats."""
-    _check_dims(spec, params.coords, data.features)
+    _check_cohort(spec, params.coords[None], [data])
     return float(_mean_ce(_logits(spec, params.coords, data.features), data.labels))
 
 

@@ -62,6 +62,16 @@ EXIT_2_CONFIGS = {
     "inf_tau": (MINIMAL + "meta.tau = inf\n", "'meta.*'"),
     "empty_csv_path": (MINIMAL + "data.csv_path =\n", "csv_path"),
     "missing_csv_path": (MINIMAL + "data.csv_path = nope.csv\n", "data.csv_path"),
+    "csv_path_is_directory": (MINIMAL + "data.csv_path = .\n", "data.csv_path"),
+    "fewer_samples_than_clients": (
+        "rounds = 2\npartition.num_clients = 50\ndata.n_samples = 20\n", "data.n_samples"
+    ),
+    "fewer_samples_than_classes": (
+        MINIMAL + "data.n_samples = 3\nmodel.num_classes = 5\n", "data.n_samples"
+    ),
+    "holdout_takes_every_sample": (
+        MINIMAL + "data.n_samples = 4\ndata.global_val_fraction = 0.9\n", "data.n_samples"
+    ),
     "unknown_aggregator": (MINIMAL + "aggregator = metafl_newton\n", "aggregator must be one of"),
     "subnormal_alpha_grid": (MINIMAL + "alpha_grid = 0,5e-324\n", "alpha_grid"),
     "subnormal_alpha": (MINIMAL + "meta.alpha = 5e-324\n", "'meta.*'"),
@@ -356,6 +366,32 @@ class TestCmdRun:
         err = capsys.readouterr().err
         assert err.startswith("config error: invalid value for key 'data.csv_path'")
         assert named in err
+
+    def test_programming_error_prints_traceback(self, tmp_path, monkeypatch, capsys):
+        def broken(*args, **kwargs):
+            raise TypeError("unsupported operand")
+
+        monkeypatch.setattr(federation, "meta_agg", broken)
+        cfg = load_config("preset_iid")
+        with pytest.raises(TypeError, match="unsupported operand"):
+            federation.run_experiment(cfg)
+        assert cmd_run("preset_iid", str(tmp_path / "out")) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("Traceback (most recent call last):")
+        assert err.rstrip().endswith("TypeError: unsupported operand")
+        assert "runtime error" not in err
+
+    def test_summary_contraction_keeps_tau_without_search(self, tmp_path):
+        # one alpha and no grid: nothing resets meta.tau, so summary.json's
+        # contraction is diagnose's |1 - eta * tau| = 0.95, not 1 - eta / alpha
+        cfg = "rounds = 2\npartition.num_clients = 4\naggregator = metafl_mirror\nmeta.tau = 0.5\n"
+        path = write(tmp_path, cfg)
+        assert cmd_run(path, str(tmp_path / "run"), no_timing=True) == 0
+        assert cmd_diagnose(path, str(tmp_path / "diag")) == 0
+        run = json.loads((tmp_path / "run" / "summary.json").read_text())
+        diag = json.loads((tmp_path / "diag" / "diagnostics.json").read_text())
+        assert run["contraction_estimate"] == diag["contraction_estimate"]
+        assert run["contraction_estimate"] == pytest.approx(0.95)
 
     def test_preset_by_name(self, tmp_path):
         out = tmp_path / "out"

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from metafl import federation
+from metafl import federation, metafeatures
 from metafl.datagen import ClientDataset, PartitionConfig, make_blobs
 from metafl.federation import (
     Cohort,
@@ -23,7 +23,7 @@ from metafl.federation import (
 )
 from metafl.aggregator import MetaParams
 from metafl.metafeatures import CompositeErrorConfig, composite_errors, extract
-from metafl.models import ModelSpec, TrainConfig, init_params, train_local
+from metafl.models import ClientError, ModelSpec, TrainConfig, init_params, train_local
 from metafl.numerics import derive_seed
 from testkit import save_csv
 
@@ -184,6 +184,26 @@ class TestCollectReports:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(RuntimeError, match=r"^round 1, client 2: val_loss must be finite$"):
                 collect_reports(cfg, clients, init_params(cfg.spec, 0), 1)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -1.0], ids=["nan", "inf", "negative"])
+def test_collect_reports_and_extract_name_the_same_client(monkeypatch, value):
+    # cohort_losses gives client 1 the bad value (and client 2 another), so
+    # both the validation losses and the data_complexity feature go bad
+    losses = np.array([0.3, value, np.nan, -1.0])
+    problem = "nonnegative" if np.isfinite(value) else "finite"
+    monkeypatch.setattr(federation, "cohort_losses", lambda *args: losses)
+    monkeypatch.setattr(metafeatures, "cohort_losses", lambda *args: losses)
+    cfg = small_config(partition=PartitionConfig(num_clients=4, dirichlet_beta=5.0, seed=3))
+    clients, _ = build_federation(cfg)
+    theta = init_params(cfg.spec, 0)
+    with pytest.raises(RuntimeError, match=f"^round 1, client 1: val_loss must be {problem}$"):
+        collect_reports(cfg, clients, theta, 1)
+    thetas = np.stack([theta.coords] * 4)
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(ClientError, match=f"^meta-features must be {problem}$") as info:
+            extract(cfg.spec, theta, thetas, clients, cfg.train)
+    assert info.value.index == 1
 
 
 class TestCohort:

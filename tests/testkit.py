@@ -10,7 +10,7 @@ from typing import Callable, Sequence, Tuple
 import numpy as np
 
 from metafl.datagen import ClientDataset
-from metafl.models import ModelSpec, _ce_grad_arrays, _check_dims, _logits, _mean_ce
+from metafl.models import ModelSpec, _ce_grad_arrays, _check_cohort, _logits, _mean_ce
 from metafl.numerics import ParamVector
 
 
@@ -37,7 +37,7 @@ def loss_and_grad(
     spec: ModelSpec, params: ParamVector, data: ClientDataset, l2: float = 0.0
 ) -> Tuple[float, np.ndarray]:
     """Training objective and its analytic gradient over the full dataset."""
-    _check_dims(spec, params.coords, data.features)
+    _check_cohort(spec, params.coords[None], [data])
     theta = params.coords
     loss = _mean_ce(_logits(spec, theta, data.features), data.labels)
     if l2 > 0.0:
