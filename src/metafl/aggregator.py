@@ -162,13 +162,16 @@ def _mirror_step(w: np.ndarray, e: np.ndarray, tau: float, eta: float) -> np.nda
 
 def _projected_step(w: np.ndarray, e: np.ndarray, tau: float, eta: float) -> np.ndarray:
     """One projected-gradient step; a non-finite target is returned as is,
-    for the solver loop to report as divergence."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        target = w - eta * _gradient(_clamped_log(w), e, tau)
+    for the solver loop to report as divergence, not warned about."""
+    target = w - eta * _gradient(_clamped_log(w), e, tau)
     return _project_simplex(target) if np.isfinite(target).all() else target
 
 
-_STEPS = {"mirror": _mirror_step, "projected": _projected_step}
+#: Each solver's step, and the numpy warnings its whole solve turns off.
+_STEPS = {
+    "mirror": (_mirror_step, {}),
+    "projected": (_projected_step, {"over": "ignore", "invalid": "ignore"}),
+}
 
 
 def weights_iterative(
@@ -186,17 +189,18 @@ def weights_iterative(
     if k == 1:
         return WeightVector(np.ones(1)), 0, 0.0
     tau = mp.resolved_tau()
-    step = _STEPS[solver]
+    step, quiet = _STEPS[solver]
     w = np.full(k, 1.0 / k)
     residual = math.inf
-    for t in range(1, mp.max_iters + 1):
-        w_next = step(w, e, tau, mp.eta)
-        if not np.all(np.isfinite(w_next)):
-            raise ValueError(f"divergence in {solver} solver at iteration {t}")
-        residual = float(np.abs(w_next - w).max())
-        w = w_next
-        if residual < mp.tol:
-            return WeightVector(w), t, residual
+    with np.errstate(**quiet):
+        for t in range(1, mp.max_iters + 1):
+            w_next = step(w, e, tau, mp.eta)
+            if not np.isfinite(w_next).all():
+                raise ValueError(f"divergence in {solver} solver at iteration {t}")
+            residual = float(np.abs(w_next - w).max())
+            w = w_next
+            if residual < mp.tol:
+                return WeightVector(w), t, residual
     return WeightVector(w), mp.max_iters, residual
 
 

@@ -8,9 +8,10 @@ Commands:
 <config> is either a path to a flat key-value file (dotted section keys,
 '#' comments, one `key = value` per line) or the name of a shipped
 preset. The METAFL_SEED environment variable overrides the top-level
-seed. Exit codes: 0 success, 2 config error, 3 runtime numerical
-failure. `run` warns on stderr for each round whose iterative weight
-solve stopped at meta.max_iters with its residual still >= meta.tol.
+seed. Exit codes: 0 success, 2 config error (an output path that cannot
+be created or written is one too), 3 runtime numerical failure. `run`
+warns on stderr for each round whose iterative weight solve stopped at
+meta.max_iters with its residual still >= meta.tol.
 """
 
 from __future__ import annotations
@@ -334,7 +335,10 @@ def _fmt(value: float) -> str:
 
 
 def _write(path: Path, text: str) -> None:
-    path.write_text(text, encoding="utf-8")
+    try:
+        path.write_text(text, encoding="utf-8")
+    except OSError as err:
+        raise ConfigError(f"cannot write {path}: {err.strerror or err}") from None
 
 
 def write_rounds_csv(history: list[RoundRecord], path: Path, include_timing: bool) -> None:
@@ -461,8 +465,8 @@ def _exit_code(command: Callable[..., None]) -> Callable[..., int]:
 def cmd_run(config_path: str, out_dir: str, no_timing: bool = False) -> None:
     """Run one experiment; write rounds.csv, summary.json, config_echo.txt."""
     cfg = load_config(config_path)
-    out = _prepare_out_dir(out_dir)
     clients, global_val, theta0 = set_up(cfg)
+    out = _prepare_out_dir(out_dir)
     _, history = run_rounds(cfg, clients, global_val, theta0)
     for rec in history:
         if rec.solver_residual >= cfg.meta.tol:
@@ -479,8 +483,8 @@ def cmd_compare(config_a: str, config_b: str, out_dir: str) -> None:
     """Run two data-matched configs; write compare.csv and compare_summary.json."""
     cfg_a = load_config(config_a)
     cfg_b = load_config(config_b)
-    out = _prepare_out_dir(out_dir)
     summary = compare_runs(cfg_a, cfg_b)
+    out = _prepare_out_dir(out_dir)
     write_compare_csv(summary, out / "compare.csv")
     diff = summary.terminal_accuracy_diff
     winner = "a" if diff > 0 else "b" if diff < 0 else "tie"
@@ -504,8 +508,8 @@ def cmd_diagnose(config_path: str, out_dir: str) -> None:
     """Probe fixed-point, convexity, and divergence diagnostics on a
     seeded one-round instance; write diagnostics.json."""
     cfg = load_config(config_path)
-    out = _prepare_out_dir(out_dir)
     clients, global_val, theta0 = set_up(cfg)
+    out = _prepare_out_dir(out_dir)
     # The probe aggregates in closed form whatever the config's mode,
     # so its cohort carries the features that form weights.
     closed = replace(cfg, aggregator_mode="metafl_closed")

@@ -145,20 +145,36 @@ def _check_nonnegative(name: str, values: np.ndarray) -> None:
 
 
 def _logits(spec: ModelSpec, theta: np.ndarray, x: np.ndarray) -> np.ndarray:
-    if spec.hidden_dim == 0:
-        w, b = _unpack(spec, theta)
-        return x @ w + b
-    w1, b1, w2, b2 = _unpack(spec, theta)
-    z1 = x @ w1 + b1
-    a1 = np.maximum(z1, 0.0) if spec.activation == "relu" else np.tanh(z1)
-    return a1 @ w2 + b2
+    """Each bias add and activation acts in place on its matmul's output."""
+    *hidden, w, b = _unpack(spec, theta)
+    if hidden:
+        x = x @ hidden[0]  # the hidden layer's output is the next layer's input
+        x += hidden[1]
+        if spec.activation == "relu":
+            np.maximum(x, 0.0, out=x)
+        else:
+            np.tanh(x, out=x)
+    z = x @ w
+    z += b
+    return z
+
+
+def _row_max(z: np.ndarray) -> np.ndarray:
+    """z.max(axis=-1) by one np.maximum per column of z [..., L, c]: equal
+    values (a zero or NaN may differ in sign), far faster over few classes."""
+    m = np.maximum(z[..., 0], z[..., 1])
+    for j in range(2, z.shape[-1]):
+        np.maximum(m, z[..., j], out=m)
+    return m
 
 
 def _mean_ce(logits: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Mean cross-entropy of logits [..., L, c] against labels [..., L],
     reduced over L alone: one value per leading index."""
-    m = logits.max(axis=-1, keepdims=True)
-    lse = m[..., 0] + np.log(np.exp(logits - m).sum(axis=-1))
+    m = _row_max(logits)
+    e = logits - m[..., None]
+    np.exp(e, out=e)
+    lse = m + np.log(e.sum(axis=-1))
     picked = logits.reshape(-1, logits.shape[-1])[np.arange(y.size), y.reshape(-1)]
     return np.mean(lse - picked.reshape(y.shape), axis=-1)
 
@@ -195,7 +211,7 @@ def _ce_grad_arrays(
 
 
 def _softmax_rows(z: np.ndarray) -> np.ndarray:
-    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    e = np.exp(z - _row_max(z)[..., None])
     return e / e.sum(axis=-1, keepdims=True)
 
 

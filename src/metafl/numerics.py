@@ -122,7 +122,7 @@ def _project_simplex(x: np.ndarray) -> np.ndarray:
     """Euclidean projection of a finite 1-D array onto the simplex,
     unchecked: the inner step of the projected solver."""
     u = np.sort(x)[::-1]
-    css = np.cumsum(u) - 1.0
+    css = u.cumsum() - 1.0
     idx = np.arange(1, x.size + 1)
     rho = np.nonzero(u - css / idx > 0.0)[0][-1]
     tau = css[rho] / (rho + 1.0)

@@ -1,6 +1,7 @@
 """Weight solvers, aggregation, adaptation, and theory-diagnostic tests."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from metafl.aggregator import (
 from metafl.datagen import inject_label_noise, make_blobs
 from metafl.models import ModelSpec, TrainConfig, init_params, local_loss, param_count, train_local
 from metafl.numerics import ParamVector, WeightVector, make_rng, project_simplex, softmax_neg
-from testkit import finite_diff_grad
+from testkit import finite_diff_grad, reference_weights_iterative
 
 
 def rows(*coords):
@@ -340,6 +341,79 @@ class TestMetaAgg:
     def test_rejects_non_metafl_mode(self, mode):
         with pytest.raises(ValueError, match="mode must be a metafl_"):
             meta_agg(rows([1.0], [3.0]), np.array([0.2, 0.8]), MetaParams(alpha=1.0), mode)
+
+
+def solve_outcome(solve, errors, mp, solver):
+    """(weights bytes, iterations, residual) of a solve, or the type and
+    text of what it raised."""
+    try:
+        w, iters, residual = solve(errors, mp, solver)
+    except ValueError as err:
+        return type(err), str(err)
+    return np.asarray(getattr(w, "weights", w)).tobytes(), iters, residual
+
+
+class TestSolverRegression:
+    """Both solvers equal reference_weights_iterative, the loop with a
+    per-step error state, bitwise: same weights, iteration count and
+    residual, and the same divergence at the same iteration."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.floats(-5.0, 5.0), min_size=2, max_size=12),
+        st.floats(0.01, 32.0),
+        st.sampled_from([0.01, 0.1, 0.5, 2.0]),
+        st.integers(1, 300),
+        st.sampled_from([1e-10, 1e-6, 1e-3]),
+        st.sampled_from(["mirror", "projected"]),
+    )
+    def test_equals_reference_loop(self, errors, alpha, eta, max_iters, tol, solver):
+        mp = MetaParams(alpha=alpha, eta=eta, max_iters=max_iters, tol=tol)
+        got = solve_outcome(weights_iterative, errors, mp, solver)
+        assert got == solve_outcome(reference_weights_iterative, errors, mp, solver)
+
+    @pytest.mark.parametrize("solver", ["mirror", "projected"])
+    def test_unconverged_solve_equals_reference(self, solver):
+        # holdout_search-like: six clients, alpha 32, the default 500 steps
+        errors = [0.9, 1.7, 0.41, 0.43, 0.45, 0.47]
+        mp = MetaParams(alpha=32.0)
+        got = solve_outcome(weights_iterative, errors, mp, solver)
+        assert got[1] == mp.max_iters and got[2] >= mp.tol
+        assert got == solve_outcome(reference_weights_iterative, errors, mp, solver)
+
+    @pytest.mark.parametrize(
+        "errors,mp,solver,iteration",
+        [
+            ([0.0, 1e3], MetaParams(alpha=1.0, eta=1e308, max_iters=10), "projected", 1),
+            ([1.7695071894782e45, 1.1763080056202768e45, 6.350481730618359e45],
+             MetaParams(tau=1e306, eta=53.70480783948084, max_iters=50), "projected", 2),
+            ([-1e308, 0.0], MetaParams(alpha=1.0, eta=10.0, max_iters=10), "mirror", 1),
+        ],
+    )
+    def test_divergence_at_reference_iteration(self, errors, mp, solver, iteration):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            got = solve_outcome(weights_iterative, errors, mp, solver)
+            want = solve_outcome(reference_weights_iterative, errors, mp, solver)
+        assert got == want == (ValueError, f"divergence in {solver} solver at iteration {iteration}")
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(st.floats(200.0, 1e3), min_size=2, max_size=12),
+        st.floats(0.01, 32.0),
+        st.sampled_from([0.1, 1e308]),
+    )
+    def test_projected_solve_emits_no_runtime_warning(self, errors, alpha, eta):
+        # errors of 200 or more make a step of 1e308 overflow the target,
+        # which the solve reports as divergence rather than warns about
+        mp = MetaParams(alpha=alpha, eta=eta, max_iters=50)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if eta < 1.0:
+                weights_iterative(errors, mp, "projected")
+            else:
+                with pytest.raises(ValueError, match="projected solver at iteration 1"):
+                    weights_iterative(errors, mp, "projected")
 
 
 def reference_alpha_search(mp, candidates, thetas, errors, spec, holdout):

@@ -1,5 +1,6 @@
 """Command-line front end: config parsing, outputs, exit codes."""
 
+import errno
 import json
 import os
 import re
@@ -276,6 +277,7 @@ class TestCmdRun:
         code = cmd_run(write(tmp_path, text), str(tmp_path / "out"))
         assert code == 2
         assert named in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_minimal_run(self, tmp_path):
         out = tmp_path / "out"
@@ -490,6 +492,29 @@ def test_builds_federation_once(tmp_path, monkeypatch, command):
     )
     assert command(write(tmp_path, MINIMAL), str(tmp_path / "out")) == 0
     assert len(calls) == 1
+
+
+TOO_FEW = "rounds = 1\npartition.num_clients = 50\ndata.n_samples = 20\n"
+
+
+@pytest.mark.parametrize(
+    "command", [cmd_run, cmd_diagnose, lambda cfg, out: cmd_compare(cfg, cfg, out)],
+    ids=["run", "diagnose", "compare"],
+)
+def test_data_setup_fault_leaves_no_output_dir(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    assert command(write(tmp_path, TOO_FEW), str(out)) == 2
+    assert "data.n_samples" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_unwritable_output_is_config_error(tmp_path, capsys):
+    out = tmp_path / "out"
+    (out / "rounds.csv").mkdir(parents=True)
+    assert cmd_run(write(tmp_path, MINIMAL), str(out)) == 2
+    err = capsys.readouterr().err
+    reason = os.strerror(errno.EISDIR)
+    assert err.splitlines() == [f"config error: cannot write {out / 'rounds.csv'}: {reason}"]
 
 
 class TestMain:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from metafl.datagen import ClientDataset, make_blobs
 from metafl.models import (
@@ -14,6 +15,10 @@ from metafl.models import (
     ModelSpec,
     PerformanceMetrics,
     TrainConfig,
+    _logits,
+    _mean_ce,
+    _row_max,
+    _softmax_rows,
     cohort_losses,
     evaluate,
     init_params,
@@ -23,12 +28,18 @@ from metafl.models import (
     train_local,
 )
 from metafl.numerics import ParamVector, make_rng
-from testkit import finite_diff_grad, loss_and_grad
+from testkit import (
+    finite_diff_grad,
+    loss_and_grad,
+    reference_logits,
+    reference_mean_ce,
+    reference_softmax_rows,
+)
 
 LOGISTIC_2D = ModelSpec(input_dim=2, hidden_dim=0, num_classes=2)
 
 
-def reference_mean_ce(spec, theta, data):
+def per_sample_mean_ce(spec, theta, data):
     """Independent per-sample cross-entropy using plain math calls."""
     total = 0.0
     for x, y in zip(data.features, data.labels):
@@ -287,7 +298,7 @@ class TestEvaluate:
         theta = np.array([0.3, -0.2, 1.1, 0.4, -0.6, 0.05])
         perf = evaluate(LOGISTIC_2D, ParamVector(theta), data)
         np.testing.assert_allclose(
-            perf.val_loss, reference_mean_ce(LOGISTIC_2D, theta, data), atol=1e-9
+            perf.val_loss, per_sample_mean_ce(LOGISTIC_2D, theta, data), atol=1e-9
         )
 
     def test_metrics_validation(self):
@@ -356,6 +367,76 @@ class TestGradients:
         # hidden = relu([2, -3]) = [2, 0]; logits = [2 + 0.5, 0 - 0.5]
         want = math.log(math.exp(2.5) + math.exp(-0.5)) - 2.5
         assert loss == pytest.approx(want, abs=1e-12)
+
+
+@st.composite
+def forward_cases(draw):
+    """(spec, theta, x, y): hidden_dim 0 or 1-8, relu or tanh, 2-12
+    classes, 0-2 stacked leading axes over rows of length 1 and up; about
+    a fifth of the parameters and a tenth of the features are exactly 0,
+    so relu and zero biases give exactly zero logits of either sign."""
+    spec = ModelSpec(
+        input_dim=draw(st.integers(1, 6)),
+        hidden_dim=draw(st.one_of(st.just(0), st.integers(1, 8))),
+        num_classes=draw(st.integers(2, 12)),
+        activation=draw(st.sampled_from(ACTIVATIONS)),
+    )
+    lead = tuple(draw(st.lists(st.integers(1, 3), max_size=2)))
+    rows = draw(st.one_of(st.just(1), st.integers(2, 300)))
+    rng = make_rng(draw(st.integers(0, 2**32)))
+    scale = draw(st.sampled_from([0.1, 1.0, 30.0]))
+    theta = rng.normal(scale=scale, size=lead + (param_count(spec),))
+    theta *= rng.random(theta.shape) < 0.8
+    x = rng.normal(size=lead + (rows, spec.input_dim))
+    x *= rng.random(x.shape) < 0.9
+    y = rng.integers(0, spec.num_classes, lead + (rows,))
+    return spec, theta, x, y
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class TestForwardPass:
+    @settings(max_examples=200, deadline=None)
+    @given(case=forward_cases())
+    def test_equals_reference_bitwise(self, case):
+        spec, theta, x, y = case
+        logits = _logits(spec, theta, x)
+        assert same_bits(logits, reference_logits(spec, theta, x))
+        assert same_bits(_mean_ce(logits, y), reference_mean_ce(logits, y))
+        assert same_bits(_softmax_rows(logits), reference_softmax_rows(logits))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        z=arrays(
+            np.float64,
+            st.tuples(st.integers(1, 5), st.integers(1, 3), st.integers(2, 20)),
+            elements=st.one_of(
+                st.floats(allow_nan=False), st.sampled_from([math.inf, -math.inf, math.nan])
+            ),
+        )
+    )
+    def test_row_max_equals_numpy_max_bitwise(self, z):
+        z = z + 0.0  # -0.0 + 0.0 is 0.0; see the signed-zero test below
+        assert same_bits(_row_max(z), z.max(axis=-1))
+        assert same_bits(_row_max(z[0]), z[0].max(axis=-1))
+
+    def test_row_max_signed_zero_and_nan_sign(self):
+        # numpy's reduction may return either zero of a row holding both,
+        # and a positive NaN for a row holding a sign-bit NaN; _row_max
+        # agrees in value, and the subtraction of the max and its sum with
+        # a log make the forward pass's outputs bitwise equal either way
+        rng = make_rng(5)
+        specials = np.array([0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, 1.0, -2.5])
+        for c in (2, 3, 8, 9, 17):
+            z = rng.choice(specials, size=(400, c))
+            assert np.array_equal(_row_max(z), z.max(axis=-1), equal_nan=True)
+            finite = rng.choice(specials[[0, 1, 6, 7]], size=(400, c))
+            y = rng.integers(0, c, 400)
+            assert same_bits(_mean_ce(finite, y), reference_mean_ce(finite, y))
+            assert same_bits(_softmax_rows(finite), reference_softmax_rows(finite))
 
 
 class TestPredictions:

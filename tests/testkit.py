@@ -1,16 +1,20 @@
 """Helpers only the tests use: central finite differences, the full-data
-training objective with its analytic gradient, and a CSV writer in the
-format datagen.load_csv reads."""
+training objective with its analytic gradient, a CSV writer in the
+format datagen.load_csv reads, and reference copies of the forward pass
+and the iterative weight solve as they were written before their
+in-place rewrite, which the program must still equal bitwise."""
 
 from __future__ import annotations
 
 import csv
+import math
 from typing import Callable, Sequence, Tuple
 
 import numpy as np
 
+from metafl.aggregator import MetaParams, _clamped_log, _gradient, _mirror_step
 from metafl.datagen import ClientDataset
-from metafl.models import ModelSpec, _ce_grad_arrays, _check_cohort, _logits, _mean_ce
+from metafl.models import ModelSpec, _ce_grad_arrays, _check_cohort, _logits, _mean_ce, _unpack
 from metafl.numerics import ParamVector
 
 
@@ -52,3 +56,66 @@ def save_csv(data: ClientDataset, path: str) -> None:
         writer = csv.writer(handle)
         for x, y in zip(data.features, data.labels):
             writer.writerow([repr(float(v)) for v in x] + [int(y)])
+
+
+def reference_logits(spec: ModelSpec, theta: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """models._logits, each bias add and activation allocating its result."""
+    if spec.hidden_dim == 0:
+        w, b = _unpack(spec, theta)
+        return x @ w + b
+    w1, b1, w2, b2 = _unpack(spec, theta)
+    z1 = x @ w1 + b1
+    a1 = np.maximum(z1, 0.0) if spec.activation == "relu" else np.tanh(z1)
+    return a1 @ w2 + b2
+
+
+def reference_mean_ce(logits: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """models._mean_ce with numpy's row max, allocating each step."""
+    m = logits.max(axis=-1, keepdims=True)
+    lse = m[..., 0] + np.log(np.exp(logits - m).sum(axis=-1))
+    picked = logits.reshape(-1, logits.shape[-1])[np.arange(y.size), y.reshape(-1)]
+    return np.mean(lse - picked.reshape(y.shape), axis=-1)
+
+
+def reference_softmax_rows(z: np.ndarray) -> np.ndarray:
+    """models._softmax_rows with numpy's row max, allocating each step."""
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _reference_project_simplex(x: np.ndarray) -> np.ndarray:
+    u = np.sort(x)[::-1]
+    css = np.cumsum(u) - 1.0
+    idx = np.arange(1, x.size + 1)
+    rho = np.nonzero(u - css / idx > 0.0)[0][-1]
+    tau = css[rho] / (rho + 1.0)
+    return np.maximum(x - tau, 0.0)
+
+
+def _reference_projected_step(w: np.ndarray, e: np.ndarray, tau: float, eta: float) -> np.ndarray:
+    with np.errstate(over="ignore", invalid="ignore"):
+        target = w - eta * _gradient(_clamped_log(w), e, tau)
+    return _reference_project_simplex(target) if np.isfinite(target).all() else target
+
+
+def reference_weights_iterative(
+    errors: Sequence[float], mp: MetaParams, solver: str
+) -> tuple[np.ndarray, int, float]:
+    """aggregator.weights_iterative with a per-step error state:
+    (weights, iterations, residual), or the same divergence ValueError."""
+    e = np.asarray(errors, dtype=np.float64).reshape(-1)
+    if e.size == 1:
+        return np.ones(1), 0, 0.0
+    tau = mp.resolved_tau()
+    step = {"mirror": _mirror_step, "projected": _reference_projected_step}[solver]
+    w = np.full(e.size, 1.0 / e.size)
+    residual = math.inf
+    for t in range(1, mp.max_iters + 1):
+        w_next = step(w, e, tau, mp.eta)
+        if not np.all(np.isfinite(w_next)):
+            raise ValueError(f"divergence in {solver} solver at iteration {t}")
+        residual = float(np.abs(w_next - w).max())
+        w = w_next
+        if residual < mp.tol:
+            return w, t, residual
+    return w, mp.max_iters, residual
