@@ -23,7 +23,9 @@ import numpy as np
 from .datagen import ClientDataset
 from .metafeatures import CompositeErrorConfig
 from .models import ModelSpec, local_loss
-from .numerics import ParamVector, Rng, WeightVector, _project_simplex, softmax_neg, weighted_sum
+from .numerics import (
+    ParamVector, Rng, WeightVector, _check_errors, _project_simplex, softmax_neg, weighted_sum,
+)
 
 __all__ = [
     "MetaParams",
@@ -104,15 +106,6 @@ class AggregationOutcome:
     phi_value: float
     solver_iters: int
     solver_residual: float
-
-
-def _check_errors(errors: Sequence[float]) -> np.ndarray:
-    e = np.asarray(errors, dtype=np.float64).reshape(-1)
-    if e.size == 0:
-        raise ValueError("empty cohort")
-    if not np.all(np.isfinite(e)):
-        raise ValueError("non-finite error metric")
-    return e
 
 
 def phi_objective(w: WeightVector, errors: Sequence[float], tau: float) -> float:
@@ -238,10 +231,8 @@ def meta_agg(
         raise ValueError(f"mode must be a metafl_* entry of {AGGREGATOR_MODES}, got {mode!r}")
     e = _check_errors(errors)
     iters, residual = 0, 0.0
-    if mode == "metafl_closed":
+    if mode == "metafl_closed" or (mp.alpha == 0.0 and mp.tau is None):
         weights = softmax_neg(e, mp.alpha)
-    elif mp.alpha == 0.0 and mp.tau is None:
-        weights = WeightVector(np.full(e.size, 1.0 / e.size))
     else:
         weights, iters, residual = weights_iterative(e, mp, mode.removeprefix("metafl_"))
     return AggregationOutcome(

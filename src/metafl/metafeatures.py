@@ -14,11 +14,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .datagen import ClientDataset
+from .datagen import ClientDataset, label_distribution
 from .models import (
     ModelSpec, TrainConfig, _check_nonnegative, cohort_losses, param_count, train_cohort,
 )
-from .numerics import ParamVector
+from .numerics import ParamVector, _check_errors
 
 __all__ = [
     "FEATURE_FIELDS",
@@ -59,9 +59,7 @@ class CompositeErrorConfig:
         return any(v != 0.0 for v in self.c)
 
 
-def _entropy(labels: np.ndarray, num_classes: int) -> float:
-    counts = np.bincount(labels, minlength=num_classes).astype(np.float64)
-    p = counts / counts.sum()
+def _entropy(p: np.ndarray) -> float:
     nz = p[p > 0.0]
     return float(-(nz * np.log(nz)).sum())
 
@@ -102,7 +100,7 @@ def extract(
     loss_bump = cohort_losses(spec, bumps, vals)
     features = np.column_stack([
         [train.n for train in trains],
-        [_entropy(train.labels, spec.num_classes) for train in trains],
+        [_entropy(label_distribution(train, spec.num_classes)) for train in trains],
         [np.linalg.norm(row - theta_prev.coords) for row in thetas],
         cohort_losses(probe_spec, probes, vals),
         np.abs(loss_bump - loss_base) / 0.5,
@@ -124,13 +122,9 @@ def composite_errors(
     coefficient is nonzero the errors are the losses, and features may
     be None.
     """
-    loss_arr = np.array(losses, dtype=np.float64)
-    if loss_arr.size == 0:
-        raise ValueError("empty cohort")
-    if not np.all(np.isfinite(loss_arr)):
-        raise ValueError("non-finite loss")
+    loss_arr = _check_errors(losses)
     if not cfg.uses_features:
-        return loss_arr
+        return loss_arr.copy()
     if features is None:
         raise ValueError("nonzero coefficients need the cohort's meta-features")
     matrix = np.asarray(features, dtype=np.float64)

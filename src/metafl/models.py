@@ -144,19 +144,21 @@ def _check_nonnegative(name: str, values: np.ndarray) -> None:
         raise ClientError(int(bad[0]), f"{name} must be {problem}")
 
 
-def _logits(spec: ModelSpec, theta: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Each bias add and activation acts in place on its matmul's output."""
+def _forward(spec: ModelSpec, theta: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The output layer's input a (x itself with no hidden layer) and the
+    logits; each bias add and activation acts in place on its matmul's output."""
     *hidden, w, b = _unpack(spec, theta)
+    a = x
     if hidden:
-        x = x @ hidden[0]  # the hidden layer's output is the next layer's input
-        x += hidden[1]
+        a = x @ hidden[0]
+        a += hidden[1]
         if spec.activation == "relu":
-            np.maximum(x, 0.0, out=x)
+            np.maximum(a, 0.0, out=a)
         else:
-            np.tanh(x, out=x)
-    z = x @ w
+            np.tanh(a, out=a)
+    z = a @ w
     z += b
-    return z
+    return a, z
 
 
 def _row_max(z: np.ndarray) -> np.ndarray:
@@ -186,24 +188,16 @@ def _ce_grad_arrays(
     and one-hot labels [G, n, c] give [G, P]. Every operation acts within
     one member (a matmul per member, reductions over its own rows), so
     member g's gradient is bitwise the one its batch would give alone."""
-    onehot_err_scale = 1.0 / x.shape[1]
-    xt = x.transpose(0, 2, 1)
-    if spec.hidden_dim == 0:
-        w, b = _unpack(spec, theta)
-        p = _softmax_rows(x @ w + b)
-        p -= onehot
-        p *= onehot_err_scale
-        parts = [xt @ p, p.sum(axis=1)]
-    else:
-        w1, b1, w2, b2 = _unpack(spec, theta)
-        z1 = x @ w1 + b1
-        a1 = np.maximum(z1, 0.0) if spec.activation == "relu" else np.tanh(z1)
-        g2 = _softmax_rows(a1 @ w2 + b2)
-        g2 -= onehot
-        g2 *= onehot_err_scale
-        da1 = g2 @ w2.transpose(0, 2, 1)
-        dz1 = da1 * (z1 > 0.0) if spec.activation == "relu" else da1 * (1.0 - a1**2)
-        parts = [xt @ dz1, dz1.sum(axis=1), a1.transpose(0, 2, 1) @ g2, g2.sum(axis=1)]
+    a, z = _forward(spec, theta, x)
+    g = _softmax_rows(z)
+    g -= onehot
+    g *= 1.0 / x.shape[1]
+    parts = [a.transpose(0, 2, 1) @ g, g.sum(axis=1)]
+    if spec.hidden_dim:
+        da = g @ _unpack(spec, theta)[2].transpose(0, 2, 1)
+        # relu's derivative from its output: a > 0 exactly where z1 > 0
+        da *= (a > 0.0) if spec.activation == "relu" else 1.0 - a**2
+        parts[:0] = [x.transpose(0, 2, 1) @ da, da.sum(axis=1)]
     grad = np.concatenate([part.reshape(len(theta), -1) for part in parts], axis=1)
     if l2 > 0.0:
         grad += l2 * theta
@@ -328,7 +322,7 @@ def train_cohort(
 def evaluate(spec: ModelSpec, params: ParamVector, data: ClientDataset) -> PerformanceMetrics:
     """Mean cross-entropy (nats) and top-1 accuracy on ``data``."""
     _check_cohort(spec, params.coords[None], [data])
-    logits = _logits(spec, params.coords, data.features)
+    _, logits = _forward(spec, params.coords, data.features)
     val_loss = float(_mean_ce(logits, data.labels))
     preds = np.argmax(logits, axis=1)
     val_acc = float(np.mean(preds == data.labels))
@@ -338,7 +332,7 @@ def evaluate(spec: ModelSpec, params: ParamVector, data: ClientDataset) -> Perfo
 def local_loss(spec: ModelSpec, params: ParamVector, data: ClientDataset) -> float:
     """Mean cross-entropy of the model on the dataset, in nats."""
     _check_cohort(spec, params.coords[None], [data])
-    return float(_mean_ce(_logits(spec, params.coords, data.features), data.labels))
+    return float(_mean_ce(_forward(spec, params.coords, data.features)[1], data.labels))
 
 
 def cohort_losses(
@@ -347,7 +341,7 @@ def cohort_losses(
     """local_loss for every member k, of row k of thetas [K, P] on
     datasets[k], bitwise; returns the losses [K].
 
-    Members whose datasets have one length share one stacked _logits call,
+    Members whose datasets have one length share one stacked forward pass,
     and each member's mean is taken over its own rows. Nothing is padded
     or reduced across members. A dataset of the wrong feature dim raises
     ClientError naming the first such member.
@@ -368,6 +362,6 @@ def cohort_losses(
     for lo, hi in zip([0, *cuts], [*cuts, len(n)]):
         size, length = hi - lo, int(n[lo])
         rows = slice(offset[lo], offset[lo] + size * length)
-        logits = _logits(spec, theta[lo:hi], x[rows].reshape(size, length, -1))
+        _, logits = _forward(spec, theta[lo:hi], x[rows].reshape(size, length, -1))
         losses[order[lo:hi]] = _mean_ce(logits, y[rows].reshape(size, length))
     return losses

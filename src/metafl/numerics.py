@@ -98,6 +98,16 @@ class WeightVector:
         return self.weights.size
 
 
+def _check_errors(errors: Sequence[float]) -> np.ndarray:
+    """The cohort's errors E as 1-D float64 (no copy if already so), nonempty and finite."""
+    e = np.asarray(errors, dtype=np.float64).reshape(-1)
+    if e.size == 0:
+        raise ValueError("empty cohort")
+    if not np.all(np.isfinite(e)):
+        raise ValueError("non-finite error metric")
+    return e
+
+
 def softmax_neg(values: Sequence[float], alpha: float) -> WeightVector:
     """Weights proportional to exp(-alpha * value), normalized to sum 1.
 
@@ -105,11 +115,7 @@ def softmax_neg(values: Sequence[float], alpha: float) -> WeightVector:
     cannot overflow; adding a constant to all values leaves the result
     unchanged.
     """
-    v = np.asarray(values, dtype=np.float64).reshape(-1)
-    if v.size == 0:
-        raise ValueError("empty cohort")
-    if not np.all(np.isfinite(v)):
-        raise ValueError("non-finite error metric")
+    v = _check_errors(values)
     if not np.isfinite(alpha) or alpha < 0.0:
         raise ValueError("alpha must be finite and >= 0")
     z = -alpha * v
@@ -124,7 +130,10 @@ def _project_simplex(x: np.ndarray) -> np.ndarray:
     u = np.sort(x)[::-1]
     css = u.cumsum() - 1.0
     idx = np.arange(1, x.size + 1)
-    rho = np.nonzero(u - css / idx > 0.0)[0][-1]
+    positive = np.nonzero(u - css / idx > 0.0)[0]
+    if positive.size == 0:  # exact arithmetic always keeps rho = 0; rounding may not
+        raise ValueError("entries too large to project onto the simplex in float64")
+    rho = positive[-1]
     tau = css[rho] / (rho + 1.0)
     return np.maximum(x - tau, 0.0)
 

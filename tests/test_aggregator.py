@@ -25,6 +25,7 @@ from metafl.aggregator import (
     weights_iterative,
 )
 from metafl.datagen import inject_label_noise, make_blobs
+from metafl.metafeatures import CompositeErrorConfig, composite_errors
 from metafl.models import ModelSpec, TrainConfig, init_params, local_loss, param_count, train_local
 from metafl.numerics import ParamVector, WeightVector, make_rng, project_simplex, softmax_neg
 from testkit import finite_diff_grad, reference_weights_iterative
@@ -201,6 +202,13 @@ class TestIterativeSolvers:
         with pytest.raises(ValueError, match="projected solver at iteration 1"):
             weights_iterative([0.0, 1e3], mp, "projected")
 
+    def test_projection_cancelled_by_rounding_is_value_error(self):
+        # a step of 1e300 puts both targets near 1e300, where u - css / idx
+        # rounds to 0 for every threshold candidate
+        mp = MetaParams(alpha=1.0, eta=1e300)
+        with pytest.raises(ValueError, match="too large to project onto the simplex"):
+            weights_iterative([0.0, 0.0], mp, "projected")
+
     def test_unknown_solver(self):
         with pytest.raises(ValueError, match="solver"):
             weights_iterative([0.1], MetaParams(alpha=1.0), "newton")
@@ -297,13 +305,17 @@ class TestMetaAgg:
         assert np.abs(a.theta_g.coords - b.theta_g.coords).max() < 1e-6
 
     def test_alpha_zero_uniform_all_modes(self):
+        # alpha = 0 with tau unset: every mode's weights are bitwise 1/K
+        # and no iterative solve runs
         rng = make_rng(79)
-        thetas = rng.normal(size=(4, 3))
-        errors = rng.uniform(0.1, 1.0, size=4)
         mp = MetaParams(alpha=0.0)
-        for mode in ("metafl_closed", "metafl_mirror", "metafl_projected"):
-            out = meta_agg(thetas, errors, mp, mode)
-            np.testing.assert_array_equal(out.weights.weights, [0.25] * 4)
+        for k in (1, 3, 4, 7):
+            thetas = rng.normal(size=(k, 3))
+            errors = rng.uniform(0.1, 1.0, size=k)
+            for mode in ("metafl_closed", "metafl_mirror", "metafl_projected"):
+                out = meta_agg(thetas, errors, mp, mode)
+                assert out.weights.weights.tobytes() == np.full(k, 1.0 / k).tobytes()
+                assert (out.solver_iters, out.solver_residual) == (0, 0.0)
 
     def test_fedavg_embedding(self):
         # errors ln(max_n / n_k) / alpha equal -ln(n_k) / alpha up to a
@@ -341,6 +353,30 @@ class TestMetaAgg:
     def test_rejects_non_metafl_mode(self, mode):
         with pytest.raises(ValueError, match="mode must be a metafl_"):
             meta_agg(rows([1.0], [3.0]), np.array([0.2, 0.8]), MetaParams(alpha=1.0), mode)
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda e: softmax_neg(e, 1.0),
+        lambda e: meta_agg(np.zeros((len(e), 2)), e, MetaParams(alpha=1.0)),
+        lambda e: weights_iterative(e, MetaParams(alpha=1.0), "mirror"),
+        lambda e: phi_objective(WeightVector([1.0]), e, 1.0),  # E is checked before lengths
+        lambda e: contraction_estimate(e, MetaParams(alpha=1.0), 3, make_rng(0)),
+        lambda e: composite_errors(e, None, CompositeErrorConfig()),
+    ],
+    ids=["softmax_neg", "meta_agg", "weights_iterative", "phi_objective",
+         "contraction_estimate", "composite_errors"],
+)
+@pytest.mark.parametrize(
+    "errors, message",
+    [(np.empty(0), "empty cohort"), (np.array([0.2, np.nan]), "non-finite error metric"),
+     (np.array([np.inf, 0.2]), "non-finite error metric")],
+    ids=["empty", "nan", "inf"],
+)
+def test_every_error_vector_reader_checks_alike(check, errors, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        check(errors)
 
 
 def solve_outcome(solve, errors, mp, solver):

@@ -350,6 +350,15 @@ class TestCmdRun:
         assert code == 3
         assert "runtime error: round 1, client 0: training diverged" in capsys.readouterr().err
 
+    def test_projected_step_too_large_exit_3(self, tmp_path, capsys):
+        # meta.eta = 1e300 sends the projected step's targets where the
+        # simplex projection rounds away; a numerical failure, not a bug
+        cfg = MINIMAL + "aggregator = metafl_projected\nmeta.eta = 1e300\n"
+        assert cmd_run(write(tmp_path, cfg), str(tmp_path / "out")) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("runtime error: round 1, aggregation: entries too large")
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+
     @pytest.mark.parametrize(
         "pool, named",
         [

@@ -15,10 +15,12 @@ from metafl.models import (
     ModelSpec,
     PerformanceMetrics,
     TrainConfig,
-    _logits,
+    _ce_grad_arrays,
+    _forward,
     _mean_ce,
     _row_max,
     _softmax_rows,
+    _unpack,
     cohort_losses,
     evaluate,
     init_params,
@@ -31,6 +33,7 @@ from metafl.numerics import ParamVector, make_rng
 from testkit import (
     finite_diff_grad,
     loss_and_grad,
+    reference_ce_grad_arrays,
     reference_logits,
     reference_mean_ce,
     reference_softmax_rows,
@@ -403,8 +406,9 @@ class TestForwardPass:
     @given(case=forward_cases())
     def test_equals_reference_bitwise(self, case):
         spec, theta, x, y = case
-        logits = _logits(spec, theta, x)
+        a, logits = _forward(spec, theta, x)
         assert same_bits(logits, reference_logits(spec, theta, x))
+        assert a is x if spec.hidden_dim == 0 else a.shape == x.shape[:-1] + (spec.hidden_dim,)
         assert same_bits(_mean_ce(logits, y), reference_mean_ce(logits, y))
         assert same_bits(_softmax_rows(logits), reference_softmax_rows(logits))
 
@@ -437,6 +441,53 @@ class TestForwardPass:
             y = rng.integers(0, c, 400)
             assert same_bits(_mean_ce(finite, y), reference_mean_ce(finite, y))
             assert same_bits(_softmax_rows(finite), reference_softmax_rows(finite))
+
+
+@st.composite
+def gradient_cases(draw):
+    """(spec, theta, x, onehot, l2) for one stacked SGD step: hidden_dim
+    0 or 1-8, relu or tanh, G >= 1 members, batches of 1 row and up, l2 0
+    or positive. About a third of the hidden units get zero weights and a
+    +-0.0 bias, so their pre-activations are exactly zero (+0.0: a matmul
+    sum starts from +0.0, so -0.0 cannot arise here; the relu mask test
+    covers it); the rest mix signs, and a tenth of the features are 0."""
+    spec = ModelSpec(
+        input_dim=draw(st.integers(1, 6)),
+        hidden_dim=draw(st.one_of(st.just(0), st.integers(1, 8))),
+        num_classes=draw(st.integers(2, 8)),
+        activation=draw(st.sampled_from(ACTIVATIONS)),
+    )
+    g = draw(st.integers(1, 4))
+    n = draw(st.one_of(st.just(1), st.integers(2, 64)))
+    rng = make_rng(draw(st.integers(0, 2**32)))
+    theta = rng.normal(scale=draw(st.sampled_from([0.1, 1.0, 10.0])), size=(g, param_count(spec)))
+    if spec.hidden_dim:
+        w1, b1, _, _ = _unpack(spec, theta)  # views: writing them writes theta
+        dead = rng.random((g, spec.hidden_dim)) < 0.35
+        w1 *= ~dead[:, None, :]
+        b1[dead[:, None, :]] = rng.choice([0.0, -0.0], size=int(dead.sum()))
+    x = rng.normal(size=(g, n, spec.input_dim))
+    x *= rng.random(x.shape) < 0.9
+    onehot = np.eye(spec.num_classes)[rng.integers(0, spec.num_classes, (g, n))]
+    l2 = draw(st.one_of(st.just(0.0), st.floats(1e-6, 10.0)))
+    return spec, theta, x, onehot, l2
+
+
+class TestGradientPass:
+    @settings(max_examples=200, deadline=None)
+    @given(case=gradient_cases())
+    def test_equals_two_branch_reference_bitwise(self, case):
+        spec, theta, x, onehot, l2 = case
+        want = reference_ce_grad_arrays(spec, theta, x, onehot, l2)
+        assert same_bits(_ce_grad_arrays(spec, theta, x, onehot, l2), want)
+
+    @pytest.mark.parametrize(
+        "z", [0.0, -0.0, -1.0, 5e-324, -5e-324, math.inf, -math.inf, math.nan, -math.nan]
+    )
+    def test_relu_mask_from_output_equals_pre_activation_mask(self, z):
+        # the gradient masks by a = relu(z1) > 0; the reference by z1 > 0
+        z = np.array([z])
+        assert same_bits(np.maximum(z, 0.0) > 0.0, z > 0.0)
 
 
 class TestPredictions:

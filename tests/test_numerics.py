@@ -159,6 +159,13 @@ class TestProjectSimplex:
         with pytest.raises(ValueError, match="empty"):
             project_simplex([])
 
+    @pytest.mark.parametrize("point", [[1e17, 1e17], [-1e17, -1e17], [3e300, 3e300, 1.0]])
+    def test_rounding_cancelled_point_is_value_error(self, point):
+        # u - css / idx rounds to 0 for every candidate, although exact
+        # arithmetic keeps the first one positive
+        with pytest.raises(ValueError, match="too large to project onto the simplex"):
+            project_simplex(point)
+
 
 class TestWeightedSum:
     def test_identity(self):

@@ -1,8 +1,8 @@
 """Helpers only the tests use: central finite differences, the full-data
 training objective with its analytic gradient, a CSV writer in the
-format datagen.load_csv reads, and reference copies of the forward pass
-and the iterative weight solve as they were written before their
-in-place rewrite, which the program must still equal bitwise."""
+format datagen.load_csv reads, and reference copies of the forward pass,
+the SGD gradient and the iterative weight solve as they were written
+before their rewrites, which the program must still equal bitwise."""
 
 from __future__ import annotations
 
@@ -14,7 +14,9 @@ import numpy as np
 
 from metafl.aggregator import MetaParams, _clamped_log, _gradient, _mirror_step
 from metafl.datagen import ClientDataset
-from metafl.models import ModelSpec, _ce_grad_arrays, _check_cohort, _logits, _mean_ce, _unpack
+from metafl.models import (
+    ModelSpec, _ce_grad_arrays, _check_cohort, _forward, _mean_ce, _softmax_rows, _unpack,
+)
 from metafl.numerics import ParamVector
 
 
@@ -43,7 +45,7 @@ def loss_and_grad(
     """Training objective and its analytic gradient over the full dataset."""
     _check_cohort(spec, params.coords[None], [data])
     theta = params.coords
-    loss = _mean_ce(_logits(spec, theta, data.features), data.labels)
+    loss = _mean_ce(_forward(spec, theta, data.features)[1], data.labels)
     if l2 > 0.0:
         loss += 0.5 * l2 * float(theta @ theta)
     onehot = np.eye(spec.num_classes)[data.labels]
@@ -59,7 +61,8 @@ def save_csv(data: ClientDataset, path: str) -> None:
 
 
 def reference_logits(spec: ModelSpec, theta: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """models._logits, each bias add and activation allocating its result."""
+    """The logits of models._forward, each bias add and activation
+    allocating its result."""
     if spec.hidden_dim == 0:
         w, b = _unpack(spec, theta)
         return x @ w + b
@@ -67,6 +70,36 @@ def reference_logits(spec: ModelSpec, theta: np.ndarray, x: np.ndarray) -> np.nd
     z1 = x @ w1 + b1
     a1 = np.maximum(z1, 0.0) if spec.activation == "relu" else np.tanh(z1)
     return a1 @ w2 + b2
+
+
+def reference_ce_grad_arrays(
+    spec: ModelSpec, theta: np.ndarray, x: np.ndarray, onehot: np.ndarray, l2: float
+) -> np.ndarray:
+    """models._ce_grad_arrays as written before it shared models._forward:
+    its own allocating forward pass, the relu mask from the pre-activation,
+    and the output-layer gradient written out in each branch."""
+    onehot_err_scale = 1.0 / x.shape[1]
+    xt = x.transpose(0, 2, 1)
+    if spec.hidden_dim == 0:
+        w, b = _unpack(spec, theta)
+        p = _softmax_rows(x @ w + b)
+        p -= onehot
+        p *= onehot_err_scale
+        parts = [xt @ p, p.sum(axis=1)]
+    else:
+        w1, b1, w2, b2 = _unpack(spec, theta)
+        z1 = x @ w1 + b1
+        a1 = np.maximum(z1, 0.0) if spec.activation == "relu" else np.tanh(z1)
+        g2 = _softmax_rows(a1 @ w2 + b2)
+        g2 -= onehot
+        g2 *= onehot_err_scale
+        da1 = g2 @ w2.transpose(0, 2, 1)
+        dz1 = da1 * (z1 > 0.0) if spec.activation == "relu" else da1 * (1.0 - a1**2)
+        parts = [xt @ dz1, dz1.sum(axis=1), a1.transpose(0, 2, 1) @ g2, g2.sum(axis=1)]
+    grad = np.concatenate([part.reshape(len(theta), -1) for part in parts], axis=1)
+    if l2 > 0.0:
+        grad += l2 * theta
+    return grad
 
 
 def reference_mean_ce(logits: np.ndarray, y: np.ndarray) -> np.ndarray:
