@@ -18,6 +18,7 @@ from .aggregator import (
 from .datagen import (
     ClientDataset,
     PartitionConfig,
+    Segments,
     inject_label_noise,
     label_distribution,
     load_csv,

@@ -59,7 +59,7 @@ class MetaParams:
     composite-error coefficients.
 
     eta = 0 is allowed so the identity update can be probed in
-    diagnostics; it is useless for solving.
+    diagnostics; weights_iterative rejects it.
     """
 
     alpha: float = 1.0
@@ -173,10 +173,13 @@ def weights_iterative(
     """Iterate the chosen update from uniform until the sup-norm residual
     drops below mp.tol or mp.max_iters is reached.
 
-    Returns (weights, iterations used, final residual).
+    Returns (weights, iterations used, final residual). mp.eta must be > 0:
+    a zero step would report the uniform start as converged.
     """
     if solver not in _STEPS:
         raise ValueError(f"solver must be one of {tuple(_STEPS)}")
+    if mp.eta == 0.0:
+        raise ValueError(f"eta must be > 0 for the {solver} solver")
     e = _check_errors(errors)
     k = e.size
     if k == 1:

@@ -375,8 +375,8 @@ def _theory(cfg: ExperimentConfig, mp: MetaParams, errors, clients) -> tuple:
     their sample count m, the generalization bound)."""
     rng = make_rng([cfg.seed, 4])
     contraction = contraction_estimate(list(errors), mp, CONTRACTION_SAMPLES, rng)
-    kl = kl_divergence_diagnostic([train for train, _ in clients], cfg.spec.num_classes)
-    m = sum(train.n for train, _ in clients)
+    kl = kl_divergence_diagnostic(clients[0], cfg.spec.num_classes)
+    m = clients[0].data.n
     return contraction, kl, m, generalization_bound(cfg.log_h, m, kl)
 
 

@@ -11,6 +11,7 @@ import csv
 import math
 import warnings
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -19,6 +20,7 @@ from .numerics import make_rng
 __all__ = [
     "ConfigError",
     "ClientDataset",
+    "Segments",
     "PartitionConfig",
     "make_blobs",
     "partition_dirichlet",
@@ -68,6 +70,18 @@ class ClientDataset:
 
     def subset(self, indices: np.ndarray) -> "ClientDataset":
         return ClientDataset(self.features[indices], self.labels[indices])
+
+
+class Segments(NamedTuple):
+    """One side (train or val) of every client's split: the clients' rows
+    in client order as one dataset, and n [K], each client's row count."""
+
+    data: ClientDataset
+    n: np.ndarray
+
+    @property
+    def start(self) -> np.ndarray:
+        return np.cumsum(self.n) - self.n
 
 
 @dataclass(frozen=True)
@@ -136,13 +150,14 @@ def make_blobs(
 
 def partition_dirichlet(
     data: ClientDataset, cfg: PartitionConfig
-) -> list[tuple[ClientDataset, ClientDataset]]:
+) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Split a pool across clients via per-class Dirichlet(beta) proportions.
 
     Each sample lands with exactly one client; per client the samples are
     then split into train/val by val_fraction. Assignments leaving any
     client without at least one train and one val sample are redrawn, up
-    to MAX_PARTITION_ATTEMPTS times.
+    to MAX_PARTITION_ATTEMPTS times. Returns (train, val): per client, the
+    rows of data in its train split and in its val split.
     """
     k = cfg.num_clients
     if data.n < k:
@@ -162,39 +177,36 @@ def partition_dirichlet(
                 assignment[client].extend(idx[start:stop].tolist())
                 start = stop
         if all(len(a) >= 2 for a in assignment):
-            splits = []
+            train, val = [], []
             for a in assignment:
                 idx = np.asarray(a, dtype=np.int64)
                 idx = idx[rng.permutation(idx.size)]
                 n_val = int(round(cfg.val_fraction * idx.size))
                 n_val = min(max(n_val, 1), idx.size - 1)
-                splits.append((data.subset(idx[n_val:]), data.subset(idx[:n_val])))
-            return splits
+                train.append(idx[n_val:])
+                val.append(idx[:n_val])
+            return train, val
     raise ValueError(
         f"retry exhaustion: no assignment with >=1 train and >=1 val sample "
         f"per client after {MAX_PARTITION_ATTEMPTS} attempts"
     )
 
 
-def inject_label_noise(
-    data: ClientDataset, rate: float, seed: int, num_classes: int
-) -> ClientDataset:
-    """Reassign exactly round(rate * n) labels, each to a different one of
-    num_classes classes."""
+def inject_label_noise(labels: np.ndarray, rate: float, seed: int, num_classes: int) -> np.ndarray:
+    """A copy of labels with exactly round(rate * n) of them reassigned, each
+    to a different one of num_classes classes."""
     if not 0.0 <= rate < 1.0:
         raise ValueError("rate must lie in [0, 1)")
     if num_classes < 2:
         raise ValueError("need at least 2 classes to flip labels")
-    count = int(round(rate * data.n))
-    if count == 0:
-        return data
+    count = int(round(rate * labels.size))
     rng = make_rng(seed)
-    flip = rng.choice(data.n, size=count, replace=False)
-    labels = data.labels.copy()
+    flip = rng.choice(labels.size, size=count, replace=False)
+    labels = labels.copy()
     draws = rng.integers(0, num_classes - 1, size=count)
     old = labels[flip]
     labels[flip] = np.where(draws < old, draws, draws + 1)
-    return ClientDataset(data.features, labels)
+    return labels
 
 
 def load_csv(path: str, num_classes: int) -> ClientDataset:
@@ -272,11 +284,12 @@ def _read_csv(path: str, num_classes: int) -> ClientDataset:
     return ClientDataset(np.asarray(rows), np.asarray(labels))
 
 
-def label_distribution(data: ClientDataset, num_classes: int) -> np.ndarray:
-    """Empirical class proportions over the labels; sums to 1."""
+def label_distribution(side: Segments, num_classes: int) -> np.ndarray:
+    """Each client's empirical class proportions, [K, num_classes]; rows sum to 1."""
     if num_classes < 1:
         raise ValueError("num_classes must be >= 1")
-    if np.any(data.labels >= num_classes):
+    if np.any(side.data.labels >= num_classes):
         raise ValueError("label out of range for num_classes")
-    counts = np.bincount(data.labels, minlength=num_classes).astype(np.float64)
-    return counts / counts.sum()
+    cell = np.repeat(np.arange(len(side.n)), side.n) * num_classes + side.data.labels
+    counts = np.bincount(cell, minlength=len(side.n) * num_classes).reshape(-1, num_classes)
+    return counts / counts.sum(axis=1, keepdims=True)

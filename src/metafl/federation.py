@@ -4,23 +4,27 @@ aggregation, meta-parameter adaptation, and per-round record keeping.
 set_up gives a config's client splits, server holdout and initial
 parameters. run_experiment, every CLI command and compare_runs start
 from it; compare_runs sets up once and runs both arms on that data.
+The client splits are the (train, val) pair of datagen.Segments: each
+side is one dataset of every client's rows, in client order, plus each
+client's row count, and every step reads a client as a row segment.
 
 Every round trains all clients from the current global parameters and
 collects one Cohort: the trained parameters as a [K, P] matrix plus the
-validation losses, train-split sizes and, when weighted, the [K, 5]
-meta-feature matrix, row k for client k. The round then computes the
-composite errors E once, optionally re-tunes alpha on the server-held
-validation split, aggregates, and broadcasts.
+validation losses and, when weighted, the [K, 5] meta-feature matrix,
+row k for client k. The round then computes the composite errors E
+once, optionally re-tunes alpha on the server-held validation split,
+aggregates, and broadcasts.
 Meta-features are extracted only when they can move a weight: the mode
 is not fedavg and some meta.c coefficient is nonzero.
 The cohort trains in lockstep (models.train_cohort): each client draws
 the same shuffles as it would alone and does the same arithmetic on its
 own batches, grouped with the other clients on batches of one length
-into stacked steps. Nothing is reduced across clients, so every client's
-parameters are bitwise those of training it alone. The cohort is
-evaluated the same way (models.cohort_losses): clients whose validation
-splits have one length share one stacked forward pass, and each client's
-loss is bitwise the one models.evaluate gives it alone.
+into stacked steps; clients of one split size share one shuffle draw.
+Nothing is reduced across clients, so every client's parameters are
+bitwise those of training it alone. The cohort is evaluated the same
+way (models.cohort_losses): clients whose validation splits have one
+length share one stacked forward pass, and each client's loss is
+bitwise the one models.evaluate gives it alone.
 Any fault in setting up the data is a ConfigError; a malformed CSV pool's
 names data.csv_path and the row.
 """
@@ -46,6 +50,7 @@ from .datagen import (
     ClientDataset,
     ConfigError,
     PartitionConfig,
+    Segments,
     inject_label_noise,
     label_distribution,
     load_csv,
@@ -133,6 +138,8 @@ class ExperimentConfig:
             raise ValueError("target_accuracy must lie in (0, 1]")
         if not np.isfinite(self.log_h) or self.log_h < 0.0:
             raise ValueError("log_h must be finite and >= 0")
+        if self.meta.eta == 0.0 and self.aggregator_mode in ("metafl_mirror", "metafl_projected"):
+            raise ValueError(f"meta.eta must be > 0 for aggregator {self.aggregator_mode}")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
         object.__setattr__(self, "alpha_grid", grid)
@@ -158,20 +165,19 @@ class RoundRecord:
 @dataclass(frozen=True, eq=False)
 class Cohort:
     """One round's trained cohort, row k for client k: parameters thetas
-    [K, P], validation losses val_loss [K], train-split sizes n_k [K], and
-    the meta-feature matrix features [K, len(FEATURE_FIELDS)], or None
-    when no coefficient weights it. The fields hold read-only views."""
+    [K, P], validation losses val_loss [K], and the meta-feature matrix
+    features [K, len(FEATURE_FIELDS)], or None when no coefficient weights
+    it. The fields hold read-only views."""
 
     thetas: np.ndarray
     val_loss: np.ndarray
-    n_k: np.ndarray
     features: np.ndarray | None = None
 
     def __post_init__(self):
         k = len(self.thetas)
-        if self.thetas.ndim != 2 or k < 1 or {self.val_loss.shape, self.n_k.shape} != {(k,)}:
-            raise ValueError("need thetas [K, P] with K >= 1, and val_loss and n_k [K]")
-        for name in ("thetas", "val_loss", "n_k", "features"):
+        if self.thetas.ndim != 2 or k < 1 or self.val_loss.shape != (k,):
+            raise ValueError("need thetas [K, P] with K >= 1, and val_loss [K]")
+        for name in ("thetas", "val_loss", "features"):
             arr = getattr(self, name)
             if arr is not None:
                 view = arr.view()
@@ -198,10 +204,8 @@ class ComparisonSummary:
     mean_accuracy_diff: float
 
 
-def build_federation(
-    cfg: ExperimentConfig,
-) -> tuple[list[tuple[ClientDataset, ClientDataset]], ClientDataset]:
-    """Materialize client (train, val) splits and the server's IID holdout.
+def build_federation(cfg: ExperimentConfig) -> tuple[tuple[Segments, Segments], ClientDataset]:
+    """Materialize the client (train, val) sides and the server's IID holdout.
 
     The holdout is drawn before partitioning. Label noise corrupts the
     marked clients' train splits only, so client validation losses
@@ -209,7 +213,7 @@ def build_federation(
     holdout or the partition raises one ConfigError, naming data.csv_path
     when the pool is a CSV file.
     """
-    spec, data = cfg.spec, cfg.data
+    spec, data, part = cfg.spec, cfg.data, cfg.partition
     source = f"invalid data set-up (synthetic pool, data.n_samples = {data.n_samples}): "
     try:
         if data.csv_path is not None:
@@ -229,25 +233,28 @@ def build_federation(
         if n_holdout >= pool.n:
             raise ValueError("global validation holdout would consume every sample")
         global_val = pool.subset(order[:n_holdout])
-        clients = partition_dirichlet(pool.subset(order[n_holdout:]), cfg.partition)
+        rest = pool.subset(order[n_holdout:])
+        train_rows, val_rows = partition_dirichlet(rest, part)
     except ValueError as err:
         raise ConfigError(f"{source}{err}") from None
-    noisy = []
-    for k, (train, val) in enumerate(clients):
-        if k in cfg.partition.noise_clients and cfg.partition.label_noise_rate > 0.0:
-            train = inject_label_noise(
-                train,
-                cfg.partition.label_noise_rate,
-                derive_seed(cfg.partition.seed, k, 11),
-                spec.num_classes,
-            )
-        noisy.append((train, val))
-    return noisy, global_val
+    labels = rest.labels.copy()
+    for k in sorted(part.noise_clients):
+        rows = train_rows[k]
+        labels[rows] = inject_label_noise(
+            labels[rows], part.label_noise_rate, derive_seed(part.seed, k, 11), spec.num_classes
+        )
+
+    def side(split: list[np.ndarray]) -> Segments:
+        rows = np.concatenate(split)
+        n = np.array([r.size for r in split])
+        return Segments(ClientDataset(rest.features[rows], labels[rows]), n)
+
+    return (side(train_rows), side(val_rows)), global_val
 
 
 def set_up(
     cfg: ExperimentConfig,
-) -> tuple[list[tuple[ClientDataset, ClientDataset]], ClientDataset, ParamVector]:
+) -> tuple[tuple[Segments, Segments], ClientDataset, ParamVector]:
     """(clients, global_val, theta0): the config's federation and its
     initial global parameters, the arguments run_rounds takes after cfg."""
     clients, global_val = build_federation(cfg)
@@ -256,7 +263,7 @@ def set_up(
 
 def collect_reports(
     cfg: ExperimentConfig,
-    clients: Sequence[tuple[ClientDataset, ClientDataset]],
+    clients: tuple[Segments, Segments],
     theta: ParamVector,
     round_index: int,
 ) -> Cohort:
@@ -272,26 +279,21 @@ def collect_reports(
     spec = cfg.spec
     round_train = replace(cfg.train, seed=derive_seed(cfg.train.seed, round_index))
     with_meta = cfg.aggregator_mode != "fedavg" and cfg.meta.c.uses_features
-    trains = [train for train, _ in clients]
-    starts = np.broadcast_to(theta.coords, (len(clients), theta.dim))
+    train, val = clients
+    starts = np.broadcast_to(theta.coords, (len(train.n), theta.dim))
     try:
-        thetas = train_cohort(spec, starts, trains, round_train)
+        thetas = train_cohort(spec, starts, train, round_train)
         features = extract(spec, theta, thetas, clients, round_train) if with_meta else None
-        val_loss = cohort_losses(spec, thetas, [val for _, val in clients])
+        val_loss = cohort_losses(spec, thetas, val)
         _check_nonnegative("val_loss", val_loss[:, None])
     except ClientError as err:
         raise RuntimeError(f"round {round_index}, client {err.index}: {err}") from err
-    return Cohort(
-        thetas=thetas,
-        val_loss=val_loss,
-        n_k=np.array([train.n for train in trains]),
-        features=features,
-    )
+    return Cohort(thetas=thetas, val_loss=val_loss, features=features)
 
 
 def run_rounds(
     cfg: ExperimentConfig,
-    clients: Sequence[tuple[ClientDataset, ClientDataset]],
+    clients: tuple[Segments, Segments],
     global_val: ClientDataset,
     theta: ParamVector,
 ) -> tuple[ParamVector, list[RoundRecord]]:
@@ -305,7 +307,7 @@ def run_rounds(
         cohort = collect_reports(cfg, clients, theta, t)
         try:
             if fedavg:
-                weights = fedavg_weights(cohort.n_k)
+                weights = fedavg_weights(clients[0].n)
                 theta_g = aggregate(cohort.thetas, weights, 0.0)
                 outcome = AggregationOutcome(theta_g, weights, 0.0, 0, 0.0)
             else:
@@ -389,20 +391,16 @@ def compare_runs(cfg_a: ExperimentConfig, cfg_b: ExperimentConfig) -> Comparison
     )
 
 
-def kl_divergence_diagnostic(
-    clients: Sequence[ClientDataset], num_classes: int
-) -> float:
-    """Mean KL divergence of client label distributions from their average.
+def kl_divergence_diagnostic(side: Segments, num_classes: int) -> float:
+    """Mean KL divergence of a side's client label distributions from their average.
 
     Uses the 0 * ln(0/q) = 0 convention and clamps zero denominators at
     1e-12.
     """
-    if len(clients) == 0:
-        raise ValueError("empty client list")
-    dists = np.stack([label_distribution(d, num_classes) for d in clients])
+    dists = label_distribution(side, num_classes)
     avg = dists.mean(axis=0)
     total = 0.0
     for p in dists:
         nz = p > 0.0
         total += float((p[nz] * np.log(p[nz] / np.maximum(avg[nz], 1e-12))).sum())
-    return total / len(clients)
+    return total / len(dists)

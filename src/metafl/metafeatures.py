@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .datagen import ClientDataset, label_distribution
+from .datagen import Segments, label_distribution
 from .models import (
     ModelSpec, TrainConfig, _check_nonnegative, cohort_losses, param_count, train_cohort,
 )
@@ -68,11 +68,11 @@ def extract(
     spec: ModelSpec,
     theta_prev: ParamVector,
     thetas: np.ndarray,
-    clients: Sequence[tuple[ClientDataset, ClientDataset]],
+    clients: tuple[Segments, Segments],
     cfg: TrainConfig,
 ) -> np.ndarray:
-    """Meta-feature matrix of a cohort's round, one row per (train, val)
-    client, in FEATURE_FIELDS column order.
+    """Meta-feature matrix of a cohort's round, one row per client of the
+    (train, val) sides, in FEATURE_FIELDS column order.
 
     Row k of thetas [K, P] holds client k's parameters after training from
     theta_prev. data_complexity is the validation loss of a linear probe
@@ -84,25 +84,24 @@ def extract(
     cohort_losses call. Every feature must be finite and nonnegative.
     Raises ClientError naming the first failing client.
     """
-    shape = (len(clients), theta_prev.dim)
+    train, val = clients
+    shape = (len(train.n), theta_prev.dim)
     if thetas.shape != shape:
         raise ValueError(f"dimension mismatch: parameters of shape {thetas.shape}, need {shape}")
-    trains = [train for train, _ in clients]
-    vals = [val for _, val in clients]
     probe_spec = ModelSpec(spec.input_dim, 0, spec.num_classes, spec.activation)
-    probe_zero = np.zeros((len(clients), param_count(probe_spec)))
+    probe_zero = np.zeros((len(train.n), param_count(probe_spec)))
     one_epoch = replace(cfg, epochs=1)
     bumped = replace(cfg, epochs=1, learning_rate=1.5 * cfg.learning_rate)
-    probes = train_cohort(probe_spec, probe_zero, trains, one_epoch)
-    bases = train_cohort(spec, thetas, trains, one_epoch)
-    bumps = train_cohort(spec, thetas, trains, bumped)
-    loss_base = cohort_losses(spec, bases, vals)
-    loss_bump = cohort_losses(spec, bumps, vals)
+    probes = train_cohort(probe_spec, probe_zero, train, one_epoch)
+    bases = train_cohort(spec, thetas, train, one_epoch)
+    bumps = train_cohort(spec, thetas, train, bumped)
+    loss_base = cohort_losses(spec, bases, val)
+    loss_bump = cohort_losses(spec, bumps, val)
     features = np.column_stack([
-        [train.n for train in trains],
-        [_entropy(label_distribution(train, spec.num_classes)) for train in trains],
+        train.n,
+        [_entropy(p) for p in label_distribution(train, spec.num_classes)],
         [np.linalg.norm(row - theta_prev.coords) for row in thetas],
-        cohort_losses(probe_spec, probes, vals),
+        cohort_losses(probe_spec, probes, val),
         np.abs(loss_bump - loss_base) / 0.5,
     ])
     _check_nonnegative("meta-features", features)

@@ -9,11 +9,10 @@ include the penalty. Argmax ties break toward the lowest class index.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .datagen import ClientDataset
+from .datagen import ClientDataset, Segments
 from .numerics import ParamVector, make_rng
 
 __all__ = [
@@ -120,18 +119,13 @@ def _unpack(spec: ModelSpec, theta: np.ndarray):
     )
 
 
-def _check_cohort(spec: ModelSpec, thetas: np.ndarray, datasets: Sequence[ClientDataset]) -> None:
-    """thetas must be [len(datasets), P]; a dataset of the wrong feature dim
-    raises ClientError naming the first such member."""
-    if thetas.shape != (len(datasets), param_count(spec)):
-        raise ValueError(
-            f"dimension mismatch: parameters of shape {thetas.shape}, need "
-            f"({len(datasets)}, {param_count(spec)})"
-        )
-    for k, data in enumerate(datasets):
-        if data.dim != spec.input_dim:
-            raise ClientError(k, f"dimension mismatch: features have dim {data.dim}, "
-                                 f"spec.input_dim={spec.input_dim}")
+def _check_cohort(spec: ModelSpec, thetas: np.ndarray, data: ClientDataset, k: int = 1) -> None:
+    """thetas must be [k, P] for the k clients whose rows data holds, and
+    data's features must have spec.input_dim columns."""
+    need = (k, param_count(spec))
+    if thetas.shape != need or data.dim != spec.input_dim:
+        raise ValueError(f"dimension mismatch: parameters of shape {thetas.shape} on features "
+                         f"of dim {data.dim}, need {need} and spec.input_dim={spec.input_dim}")
 
 
 def _check_nonnegative(name: str, values: np.ndarray) -> None:
@@ -237,49 +231,50 @@ def train_local(
     spec: ModelSpec, params: ParamVector, data: ClientDataset, cfg: TrainConfig
 ) -> ParamVector:
     """Seeded mini-batch SGD on cross-entropy (+ ridge); input left untouched."""
-    return ParamVector(train_cohort(spec, params.coords[None], [data], cfg)[0])
+    side = Segments(data, np.array([data.n]))
+    return ParamVector(train_cohort(spec, params.coords[None], side, cfg)[0])
 
 
 def train_cohort(
-    spec: ModelSpec,
-    starts: np.ndarray,
-    datasets: Sequence[ClientDataset],
-    cfg: TrainConfig,
+    spec: ModelSpec, starts: np.ndarray, side: Segments, cfg: TrainConfig
 ) -> np.ndarray:
-    """train_local for every member k, from row k of starts [K, P] on
-    datasets[k], bitwise, in lockstep; returns the trained rows [K, P] as
-    a new array.
+    """train_local for every member k, from row k of starts [K, P] on its
+    segment of side, bitwise, in lockstep; returns the trained rows [K, P]
+    as a new array.
 
-    Each member shuffles with its own make_rng(cfg.seed), one permutation
-    per epoch, and walks its batches in order. At every global step the
+    Each member shuffles as a fresh make_rng(cfg.seed) would, one
+    permutation per epoch, and walks its batches in order; members of one
+    size share those permutations, drawn once. At every global step the
     members still training take one stacked SGD step per batch length.
     Batches are never padded and nothing is reduced across members.
     Raises ClientError naming the first failing member in cohort order.
     """
-    _check_cohort(spec, starts, datasets)
-    if cfg.epochs == 0 or not datasets:
+    _check_cohort(spec, starts, side.data, len(side.n))
+    if cfg.epochs == 0:
         return np.array(starts, dtype=np.float64)
     size, epochs = cfg.batch_size, cfg.epochs
-    n = np.array([data.n for data in datasets])
+    n = side.n
     per_epoch = -(-n // size)
     tail = n - (per_epoch - 1) * size
     steps = epochs * per_epoch
+
+    # One draw per size and epoch, as above; member k's epochs run on from
+    # drawn[k] in the joined shuffles.
+    rng = make_rng(cfg.seed)
+    fresh = rng.bit_generator.state
+    sizes, size_of = np.unique(n, return_inverse=True)
+    shuffles = []
+    for n_k in sizes.tolist():
+        rng.bit_generator.state = fresh  # a new make_rng(cfg.seed), at a tenth of the cost
+        shuffles += [rng.permutation(n_k) for _ in range(epochs)]
+    drawn = epochs * (np.cumsum(sizes) - sizes)[size_of]
+
     # Most steps first, so the members still training at a step are a
     # prefix; then longest last batch first, so members on batches of one
     # length mostly sit together and their group is a slice.
     order = np.lexsort((-tail, -steps))
     n, per_epoch, tail, steps = n[order], per_epoch[order], tail[order], steps[order]
-    offset = np.cumsum(n) - n
-
-    # walk holds each member's rows in visiting order: every epoch is a
-    # permutation, all drawn from one fresh make_rng(cfg.seed) per member.
-    rng = make_rng(cfg.seed)
-    fresh = rng.bit_generator.state
-    walk = []
-    for n_k, offset_k in zip(n.tolist(), offset.tolist()):
-        rng.bit_generator.state = fresh  # a new make_rng(cfg.seed), at a tenth of the cost
-        walk += [offset_k + rng.permutation(n_k) for _ in range(epochs)]
-    walk = np.concatenate(walk)
+    first, drawn = side.start[order], drawn[order]
 
     # The plan has one batch per (member, step), ordered by step, then batch
     # length, then member; each run of equal (step, length) is a group that
@@ -287,18 +282,19 @@ def train_cohort(
     member = np.repeat(np.arange(n.size), steps)
     step = np.arange(member.size) - np.repeat(np.cumsum(steps) - steps, steps)
     epoch, within = np.divmod(step, per_epoch[member])
-    start = epochs * offset[member] + epoch * n[member] + within * size
+    start = drawn[member] + epoch * n[member] + within * size
     length = np.where(within == per_epoch[member] - 1, tail[member], size)
     plan = np.lexsort((member, length, step))
     member, step, start, length = member[plan], step[plan], start[plan], length[plan]
     end = np.cumsum(length)
-    rows = walk[np.repeat(start - (end - length), length) + np.arange(end[-1])]
+    rows = np.concatenate(shuffles)[np.repeat(start - (end - length), length) + np.arange(end[-1])]
+    rows += np.repeat(first[member], length)
     cuts = np.flatnonzero((step[1:] != step[:-1]) | (length[1:] != length[:-1])) + 1
     lo, hi = np.append(0, cuts), np.append(cuts, member.size)
     contiguous = member[hi - 1] - member[lo] == hi - lo - 1
 
-    x = np.concatenate([datasets[k].features for k in order])
-    onehot = np.eye(spec.num_classes)[np.concatenate([datasets[k].labels for k in order])]
+    x = side.data.features
+    onehot = np.eye(spec.num_classes)[side.data.labels]
     theta = np.asarray(starts, dtype=np.float64)[order]
     for g0, g1, r0, r1, m0, in_place in zip(
         lo.tolist(), hi.tolist(), (end - length)[lo].tolist(), end[hi - 1].tolist(),
@@ -321,7 +317,7 @@ def train_cohort(
 
 def evaluate(spec: ModelSpec, params: ParamVector, data: ClientDataset) -> PerformanceMetrics:
     """Mean cross-entropy (nats) and top-1 accuracy on ``data``."""
-    _check_cohort(spec, params.coords[None], [data])
+    _check_cohort(spec, params.coords[None], data)
     _, logits = _forward(spec, params.coords, data.features)
     val_loss = float(_mean_ce(logits, data.labels))
     preds = np.argmax(logits, axis=1)
@@ -331,37 +327,25 @@ def evaluate(spec: ModelSpec, params: ParamVector, data: ClientDataset) -> Perfo
 
 def local_loss(spec: ModelSpec, params: ParamVector, data: ClientDataset) -> float:
     """Mean cross-entropy of the model on the dataset, in nats."""
-    _check_cohort(spec, params.coords[None], [data])
+    _check_cohort(spec, params.coords[None], data)
     return float(_mean_ce(_forward(spec, params.coords, data.features)[1], data.labels))
 
 
-def cohort_losses(
-    spec: ModelSpec, thetas: np.ndarray, datasets: Sequence[ClientDataset]
-) -> np.ndarray:
-    """local_loss for every member k, of row k of thetas [K, P] on
-    datasets[k], bitwise; returns the losses [K].
+def cohort_losses(spec: ModelSpec, thetas: np.ndarray, side: Segments) -> np.ndarray:
+    """local_loss for every member k, of row k of thetas [K, P] on its
+    segment of side, bitwise; returns the losses [K].
 
-    Members whose datasets have one length share one stacked forward pass,
+    Members whose segments have one length share one stacked forward pass,
     and each member's mean is taken over its own rows. Nothing is padded
-    or reduced across members. A dataset of the wrong feature dim raises
-    ClientError naming the first such member.
+    or reduced across members.
     """
-    _check_cohort(spec, thetas, datasets)
-    losses = np.empty(len(datasets))
-    if not datasets:
-        return losses
-    # Sorted by length, each group's rows are one slice of x and y.
-    n = np.array([data.n for data in datasets])
-    order = np.argsort(n, kind="stable")
-    n = n[order]
-    x = np.concatenate([datasets[k].features for k in order])
-    y = np.concatenate([datasets[k].labels for k in order])
-    theta = thetas[order]
+    _check_cohort(spec, thetas, side.data, len(side.n))
+    losses = np.empty(len(side.n))
+    order = np.argsort(side.n, kind="stable")
+    n, first = side.n[order], side.start[order]
     cuts = (np.flatnonzero(np.diff(n)) + 1).tolist()
-    offset = (np.cumsum(n) - n).tolist()
     for lo, hi in zip([0, *cuts], [*cuts, len(n)]):
-        size, length = hi - lo, int(n[lo])
-        rows = slice(offset[lo], offset[lo] + size * length)
-        _, logits = _forward(spec, theta[lo:hi], x[rows].reshape(size, length, -1))
-        losses[order[lo:hi]] = _mean_ce(logits, y[rows].reshape(size, length))
+        rows = first[lo:hi, None] + np.arange(n[lo])
+        _, logits = _forward(spec, thetas[order[lo:hi]], side.data.features[rows])
+        losses[order[lo:hi]] = _mean_ce(logits, side.data.labels[rows])
     return losses

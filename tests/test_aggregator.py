@@ -24,7 +24,7 @@ from metafl.aggregator import (
     phi_objective,
     weights_iterative,
 )
-from metafl.datagen import inject_label_noise, make_blobs
+from metafl.datagen import ClientDataset, inject_label_noise, make_blobs
 from metafl.metafeatures import CompositeErrorConfig, composite_errors
 from metafl.models import ModelSpec, TrainConfig, init_params, local_loss, param_count, train_local
 from metafl.numerics import ParamVector, WeightVector, make_rng, project_simplex, softmax_neg
@@ -212,6 +212,14 @@ class TestIterativeSolvers:
     def test_unknown_solver(self):
         with pytest.raises(ValueError, match="solver"):
             weights_iterative([0.1], MetaParams(alpha=1.0), "newton")
+
+    @pytest.mark.parametrize("solver", ["mirror", "projected"])
+    def test_zero_step_is_rejected(self, solver):
+        # a zero step leaves the uniform start in place, which would read
+        # as a solve converged after one iteration with residual 0
+        for errors in ([0.1, 0.9, 2.0], [0.4]):
+            with pytest.raises(ValueError, match=f"eta must be > 0 for the {solver} solver"):
+                weights_iterative(errors, MetaParams(alpha=5.0, eta=0.0), solver)
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -515,7 +523,7 @@ class TestAdaptMetaParams:
         pool = make_blobs(2, 2, 400, 0.3, 5)
         clean = pool.subset(np.arange(200))
         global_val = pool.subset(np.arange(200, 400))
-        noisy = inject_label_noise(clean, 0.4, 7, num_classes=2)
+        noisy = ClientDataset(clean.features, inject_label_noise(clean.labels, 0.4, 7, num_classes=2))
         cfg = TrainConfig(learning_rate=0.5, epochs=5, seed=3)
         theta0 = init_params(spec, 0)
         good = train_local(spec, theta0, clean, cfg)

@@ -76,6 +76,12 @@ EXIT_2_CONFIGS = {
     "unknown_aggregator": (MINIMAL + "aggregator = metafl_newton\n", "aggregator must be one of"),
     "subnormal_alpha_grid": (MINIMAL + "alpha_grid = 0,5e-324\n", "alpha_grid"),
     "subnormal_alpha": (MINIMAL + "meta.alpha = 5e-324\n", "'meta.*'"),
+    "zero_eta_mirror": (
+        MINIMAL + "aggregator = metafl_mirror\nmeta.alpha = 5\nmeta.eta = 0\n", "meta.eta must be > 0"
+    ),
+    "zero_eta_projected": (
+        MINIMAL + "aggregator = metafl_projected\nmeta.alpha = 5\nmeta.eta = 0\n", "meta.eta must be > 0"
+    ),
 }
 
 #: The pinned key set of summary.json.
@@ -102,6 +108,8 @@ SEEDS = st.integers(0, 2**64 - 1)
 def experiment_configs(draw):
     """Valid configs that set every config key, optional ones included."""
     k = draw(st.integers(1, 20))
+    mode = draw(st.sampled_from(AGGREGATOR_MODES))
+    iterative = mode in ("metafl_mirror", "metafl_projected")  # these need eta > 0
     return ExperimentConfig(
         spec=ModelSpec(
             input_dim=draw(st.integers(1, 64)),
@@ -134,7 +142,7 @@ def experiment_configs(draw):
             alpha=draw(ALPHAS),
             lam=draw(NONNEGATIVE),
             tau=draw(st.none() | POSITIVE),
-            eta=draw(NONNEGATIVE),
+            eta=draw(POSITIVE if iterative else NONNEGATIVE),
             max_iters=draw(st.integers(1, 1000)),
             tol=draw(OPEN_UNIT),
             c=CompositeErrorConfig(
@@ -142,7 +150,7 @@ def experiment_configs(draw):
             ),
         ),
         rounds=draw(st.integers(1, 100)),
-        aggregator_mode=draw(st.sampled_from(AGGREGATOR_MODES)),
+        aggregator_mode=mode,
         alpha_grid=tuple(draw(st.lists(ALPHAS, max_size=5))),
         seed=draw(SEEDS),
         target_accuracy=draw(st.floats(0.0, 1.0, exclude_min=True)),

@@ -20,7 +20,7 @@ from metafl.datagen import (
 )
 from metafl.models import ModelSpec, TrainConfig, evaluate, init_params, train_local
 from metafl.numerics import make_rng
-from testkit import save_csv
+from testkit import pooled, save_csv
 
 
 def read_outcome(read, path, num_classes):
@@ -116,12 +116,8 @@ class TestMakeBlobs:
 class TestPartitionDirichlet:
     def test_conserves_multiset(self):
         data = make_blobs(3, 2, 200, 0.8, 3)
-        splits = partition_dirichlet(data, PartitionConfig(num_clients=5, seed=9))
-        parts = [d for pair in splits for d in pair]
-        merged = ClientDataset(
-            np.concatenate([p.features for p in parts]),
-            np.concatenate([p.labels for p in parts]),
-        )
+        train, val = partition_dirichlet(data, PartitionConfig(num_clients=5, seed=9))
+        merged = data.subset(np.concatenate(train + val))
         assert merged.n == data.n
         np.testing.assert_array_equal(sorted_rows(merged), sorted_rows(data))
 
@@ -135,46 +131,41 @@ class TestPartitionDirichlet:
         seeds=st.tuples(st.integers(0, 2**32), st.integers(0, 2**32)),
     )
     def test_places_each_sample_exactly_once(self, n, num_clients, num_classes, beta, val_fraction, seeds):
-        # the first feature is the sample's id, so the splits must hold every id once
+        # the splits are rows of the pool, so they must hold every row once
         labels = make_rng(seeds[0]).integers(0, num_classes, n)
-        pool = ClientDataset(np.column_stack([np.arange(n), np.zeros(n)]), labels)
+        pool = ClientDataset(np.zeros((n, 2)), labels)
         cfg = PartitionConfig(num_clients, beta, val_fraction, seed=seeds[1])
         try:
-            splits = partition_dirichlet(pool, cfg)
+            train, val = partition_dirichlet(pool, cfg)
         except ValueError as err:
             # n < K, or no draw gave every client a train and a val sample
             if not str(err).startswith(("infeasible", "retry exhaustion")):
                 raise
             reject()
-        assert len(splits) == num_clients
-        ids = np.concatenate([part.features[:, 0] for pair in splits for part in pair])
-        np.testing.assert_array_equal(np.sort(ids), np.arange(n))
-        for part in (part for pair in splits for part in pair):
-            np.testing.assert_array_equal(part.labels, labels[part.features[:, 0].astype(int)])
+        assert len(train) == len(val) == num_clients
+        assert all(rows.size >= 1 for rows in train + val)
+        np.testing.assert_array_equal(np.sort(np.concatenate(train + val)), np.arange(n))
 
     def test_sample_counts_add_up(self):
         data = make_blobs(2, 2, 150, 0.8, 4)
-        splits = partition_dirichlet(data, PartitionConfig(num_clients=4, seed=2))
-        assert sum(t.n + v.n for t, v in splits) == data.n
+        train, val = partition_dirichlet(data, PartitionConfig(num_clients=4, seed=2))
+        assert sum(t.size + v.size for t, v in zip(train, val)) == data.n
 
     def test_high_beta_is_nearly_iid(self):
         data = make_blobs(2, 2, 4000, 0.8, 11)
-        global_share = label_distribution(data, 2)[1]
+        global_share = label_distribution(pooled([data]), 2)[0, 1]
         cfg = PartitionConfig(num_clients=4, dirichlet_beta=1e6, seed=5)
-        for train, val in partition_dirichlet(data, cfg):
-            merged = ClientDataset(
-                np.concatenate([train.features, val.features]),
-                np.concatenate([train.labels, val.labels]),
-            )
-            share = label_distribution(merged, 2)[1]
+        train, val = partition_dirichlet(data, cfg)
+        merged = [data.subset(np.concatenate(pair)) for pair in zip(train, val)]
+        for share in label_distribution(pooled(merged), 2)[:, 1]:
             assert abs(share - global_share) <= 0.05
 
     def test_no_empty_splits_across_seeds(self):
         data = make_blobs(2, 2, 60, 0.8, 1)
         for seed in range(10):
             cfg = PartitionConfig(num_clients=5, dirichlet_beta=0.3, seed=seed)
-            for train, val in partition_dirichlet(data, cfg):
-                assert train.n >= 1 and val.n >= 1
+            train, val = partition_dirichlet(data, cfg)
+            assert all(t.size >= 1 and v.size >= 1 for t, v in zip(train, val))
 
     def test_infeasible(self):
         data = make_blobs(2, 2, 4, 0.5, 0)
@@ -187,9 +178,9 @@ class TestPartitionDirichlet:
 
         def mean_entropy(beta, seed):
             cfg = PartitionConfig(num_clients=5, dirichlet_beta=beta, seed=seed)
+            train, _ = partition_dirichlet(data, cfg)
             ents = []
-            for train, val in partition_dirichlet(data, cfg):
-                p = label_distribution(train, 2)
+            for p in label_distribution(pooled([data.subset(rows) for rows in train]), 2):
                 nz = p[p > 0]
                 ents.append(float(-(nz * np.log(nz)).sum()))
             return float(np.mean(ents))
@@ -203,37 +194,36 @@ class TestPartitionDirichlet:
         cfg = PartitionConfig(num_clients=3, dirichlet_beta=0.5, seed=8)
         a = partition_dirichlet(data, cfg)
         b = partition_dirichlet(data, cfg)
-        for (ta, va), (tb, vb) in zip(a, b):
-            np.testing.assert_array_equal(ta.features, tb.features)
-            np.testing.assert_array_equal(va.labels, vb.labels)
+        for side_a, side_b in zip(a, b):
+            for rows_a, rows_b in zip(side_a, side_b):
+                np.testing.assert_array_equal(rows_a, rows_b)
 
 
 class TestInjectLabelNoise:
     def test_zero_rate_identity(self):
-        data = make_blobs(2, 2, 30, 0.5, 0)
-        out = inject_label_noise(data, 0.0, 1, num_classes=2)
-        np.testing.assert_array_equal(out.labels, data.labels)
+        labels = make_blobs(2, 2, 30, 0.5, 0).labels
+        np.testing.assert_array_equal(inject_label_noise(labels, 0.0, 1, num_classes=2), labels)
 
     def test_exact_flip_count(self):
-        data = make_blobs(2, 2, 10, 0.5, 0)
-        out = inject_label_noise(data, 0.5, 3, num_classes=2)
-        assert int(np.sum(out.labels != data.labels)) == 5
+        labels = make_blobs(2, 2, 10, 0.5, 0).labels
+        out = inject_label_noise(labels, 0.5, 3, num_classes=2)
+        assert int(np.sum(out != labels)) == 5
 
     def test_flips_always_change_class(self):
-        data = make_blobs(4, 2, 200, 0.5, 1)
-        out = inject_label_noise(data, 0.9, 7, num_classes=4)
-        changed = out.labels != data.labels
+        labels = make_blobs(4, 2, 200, 0.5, 1).labels
+        out = inject_label_noise(labels, 0.9, 7, num_classes=4)
+        changed = out != labels
         assert int(changed.sum()) == 180
-        assert np.all(out.labels[changed] != data.labels[changed])
-        assert out.labels.max() < 4 and out.labels.min() >= 0
+        assert np.all(out[changed] != labels[changed])
+        assert out.max() < 4 and out.min() >= 0
 
     def test_reproducible(self):
-        data = make_blobs(3, 2, 50, 0.5, 2)
-        a = inject_label_noise(data, 0.3, 11, num_classes=3)
-        b = inject_label_noise(data, 0.3, 11, num_classes=3)
-        np.testing.assert_array_equal(a.labels, b.labels)
-        c = inject_label_noise(data, 0.3, 12, num_classes=3)
-        assert np.any(a.labels != c.labels)
+        labels = make_blobs(3, 2, 50, 0.5, 2).labels
+        a = inject_label_noise(labels, 0.3, 11, num_classes=3)
+        b = inject_label_noise(labels, 0.3, 11, num_classes=3)
+        np.testing.assert_array_equal(a, b)
+        c = inject_label_noise(labels, 0.3, 12, num_classes=3)
+        assert np.any(a != c)
 
 
 class TestCsv:
@@ -321,15 +311,20 @@ class TestCsv:
 class TestLabelDistribution:
     def test_balanced(self):
         data = ClientDataset([[0.0]] * 4, [0, 0, 1, 1])
-        np.testing.assert_array_equal(label_distribution(data, 2), [0.5, 0.5])
+        np.testing.assert_array_equal(label_distribution(pooled([data]), 2), [[0.5, 0.5]])
 
     def test_single_class(self):
         data = ClientDataset([[0.0]] * 3, [1, 1, 1])
-        np.testing.assert_array_equal(label_distribution(data, 3), [0.0, 1.0, 0.0])
+        np.testing.assert_array_equal(label_distribution(pooled([data]), 3), [[0.0, 1.0, 0.0]])
 
     def test_counting(self):
-        data = ClientDataset([[0.0]] * 4, [0, 0, 0, 1])
-        np.testing.assert_array_equal(label_distribution(data, 2), [0.75, 0.25])
+        # one row per client, each over that client's segment alone
+        a = ClientDataset([[0.0]] * 4, [0, 0, 0, 1])
+        b = ClientDataset([[0.0]] * 2, [2, 1])
+        np.testing.assert_array_equal(
+            label_distribution(pooled([a, b, a]), 3),
+            [[0.75, 0.25, 0.0], [0.0, 0.5, 0.5], [0.75, 0.25, 0.0]],
+        )
 
 
 class TestClientDataset:

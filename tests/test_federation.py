@@ -5,9 +5,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from metafl import federation, metafeatures
-from metafl.datagen import ClientDataset, PartitionConfig, make_blobs
+from metafl.datagen import ClientDataset, ConfigError, PartitionConfig, make_blobs
 from metafl.federation import (
     Cohort,
     DataConfig,
@@ -23,9 +25,11 @@ from metafl.federation import (
 )
 from metafl.aggregator import MetaParams
 from metafl.metafeatures import CompositeErrorConfig, composite_errors, extract
-from metafl.models import ClientError, ModelSpec, TrainConfig, init_params, train_local
+from metafl.models import (
+    ACTIVATIONS, ClientError, ModelSpec, TrainConfig, init_params, local_loss, train_local,
+)
 from metafl.numerics import derive_seed
-from testkit import save_csv
+from testkit import as_clients, per_client, pooled, reference_clients, save_csv, segment
 
 
 def small_config(**overrides) -> ExperimentConfig:
@@ -54,7 +58,7 @@ class TestRunExperiment:
         clients, _ = build_federation(cfg)
         theta0 = init_params(cfg.spec, derive_seed(cfg.seed, 2))
         round_cfg = replace(cfg.train, seed=derive_seed(cfg.train.seed, 1))
-        want = train_local(cfg.spec, theta0, clients[0][0], round_cfg)
+        want = train_local(cfg.spec, theta0, segment(clients[0], 0), round_cfg)
         np.testing.assert_array_equal(theta.coords, want.coords)
         np.testing.assert_array_equal(history[0].weights.weights, [1.0])
 
@@ -102,7 +106,7 @@ class TestRunExperiment:
         data = make_blobs(2, 2, 80, 0.5, 21)
         train = data.subset(np.arange(60))
         val = data.subset(np.arange(60, 80))
-        clients = [(train, val)] * 3
+        clients = as_clients([(train, val)] * 3)
         finals = []
         for mode in ("metafl_closed", "metafl_mirror", "metafl_projected", "fedavg"):
             cfg = small_config(
@@ -120,9 +124,11 @@ class TestRunExperiment:
 
     def test_client_error_carries_round_context(self):
         cfg = small_config()
-        bad = make_blobs(2, 3, 40, 0.5, 1)  # wrong feature dim for the spec
-        with pytest.raises(RuntimeError, match="round 1, client 0"):
-            run_rounds(cfg, [(bad, bad)], bad, init_params(cfg.spec, 0))
+        good = make_blobs(2, 2, 40, 0.5, 1)
+        bad = ClientDataset(np.full_like(good.features, 1e308), good.labels)  # logits overflow
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(RuntimeError, match="round 1, client 0"):
+                run_rounds(cfg, as_clients([(good, bad)]), good, init_params(cfg.spec, 0))
 
 
 WEIGHTED = CompositeErrorConfig(c=(0.0, 0.1, 0.05, 0.1, 0.05))
@@ -169,21 +175,23 @@ class TestCollectReports:
     def test_failure_names_diverging_client(self):
         cfg = small_config(partition=THREE_CLIENTS)
         clients, global_val = build_federation(cfg)
-        train, val = clients[1]
-        clients[1] = (ClientDataset(train.features * 1e160, train.labels), val)
+        pairs = per_client(clients)
+        train, val = pairs[1]
+        pairs[1] = (ClientDataset(train.features * 1e160, train.labels), val)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(RuntimeError, match="round 1, client 1: training diverged"):
-                run_rounds(cfg, clients, global_val, init_params(cfg.spec, 0))
+                run_rounds(cfg, as_clients(pairs), global_val, init_params(cfg.spec, 0))
 
     def test_evaluation_failure_names_client(self):
         # client 2's logits overflow on its validation split alone
         cfg = small_config(partition=THREE_CLIENTS)
         clients, _ = build_federation(cfg)
-        train, val = clients[2]
-        clients[2] = (train, ClientDataset(np.full_like(val.features, 1e308), val.labels))
+        pairs = per_client(clients)
+        train, val = pairs[2]
+        pairs[2] = (train, ClientDataset(np.full_like(val.features, 1e308), val.labels))
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(RuntimeError, match=r"^round 1, client 2: val_loss must be finite$"):
-                collect_reports(cfg, clients, init_params(cfg.spec, 0), 1)
+                collect_reports(cfg, as_clients(pairs), init_params(cfg.spec, 0), 1)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -1.0], ids=["nan", "inf", "negative"])
@@ -209,19 +217,19 @@ def test_collect_reports_and_extract_name_the_same_client(monkeypatch, value):
 class TestCohort:
     def test_validation(self):
         thetas, loss = np.zeros((2, 3)), np.array([0.1, 0.2])
-        with pytest.raises(ValueError, match=r"val_loss and n_k \[K\]"):
-            Cohort(thetas, loss[:1], np.array([4, 5]))
-        with pytest.raises(ValueError, match=r"val_loss and n_k \[K\]"):
-            Cohort(thetas, loss, np.array([4]))
+        with pytest.raises(ValueError, match=r"val_loss \[K\]"):
+            Cohort(thetas, loss[:1])
+        with pytest.raises(ValueError, match=r"val_loss \[K\]"):
+            Cohort(thetas, loss[:, None])
         with pytest.raises(ValueError, match="K >= 1"):
-            Cohort(np.zeros((0, 3)), loss[:0], np.array([], dtype=int))
+            Cohort(np.zeros((0, 3)), loss[:0])
         with pytest.raises(ValueError, match="K >= 1"):
-            Cohort(np.zeros(3), loss, np.array([4, 5]))
+            Cohort(np.zeros(3), loss)
 
     def test_fields_are_read_only_views(self):
         thetas = np.zeros((2, 3))
-        cohort = Cohort(thetas, np.array([0.1, 0.2]), np.array([4, 5]), np.zeros((2, 5)))
-        for arr in (cohort.thetas, cohort.val_loss, cohort.n_k, cohort.features):
+        cohort = Cohort(thetas, np.array([0.1, 0.2]), np.zeros((2, 5)))
+        for arr in (cohort.thetas, cohort.val_loss, cohort.features):
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 1
         thetas[0, 0] = 1.0  # the caller's array stays writable
@@ -263,7 +271,8 @@ class TestBuildFederation:
     def test_holdout_plus_clients_cover_pool(self):
         cfg = small_config()
         clients, global_val = build_federation(cfg)
-        total = global_val.n + sum(t.n + v.n for t, v in clients)
+        assert [side.data.n for side in clients] == [side.n.sum() for side in clients]
+        total = global_val.n + sum(side.data.n for side in clients)
         assert total == cfg.data.n_samples
         assert global_val.n == round(cfg.data.global_val_fraction * cfg.data.n_samples)
 
@@ -280,16 +289,14 @@ class TestBuildFederation:
                 label_noise_rate=0.4,
             )
         )
-        quiet_clients, _ = build_federation(quiet)
-        noisy_clients, _ = build_federation(noisy)
-        flips = int(np.sum(quiet_clients[0][0].labels != noisy_clients[0][0].labels))
-        assert flips == round(0.4 * quiet_clients[0][0].n)
-        np.testing.assert_array_equal(
-            quiet_clients[0][1].labels, noisy_clients[0][1].labels
-        )
-        np.testing.assert_array_equal(
-            quiet_clients[1][0].labels, noisy_clients[1][0].labels
-        )
+        (quiet_train, quiet_val), _ = build_federation(quiet)
+        (noisy_train, noisy_val), _ = build_federation(noisy)
+        np.testing.assert_array_equal(quiet_train.n, noisy_train.n)
+        np.testing.assert_array_equal(quiet_train.data.features, noisy_train.data.features)
+        flipped = np.flatnonzero(quiet_train.data.labels != noisy_train.data.labels)
+        assert flipped.size == round(0.4 * quiet_train.n[0])
+        assert flipped.max() < quiet_train.n[0]  # client 0's segment comes first
+        np.testing.assert_array_equal(quiet_val.data.labels, noisy_val.data.labels)
 
     def test_csv_source(self, tmp_path):
         data = make_blobs(2, 2, 60, 0.5, 9)
@@ -297,7 +304,7 @@ class TestBuildFederation:
         save_csv(data, str(path))
         cfg = small_config(data=DataConfig(n_samples=60, spread=0.5, csv_path=str(path)))
         clients, global_val = build_federation(cfg)
-        assert global_val.n + sum(t.n + v.n for t, v in clients) == 60
+        assert global_val.n + sum(side.data.n for side in clients) == 60
 
     def test_csv_dim_mismatch(self, tmp_path):
         data = make_blobs(2, 3, 60, 0.5, 9)
@@ -364,22 +371,18 @@ class TestKlDiagnostic:
     def test_identical_distributions(self):
         a = ClientDataset([[0.0]] * 4, [0, 0, 1, 1])
         b = ClientDataset([[0.0]] * 8, [0, 1, 0, 1, 0, 1, 0, 1])
-        assert kl_divergence_diagnostic([a, b], 2) == 0.0
+        assert kl_divergence_diagnostic(pooled([a, b]), 2) == 0.0
 
     def test_single_client(self):
         a = ClientDataset([[0.0]] * 4, [0, 1, 1, 1])
-        assert kl_divergence_diagnostic([a], 2) == 0.0
+        assert kl_divergence_diagnostic(pooled([a]), 2) == 0.0
 
     def test_disjoint_supports(self):
         a = ClientDataset([[0.0]] * 4, [0, 0, 0, 0])
         b = ClientDataset([[0.0]] * 4, [1, 1, 1, 1])
         np.testing.assert_allclose(
-            kl_divergence_diagnostic([a, b], 2), math.log(2), atol=1e-12
+            kl_divergence_diagnostic(pooled([a, b]), 2), math.log(2), atol=1e-12
         )
-
-    def test_empty(self):
-        with pytest.raises(ValueError, match="empty"):
-            kl_divergence_diagnostic([], 2)
 
 
 class TestExperimentConfig:
@@ -397,8 +400,84 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match="alpha_grid"):
             small_config(alpha_grid=(0.0, 5e-324))
 
+    @pytest.mark.parametrize("mode", ["metafl_mirror", "metafl_projected"])
+    def test_rejects_zero_eta_in_iterative_modes(self, mode):
+        # a zero step would report the uniform start as a converged solve
+        with pytest.raises(ValueError, match=f"meta.eta must be > 0 for aggregator {mode}"):
+            small_config(aggregator_mode=mode, meta=MetaParams(alpha=5.0, eta=0.0))
+
+    @pytest.mark.parametrize("mode", ["metafl_closed", "fedavg"])
+    def test_zero_eta_allowed_without_iterative_solve(self, mode):
+        cfg = small_config(aggregator_mode=mode, meta=MetaParams(alpha=5.0, eta=0.0))
+        assert cfg.meta.eta == 0.0
+
     def test_rejects_negative_seed_and_nonfinite_log_h(self):
         with pytest.raises(ValueError, match="seed"):
             small_config(seed=-1)
         with pytest.raises(ValueError, match="log_h"):
             small_config(log_h=float("nan"))
+
+
+@st.composite
+def layouts(draw):
+    """Small configs over a synthetic pool: K 1-12, any beta and
+    val_fraction, a random set of noisy clients and noise rate, softmax or
+    a small relu/tanh MLP, meta-features weighted."""
+    k = draw(st.integers(1, 12))
+    spec = ModelSpec(
+        draw(st.integers(1, 4)), draw(st.sampled_from([0, 3])), draw(st.integers(2, 4)),
+        draw(st.sampled_from(ACTIVATIONS)),
+    )
+    partition = PartitionConfig(
+        num_clients=k,
+        dirichlet_beta=draw(st.floats(0.05, 100.0)),
+        val_fraction=draw(st.floats(0.05, 0.95)),
+        noise_clients=frozenset(draw(st.sets(st.integers(0, k - 1)))),
+        label_noise_rate=draw(st.sampled_from([0.0, 0.2, 0.5, 0.9])),
+        seed=draw(st.integers(0, 2**32)),
+    )
+    return small_config(
+        spec=spec,
+        partition=partition,
+        train=TrainConfig(0.1, epochs=1, batch_size=draw(st.integers(1, 17)), seed=4),
+        meta=MetaParams(alpha=1.0, c=WEIGHTED),
+        data=DataConfig(n_samples=draw(st.integers(2 * k + 2, 160)), spread=0.5),
+        seed=draw(st.integers(0, 2**16)),
+    )
+
+
+class TestPooledLayout:
+    """The pooled sides against the per-client program they stand for."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(cfg=layouts())
+    def test_segments_equal_per_client_set_up(self, cfg):
+        try:
+            want = reference_clients(cfg)
+        except ValueError:
+            with pytest.raises(ConfigError):
+                build_federation(cfg)
+            return
+        clients, _ = build_federation(cfg)
+        assert len(clients[0].n) == len(clients[1].n) == len(want)
+        for got, pair in zip(per_client(clients), want):
+            for part, ref in zip(got, pair):
+                assert part.features.tobytes() == ref.features.tobytes()
+                assert part.labels.tobytes() == ref.labels.tobytes()
+
+    @settings(max_examples=25, deadline=None)
+    @given(cfg=layouts())
+    def test_cohort_rows_equal_one_client_calls(self, cfg):
+        try:
+            clients, _ = build_federation(cfg)
+        except ConfigError:
+            return
+        theta = init_params(cfg.spec, 5)
+        cohort = collect_reports(cfg, clients, theta, 1)
+        round_train = replace(cfg.train, seed=derive_seed(cfg.train.seed, 1))
+        for k, (train, val) in enumerate(per_client(clients)):
+            alone = train_local(cfg.spec, theta, train, round_train)
+            assert cohort.thetas[k].tobytes() == alone.coords.tobytes()
+            assert cohort.val_loss[k] == local_loss(cfg.spec, alone, val)
+            row = extract(cfg.spec, theta, alone.coords[None], as_clients([(train, val)]), round_train)
+            assert cohort.features[k].tobytes() == row[0].tobytes()

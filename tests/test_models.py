@@ -33,6 +33,7 @@ from metafl.numerics import ParamVector, make_rng
 from testkit import (
     finite_diff_grad,
     loss_and_grad,
+    pooled,
     reference_ce_grad_arrays,
     reference_logits,
     reference_mean_ce,
@@ -106,8 +107,10 @@ def reference_grad(spec, theta, x, y, l2):
 
 @st.composite
 def cohorts(draw):
-    """(spec, starts, datasets, cfg): K 1-12 clients of 1-79 samples with
-    unequal starts, batch 1-17, epochs 0-3, softmax/relu/tanh, l2 0 or 0.01."""
+    """(spec, starts, datasets, cfg): K 1-12 clients with unequal starts,
+    batch 1-17, epochs 0-3, softmax/relu/tanh, l2 0 or 0.01. Their sizes,
+    1-79 samples, come from a pool of at most 4, so that most cohorts hold
+    members of one size, which share their shuffles."""
     d, c = draw(st.integers(1, 5)), draw(st.integers(2, 4))
     spec = ModelSpec(d, draw(st.sampled_from([0, 3])), c, draw(st.sampled_from(ACTIVATIONS)))
     cfg = TrainConfig(
@@ -117,7 +120,8 @@ def cohorts(draw):
         seed=draw(st.integers(0, 2**32)),
         l2=draw(st.sampled_from([0.0, 0.01])),
     )
-    sizes = draw(st.lists(st.integers(1, 79), min_size=1, max_size=12))
+    pool = draw(st.lists(st.integers(1, 79), min_size=1, max_size=4))
+    sizes = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=12))
     rng = make_rng(draw(st.integers(0, 2**32)))
     datasets = [ClientDataset(rng.normal(size=(n, d)), rng.integers(0, c, n)) for n in sizes]
     starts = rng.normal(scale=0.5, size=(len(sizes), param_count(spec)))
@@ -216,10 +220,10 @@ class TestTrainCohort:
     @given(cohort=cohorts())
     def test_equals_one_client_calls(self, cohort):
         spec, starts, datasets, cfg = cohort
-        together = train_cohort(spec, starts, datasets, cfg)
+        together = train_cohort(spec, starts, pooled(datasets), cfg)
         assert together.shape == starts.shape
         for start, data, got in zip(starts, datasets, together):
-            alone = train_cohort(spec, start[None], [data], cfg)[0]
+            alone = train_cohort(spec, start[None], pooled([data]), cfg)[0]
             assert np.array_equal(got, alone)
             assert np.array_equal(got, reference_train_local(spec, ParamVector(start), data, cfg))
 
@@ -233,23 +237,25 @@ class TestTrainCohort:
         cfg = TrainConfig(learning_rate=0.1, epochs=2, batch_size=4)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(ClientError, match="diverged") as info:
-                train_cohort(LOGISTIC_2D, starts(3), [good, small, large], cfg)
+                train_cohort(LOGISTIC_2D, starts(3), pooled([good, small, large]), cfg)
         assert info.value.index == 1
 
-    def test_dimension_mismatch_names_member(self):
-        good = make_blobs(2, 2, 20, 0.5, 3)
-        wide = make_blobs(2, 3, 20, 0.5, 3)
-        with pytest.raises(ClientError, match="dimension mismatch") as info:
-            train_cohort(LOGISTIC_2D, starts(3), [good, wide, good], TrainConfig(learning_rate=0.1))
-        assert info.value.index == 1
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            train_cohort(LOGISTIC_2D, starts(2), [good, good, good], TrainConfig(learning_rate=0.1))
+    def test_dimension_mismatch(self):
+        # one side holds every member's features, so a wrong dim is no
+        # member's fault: a plain ValueError, as for a wrong start shape
+        good = pooled([make_blobs(2, 2, 20, 0.5, 3)] * 3)
+        wide = pooled([make_blobs(2, 3, 20, 0.5, 3)] * 3)
+        cfg = TrainConfig(learning_rate=0.1)
+        for start, side in ((starts(3), wide), (starts(2), good)):
+            with pytest.raises(ValueError, match="dimension mismatch") as info:
+                train_cohort(LOGISTIC_2D, start, side, cfg)
+            assert type(info.value) is ValueError
 
     def test_returns_new_array(self):
         data = make_blobs(2, 2, 20, 0.5, 3)
         start = starts(2)
         for epochs in (0, 1):
-            out = train_cohort(LOGISTIC_2D, start, [data, data], TrainConfig(0.1, epochs=epochs))
+            out = train_cohort(LOGISTIC_2D, start, pooled([data, data]), TrainConfig(0.1, epochs=epochs))
             assert not np.shares_memory(out, start)
         np.testing.assert_array_equal(start, starts(2))
 
@@ -264,21 +270,17 @@ class TestCohortLosses:
     @given(cohort=scored_cohorts())
     def test_equals_evaluate_per_member(self, cohort):
         spec, thetas, datasets = cohort
-        losses = cohort_losses(spec, thetas, datasets)
+        losses = cohort_losses(spec, thetas, pooled(datasets))
         alone = [evaluate(spec, ParamVector(th), d).val_loss for th, d in zip(thetas, datasets)]
         assert losses.tobytes() == np.array(alone).tobytes()
 
     def test_dimension_mismatch(self):
-        good = make_blobs(2, 2, 20, 0.5, 3)
-        wide = make_blobs(2, 3, 20, 0.5, 3)
-        with pytest.raises(ClientError, match="dimension mismatch") as info:
-            cohort_losses(LOGISTIC_2D, starts(3), [good, wide, wide])
-        assert info.value.index == 1
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            cohort_losses(LOGISTIC_2D, starts(3)[:, :-1], [good] * 3)
-
-    def test_empty_cohort(self):
-        assert cohort_losses(LOGISTIC_2D, starts(0), []).shape == (0,)
+        good = pooled([make_blobs(2, 2, 20, 0.5, 3)] * 3)
+        wide = pooled([make_blobs(2, 3, 20, 0.5, 3)] * 3)
+        for thetas, side in ((starts(3), wide), (starts(3)[:, :-1], good), (starts(2), good)):
+            with pytest.raises(ValueError, match="dimension mismatch") as info:
+                cohort_losses(LOGISTIC_2D, thetas, side)
+            assert type(info.value) is ValueError
 
 
 class TestEvaluate:

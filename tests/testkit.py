@@ -1,8 +1,10 @@
 """Helpers only the tests use: central finite differences, the full-data
 training objective with its analytic gradient, a CSV writer in the
-format datagen.load_csv reads, and reference copies of the forward pass,
-the SGD gradient and the iterative weight solve as they were written
-before their rewrites, which the program must still equal bitwise."""
+format datagen.load_csv reads, conversions between per-client datasets
+and pooled sides, and reference copies of the per-client data set-up,
+the forward pass, the SGD gradient and the iterative weight solve as
+they were written before their rewrites, which the program must still
+equal bitwise."""
 
 from __future__ import annotations
 
@@ -13,11 +15,13 @@ from typing import Callable, Sequence, Tuple
 import numpy as np
 
 from metafl.aggregator import MetaParams, _clamped_log, _gradient, _mirror_step
-from metafl.datagen import ClientDataset
+from metafl.datagen import (
+    MAX_PARTITION_ATTEMPTS, ClientDataset, PartitionConfig, Segments, make_blobs,
+)
 from metafl.models import (
     ModelSpec, _ce_grad_arrays, _check_cohort, _forward, _mean_ce, _softmax_rows, _unpack,
 )
-from metafl.numerics import ParamVector
+from metafl.numerics import ParamVector, derive_seed, make_rng
 
 
 def finite_diff_grad(
@@ -43,7 +47,7 @@ def loss_and_grad(
     spec: ModelSpec, params: ParamVector, data: ClientDataset, l2: float = 0.0
 ) -> Tuple[float, np.ndarray]:
     """Training objective and its analytic gradient over the full dataset."""
-    _check_cohort(spec, params.coords[None], [data])
+    _check_cohort(spec, params.coords[None], data)
     theta = params.coords
     loss = _mean_ce(_forward(spec, theta, data.features)[1], data.labels)
     if l2 > 0.0:
@@ -58,6 +62,100 @@ def save_csv(data: ClientDataset, path: str) -> None:
         writer = csv.writer(handle)
         for x, y in zip(data.features, data.labels):
             writer.writerow([repr(float(v)) for v in x] + [int(y)])
+
+
+def pooled(datasets: Sequence[ClientDataset]) -> Segments:
+    """Per-client datasets as one side, client k's rows the k-th segment."""
+    return Segments(
+        ClientDataset(
+            np.concatenate([d.features for d in datasets]),
+            np.concatenate([d.labels for d in datasets]),
+        ),
+        np.array([d.n for d in datasets]),
+    )
+
+
+def as_clients(pairs: Sequence[Tuple[ClientDataset, ClientDataset]]) -> Tuple[Segments, Segments]:
+    """Per-client (train, val) pairs as the (train, val) sides."""
+    return pooled([train for train, _ in pairs]), pooled([val for _, val in pairs])
+
+
+def segment(side: Segments, k: int) -> ClientDataset:
+    """Client k's rows of a side as its own dataset."""
+    start = int(side.start[k])
+    return side.data.subset(np.arange(start, start + side.n[k]))
+
+
+def per_client(clients: Tuple[Segments, Segments]) -> list:
+    """The (train, val) sides as per-client (train, val) pairs."""
+    return [tuple(segment(side, k) for side in clients) for k in range(len(clients[0].n))]
+
+
+def reference_partition(data: ClientDataset, cfg: PartitionConfig) -> list:
+    """datagen.partition_dirichlet as it was when it built a (train, val)
+    pair of datasets per client."""
+    k = cfg.num_clients
+    if data.n < k:
+        raise ValueError(f"infeasible (n < K): {data.n} samples for {k} clients")
+    rng = make_rng(cfg.seed)
+    classes = np.unique(data.labels)
+    for _ in range(MAX_PARTITION_ATTEMPTS):
+        assignment = [[] for _ in range(k)]
+        for cls in classes:
+            idx = np.nonzero(data.labels == cls)[0]
+            idx = idx[rng.permutation(idx.size)]
+            props = rng.dirichlet(np.full(k, cfg.dirichlet_beta))
+            bounds = np.floor(np.cumsum(props) * idx.size).astype(int)
+            bounds[-1] = idx.size
+            start = 0
+            for client, stop in enumerate(bounds):
+                assignment[client].extend(idx[start:stop].tolist())
+                start = stop
+        if all(len(a) >= 2 for a in assignment):
+            splits = []
+            for a in assignment:
+                idx = np.asarray(a, dtype=np.int64)
+                idx = idx[rng.permutation(idx.size)]
+                n_val = int(round(cfg.val_fraction * idx.size))
+                n_val = min(max(n_val, 1), idx.size - 1)
+                splits.append((data.subset(idx[n_val:]), data.subset(idx[:n_val])))
+            return splits
+    raise ValueError("retry exhaustion")
+
+
+def reference_label_noise(
+    data: ClientDataset, rate: float, seed: int, num_classes: int
+) -> ClientDataset:
+    """datagen.inject_label_noise as it was when it took a dataset."""
+    count = int(round(rate * data.n))
+    if count == 0:
+        return data
+    rng = make_rng(seed)
+    flip = rng.choice(data.n, size=count, replace=False)
+    labels = data.labels.copy()
+    draws = rng.integers(0, num_classes - 1, size=count)
+    old = labels[flip]
+    labels[flip] = np.where(draws < old, draws, draws + 1)
+    return ClientDataset(data.features, labels)
+
+
+def reference_clients(cfg) -> list:
+    """federation.build_federation's client splits for a synthetic pool,
+    built as it was: a (train, val) pair of datasets per client, each
+    noisy client's train split replaced by a relabelled copy."""
+    spec, data, part = cfg.spec, cfg.data, cfg.partition
+    pool = make_blobs(spec.num_classes, spec.input_dim, data.n_samples, data.spread, cfg.seed)
+    order = make_rng([cfg.seed, 1]).permutation(pool.n)
+    n_holdout = max(1, int(round(data.global_val_fraction * pool.n)))
+    clients = reference_partition(pool.subset(order[n_holdout:]), part)
+    noisy = []
+    for k, (train, val) in enumerate(clients):
+        if k in part.noise_clients and part.label_noise_rate > 0.0:
+            train = reference_label_noise(
+                train, part.label_noise_rate, derive_seed(part.seed, k, 11), spec.num_classes
+            )
+        noisy.append((train, val))
+    return noisy
 
 
 def reference_logits(spec: ModelSpec, theta: np.ndarray, x: np.ndarray) -> np.ndarray:
