@@ -48,6 +48,7 @@ from .models import (
     TrainConfig,
     cohort_losses,
     evaluate,
+    holdout_losses,
     init_params,
     local_loss,
     train_cohort,

@@ -16,13 +16,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .datagen import ClientDataset
 from .metafeatures import CompositeErrorConfig
-from .models import ModelSpec, local_loss
+from .models import ModelSpec, holdout_losses
 from .numerics import (
     ParamVector, Rng, WeightVector, _check_errors, _project_simplex, softmax_neg, weighted_sum,
 )
@@ -258,17 +258,17 @@ def adapt_meta_params(
     """Grid-search alpha: weight the errors E [K] by each candidate's
     closed form, aggregate the rows of thetas [K, P], and keep the
     candidate whose aggregated model scores the lowest loss on the
-    server-held validation set. Ties break toward the smallest alpha;
-    tau resets to track the winner.
+    server-held validation set. Every candidate's aggregate is scored in
+    one holdout_losses pass. Ties break toward the smallest alpha; tau
+    resets to track the winner.
     """
     candidates = [float(a) for a in candidates_alpha]
     if not candidates:
         raise ValueError("empty grid")
+    grid = np.stack([aggregate(thetas, softmax_neg(errors, a), mp.lam).coords for a in candidates])
     best_alpha = None
     best_loss = math.inf
-    for alpha in candidates:
-        theta = aggregate(thetas, softmax_neg(errors, alpha), mp.lam)
-        loss = local_loss(spec, theta, global_val)
+    for alpha, loss in zip(candidates, holdout_losses(spec, grid, global_val).tolist()):
         if (
             best_alpha is None
             or loss < best_loss
@@ -318,27 +318,17 @@ def contraction_estimate(
     return best
 
 
-def jensen_gap(
-    spec: ModelSpec,
-    thetas: np.ndarray,
-    w: WeightVector,
-    data: ClientDataset,
-    loss_fn: Callable[[ParamVector], float] | None = None,
-) -> float:
-    """Weighted mean loss of the rows of thetas [K, P] minus the loss of
-    their weighted mean.
+def jensen_gap(spec: ModelSpec, thetas: np.ndarray, w: WeightVector, data: ClientDataset) -> float:
+    """Weighted mean loss of the rows of thetas [K, P] on data minus the
+    loss of their weighted mean, all K + 1 scored in one holdout_losses
+    pass.
 
     Nonnegative whenever the loss is convex in the parameters, which
-    holds for hidden_dim = 0 models. loss_fn overrides the default
-    model loss on ``data`` (used by surrogate-loss checks).
+    holds for hidden_dim = 0 models.
     """
-    if loss_fn is None:
-        loss_fn = lambda theta: local_loss(spec, theta, data)
     mean_theta = weighted_sum(thetas, w)
-    mean_of_losses = float(
-        w.weights @ np.array([loss_fn(ParamVector(theta)) for theta in thetas])
-    )
-    return mean_of_losses - loss_fn(mean_theta)
+    losses = holdout_losses(spec, np.vstack([thetas, mean_theta.coords]), data)
+    return float(w.weights @ losses[:-1]) - float(losses[-1])
 
 
 def generalization_bound(log_h: float, m: int, kl_avg: float) -> float:

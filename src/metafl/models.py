@@ -26,10 +26,15 @@ __all__ = [
     "train_cohort",
     "evaluate",
     "local_loss",
+    "holdout_losses",
     "cohort_losses",
 ]
 
 ACTIVATIONS = ("relu", "tanh")
+
+#: Most rows of one block of holdout_losses: a block's activations for the
+#: whole parameter stack stay in cache while every vector scores it.
+HOLDOUT_BLOCK = 512
 
 
 @dataclass(frozen=True)
@@ -126,6 +131,17 @@ def _check_cohort(spec: ModelSpec, thetas: np.ndarray, data: ClientDataset, k: i
     if thetas.shape != need or data.dim != spec.input_dim:
         raise ValueError(f"dimension mismatch: parameters of shape {thetas.shape} on features "
                          f"of dim {data.dim}, need {need} and spec.input_dim={spec.input_dim}")
+
+
+def _check_side(spec: ModelSpec, thetas: np.ndarray, side: Segments) -> None:
+    """_check_cohort for the K segments of side, whose row counts must each
+    be >= 1 and sum to the rows of side.data."""
+    n = side.n
+    if (n < 1).any() or n.sum() != side.data.n:
+        raise ValueError(f"segment counts must each be >= 1 and sum to the side's {side.data.n} "
+                         f"rows, got {n.size} counts summing to {n.sum()}, "
+                         f"{np.count_nonzero(n < 1)} of them below 1")
+    _check_cohort(spec, thetas, side.data, n.size)
 
 
 def _check_nonnegative(name: str, values: np.ndarray) -> None:
@@ -249,7 +265,7 @@ def train_cohort(
     Batches are never padded and nothing is reduced across members.
     Raises ClientError naming the first failing member in cohort order.
     """
-    _check_cohort(spec, starts, side.data, len(side.n))
+    _check_side(spec, starts, side)
     if cfg.epochs == 0:
         return np.array(starts, dtype=np.float64)
     size, epochs = cfg.batch_size, cfg.epochs
@@ -327,8 +343,52 @@ def evaluate(spec: ModelSpec, params: ParamVector, data: ClientDataset) -> Perfo
 
 def local_loss(spec: ModelSpec, params: ParamVector, data: ClientDataset) -> float:
     """Mean cross-entropy of the model on the dataset, in nats."""
-    _check_cohort(spec, params.coords[None], data)
-    return float(_mean_ce(_forward(spec, params.coords, data.features)[1], data.labels))
+    return float(holdout_losses(spec, params.coords[None], data)[0])
+
+
+def holdout_losses(spec: ModelSpec, thetas: np.ndarray, data: ClientDataset) -> np.ndarray:
+    """Mean cross-entropy (nats) of every row of thetas [M, P] on the one
+    dataset data, each bitwise that of its own unblocked forward pass;
+    returns the losses [M].
+
+    The rows of data are scored in blocks of at most HOLDOUT_BLOCK rows,
+    their sizes within one row of each other, all M models at once, into
+    buffers reused from block to block. Only per-row arithmetic is
+    blocked: each block writes its rows' cross-entropies into one [M, n]
+    array, and each loss is one mean over a full row of it.
+    """
+    _check_cohort(spec, thetas, data, len(thetas))
+    m, n = len(thetas), data.n
+    blocks = -(-n // HOLDOUT_BLOCK)
+    bounds = (np.arange(blocks + 1) * n // blocks).tolist()
+    width = -(-n // blocks)
+
+    def buffer(cols):
+        flat = np.empty(m * width * cols)
+        # a contiguous view per block, so a block runs the kernels an unblocked pass runs
+        return lambda rows: flat[: m * rows * cols].reshape(m, rows, cols)
+
+    act, logits, exps = buffer(spec.hidden_dim), buffer(spec.num_classes), buffer(spec.num_classes)
+    *hidden, w, b = _unpack(spec, thetas)
+    ce = np.empty((m, n))
+    for lo, hi in zip(bounds, bounds[1:]):
+        rows = hi - lo
+        a = data.features[lo:hi]
+        if hidden:
+            a = np.matmul(a, hidden[0], out=act(rows))
+            a += hidden[1]
+            if spec.activation == "relu":
+                np.maximum(a, 0.0, out=a)
+            else:
+                np.tanh(a, out=a)
+        z = np.matmul(a, w, out=logits(rows))
+        z += b
+        top = _row_max(z)
+        e = np.subtract(z, top[..., None], out=exps(rows))
+        np.exp(e, out=e)
+        lse = top + np.log(e.sum(axis=-1))
+        np.subtract(lse, z[:, np.arange(rows), data.labels[lo:hi]], out=ce[:, lo:hi])
+    return np.mean(ce, axis=1)
 
 
 def cohort_losses(spec: ModelSpec, thetas: np.ndarray, side: Segments) -> np.ndarray:
@@ -339,7 +399,7 @@ def cohort_losses(spec: ModelSpec, thetas: np.ndarray, side: Segments) -> np.nda
     and each member's mean is taken over its own rows. Nothing is padded
     or reduced across members.
     """
-    _check_cohort(spec, thetas, side.data, len(side.n))
+    _check_side(spec, thetas, side)
     losses = np.empty(len(side.n))
     order = np.argsort(side.n, kind="stable")
     n, first = side.n[order], side.start[order]

@@ -28,7 +28,9 @@ from metafl.datagen import ClientDataset, inject_label_noise, make_blobs
 from metafl.metafeatures import CompositeErrorConfig, composite_errors
 from metafl.models import ModelSpec, TrainConfig, init_params, local_loss, param_count, train_local
 from metafl.numerics import ParamVector, WeightVector, make_rng, project_simplex, softmax_neg
-from testkit import finite_diff_grad, reference_weights_iterative
+from testkit import (
+    finite_diff_grad, reference_adapt_meta_params, reference_local_loss, reference_weights_iterative,
+)
 
 
 def rows(*coords):
@@ -460,22 +462,6 @@ class TestSolverRegression:
                     weights_iterative(errors, mp, "projected")
 
 
-def reference_alpha_search(mp, candidates, thetas, errors, spec, holdout):
-    """The per-candidate path the alpha search must reproduce bitwise:
-    uniform weights at alpha 0, else the softmax; the shrunk weighted sum;
-    its holdout loss; ties to the smallest alpha. Returns the winning
-    alpha with its weights and aggregate."""
-    k = len(errors)
-    best = None
-    for alpha in map(float, candidates):
-        w = np.full(k, 1.0 / k) if alpha == 0.0 else softmax_neg(errors, alpha).weights
-        theta = ParamVector((w @ thetas) / (1.0 + mp.lam))
-        loss = local_loss(spec, theta, holdout)
-        if best is None or loss < best[1] or (loss == best[1] and alpha < best[0]):
-            best = (alpha, loss, w, theta)
-    return best[0], best[2], best[3]
-
-
 @st.composite
 def alpha_search_cases(draw):
     spec = ModelSpec(
@@ -494,8 +480,9 @@ def alpha_search_cases(draw):
     pool = draw(st.lists(st.floats(0.0, 32.0, allow_subnormal=False), min_size=1, max_size=4))
     candidates = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=9))
     lam = draw(st.floats(0.0, 10.0))
-    holdout = make_blobs(spec.num_classes, spec.input_dim, draw(st.integers(4, 30)), 0.7,
-                         draw(st.integers(0, 1000)))
+    # most holdouts fit one block of the grid's pass; some span two or three
+    size = draw(st.one_of(st.integers(4, 30), st.sampled_from([513, 1100])))
+    holdout = make_blobs(spec.num_classes, spec.input_dim, size, 0.7, draw(st.integers(0, 1000)))
     return spec, thetas, errors, candidates, lam, holdout
 
 
@@ -557,14 +544,19 @@ class TestAdaptMetaParams:
     @settings(max_examples=150, deadline=None)
     @given(alpha_search_cases())
     def test_search_then_closed_solve_equal_reference(self, case):
+        # the per-candidate search picks the same alpha, ties included; the
+        # closed solve at it is uniform at alpha 0, else the softmax, and
+        # its aggregate the shrunk weighted sum
         spec, thetas, errors, candidates, lam, holdout = case
-        mp = adapt_meta_params(MetaParams(alpha=1.0, lam=lam, tau=2.0), candidates, thetas,
-                               errors, spec, holdout)
+        start = MetaParams(alpha=1.0, lam=lam, tau=2.0)
+        mp = adapt_meta_params(start, candidates, thetas, errors, spec, holdout)
+        assert mp == reference_adapt_meta_params(start, candidates, thetas, errors, spec, holdout)
+        assert mp.tau is None
+        k = len(errors)
+        w = np.full(k, 1.0 / k) if mp.alpha == 0.0 else softmax_neg(errors, mp.alpha).weights
         out = meta_agg(thetas, errors, mp, "metafl_closed")
-        alpha, w, theta = reference_alpha_search(mp, candidates, thetas, errors, spec, holdout)
-        assert mp.alpha == alpha and mp.tau is None
         assert out.weights.weights.tobytes() == w.tobytes()
-        assert out.theta_g.coords.tobytes() == theta.coords.tobytes()
+        assert out.theta_g.coords.tobytes() == ((w @ thetas) / (1.0 + lam)).tobytes()
 
 
 class TestContractionEstimate:
@@ -608,17 +600,15 @@ class TestJensenGap:
         gap = jensen_gap(spec, rows(theta, theta), WeightVector([0.5, 0.5]), data)
         assert gap == 0.0
 
-    def test_quadratic_surrogate(self):
-        spec = ModelSpec(input_dim=1, hidden_dim=0, num_classes=2)
-        data = make_blobs(2, 1, 10, 0.5, 1)
-        gap = jensen_gap(
-            spec,
-            rows([-1.0], [1.0]),
-            WeightVector([0.5, 0.5]),
-            data,
-            loss_fn=lambda theta: float(theta.coords[0] ** 2),
-        )
-        np.testing.assert_allclose(gap, 1.0, rtol=1e-15)
+    def test_equals_one_unblocked_pass_per_model(self):
+        spec = ModelSpec(input_dim=3, hidden_dim=4, num_classes=3, activation="tanh")
+        data = make_blobs(3, 3, 700, 1.0, 5)  # two blocks of the pass
+        thetas = make_rng(8).normal(size=(4, param_count(spec)))
+        w = softmax_neg([0.3, 0.1, 0.7, 0.2], 2.0)
+        mean = aggregate(thetas, w, 0.0)
+        losses = np.array([reference_local_loss(spec, ParamVector(t), data) for t in thetas])
+        want = float(w.weights @ losses) - reference_local_loss(spec, mean, data)
+        assert jensen_gap(spec, thetas, w, data) == want
 
     def test_convex_loss_nonnegative_gap(self):
         rng = make_rng(97)

@@ -23,12 +23,13 @@ from metafl.federation import (
     run_rounds,
     shares_data_setup,
 )
-from metafl.aggregator import MetaParams
+from metafl.aggregator import MetaParams, aggregate
 from metafl.metafeatures import CompositeErrorConfig, composite_errors, extract
 from metafl.models import (
-    ACTIVATIONS, ClientError, ModelSpec, TrainConfig, init_params, local_loss, train_local,
+    ACTIVATIONS, ClientError, ModelSpec, TrainConfig, holdout_losses, init_params, local_loss,
+    train_local,
 )
-from metafl.numerics import derive_seed
+from metafl.numerics import derive_seed, softmax_neg
 from testkit import as_clients, per_client, pooled, reference_clients, save_csv, segment
 
 
@@ -256,6 +257,34 @@ class TestRunRounds:
         for (losses, features, c), rec in zip(calls, history):
             assert tuple(losses) == rec.per_client_val_loss
             assert features.shape == (3, 5) and c == cfg.meta.c
+
+    def test_closed_server_loss_is_the_winning_grid_loss(self, monkeypatch):
+        # the round's server loss, from evaluate's unblocked pass, equals
+        # bitwise the winner's loss in the search's blocked pass over a
+        # holdout of two blocks
+        searches = []
+
+        def recording(mp, grid, thetas, errors, spec, global_val):
+            won = federation_adapt(mp, grid, thetas, errors, spec, global_val)
+            aggregates = [aggregate(thetas, softmax_neg(errors, a), mp.lam).coords for a in grid]
+            losses = holdout_losses(spec, np.stack(aggregates), global_val)
+            searches.append(losses[list(grid).index(won.alpha)])
+            return won
+
+        federation_adapt = federation.adapt_meta_params
+        monkeypatch.setattr(federation, "adapt_meta_params", recording)
+        cfg = small_config(
+            spec=ModelSpec(input_dim=2, hidden_dim=3, num_classes=3, activation="tanh"),
+            data=DataConfig(n_samples=3000, spread=0.5, global_val_fraction=0.25),
+            meta=MetaParams(alpha=1.0, lam=0.1),
+            alpha_grid=(0.0, 0.5, 2.0, 8.0),
+            partition=THREE_CLIENTS,
+            rounds=3,
+        )
+        _, history = run_experiment(cfg)
+        assert len(searches) == cfg.rounds
+        for loss, rec in zip(searches, history):
+            assert rec.global_val_loss == loss
 
     def test_records_carry_solver_iterations_and_residual(self):
         mp = MetaParams(alpha=4.0, max_iters=2)

@@ -8,9 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from metafl.datagen import ClientDataset, make_blobs
+from metafl.datagen import ClientDataset, Segments, make_blobs
 from metafl.models import (
     ACTIVATIONS,
+    HOLDOUT_BLOCK,
     ClientError,
     ModelSpec,
     PerformanceMetrics,
@@ -23,6 +24,7 @@ from metafl.models import (
     _unpack,
     cohort_losses,
     evaluate,
+    holdout_losses,
     init_params,
     local_loss,
     param_count,
@@ -281,6 +283,71 @@ class TestCohortLosses:
             with pytest.raises(ValueError, match="dimension mismatch") as info:
                 cohort_losses(LOGISTIC_2D, thetas, side)
             assert type(info.value) is ValueError
+
+
+class TestSegmentCounts:
+    """A side's counts must each be >= 1 and sum to its rows."""
+
+    DATA = make_blobs(2, 2, 20, 0.5, 3)
+
+    @pytest.mark.parametrize("counts", [[5, 5], [15, 15], [0, 20], [21, -1]])
+    def test_train_cohort_and_cohort_losses_reject_bad_counts(self, counts):
+        side = Segments(self.DATA, np.array(counts))
+        with pytest.raises(ValueError, match="segment counts must each be >= 1 and sum to"):
+            train_cohort(LOGISTIC_2D, starts(2), side, TrainConfig(0.1))
+        with pytest.raises(ValueError, match="segment counts must each be >= 1 and sum to"):
+            cohort_losses(LOGISTIC_2D, starts(2), side)
+
+
+@st.composite
+def holdout_cases(draw, n=st.integers(1, 1600)):
+    """(spec, thetas, data): M 1-12 parameter vectors on one dataset of n
+    rows; hidden_dim 0 or 1-8, relu or tanh, 2-12 classes. A fifth of the
+    parameters and a tenth of the features are exactly 0, and some vectors
+    are all zero or repeat another, so logits and rows tie."""
+    spec = ModelSpec(
+        input_dim=draw(st.integers(1, 6)),
+        hidden_dim=draw(st.one_of(st.just(0), st.integers(1, 8))),
+        num_classes=draw(st.integers(2, 12)),
+        activation=draw(st.sampled_from(ACTIVATIONS)),
+    )
+    m, rows = draw(st.integers(1, 12)), draw(n)
+    rng = make_rng(draw(st.integers(0, 2**32)))
+    thetas = rng.normal(scale=draw(st.sampled_from([0.1, 1.0, 30.0])), size=(m, param_count(spec)))
+    thetas *= rng.random(thetas.shape) < 0.8
+    thetas[rng.random(m) < 0.2] = 0.0
+    thetas[1:][rng.random(m - 1) < 0.2] = thetas[0]
+    x = rng.normal(size=(rows, spec.input_dim))
+    x *= rng.random(x.shape) < 0.9
+    x[rng.random(rows) < 0.1] = x[0]
+    return spec, thetas, ClientDataset(x, rng.integers(0, spec.num_classes, rows))
+
+
+def assert_holdout_losses_equal_one_pass_each(case):
+    spec, thetas, data = case
+    got = holdout_losses(spec, thetas, data)
+    alone = [_mean_ce(_forward(spec, theta, data.features)[1], data.labels) for theta in thetas]
+    assert same_bits(got, np.array(alone))
+
+
+class TestHoldoutLosses:
+    @settings(max_examples=150, deadline=None)
+    @given(case=holdout_cases())
+    def test_equals_one_unblocked_pass_per_vector(self, case):
+        assert_holdout_losses_equal_one_pass_each(case)
+
+    @pytest.mark.parametrize("n", [1, 2, HOLDOUT_BLOCK - 1, HOLDOUT_BLOCK, HOLDOUT_BLOCK + 1,
+                                   2 * HOLDOUT_BLOCK, 2 * HOLDOUT_BLOCK + 1])
+    @settings(max_examples=10, deadline=None)
+    @given(data=st.data())
+    def test_block_edges(self, n, data):
+        assert_holdout_losses_equal_one_pass_each(data.draw(holdout_cases(st.just(n))))
+
+    def test_dimension_mismatch(self):
+        data = make_blobs(2, 2, 20, 0.5, 3)
+        for thetas in (starts(2)[:, :-1], starts(2)[0], starts(2)[None]):
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                holdout_losses(LOGISTIC_2D, thetas, data)
 
 
 class TestEvaluate:

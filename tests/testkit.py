@@ -2,26 +2,27 @@
 training objective with its analytic gradient, a CSV writer in the
 format datagen.load_csv reads, conversions between per-client datasets
 and pooled sides, and reference copies of the per-client data set-up,
-the forward pass, the SGD gradient and the iterative weight solve as
-they were written before their rewrites, which the program must still
-equal bitwise."""
+the forward pass, the SGD gradient, the per-candidate alpha search and
+the iterative weight solve as they were written before their rewrites,
+which the program must still equal bitwise."""
 
 from __future__ import annotations
 
 import csv
 import math
+from dataclasses import replace
 from typing import Callable, Sequence, Tuple
 
 import numpy as np
 
-from metafl.aggregator import MetaParams, _clamped_log, _gradient, _mirror_step
+from metafl.aggregator import MetaParams, _clamped_log, _gradient, _mirror_step, aggregate
 from metafl.datagen import (
     MAX_PARTITION_ATTEMPTS, ClientDataset, PartitionConfig, Segments, make_blobs,
 )
 from metafl.models import (
     ModelSpec, _ce_grad_arrays, _check_cohort, _forward, _mean_ce, _softmax_rows, _unpack,
 )
-from metafl.numerics import ParamVector, derive_seed, make_rng
+from metafl.numerics import ParamVector, derive_seed, make_rng, softmax_neg
 
 
 def finite_diff_grad(
@@ -198,6 +199,38 @@ def reference_ce_grad_arrays(
     if l2 > 0.0:
         grad += l2 * theta
     return grad
+
+
+def reference_local_loss(spec: ModelSpec, params: ParamVector, data: ClientDataset) -> float:
+    """models.local_loss as one unblocked pass over all of data's rows."""
+    return float(_mean_ce(_forward(spec, params.coords, data.features)[1], data.labels))
+
+
+def reference_adapt_meta_params(
+    mp: MetaParams,
+    candidates_alpha: Sequence[float],
+    thetas: np.ndarray,
+    errors: np.ndarray,
+    spec: ModelSpec,
+    global_val: ClientDataset,
+) -> MetaParams:
+    """aggregator.adapt_meta_params as it was when it scored each
+    candidate's aggregate in its own unblocked holdout pass."""
+    candidates = [float(a) for a in candidates_alpha]
+    if not candidates:
+        raise ValueError("empty grid")
+    best_alpha = None
+    best_loss = math.inf
+    for alpha in candidates:
+        theta = aggregate(thetas, softmax_neg(errors, alpha), mp.lam)
+        loss = reference_local_loss(spec, theta, global_val)
+        if (
+            best_alpha is None
+            or loss < best_loss
+            or (loss == best_loss and alpha < best_alpha)
+        ):
+            best_alpha, best_loss = alpha, loss
+    return replace(mp, alpha=best_alpha, tau=None)
 
 
 def reference_mean_ce(logits: np.ndarray, y: np.ndarray) -> np.ndarray:
