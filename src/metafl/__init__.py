@@ -11,7 +11,6 @@ from .aggregator import (
     generalization_bound,
     jensen_gap,
     meta_agg,
-    phi_gradient,
     phi_objective,
     weights_iterative,
 )

@@ -32,7 +32,6 @@ __all__ = [
     "AggregationOutcome",
     "AGGREGATOR_MODES",
     "phi_objective",
-    "phi_gradient",
     "weights_iterative",
     "aggregate",
     "fedavg_weights",
@@ -129,18 +128,6 @@ def _clamped_log(w: np.ndarray) -> np.ndarray:
 def _gradient(log_w: np.ndarray, e: np.ndarray, tau: float) -> np.ndarray:
     """E_k + tau (1 + ln w_k), given log_w = _clamped_log(w)."""
     return e + tau * (1.0 + log_w)
-
-
-def phi_gradient(w: WeightVector, errors: Sequence[float], tau: float) -> np.ndarray:
-    """Analytic gradient E_k + tau (1 + ln w_k); defined on the interior only."""
-    e = _check_errors(errors)
-    if e.size != w.k:
-        raise ValueError("errors and weights lengths differ")
-    if not np.isfinite(tau) or tau < 0.0:
-        raise ValueError("tau must be finite and >= 0")
-    if np.any(w.weights <= 0.0):
-        raise ValueError("boundary gradient undefined")
-    return _gradient(_clamped_log(w.weights), e, tau)
 
 
 def _mirror_step(w: np.ndarray, e: np.ndarray, tau: float, eta: float) -> np.ndarray:
@@ -266,15 +253,8 @@ def adapt_meta_params(
     if not candidates:
         raise ValueError("empty grid")
     grid = np.stack([aggregate(thetas, softmax_neg(errors, a), mp.lam).coords for a in candidates])
-    best_alpha = None
-    best_loss = math.inf
-    for alpha, loss in zip(candidates, holdout_losses(spec, grid, global_val).tolist()):
-        if (
-            best_alpha is None
-            or loss < best_loss
-            or (loss == best_loss and alpha < best_alpha)
-        ):
-            best_alpha, best_loss = alpha, loss
+    # the least (loss, alpha): ties go to the smaller alpha; a NaN wins only if first
+    _, best_alpha = min(zip(holdout_losses(spec, grid, global_val).tolist(), candidates))
     return replace(mp, alpha=best_alpha, tau=None)
 
 

@@ -383,7 +383,7 @@ def _theory(cfg: ExperimentConfig, mp: MetaParams, errors, clients) -> tuple:
 def _summary_payload(cfg: ExperimentConfig, history, clients) -> dict:
     final = history[-1]
     mp = cfg.meta
-    if cfg.aggregator_mode != "fedavg" and len(cfg.alpha_grid) > 1:
+    if cfg.searches_alpha:
         # the alpha search set alpha and reset tau to track it
         mp = replace(mp, alpha=final.alpha_used, tau=None)
     contraction, kl, _, bound = _theory(cfg, mp, final.per_client_val_loss, clients)

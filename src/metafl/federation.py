@@ -24,7 +24,8 @@ Nothing is reduced across clients, so every client's parameters are
 bitwise those of training it alone. The cohort is evaluated the same
 way (models.cohort_losses): clients whose validation splits have one
 length share one stacked forward pass, and each client's loss is
-bitwise the one models.evaluate gives it alone.
+bitwise the one models.evaluate gives it alone. Every loss the round
+reads comes from the one forward pass and cross-entropy of models.
 Any fault in setting up the data is a ConfigError; a malformed CSV pool's
 names data.csv_path and the row.
 """
@@ -143,6 +144,11 @@ class ExperimentConfig:
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
         object.__setattr__(self, "alpha_grid", grid)
+
+    @property
+    def searches_alpha(self) -> bool:
+        """Each round re-tunes alpha: a weighted mode, 2+ alpha_grid entries."""
+        return self.aggregator_mode != "fedavg" and len(self.alpha_grid) > 1
 
 
 @dataclass(frozen=True)
@@ -312,7 +318,7 @@ def run_rounds(
                 outcome = AggregationOutcome(theta_g, weights, 0.0, 0, 0.0)
             else:
                 errors = composite_errors(cohort.val_loss, cohort.features, mp.c)
-                if len(cfg.alpha_grid) > 1:
+                if cfg.searches_alpha:
                     mp = adapt_meta_params(
                         mp, cfg.alpha_grid, cohort.thetas, errors, spec, global_val
                     )

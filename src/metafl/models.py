@@ -4,6 +4,9 @@ Parameters live in a single flat vector (see :func:`param_count` for the
 layout size). The training loss is mean cross-entropy in nats plus an
 optional ridge penalty 0.5 * l2 * ||theta||^2; evaluation losses never
 include the penalty. Argmax ties break toward the lowest class index.
+One forward pass (_forward) and one per-row cross-entropy (_cross_entropy)
+score every model and feed the SGD gradient; each loss is one mean over
+its own rows, so it is bitwise the same whichever function scores it.
 """
 
 from __future__ import annotations
@@ -154,19 +157,22 @@ def _check_nonnegative(name: str, values: np.ndarray) -> None:
         raise ClientError(int(bad[0]), f"{name} must be {problem}")
 
 
-def _forward(spec: ModelSpec, theta: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _forward(
+    spec: ModelSpec, theta: np.ndarray, x: np.ndarray, out: tuple = (None, None)
+) -> tuple[np.ndarray, np.ndarray]:
     """The output layer's input a (x itself with no hidden layer) and the
-    logits; each bias add and activation acts in place on its matmul's output."""
+    logits; out optionally holds buffers for the two matmuls' results, and
+    each bias add and activation acts in place on its matmul's output."""
     *hidden, w, b = _unpack(spec, theta)
     a = x
     if hidden:
-        a = x @ hidden[0]
+        a = np.matmul(x, hidden[0], out=out[0])
         a += hidden[1]
         if spec.activation == "relu":
             np.maximum(a, 0.0, out=a)
         else:
             np.tanh(a, out=a)
-    z = a @ w
+    z = np.matmul(a, w, out=out[1])
     z += b
     return a, z
 
@@ -180,15 +186,20 @@ def _row_max(z: np.ndarray) -> np.ndarray:
     return m
 
 
-def _mean_ce(logits: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Mean cross-entropy of logits [..., L, c] against labels [..., L],
-    reduced over L alone: one value per leading index."""
-    m = _row_max(logits)
-    e = logits - m[..., None]
-    np.exp(e, out=e)
-    lse = m + np.log(e.sum(axis=-1))
-    picked = logits.reshape(-1, logits.shape[-1])[np.arange(y.size), y.reshape(-1)]
-    return np.mean(lse - picked.reshape(y.shape), axis=-1)
+def _shifted_exp(z: np.ndarray, out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """(m, exp(z - m[..., None])) for the row max m of z [..., c], into out if given."""
+    m = _row_max(z)
+    e = np.subtract(z, m[..., None], out=out)
+    return m, np.exp(e, out=e)
+
+
+def _cross_entropy(z: np.ndarray, labels: tuple, out: np.ndarray | None = None) -> np.ndarray:
+    """Cross-entropy of each row of the logits z [..., c], into out if given;
+    z[labels] picks each row's label logit, in the caller's layout. Consumes
+    z: it holds the rows' shifted exponentials afterwards."""
+    picked = z[labels]
+    m, e = _shifted_exp(z, out=z)
+    return np.subtract(m + np.log(e.sum(axis=-1)), picked, out=out)
 
 
 def _ce_grad_arrays(
@@ -215,7 +226,7 @@ def _ce_grad_arrays(
 
 
 def _softmax_rows(z: np.ndarray) -> np.ndarray:
-    e = np.exp(z - _row_max(z)[..., None])
+    e = _shifted_exp(z)[1]
     return e / e.sum(axis=-1, keepdims=True)
 
 
@@ -335,9 +346,8 @@ def evaluate(spec: ModelSpec, params: ParamVector, data: ClientDataset) -> Perfo
     """Mean cross-entropy (nats) and top-1 accuracy on ``data``."""
     _check_cohort(spec, params.coords[None], data)
     _, logits = _forward(spec, params.coords, data.features)
-    val_loss = float(_mean_ce(logits, data.labels))
-    preds = np.argmax(logits, axis=1)
-    val_acc = float(np.mean(preds == data.labels))
+    val_acc = float(np.mean(np.argmax(logits, axis=1) == data.labels))
+    val_loss = float(np.mean(_cross_entropy(logits, (np.arange(data.n), data.labels))))
     return PerformanceMetrics(val_loss, val_acc)
 
 
@@ -368,26 +378,12 @@ def holdout_losses(spec: ModelSpec, thetas: np.ndarray, data: ClientDataset) -> 
         # a contiguous view per block, so a block runs the kernels an unblocked pass runs
         return lambda rows: flat[: m * rows * cols].reshape(m, rows, cols)
 
-    act, logits, exps = buffer(spec.hidden_dim), buffer(spec.num_classes), buffer(spec.num_classes)
-    *hidden, w, b = _unpack(spec, thetas)
+    act, logits = buffer(spec.hidden_dim), buffer(spec.num_classes)
     ce = np.empty((m, n))
     for lo, hi in zip(bounds, bounds[1:]):
         rows = hi - lo
-        a = data.features[lo:hi]
-        if hidden:
-            a = np.matmul(a, hidden[0], out=act(rows))
-            a += hidden[1]
-            if spec.activation == "relu":
-                np.maximum(a, 0.0, out=a)
-            else:
-                np.tanh(a, out=a)
-        z = np.matmul(a, w, out=logits(rows))
-        z += b
-        top = _row_max(z)
-        e = np.subtract(z, top[..., None], out=exps(rows))
-        np.exp(e, out=e)
-        lse = top + np.log(e.sum(axis=-1))
-        np.subtract(lse, z[:, np.arange(rows), data.labels[lo:hi]], out=ce[:, lo:hi])
+        _, z = _forward(spec, thetas, data.features[lo:hi], (act(rows), logits(rows)))
+        _cross_entropy(z, (slice(None), np.arange(rows), data.labels[lo:hi]), ce[:, lo:hi])
     return np.mean(ce, axis=1)
 
 
@@ -407,5 +403,6 @@ def cohort_losses(spec: ModelSpec, thetas: np.ndarray, side: Segments) -> np.nda
     for lo, hi in zip([0, *cuts], [*cuts, len(n)]):
         rows = first[lo:hi, None] + np.arange(n[lo])
         _, logits = _forward(spec, thetas[order[lo:hi]], side.data.features[rows])
-        losses[order[lo:hi]] = _mean_ce(logits, side.data.labels[rows])
+        labels = (np.arange(hi - lo)[:, None], np.arange(n[lo]), side.data.labels[rows])
+        losses[order[lo:hi]] = np.mean(_cross_entropy(logits, labels), axis=-1)
     return losses

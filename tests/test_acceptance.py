@@ -15,7 +15,6 @@ from metafl.aggregator import (
     fedavg_weights,
     jensen_gap,
     meta_agg,
-    phi_gradient,
     weights_iterative,
 )
 from metafl.cli import PRESETS, build_config, main
@@ -31,7 +30,7 @@ from metafl.federation import (
 from metafl.metafeatures import composite_errors
 from metafl.models import ModelSpec, TrainConfig, init_params, param_count
 from metafl.numerics import ParamVector, WeightVector, make_rng, project_simplex, softmax_neg
-from testkit import finite_diff_grad, loss_and_grad
+from testkit import finite_diff_grad, loss_and_grad, phi_gradient
 
 
 def verdict(cid: str, ok: bool, detail: str):

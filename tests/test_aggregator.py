@@ -20,7 +20,6 @@ from metafl.aggregator import (
     generalization_bound,
     jensen_gap,
     meta_agg,
-    phi_gradient,
     phi_objective,
     weights_iterative,
 )
@@ -29,7 +28,8 @@ from metafl.metafeatures import CompositeErrorConfig, composite_errors
 from metafl.models import ModelSpec, TrainConfig, init_params, local_loss, param_count, train_local
 from metafl.numerics import ParamVector, WeightVector, make_rng, project_simplex, softmax_neg
 from testkit import (
-    finite_diff_grad, reference_adapt_meta_params, reference_local_loss, reference_weights_iterative,
+    finite_diff_grad, phi_gradient, reference_adapt_meta_params, reference_local_loss,
+    reference_weights_iterative,
 )
 
 

@@ -423,6 +423,13 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match="rounds"):
             small_config(rounds=0)
 
+    @pytest.mark.parametrize("mode, grid, searches", [
+        ("metafl_closed", (0.0, 1.0), True), ("metafl_projected", (0.0, 1.0), True),
+        ("metafl_closed", (1.0,), False), ("metafl_closed", (), False), ("fedavg", (0.0, 1.0), False),
+    ])
+    def test_searches_alpha(self, mode, grid, searches):
+        assert small_config(aggregator_mode=mode, alpha_grid=grid).searches_alpha is searches
+
     def test_rejects_negative_grid(self):
         with pytest.raises(ValueError, match="alpha_grid"):
             small_config(alpha_grid=(-1.0,))

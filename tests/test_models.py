@@ -17,8 +17,8 @@ from metafl.models import (
     PerformanceMetrics,
     TrainConfig,
     _ce_grad_arrays,
+    _cross_entropy,
     _forward,
-    _mean_ce,
     _row_max,
     _softmax_rows,
     _unpack,
@@ -326,7 +326,8 @@ def holdout_cases(draw, n=st.integers(1, 1600)):
 def assert_holdout_losses_equal_one_pass_each(case):
     spec, thetas, data = case
     got = holdout_losses(spec, thetas, data)
-    alone = [_mean_ce(_forward(spec, theta, data.features)[1], data.labels) for theta in thetas]
+    alone = [reference_mean_ce(reference_logits(spec, theta, data.features), data.labels)
+             for theta in thetas]
     assert same_bits(got, np.array(alone))
 
 
@@ -382,10 +383,16 @@ class TestEvaluate:
 
 class TestLocalLoss:
     def test_consistent_with_evaluate(self):
-        data = make_blobs(2, 3, 40, 0.7, 5)
-        spec = ModelSpec(input_dim=3, hidden_dim=0, num_classes=2)
-        params = init_params(spec, 1)
-        assert local_loss(spec, params, data) == evaluate(spec, params, data).val_loss
+        # local_loss scores in blocks of rows and evaluate in one pass
+        blocked = 2 * HOLDOUT_BLOCK + 1
+        for hidden_dim, activation, rows in [(0, "relu", 40), (6, "relu", blocked),
+                                             (6, "tanh", blocked)]:
+            data = make_blobs(2, 3, rows, 0.7, 5)
+            spec = ModelSpec(input_dim=3, hidden_dim=hidden_dim, num_classes=2,
+                             activation=activation)
+            params = init_params(spec, 1)
+            loss = local_loss(spec, params, data)
+            assert loss == evaluate(spec, params, data).val_loss, (hidden_dim, activation)
 
     def test_zero_params_balanced(self):
         data = ClientDataset([[1.0, 2.0], [3.0, 4.0]], [0, 1])
@@ -476,10 +483,12 @@ class TestForwardPass:
     def test_equals_reference_bitwise(self, case):
         spec, theta, x, y = case
         a, logits = _forward(spec, theta, x)
-        assert same_bits(logits, reference_logits(spec, theta, x))
+        want = reference_logits(spec, theta, x)
+        assert same_bits(logits, want)
         assert a is x if spec.hidden_dim == 0 else a.shape == x.shape[:-1] + (spec.hidden_dim,)
-        assert same_bits(_mean_ce(logits, y), reference_mean_ce(logits, y))
-        assert same_bits(_softmax_rows(logits), reference_softmax_rows(logits))
+        assert same_bits(_softmax_rows(logits), reference_softmax_rows(want))
+        ce = _cross_entropy(logits, (*np.indices(y.shape, sparse=True), y))
+        assert same_bits(np.mean(ce, axis=-1), reference_mean_ce(want, y))
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -508,8 +517,9 @@ class TestForwardPass:
             assert np.array_equal(_row_max(z), z.max(axis=-1), equal_nan=True)
             finite = rng.choice(specials[[0, 1, 6, 7]], size=(400, c))
             y = rng.integers(0, c, 400)
-            assert same_bits(_mean_ce(finite, y), reference_mean_ce(finite, y))
             assert same_bits(_softmax_rows(finite), reference_softmax_rows(finite))
+            ce = _cross_entropy(finite.copy(), (np.arange(400), y))
+            assert same_bits(np.mean(ce), reference_mean_ce(finite, y))
 
 
 @st.composite

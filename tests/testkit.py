@@ -1,10 +1,11 @@
-"""Helpers only the tests use: central finite differences, the full-data
-training objective with its analytic gradient, a CSV writer in the
-format datagen.load_csv reads, conversions between per-client datasets
-and pooled sides, and reference copies of the per-client data set-up,
-the forward pass, the SGD gradient, the per-candidate alpha search and
-the iterative weight solve as they were written before their rewrites,
-which the program must still equal bitwise."""
+"""Helpers only the tests use: central finite differences, the analytic
+gradient of Phi, the full-data training objective with its analytic
+gradient, a CSV writer in the format datagen.load_csv reads, conversions
+between per-client datasets and pooled sides, and reference copies of
+the per-client data set-up, the forward pass, the SGD gradient, the
+per-candidate alpha search and the iterative weight solve as they were
+written before their rewrites, which the program must still equal
+bitwise."""
 
 from __future__ import annotations
 
@@ -19,10 +20,10 @@ from metafl.aggregator import MetaParams, _clamped_log, _gradient, _mirror_step,
 from metafl.datagen import (
     MAX_PARTITION_ATTEMPTS, ClientDataset, PartitionConfig, Segments, make_blobs,
 )
-from metafl.models import (
-    ModelSpec, _ce_grad_arrays, _check_cohort, _forward, _mean_ce, _softmax_rows, _unpack,
+from metafl.models import ModelSpec, _ce_grad_arrays, _check_cohort, _unpack
+from metafl.numerics import (
+    ParamVector, WeightVector, _check_errors, derive_seed, make_rng, softmax_neg,
 )
-from metafl.numerics import ParamVector, derive_seed, make_rng, softmax_neg
 
 
 def finite_diff_grad(
@@ -44,13 +45,26 @@ def finite_diff_grad(
     return grad
 
 
+def phi_gradient(w: WeightVector, errors: Sequence[float], tau: float) -> np.ndarray:
+    """Analytic gradient E_k + tau (1 + ln w_k) of Phi; defined on the
+    interior only."""
+    e = _check_errors(errors)
+    if e.size != w.k:
+        raise ValueError("errors and weights lengths differ")
+    if not np.isfinite(tau) or tau < 0.0:
+        raise ValueError("tau must be finite and >= 0")
+    if np.any(w.weights <= 0.0):
+        raise ValueError("boundary gradient undefined")
+    return _gradient(_clamped_log(w.weights), e, tau)
+
+
 def loss_and_grad(
     spec: ModelSpec, params: ParamVector, data: ClientDataset, l2: float = 0.0
 ) -> Tuple[float, np.ndarray]:
     """Training objective and its analytic gradient over the full dataset."""
     _check_cohort(spec, params.coords[None], data)
     theta = params.coords
-    loss = _mean_ce(_forward(spec, theta, data.features)[1], data.labels)
+    loss = reference_mean_ce(reference_logits(spec, theta, data.features), data.labels)
     if l2 > 0.0:
         loss += 0.5 * l2 * float(theta @ theta)
     onehot = np.eye(spec.num_classes)[data.labels]
@@ -181,7 +195,7 @@ def reference_ce_grad_arrays(
     xt = x.transpose(0, 2, 1)
     if spec.hidden_dim == 0:
         w, b = _unpack(spec, theta)
-        p = _softmax_rows(x @ w + b)
+        p = reference_softmax_rows(x @ w + b)
         p -= onehot
         p *= onehot_err_scale
         parts = [xt @ p, p.sum(axis=1)]
@@ -189,7 +203,7 @@ def reference_ce_grad_arrays(
         w1, b1, w2, b2 = _unpack(spec, theta)
         z1 = x @ w1 + b1
         a1 = np.maximum(z1, 0.0) if spec.activation == "relu" else np.tanh(z1)
-        g2 = _softmax_rows(a1 @ w2 + b2)
+        g2 = reference_softmax_rows(a1 @ w2 + b2)
         g2 -= onehot
         g2 *= onehot_err_scale
         da1 = g2 @ w2.transpose(0, 2, 1)
@@ -203,7 +217,8 @@ def reference_ce_grad_arrays(
 
 def reference_local_loss(spec: ModelSpec, params: ParamVector, data: ClientDataset) -> float:
     """models.local_loss as one unblocked pass over all of data's rows."""
-    return float(_mean_ce(_forward(spec, params.coords, data.features)[1], data.labels))
+    logits = reference_logits(spec, params.coords, data.features)
+    return float(reference_mean_ce(logits, data.labels))
 
 
 def reference_adapt_meta_params(
@@ -234,7 +249,8 @@ def reference_adapt_meta_params(
 
 
 def reference_mean_ce(logits: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """models._mean_ce with numpy's row max, allocating each step."""
+    """The mean over L of models._cross_entropy of logits [..., L, c]
+    against labels [..., L], with numpy's row max, allocating each step."""
     m = logits.max(axis=-1, keepdims=True)
     lse = m[..., 0] + np.log(np.exp(logits - m).sum(axis=-1))
     picked = logits.reshape(-1, logits.shape[-1])[np.arange(y.size), y.reshape(-1)]
