@@ -24,7 +24,7 @@ from .datagen import ClientDataset
 from .metafeatures import CompositeErrorConfig
 from .models import ModelSpec, holdout_losses
 from .numerics import (
-    ParamVector, Rng, WeightVector, _check_errors, _project_simplex, softmax_neg, weighted_sum,
+    ParamVector, WeightVector, _check_errors, _project_simplex, softmax_neg, weighted_sum,
 )
 
 __all__ = [
@@ -57,8 +57,8 @@ class MetaParams:
     entropic strength tau (defaults to 1/alpha), solver step eta, and the
     composite-error coefficients.
 
-    eta = 0 is allowed so the identity update can be probed in
-    diagnostics; weights_iterative rejects it.
+    eta = 0 is allowed: contraction_estimate reads it as the identity
+    step, modulus 1. weights_iterative rejects it.
     """
 
     alpha: float = 1.0
@@ -131,8 +131,6 @@ def _gradient(log_w: np.ndarray, e: np.ndarray, tau: float) -> np.ndarray:
 
 
 def _mirror_step(w: np.ndarray, e: np.ndarray, tau: float, eta: float) -> np.ndarray:
-    if eta == 0.0:
-        return w
     log_w = _clamped_log(w)
     z = log_w - eta * _gradient(log_w, e, tau)
     z -= z.max()
@@ -162,6 +160,11 @@ def weights_iterative(
 
     Returns (weights, iterations used, final residual). mp.eta must be > 0:
     a zero step would report the uniform start as converged.
+
+    From uniform, mirror iterate t is softmax_neg(E, alpha_t) with
+    alpha_t = (1 - (1 - eta*tau)^t) / tau while no weight hits
+    BOUNDARY_CLAMP, so for eta*tau <= 1 an unconverged mirror solve reports
+    the closed form at a smaller alpha than 1/tau, the alpha when tau is unset.
     """
     if solver not in _STEPS:
         raise ValueError(f"solver must be one of {tuple(_STEPS)}")
@@ -258,44 +261,15 @@ def adapt_meta_params(
     return replace(mp, alpha=best_alpha, tau=None)
 
 
-def _log_ratio_dist(w: np.ndarray, w_other: np.ndarray) -> float:
-    # Hilbert projective metric: max-minus-min of coordinate log ratios.
-    r = np.log(np.maximum(w, 1e-300)) - np.log(np.maximum(w_other, 1e-300))
-    return float(r.max() - r.min())
-
-
-def contraction_estimate(
-    errors: Sequence[float], mp: MetaParams, samples: int, rng: Rng
-) -> float:
-    """Empirical Lipschitz modulus of one mirror step over random simplex
-    pairs: sup d(step(w), step(w')) / d(w, w').
-
-    Distances use the log-ratio (Hilbert projective) metric, the natural
-    metric for multiplicative updates; in it the entropic mirror step has
-    global contraction factor |1 - eta * tau|, so the default
-    eta = 0.1, tau = 1 configuration estimates ~0.9. The Euclidean ratio
-    is unbounded near the simplex boundary and would not witness the
-    fixed-point behavior.
+def contraction_estimate(errors: Sequence[float], mp: MetaParams) -> float:
+    """Lipschitz modulus |1 - eta * tau| of one entropic mirror step (0 for
+    one client): the step is affine in ln w with slope 1 - eta * tau, so in
+    the log-ratio (Hilbert projective) metric it scales every distance by
+    exactly that (Beck & Teboulle 2003). The errors only shift ln w.
     """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    e = _check_errors(errors)
-    k = e.size
-    if k == 1:
+    if _check_errors(errors).size == 1:
         return 0.0
-    tau = mp.resolved_tau()
-    best = 0.0
-    for _ in range(samples):
-        w = rng.dirichlet(np.ones(k))
-        w_other = rng.dirichlet(np.ones(k))
-        dist = _log_ratio_dist(w, w_other)
-        if dist == 0.0:
-            continue
-        moved = _log_ratio_dist(
-            _mirror_step(w, e, tau, mp.eta), _mirror_step(w_other, e, tau, mp.eta)
-        )
-        best = max(best, moved / dist)
-    return best
+    return abs(1.0 - mp.eta * mp.resolved_tau())
 
 
 def jensen_gap(spec: ModelSpec, thetas: np.ndarray, w: WeightVector, data: ClientDataset) -> float:

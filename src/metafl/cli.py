@@ -49,11 +49,9 @@ from .federation import (
 )
 from .metafeatures import CompositeErrorConfig, composite_errors
 from .models import ModelSpec, TrainConfig
-from .numerics import derive_seed, make_rng
+from .numerics import derive_seed
 
 __all__ = ["ConfigError", "load_config", "serialize_config", "PRESETS", "main"]
-
-CONTRACTION_SAMPLES = 200
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -371,10 +369,9 @@ def _or_not_reached(rounds: int | None):
 
 def _theory(cfg: ExperimentConfig, mp: MetaParams, errors, clients) -> tuple:
     """The diagnostics summary.json and diagnostics.json share:
-    (mirror-step contraction at errors, label-skew KL of the train splits,
-    their sample count m, the generalization bound)."""
-    rng = make_rng([cfg.seed, 4])
-    contraction = contraction_estimate(list(errors), mp, CONTRACTION_SAMPLES, rng)
+    (mirror-step contraction modulus under mp, label-skew KL of the train
+    splits, their sample count m, the generalization bound)."""
+    contraction = contraction_estimate(errors, mp)
     kl = kl_divergence_diagnostic(clients[0], cfg.spec.num_classes)
     m = clients[0].data.n
     return contraction, kl, m, generalization_bound(cfg.log_h, m, kl)

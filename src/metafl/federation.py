@@ -280,7 +280,7 @@ def collect_reports(
     and, when some meta.c coefficient is nonzero and the mode is not
     fedavg, is profiled in one extract call; otherwise features is None.
     A failure names the round and the first failing client in client-id
-    order of its phase (training, meta-features, evaluation).
+    order of its phase; a meta-features failure, extra epochs included, says so.
     """
     spec = cfg.spec
     round_train = replace(cfg.train, seed=derive_seed(cfg.train.seed, round_index))
@@ -289,7 +289,10 @@ def collect_reports(
     starts = np.broadcast_to(theta.coords, (len(train.n), theta.dim))
     try:
         thetas = train_cohort(spec, starts, train, round_train)
-        features = extract(spec, theta, thetas, clients, round_train) if with_meta else None
+        try:
+            features = extract(spec, theta, thetas, clients, round_train) if with_meta else None
+        except ClientError as err:
+            raise ClientError(err.index, f"meta-features: {err}") from err
         val_loss = cohort_losses(spec, thetas, val)
         _check_nonnegative("val_loss", val_loss[:, None])
     except ClientError as err:

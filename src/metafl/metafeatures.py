@@ -97,10 +97,12 @@ def extract(
     bumps = train_cohort(spec, thetas, train, bumped)
     loss_base = cohort_losses(spec, bases, val)
     loss_bump = cohort_losses(spec, bumps, val)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the check below
+        update_norm = [np.linalg.norm(row - theta_prev.coords) for row in thetas]
     features = np.column_stack([
         train.n,
         [_entropy(p) for p in label_distribution(train, spec.num_classes)],
-        [np.linalg.norm(row - theta_prev.coords) for row in thetas],
+        update_norm,
         cohort_losses(probe_spec, probes, val),
         np.abs(loss_bump - loss_base) / 0.5,
     ])

@@ -323,16 +323,17 @@ def train_cohort(
     x = side.data.features
     onehot = np.eye(spec.num_classes)[side.data.labels]
     theta = np.asarray(starts, dtype=np.float64)[order]
-    for g0, g1, r0, r1, m0, in_place in zip(
-        lo.tolist(), hi.tolist(), (end - length)[lo].tolist(), end[hi - 1].tolist(),
-        member[lo].tolist(), contiguous.tolist(),
-    ):
-        batch_rows = rows[r0:r1].reshape(g1 - g0, -1)
-        sel = slice(m0, m0 + g1 - g0) if in_place else member[g0:g1]
-        th = theta[sel]
-        th -= cfg.learning_rate * _ce_grad_arrays(spec, th, x[batch_rows], onehot[batch_rows], cfg.l2)
-        if not in_place:
-            theta[sel] = th
+    with np.errstate(over="ignore", invalid="ignore"):  # the check below names a divergence
+        for g0, g1, r0, r1, m0, in_place in zip(
+            lo.tolist(), hi.tolist(), (end - length)[lo].tolist(), end[hi - 1].tolist(),
+            member[lo].tolist(), contiguous.tolist(),
+        ):
+            batch = rows[r0:r1].reshape(g1 - g0, -1)
+            sel = slice(m0, m0 + g1 - g0) if in_place else member[g0:g1]
+            th = theta[sel]
+            th -= cfg.learning_rate * _ce_grad_arrays(spec, th, x[batch], onehot[batch], cfg.l2)
+            if not in_place:
+                theta[sel] = th
 
     trained = np.empty_like(theta)
     trained[order] = theta

@@ -16,7 +16,6 @@ import numpy as np
 __all__ = [
     "ParamVector",
     "WeightVector",
-    "Rng",
     "make_rng",
     "derive_seed",
     "softmax_neg",
@@ -24,13 +23,10 @@ __all__ = [
     "weighted_sum",
 ]
 
-#: Deterministic generator type used throughout the package.
-Rng = np.random.Generator
-
 SIMPLEX_SUM_TOL = 1e-9
 
 
-def make_rng(seed: int | Sequence[int]) -> Rng:
+def make_rng(seed: int | Sequence[int]) -> np.random.Generator:
     """Seeded PCG64 generator; the single PRNG algorithm used in this repo."""
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
 

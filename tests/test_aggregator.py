@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from metafl import aggregator, numerics
@@ -29,7 +29,7 @@ from metafl.models import ModelSpec, TrainConfig, init_params, local_loss, param
 from metafl.numerics import ParamVector, WeightVector, make_rng, project_simplex, softmax_neg
 from testkit import (
     finite_diff_grad, phi_gradient, reference_adapt_meta_params, reference_local_loss,
-    reference_weights_iterative,
+    reference_weights_iterative, sampled_contraction,
 )
 
 
@@ -372,7 +372,7 @@ class TestMetaAgg:
         lambda e: meta_agg(np.zeros((len(e), 2)), e, MetaParams(alpha=1.0)),
         lambda e: weights_iterative(e, MetaParams(alpha=1.0), "mirror"),
         lambda e: phi_objective(WeightVector([1.0]), e, 1.0),  # E is checked before lengths
-        lambda e: contraction_estimate(e, MetaParams(alpha=1.0), 3, make_rng(0)),
+        lambda e: contraction_estimate(e, MetaParams(alpha=1.0)),
         lambda e: composite_errors(e, None, CompositeErrorConfig()),
     ],
     ids=["softmax_neg", "meta_agg", "weights_iterative", "phi_objective",
@@ -561,20 +561,16 @@ class TestAdaptMetaParams:
 
 class TestContractionEstimate:
     def test_eta_zero_identity(self):
-        est = contraction_estimate([0.1, 0.5], MetaParams(alpha=1.0, eta=0.0), 100, make_rng(1))
-        assert est == 1.0
+        assert contraction_estimate([0.1, 0.5], MetaParams(alpha=1.0, eta=0.0)) == 1.0
 
     def test_singleton(self):
-        assert contraction_estimate([0.3], MetaParams(alpha=1.0), 50, make_rng(1)) == 0.0
+        assert contraction_estimate([0.3], MetaParams(alpha=1.0)) == 0.0
 
     def test_default_configuration_contracts(self):
-        mp = MetaParams(alpha=1.0, eta=0.1)
-        est = contraction_estimate([0.1, 0.5], mp, 1000, make_rng(3))
-        assert 0.0 < est < 1.0
-        np.testing.assert_allclose(est, 0.9, atol=1e-9)
+        assert contraction_estimate([0.1, 0.5], MetaParams(alpha=1.0, eta=0.1)) == 0.9
 
     def test_cross_check_with_solver_residuals(self):
-        # the solver's successive-residual ratio matches the estimate
+        # the solver's successive-residual ratio matches the modulus
         mp = MetaParams(alpha=1.0, eta=0.1, tol=1e-13)
         e = np.array([0.2, 0.8, 0.5])
         w = np.full(3, 1 / 3)
@@ -584,12 +580,24 @@ class TestContractionEstimate:
             residuals.append(np.abs(w_next - w).max())
             w = w_next
         tail_ratio = residuals[30] / residuals[29]
-        est = contraction_estimate(e, mp, 500, make_rng(5))
-        np.testing.assert_allclose(tail_ratio, est, atol=0.02)
+        np.testing.assert_allclose(tail_ratio, contraction_estimate(e, mp), atol=0.02)
 
-    def test_bad_samples(self):
-        with pytest.raises(ValueError, match="samples"):
-            contraction_estimate([0.1, 0.2], MetaParams(alpha=1.0), 0, make_rng(1))
+    @settings(max_examples=100, deadline=None)
+    @given(
+        k=st.integers(2, 400),
+        alpha=st.floats(0.25, 32.0),
+        tau=st.none() | st.floats(1.0 / 32.0, 8.0),
+        eta=st.floats(0.0, 0.3),
+        seed=st.integers(0, 2**32),
+    )
+    @example(k=2, alpha=0.25, tau=None, eta=0.3, seed=0)  # eta * tau = 1.2
+    @example(k=400, alpha=1.0, tau=8.0, eta=0.3, seed=1)  # eta * tau = 2.4
+    def test_exact_modulus_matches_sampled_estimate(self, k, alpha, tau, eta, seed):
+        rng = make_rng(seed)
+        errors = rng.uniform(0.0, 3.0, k)
+        mp = MetaParams(alpha=alpha, tau=tau, eta=eta)
+        exact = contraction_estimate(errors, mp)
+        assert abs(exact - sampled_contraction(errors, mp, 20, rng)) <= 1e-9
 
 
 class TestJensenGap:

@@ -353,10 +353,25 @@ class TestCmdRun:
     def test_runtime_failure_exit_3(self, tmp_path, capsys):
         # a step of 1e300 on the ridge term overflows the parameters
         cfg = MINIMAL + "train.learning_rate = 1e300\ntrain.l2 = 1\n"
-        with np.errstate(over="ignore", invalid="ignore"):
-            code = cmd_run(write(tmp_path, cfg), str(tmp_path / "out"))
+        code = cmd_run(write(tmp_path, cfg), str(tmp_path / "out"))
         assert code == 3
         assert "runtime error: round 1, client 0: training diverged" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "extra, named",
+        [
+            ("model.hidden_dim = 4\ntrain.learning_rate = 1e306\n", "training diverged"),
+            ("meta.c = 0,0,0,1,0\ntrain.learning_rate = 1e300\n", "meta-features: "),
+        ],
+        ids=["training", "meta-features"],
+    )
+    def test_divergence_writes_one_line(self, tmp_path, capsys, extra, named):
+        # pytest turns a numpy RuntimeWarning into an error, so a warning on
+        # the way to the finiteness check would end the run in a traceback
+        assert cmd_run(write(tmp_path, MINIMAL + extra), str(tmp_path / "out")) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"runtime error: round 1, client 0: {named}")
+        assert len(err.splitlines()) == 1
 
     def test_projected_step_too_large_exit_3(self, tmp_path, capsys):
         # meta.eta = 1e300 sends the projected step's targets where the

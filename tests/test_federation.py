@@ -153,6 +153,17 @@ class TestCollectReports:
         assert cohort.thetas.shape == (3, theta.dim)
         assert cohort.features is None
 
+    def test_meta_features_failure_names_its_phase(self, monkeypatch):
+        def diverge(*args):
+            raise ClientError(2, "training diverged to non-finite parameters")
+
+        monkeypatch.setattr(federation, "extract", diverge)
+        cfg = small_config(meta=MetaParams(alpha=1.0, c=WEIGHTED), partition=THREE_CLIENTS)
+        clients, _ = build_federation(cfg)
+        message = "^round 3, client 2: meta-features: training diverged to non-finite parameters$"
+        with pytest.raises(RuntimeError, match=message):
+            collect_reports(cfg, clients, init_params(cfg.spec, 0), 3)
+
     def test_weighted_features_extracted_once_per_round(self, monkeypatch):
         calls = []
 
@@ -179,9 +190,8 @@ class TestCollectReports:
         pairs = per_client(clients)
         train, val = pairs[1]
         pairs[1] = (ClientDataset(train.features * 1e160, train.labels), val)
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(RuntimeError, match="round 1, client 1: training diverged"):
-                run_rounds(cfg, as_clients(pairs), global_val, init_params(cfg.spec, 0))
+        with pytest.raises(RuntimeError, match="round 1, client 1: training diverged"):
+            run_rounds(cfg, as_clients(pairs), global_val, init_params(cfg.spec, 0))
 
     def test_evaluation_failure_names_client(self):
         # client 2's logits overflow on its validation split alone

@@ -5,7 +5,8 @@ between per-client datasets and pooled sides, and reference copies of
 the per-client data set-up, the forward pass, the SGD gradient, the
 per-candidate alpha search and the iterative weight solve as they were
 written before their rewrites, which the program must still equal
-bitwise."""
+bitwise, and the sampled estimate of the mirror step's contraction
+modulus that the exact one replaced."""
 
 from __future__ import annotations
 
@@ -299,3 +300,36 @@ def reference_weights_iterative(
         if residual < mp.tol:
             return w, t, residual
     return w, mp.max_iters, residual
+
+
+def _log_ratio_dist(w: np.ndarray, w_other: np.ndarray) -> float:
+    # Hilbert projective metric: max-minus-min of coordinate log ratios.
+    r = np.log(np.maximum(w, 1e-300)) - np.log(np.maximum(w_other, 1e-300))
+    return float(r.max() - r.min())
+
+
+def sampled_contraction(
+    errors: Sequence[float], mp: MetaParams, samples: int, rng: np.random.Generator
+) -> float:
+    """The largest ratio d(step(w), step(w')) / d(w, w') of one mirror step
+    over `samples` pairs of uniform Dirichlet draws, in the log-ratio
+    metric; 0 for a single client."""
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
+    e = _check_errors(errors)
+    k = e.size
+    if k == 1:
+        return 0.0
+    tau = mp.resolved_tau()
+    best = 0.0
+    for _ in range(samples):
+        w = rng.dirichlet(np.ones(k))
+        w_other = rng.dirichlet(np.ones(k))
+        dist = _log_ratio_dist(w, w_other)
+        if dist == 0.0:
+            continue
+        moved = _log_ratio_dist(
+            _mirror_step(w, e, tau, mp.eta), _mirror_step(w_other, e, tau, mp.eta)
+        )
+        best = max(best, moved / dist)
+    return best
