@@ -6,7 +6,7 @@ Euclidean projected gradient) minimizing
 
     Phi(w) = sum_k w_k E_k + tau * sum_k w_k ln w_k
 
-over the simplex. For tau = 1/alpha the exact minimizer of Phi is the
+over the simplex, with tau = 1/alpha. Its exact minimizer is the
 closed-form softmax, so the two routes cross-validate each other.
 Diagnostics for the fixed-point, convexity, and generalization behavior
 of the scheme live here as well.
@@ -54,8 +54,8 @@ BOUNDARY_CLAMP = 1e-12
 @dataclass(frozen=True)
 class MetaParams:
     """Aggregator knobs: softmax temperature alpha, shrinkage lambda,
-    entropic strength tau (defaults to 1/alpha), solver step eta, and the
-    composite-error coefficients.
+    solver step eta, and the composite-error coefficients. The entropic
+    strength tau is no knob: resolved_tau derives it from alpha.
 
     eta = 0 is allowed: contraction_estimate reads it as the identity
     step, modulus 1. weights_iterative rejects it.
@@ -63,7 +63,6 @@ class MetaParams:
 
     alpha: float = 1.0
     lam: float = 0.0
-    tau: float | None = None
     eta: float = 0.1
     max_iters: int = 500
     tol: float = 1e-10
@@ -74,10 +73,8 @@ class MetaParams:
             raise ValueError("alpha must be finite and >= 0")
         if not np.isfinite(self.lam) or self.lam < 0.0:
             raise ValueError("lam must be finite and >= 0")
-        if self.tau is not None and not (np.isfinite(self.tau) and self.tau > 0.0):
-            raise ValueError("tau must be finite and positive when given")
-        if self.tau is None and self.alpha > 0.0 and not np.isfinite(1.0 / self.alpha):
-            raise ValueError("alpha must be 0 or have a finite 1/alpha when tau is unset")
+        if self.alpha > 0.0 and not np.isfinite(1.0 / self.alpha):
+            raise ValueError("alpha must be 0 or have a finite 1/alpha")
         if not np.isfinite(self.eta) or self.eta < 0.0:
             raise ValueError("eta must be finite and >= 0")
         if self.max_iters < 1:
@@ -86,9 +83,7 @@ class MetaParams:
             raise ValueError("tol must lie in (0, 1)")
 
     def resolved_tau(self) -> float:
-        """tau if set, else 1/alpha; 1.0 in the degenerate alpha = 0 case."""
-        if self.tau is not None:
-            return self.tau
+        """tau = 1/alpha, and 1.0 at alpha = 0: the one map from alpha to tau."""
         return 1.0 / self.alpha if self.alpha > 0.0 else 1.0
 
 
@@ -164,7 +159,7 @@ def weights_iterative(
     From uniform, mirror iterate t is softmax_neg(E, alpha_t) with
     alpha_t = (1 - (1 - eta*tau)^t) / tau while no weight hits
     BOUNDARY_CLAMP, so for eta*tau <= 1 an unconverged mirror solve reports
-    the closed form at a smaller alpha than 1/tau, the alpha when tau is unset.
+    the closed form at a smaller alpha than mp.alpha.
     """
     if solver not in _STEPS:
         raise ValueError(f"solver must be one of {tuple(_STEPS)}")
@@ -216,15 +211,15 @@ def meta_agg(
 
     mode is a metafl_* entry of AGGREGATOR_MODES; metafl_mirror and
     metafl_projected solve with the weights_iterative solver they name.
-    alpha = 0 (with tau unset) means temperature-free uniform averaging
-    in every mode; it is the exact alpha -> 0 limit of both routes, and
-    the closed form's softmax at alpha = 0.
+    Every mode minimizes Phi at tau = 1/alpha. alpha = 0 means uniform
+    averaging in every mode: the exact alpha -> 0 limit of both routes,
+    and the closed form's softmax at alpha = 0.
     """
     if mode not in AGGREGATOR_MODES or mode == "fedavg":
         raise ValueError(f"mode must be a metafl_* entry of {AGGREGATOR_MODES}, got {mode!r}")
     e = _check_errors(errors)
     iters, residual = 0, 0.0
-    if mode == "metafl_closed" or (mp.alpha == 0.0 and mp.tau is None):
+    if mode == "metafl_closed" or mp.alpha == 0.0:
         weights = softmax_neg(e, mp.alpha)
     else:
         weights, iters, residual = weights_iterative(e, mp, mode.removeprefix("metafl_"))
@@ -249,8 +244,7 @@ def adapt_meta_params(
     closed form, aggregate the rows of thetas [K, P], and keep the
     candidate whose aggregated model scores the lowest loss on the
     server-held validation set. Every candidate's aggregate is scored in
-    one holdout_losses pass. Ties break toward the smallest alpha; tau
-    resets to track the winner.
+    one holdout_losses pass. Ties break toward the smallest alpha.
     """
     candidates = [float(a) for a in candidates_alpha]
     if not candidates:
@@ -258,7 +252,7 @@ def adapt_meta_params(
     grid = np.stack([aggregate(thetas, softmax_neg(errors, a), mp.lam).coords for a in candidates])
     # the least (loss, alpha): ties go to the smaller alpha; a NaN wins only if first
     _, best_alpha = min(zip(holdout_losses(spec, grid, global_val).tolist(), candidates))
-    return replace(mp, alpha=best_alpha, tau=None)
+    return replace(mp, alpha=best_alpha)
 
 
 def contraction_estimate(errors: Sequence[float], mp: MetaParams) -> float:

@@ -150,7 +150,6 @@ _KEYS = (
     _Key("train.l2", "train", "l2", _FLOAT),
     _Key("meta.alpha", "meta", "alpha", _FLOAT),
     _Key("meta.lambda", "meta", "lam", _FLOAT),
-    _Key("meta.tau", "meta", "tau", _FLOAT),
     _Key("meta.eta", "meta", "eta", _FLOAT),
     _Key("meta.max_iters", "meta", "max_iters", _INT),
     _Key("meta.tol", "meta", "tol", _FLOAT),
@@ -381,8 +380,7 @@ def _summary_payload(cfg: ExperimentConfig, history, clients) -> dict:
     final = history[-1]
     mp = cfg.meta
     if cfg.searches_alpha:
-        # the alpha search set alpha and reset tau to track it
-        mp = replace(mp, alpha=final.alpha_used, tau=None)
+        mp = replace(mp, alpha=final.alpha_used)
     contraction, kl, _, bound = _theory(cfg, mp, final.per_client_val_loss, clients)
     return {
         "terminal_accuracy": final.global_val_accuracy,

@@ -135,6 +135,8 @@ class ExperimentConfig:
             not np.isfinite(a) or a < 0.0 or (a > 0.0 and not np.isfinite(1.0 / a)) for a in grid
         ):
             raise ValueError("alpha_grid entries must be finite and >= 0, with a finite 1/alpha")
+        if len(grid) == 1:
+            raise ValueError("alpha_grid needs 0 or 2+ entries; set one alpha with meta.alpha")
         if not 0.0 < self.target_accuracy <= 1.0:
             raise ValueError("target_accuracy must lie in (0, 1]")
         if not np.isfinite(self.log_h) or self.log_h < 0.0:
@@ -147,8 +149,8 @@ class ExperimentConfig:
 
     @property
     def searches_alpha(self) -> bool:
-        """Each round re-tunes alpha: a weighted mode, 2+ alpha_grid entries."""
-        return self.aggregator_mode != "fedavg" and len(self.alpha_grid) > 1
+        """Each round re-tunes alpha: a weighted mode with an alpha_grid."""
+        return self.aggregator_mode != "fedavg" and bool(self.alpha_grid)
 
 
 @dataclass(frozen=True)

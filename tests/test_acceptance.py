@@ -142,10 +142,11 @@ def test_c3_gradient_correctness():
 
 
 def test_c4_fixed_point_convergence():
-    """eta=0.1, tau=1: convergence within 500 iterations with a geometric
-    residual envelope residual(t+10) <= 0.9 residual(t) after burn-in 5."""
+    """eta=0.1, alpha=1 (so tau=1): convergence within 500 iterations with
+    a geometric residual envelope residual(t+10) <= 0.9 residual(t) after
+    burn-in 5."""
     rng = make_rng(404)
-    mp = MetaParams(alpha=1.0, tau=1.0, eta=0.1, tol=1e-10, max_iters=500)
+    mp = MetaParams(alpha=1.0, eta=0.1, tol=1e-10, max_iters=500)
     max_iters_seen = 0
     envelope_ok = True
     for _ in range(200):

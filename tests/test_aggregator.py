@@ -55,6 +55,22 @@ class TestClosedForm:
 
 
 class TestPhi:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        e=st.lists(st.floats(-5.0, 5.0), min_size=1, max_size=40),
+        alpha=st.floats(1.0 / 32.0, 32.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(e=[-500.0, 0.0, 0.25, 500.0], alpha=1.0 / 32.0, seed=0)  # E spans 1e3
+    def test_closed_outcome_minimizes_phi_at_inverse_alpha(self, e, alpha, seed):
+        errors = np.array(e)
+        k = errors.size
+        out = meta_agg(np.zeros((k, 1)), errors, MetaParams(alpha=alpha), "metafl_closed")
+        rivals = [np.full(k, 1.0 / k), *np.eye(k), *make_rng(seed).dirichlet(np.ones(k), 20)]
+        slack = 1e-9 * (1.0 + abs(out.phi_value))
+        for v in rivals:
+            assert out.phi_value <= phi_objective(WeightVector(v), errors, 1.0 / alpha) + slack
+
     def test_one_hot_gives_bare_error(self):
         w = WeightVector([0.0, 1.0, 0.0])
         assert phi_objective(w, [0.3, 0.7, 0.9], 2.0) == 0.7
@@ -432,7 +448,7 @@ class TestSolverRegression:
         [
             ([0.0, 1e3], MetaParams(alpha=1.0, eta=1e308, max_iters=10), "projected", 1),
             ([1.7695071894782e45, 1.1763080056202768e45, 6.350481730618359e45],
-             MetaParams(tau=1e306, eta=53.70480783948084, max_iters=50), "projected", 2),
+             MetaParams(alpha=1e-306, eta=53.70480783948084, max_iters=50), "projected", 2),
             ([-1e308, 0.0], MetaParams(alpha=1.0, eta=10.0, max_iters=10), "mirror", 1),
         ],
     )
@@ -548,10 +564,9 @@ class TestAdaptMetaParams:
         # closed solve at it is uniform at alpha 0, else the softmax, and
         # its aggregate the shrunk weighted sum
         spec, thetas, errors, candidates, lam, holdout = case
-        start = MetaParams(alpha=1.0, lam=lam, tau=2.0)
+        start = MetaParams(alpha=1.0, lam=lam)
         mp = adapt_meta_params(start, candidates, thetas, errors, spec, holdout)
         assert mp == reference_adapt_meta_params(start, candidates, thetas, errors, spec, holdout)
-        assert mp.tau is None
         k = len(errors)
         w = np.full(k, 1.0 / k) if mp.alpha == 0.0 else softmax_neg(errors, mp.alpha).weights
         out = meta_agg(thetas, errors, mp, "metafl_closed")
@@ -585,17 +600,16 @@ class TestContractionEstimate:
     @settings(max_examples=100, deadline=None)
     @given(
         k=st.integers(2, 400),
-        alpha=st.floats(0.25, 32.0),
-        tau=st.none() | st.floats(1.0 / 32.0, 8.0),
+        alpha=st.floats(1.0 / 8.0, 32.0),  # tau in [1/32, 8]
         eta=st.floats(0.0, 0.3),
         seed=st.integers(0, 2**32),
     )
-    @example(k=2, alpha=0.25, tau=None, eta=0.3, seed=0)  # eta * tau = 1.2
-    @example(k=400, alpha=1.0, tau=8.0, eta=0.3, seed=1)  # eta * tau = 2.4
-    def test_exact_modulus_matches_sampled_estimate(self, k, alpha, tau, eta, seed):
+    @example(k=2, alpha=0.25, eta=0.3, seed=0)  # eta * tau = 1.2
+    @example(k=400, alpha=0.125, eta=0.3, seed=1)  # eta * tau = 2.4
+    def test_exact_modulus_matches_sampled_estimate(self, k, alpha, eta, seed):
         rng = make_rng(seed)
         errors = rng.uniform(0.0, 3.0, k)
-        mp = MetaParams(alpha=alpha, tau=tau, eta=eta)
+        mp = MetaParams(alpha=alpha, eta=eta)
         exact = contraction_estimate(errors, mp)
         assert abs(exact - sampled_contraction(errors, mp, 20, rng)) <= 1e-9
 
@@ -657,18 +671,12 @@ class TestGeneralizationBound:
 class TestMetaParams:
     def test_tau_defaults_to_inverse_alpha(self):
         assert MetaParams(alpha=4.0).resolved_tau() == 0.25
-        assert MetaParams(alpha=4.0, tau=2.0).resolved_tau() == 2.0
         assert MetaParams(alpha=0.0).resolved_tau() == 1.0
 
     def test_validation(self):
         with pytest.raises(ValueError, match="alpha"):
             MetaParams(alpha=-1.0)
-        with pytest.raises(ValueError, match="tau"):
-            MetaParams(alpha=1.0, tau=0.0)
-        with pytest.raises(ValueError, match="tau"):
-            MetaParams(alpha=1.0, tau=float("inf"))
         with pytest.raises(ValueError, match="finite 1/alpha"):
             MetaParams(alpha=5e-324)
-        assert MetaParams(alpha=5e-324, tau=1.0).resolved_tau() == 1.0
         with pytest.raises(ValueError, match="tol"):
             MetaParams(alpha=1.0, tol=2.0)

@@ -60,7 +60,7 @@ EXIT_2_CONFIGS = {
     "nan_dirichlet_beta": (MINIMAL + "partition.dirichlet_beta = nan\n", "'partition.*'"),
     "nan_log_h": (MINIMAL + "diagnostics.log_h = nan\n", "log_h"),
     "inf_log_h": (MINIMAL + "diagnostics.log_h = inf\n", "log_h"),
-    "inf_tau": (MINIMAL + "meta.tau = inf\n", "'meta.*'"),
+    "inf_tau": (MINIMAL + "meta.tau = inf\n", "unknown key 'meta.tau'"),
     "empty_csv_path": (MINIMAL + "data.csv_path =\n", "csv_path"),
     "missing_csv_path": (MINIMAL + "data.csv_path = nope.csv\n", "data.csv_path"),
     "csv_path_is_directory": (MINIMAL + "data.csv_path = .\n", "data.csv_path"),
@@ -75,6 +75,7 @@ EXIT_2_CONFIGS = {
     ),
     "unknown_aggregator": (MINIMAL + "aggregator = metafl_newton\n", "aggregator must be one of"),
     "subnormal_alpha_grid": (MINIMAL + "alpha_grid = 0,5e-324\n", "alpha_grid"),
+    "one_entry_alpha_grid": (MINIMAL + "alpha_grid = 5\n", "alpha_grid"),
     "subnormal_alpha": (MINIMAL + "meta.alpha = 5e-324\n", "'meta.*'"),
     "zero_eta_mirror": (
         MINIMAL + "aggregator = metafl_mirror\nmeta.alpha = 5\nmeta.eta = 0\n", "meta.eta must be > 0"
@@ -141,7 +142,6 @@ def experiment_configs(draw):
         meta=MetaParams(
             alpha=draw(ALPHAS),
             lam=draw(NONNEGATIVE),
-            tau=draw(st.none() | POSITIVE),
             eta=draw(POSITIVE if iterative else NONNEGATIVE),
             max_iters=draw(st.integers(1, 1000)),
             tol=draw(OPEN_UNIT),
@@ -151,7 +151,7 @@ def experiment_configs(draw):
         ),
         rounds=draw(st.integers(1, 100)),
         aggregator_mode=mode,
-        alpha_grid=tuple(draw(st.lists(ALPHAS, max_size=5))),
+        alpha_grid=tuple(draw(st.just([]) | st.lists(ALPHAS, min_size=2, max_size=5))),
         seed=draw(SEEDS),
         target_accuracy=draw(st.floats(0.0, 1.0, exclude_min=True)),
         log_h=draw(NONNEGATIVE),
@@ -416,9 +416,9 @@ class TestCmdRun:
         assert "runtime error" not in err
 
     def test_summary_contraction_keeps_tau_without_search(self, tmp_path):
-        # one alpha and no grid: nothing resets meta.tau, so summary.json's
-        # contraction is diagnose's |1 - eta * tau| = 0.95, not 1 - eta / alpha
-        cfg = "rounds = 2\npartition.num_clients = 4\naggregator = metafl_mirror\nmeta.tau = 0.5\n"
+        # one alpha and no grid: summary.json's contraction is diagnose's
+        # |1 - eta * tau| = 0.95 at tau = 1/alpha = 0.5
+        cfg = "rounds = 2\npartition.num_clients = 4\naggregator = metafl_mirror\nmeta.alpha = 2\n"
         path = write(tmp_path, cfg)
         assert cmd_run(path, str(tmp_path / "run"), no_timing=True) == 0
         assert cmd_diagnose(path, str(tmp_path / "diag")) == 0

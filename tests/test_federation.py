@@ -435,10 +435,17 @@ class TestExperimentConfig:
 
     @pytest.mark.parametrize("mode, grid, searches", [
         ("metafl_closed", (0.0, 1.0), True), ("metafl_projected", (0.0, 1.0), True),
-        ("metafl_closed", (1.0,), False), ("metafl_closed", (), False), ("fedavg", (0.0, 1.0), False),
+        ("metafl_mirror", (0.0, 1.0), True), ("metafl_closed", (), False),
+        ("fedavg", (0.0, 1.0), False),
     ])
     def test_searches_alpha(self, mode, grid, searches):
         assert small_config(aggregator_mode=mode, alpha_grid=grid).searches_alpha is searches
+
+    @pytest.mark.parametrize("mode", ["metafl_closed", "fedavg"])
+    def test_rejects_one_entry_grid(self, mode):
+        # one entry would never be searched; the alpha belongs in meta.alpha
+        with pytest.raises(ValueError, match="alpha_grid.*meta.alpha"):
+            small_config(aggregator_mode=mode, alpha_grid=(1.0,))
 
     def test_rejects_negative_grid(self):
         with pytest.raises(ValueError, match="alpha_grid"):

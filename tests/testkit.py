@@ -246,7 +246,7 @@ def reference_adapt_meta_params(
             or (loss == best_loss and alpha < best_alpha)
         ):
             best_alpha, best_loss = alpha, loss
-    return replace(mp, alpha=best_alpha, tau=None)
+    return replace(mp, alpha=best_alpha)
 
 
 def reference_mean_ce(logits: np.ndarray, y: np.ndarray) -> np.ndarray:
