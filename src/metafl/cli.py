@@ -32,7 +32,6 @@ from .aggregator import (
     contraction_estimate,
     generalization_bound,
     jensen_gap,
-    meta_agg,
 )
 from .datagen import ConfigError, PartitionConfig
 from .federation import (
@@ -49,7 +48,7 @@ from .federation import (
 )
 from .metafeatures import CompositeErrorConfig, composite_errors
 from .models import ModelSpec, TrainConfig
-from .numerics import derive_seed
+from .numerics import derive_seed, softmax_neg
 
 __all__ = ["ConfigError", "load_config", "serialize_config", "PRESETS", "main"]
 
@@ -505,14 +504,14 @@ def cmd_diagnose(config_path: str, out_dir: str) -> None:
     cfg = load_config(config_path)
     clients, global_val, theta0 = set_up(cfg)
     out = _prepare_out_dir(out_dir)
-    # The probe aggregates in closed form whatever the config's mode,
+    # The probe weights by the closed form whatever the config's mode,
     # so its cohort carries the features that form weights.
     closed = replace(cfg, aggregator_mode="metafl_closed")
     cohort = collect_reports(closed, clients, theta0, 1)
     errors = composite_errors(cohort.val_loss, cohort.features, cfg.meta.c)
-    outcome = meta_agg(cohort.thetas, errors, cfg.meta, closed.aggregator_mode)
+    weights = softmax_neg(errors, cfg.meta.alpha)
     contraction, kl, m, bound = _theory(cfg, cfg.meta, errors, clients)
-    gap = jensen_gap(cfg.spec, cohort.thetas, outcome.weights, global_val)
+    gap = jensen_gap(cfg.spec, cohort.thetas, weights, global_val)
     _write_json(
         out / "diagnostics.json",
         {

@@ -157,22 +157,19 @@ def _check_nonnegative(name: str, values: np.ndarray) -> None:
         raise ClientError(int(bad[0]), f"{name} must be {problem}")
 
 
-def _forward(
-    spec: ModelSpec, theta: np.ndarray, x: np.ndarray, out: tuple = (None, None)
-) -> tuple[np.ndarray, np.ndarray]:
+def _forward(spec: ModelSpec, theta: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The output layer's input a (x itself with no hidden layer) and the
-    logits; out optionally holds buffers for the two matmuls' results, and
-    each bias add and activation acts in place on its matmul's output."""
+    logits, each a new matmul result that its bias add and activation update in place."""
     *hidden, w, b = _unpack(spec, theta)
     a = x
     if hidden:
-        a = np.matmul(x, hidden[0], out=out[0])
+        a = x @ hidden[0]
         a += hidden[1]
         if spec.activation == "relu":
             np.maximum(a, 0.0, out=a)
         else:
             np.tanh(a, out=a)
-    z = np.matmul(a, w, out=out[1])
+    z = a @ w
     z += b
     return a, z
 
@@ -186,20 +183,20 @@ def _row_max(z: np.ndarray) -> np.ndarray:
     return m
 
 
-def _shifted_exp(z: np.ndarray, out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """(m, exp(z - m[..., None])) for the row max m of z [..., c], into out if given."""
+def _shifted_exp(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(m, exp(z - m[..., None])) for the row max m of z [..., c], written over z."""
     m = _row_max(z)
-    e = np.subtract(z, m[..., None], out=out)
-    return m, np.exp(e, out=e)
+    z -= m[..., None]
+    return m, np.exp(z, out=z)
 
 
-def _cross_entropy(z: np.ndarray, labels: tuple, out: np.ndarray | None = None) -> np.ndarray:
-    """Cross-entropy of each row of the logits z [..., c], into out if given;
+def _cross_entropy(z: np.ndarray, labels: tuple) -> np.ndarray:
+    """Cross-entropy of each row of the logits z [..., c], as a new array;
     z[labels] picks each row's label logit, in the caller's layout. Consumes
     z: it holds the rows' shifted exponentials afterwards."""
     picked = z[labels]
-    m, e = _shifted_exp(z, out=z)
-    return np.subtract(m + np.log(e.sum(axis=-1)), picked, out=out)
+    m, e = _shifted_exp(z)
+    return m + np.log(e.sum(axis=-1)) - picked
 
 
 def _ce_grad_arrays(
@@ -210,7 +207,8 @@ def _ce_grad_arrays(
     one member (a matmul per member, reductions over its own rows), so
     member g's gradient is bitwise the one its batch would give alone."""
     a, z = _forward(spec, theta, x)
-    g = _softmax_rows(z)
+    g = _shifted_exp(z)[1]
+    g /= g.sum(axis=-1, keepdims=True)
     g -= onehot
     g *= 1.0 / x.shape[1]
     parts = [a.transpose(0, 2, 1) @ g, g.sum(axis=1)]
@@ -223,11 +221,6 @@ def _ce_grad_arrays(
     if l2 > 0.0:
         grad += l2 * theta
     return grad
-
-
-def _softmax_rows(z: np.ndarray) -> np.ndarray:
-    e = _shifted_exp(z)[1]
-    return e / e.sum(axis=-1, keepdims=True)
 
 
 def init_params(spec: ModelSpec, seed: int) -> ParamVector:
@@ -363,28 +356,19 @@ def holdout_losses(spec: ModelSpec, thetas: np.ndarray, data: ClientDataset) -> 
     returns the losses [M].
 
     The rows of data are scored in blocks of at most HOLDOUT_BLOCK rows,
-    their sizes within one row of each other, all M models at once, into
-    buffers reused from block to block. Only per-row arithmetic is
-    blocked: each block writes its rows' cross-entropies into one [M, n]
-    array, and each loss is one mean over a full row of it.
+    their sizes within one row of each other, all M models at once. Only
+    per-row arithmetic is blocked: each block writes its rows'
+    cross-entropies into one [M, n] array, and each loss is one mean over
+    a full row of it.
     """
     _check_cohort(spec, thetas, data, len(thetas))
-    m, n = len(thetas), data.n
+    n = data.n
     blocks = -(-n // HOLDOUT_BLOCK)
     bounds = (np.arange(blocks + 1) * n // blocks).tolist()
-    width = -(-n // blocks)
-
-    def buffer(cols):
-        flat = np.empty(m * width * cols)
-        # a contiguous view per block, so a block runs the kernels an unblocked pass runs
-        return lambda rows: flat[: m * rows * cols].reshape(m, rows, cols)
-
-    act, logits = buffer(spec.hidden_dim), buffer(spec.num_classes)
-    ce = np.empty((m, n))
+    ce = np.empty((len(thetas), n))
     for lo, hi in zip(bounds, bounds[1:]):
-        rows = hi - lo
-        _, z = _forward(spec, thetas, data.features[lo:hi], (act(rows), logits(rows)))
-        _cross_entropy(z, (slice(None), np.arange(rows), data.labels[lo:hi]), ce[:, lo:hi])
+        _, z = _forward(spec, thetas, data.features[lo:hi])
+        ce[:, lo:hi] = _cross_entropy(z, (slice(None), np.arange(hi - lo), data.labels[lo:hi]))
     return np.mean(ce, axis=1)
 
 
@@ -394,16 +378,18 @@ def cohort_losses(spec: ModelSpec, thetas: np.ndarray, side: Segments) -> np.nda
 
     Members whose segments have one length share one stacked forward pass,
     and each member's mean is taken over its own rows. Nothing is padded
-    or reduced across members.
+    or reduced across members. An overflow is not warned of: it shows as
+    a non-finite loss, which the caller's check names.
     """
     _check_side(spec, thetas, side)
     losses = np.empty(len(side.n))
     order = np.argsort(side.n, kind="stable")
     n, first = side.n[order], side.start[order]
     cuts = (np.flatnonzero(np.diff(n)) + 1).tolist()
-    for lo, hi in zip([0, *cuts], [*cuts, len(n)]):
-        rows = first[lo:hi, None] + np.arange(n[lo])
-        _, logits = _forward(spec, thetas[order[lo:hi]], side.data.features[rows])
-        labels = (np.arange(hi - lo)[:, None], np.arange(n[lo]), side.data.labels[rows])
-        losses[order[lo:hi]] = np.mean(_cross_entropy(logits, labels), axis=-1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo, hi in zip([0, *cuts], [*cuts, len(n)]):
+            rows = first[lo:hi, None] + np.arange(n[lo])
+            _, logits = _forward(spec, thetas[order[lo:hi]], side.data.features[rows])
+            labels = (np.arange(hi - lo)[:, None], np.arange(n[lo]), side.data.labels[rows])
+            losses[order[lo:hi]] = np.mean(_cross_entropy(logits, labels), axis=-1)
     return losses

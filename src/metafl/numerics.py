@@ -107,15 +107,23 @@ def _check_errors(errors: Sequence[float]) -> np.ndarray:
 def softmax_neg(values: Sequence[float], alpha: float) -> WeightVector:
     """Weights proportional to exp(-alpha * value), normalized to sum 1.
 
-    Computed with max-shift normalization so large alpha*value products
-    cannot overflow; adding a constant to all values leaves the result
-    unchanged.
+    The products -alpha * value are shifted by their max, so every
+    exponent is <= 0 and adding a constant to all values leaves the
+    result unchanged. A product can still overflow (alpha near the float
+    range, or a huge value); then the values are shifted by their least
+    one before scaling, so an overflowing exponent is -inf and its weight
+    0: in the limit of huge alpha, equal weight on the least values.
+    Neither route warns.
     """
     v = _check_errors(values)
     if not np.isfinite(alpha) or alpha < 0.0:
         raise ValueError("alpha must be finite and >= 0")
-    z = -alpha * v
-    z -= z.max()
+    with np.errstate(over="ignore"):
+        z = -alpha * v
+        if np.isfinite(z).all():
+            z -= z.max()
+        else:
+            z = -alpha * (v - v.min())
     e = np.exp(z)
     return WeightVector(e / e.sum())
 

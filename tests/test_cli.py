@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from metafl import federation
+from metafl import aggregator, federation
 from metafl.aggregator import AGGREGATOR_MODES, MetaParams
 from metafl.cli import (
     _KEYS,
@@ -358,20 +358,42 @@ class TestCmdRun:
         assert "runtime error: round 1, client 0: training diverged" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "extra, named",
+        "cfg, fault",
         [
-            ("model.hidden_dim = 4\ntrain.learning_rate = 1e306\n", "training diverged"),
-            ("meta.c = 0,0,0,1,0\ntrain.learning_rate = 1e300\n", "meta-features: "),
+            (MINIMAL + "model.hidden_dim = 4\ntrain.learning_rate = 1e306\n",
+             "client 0: training diverged.*"),
+            (MINIMAL + "meta.c = 0,0,0,1,0\ntrain.learning_rate = 1e300\n",
+             "client 0: meta-features: .*"),
+            # training stays finite, but its weights overflow the validation logits
+            ("rounds = 1\npartition.num_clients = 4\nmodel.hidden_dim = 4\n"
+             "train.learning_rate = 1e60\n", r"client \d+: val_loss must be finite"),
         ],
-        ids=["training", "meta-features"],
+        ids=["training", "meta-features", "scoring"],
     )
-    def test_divergence_writes_one_line(self, tmp_path, capsys, extra, named):
+    def test_divergence_writes_one_line(self, tmp_path, capsys, cfg, fault):
         # pytest turns a numpy RuntimeWarning into an error, so a warning on
         # the way to the finiteness check would end the run in a traceback
-        assert cmd_run(write(tmp_path, MINIMAL + extra), str(tmp_path / "out")) == 3
-        err = capsys.readouterr().err
-        assert err.startswith(f"runtime error: round 1, client 0: {named}")
-        assert len(err.splitlines()) == 1
+        assert cmd_run(write(tmp_path, cfg), str(tmp_path / "out")) == 3
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert re.fullmatch(f"runtime error: round 1, {fault}", lines[0])
+
+    def test_huge_alpha_weights_the_least_loss(self, tmp_path, capsys):
+        # -alpha * E overflows; the closed form's limit is all weight on the
+        # client with the least loss (meta.c = 0, so E is the loss)
+        cfg = (
+            "rounds = 1\npartition.num_clients = 4\nmodel.num_classes = 8\n"
+            "model.input_dim = 4\ndata.n_samples = 400\ntrain.epochs = 0\n"
+            "meta.alpha = 1.7e308\n"
+        )
+        out = tmp_path / "out"
+        assert cmd_run(write(tmp_path, cfg), str(out), no_timing=True) == 0
+        assert capsys.readouterr().err == ""
+        header, row = (out / "rounds.csv").read_text().splitlines()
+        cells = dict(zip(header.split(","), map(float, row.split(","))))
+        losses = [cells[f"client_val_loss_{k}"] for k in range(4)]
+        weights = [cells[f"w_{k}"] for k in range(4)]
+        assert weights == [float(k == int(np.argmin(losses))) for k in range(4)]
 
     def test_projected_step_too_large_exit_3(self, tmp_path, capsys):
         # meta.eta = 1e300 sends the projected step's targets where the
@@ -513,6 +535,15 @@ class TestCmdDiagnose:
             assert cmd_diagnose(path, str(tmp_path / mode)) == 0
             payloads.append((tmp_path / mode / "diagnostics.json").read_bytes())
         assert payloads[0] == payloads[1]
+
+    def test_computes_no_aggregate(self, tmp_path, monkeypatch):
+        # diagnose writes the closed-form weights' Jensen gap, which needs
+        # the weights and the plain weighted mean, never the shrunk aggregate
+        def broken(*args, **kwargs):
+            raise RuntimeError("aggregate called")
+
+        monkeypatch.setattr(aggregator, "aggregate", broken)
+        assert cmd_diagnose(write(tmp_path, MINIMAL), str(tmp_path / "out")) == 0
 
 
 @pytest.mark.parametrize("command", [cmd_run, cmd_diagnose])

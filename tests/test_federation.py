@@ -127,9 +127,8 @@ class TestRunExperiment:
         cfg = small_config()
         good = make_blobs(2, 2, 40, 0.5, 1)
         bad = ClientDataset(np.full_like(good.features, 1e308), good.labels)  # logits overflow
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(RuntimeError, match="round 1, client 0"):
-                run_rounds(cfg, as_clients([(good, bad)]), good, init_params(cfg.spec, 0))
+        with pytest.raises(RuntimeError, match="round 1, client 0"):
+            run_rounds(cfg, as_clients([(good, bad)]), good, init_params(cfg.spec, 0))
 
 
 WEIGHTED = CompositeErrorConfig(c=(0.0, 0.1, 0.05, 0.1, 0.05))
@@ -200,9 +199,8 @@ class TestCollectReports:
         pairs = per_client(clients)
         train, val = pairs[2]
         pairs[2] = (train, ClientDataset(np.full_like(val.features, 1e308), val.labels))
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(RuntimeError, match=r"^round 1, client 2: val_loss must be finite$"):
-                collect_reports(cfg, as_clients(pairs), init_params(cfg.spec, 0), 1)
+        with pytest.raises(RuntimeError, match=r"^round 1, client 2: val_loss must be finite$"):
+            collect_reports(cfg, as_clients(pairs), init_params(cfg.spec, 0), 1)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -1.0], ids=["nan", "inf", "negative"])

@@ -1,9 +1,10 @@
 """Golden outputs: the files every command writes, byte for byte.
 
 The files under tests/golden/ pin the --no-timing outputs of all six
-presets, a compare run, a diagnose run and one small config that
-weights the meta-features; each run case pins all three files that
-`metafl run` writes. A refactor must leave them unchanged.
+presets, a compare run, and a run and a diagnose of one small config
+that weights the meta-features, plus a diagnose of preset_iid; each run
+case pins all three files that `metafl run` writes. A refactor must
+leave them unchanged.
 Re-bless them only for a change that is meant to move the outputs, and
 say why in CHANGES.md:
 
@@ -29,6 +30,7 @@ CASES = {
         ("compare.csv", "compare_summary.json"),
     ),
     "diagnose_iid": (["diagnose", "preset_iid"], ("diagnostics.json",)),
+    "diagnose_features": (["diagnose", str(FEATURES_CFG)], ("diagnostics.json",)),
     "metafl_features": (["run", str(FEATURES_CFG), "--no-timing"], RUN_FILES),
 }
 

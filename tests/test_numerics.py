@@ -111,6 +111,35 @@ class TestSoftmaxNeg:
                 last = top
             assert last > 0.99
 
+    @pytest.mark.parametrize(
+        "values, alpha, want",
+        [
+            ([2.0, 3.0], 1.7e308, [1.0, 0.0]),
+            ([3.0, 2.0, 2.0], 1.7e308, [0.0, 0.5, 0.5]),
+            ([-2.0, 1.0], 1e308, [1.0, 0.0]),
+            ([1.0, -1e308], 2.0, [0.0, 1.0]),
+            # only the largest product overflows: the near-tied least two share
+            ([0.0, 1e-300, 1e308], 2.0, [0.5, 0.5, 0.0]),
+        ],
+    )
+    def test_overflowing_product_gives_its_limit(self, values, alpha, want):
+        # pytest turns a numpy RuntimeWarning into an error, so this also
+        # requires that no overflow is warned of
+        np.testing.assert_array_equal(softmax_neg(values, alpha).weights, want)
+
+    def test_finite_products_keep_their_bits(self):
+        rng = make_rng(17)
+        for _ in range(200):
+            v = rng.normal(scale=10.0 ** rng.integers(-3, 4), size=int(rng.integers(1, 40)))
+            alpha = float(10.0 ** rng.uniform(-3, 300)) * (rng.random() < 0.9)
+            with np.errstate(over="ignore"):
+                z = -alpha * v
+            if not np.isfinite(z).all():
+                continue
+            z -= z.max()
+            e = np.exp(z)
+            assert softmax_neg(v, alpha).weights.tobytes() == (e / e.sum()).tobytes()
+
     def test_errors(self):
         with pytest.raises(ValueError, match="empty cohort"):
             softmax_neg([], 1.0)

@@ -259,7 +259,8 @@ def reference_mean_ce(logits: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def reference_softmax_rows(z: np.ndarray) -> np.ndarray:
-    """models._softmax_rows with numpy's row max, allocating each step."""
+    """The softmax models._ce_grad_arrays takes of its logits, with
+    numpy's row max, allocating each step."""
     e = np.exp(z - z.max(axis=-1, keepdims=True))
     return e / e.sum(axis=-1, keepdims=True)
 
