@@ -272,10 +272,13 @@ def jensen_gap(spec: ModelSpec, thetas: np.ndarray, w: WeightVector, data: Clien
     pass.
 
     Nonnegative whenever the loss is convex in the parameters, which
-    holds for hidden_dim = 0 models.
+    holds for hidden_dim = 0 models. Raises ValueError if a loss is not
+    finite.
     """
     mean_theta = weighted_sum(thetas, w)
     losses = holdout_losses(spec, np.vstack([thetas, mean_theta.coords]), data)
+    if not np.isfinite(losses).all():
+        raise ValueError("jensen_gap: a holdout loss is not finite")
     return float(w.weights @ losses[:-1]) - float(losses[-1])
 
 

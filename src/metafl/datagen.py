@@ -69,7 +69,19 @@ class ClientDataset:
         return self.features.shape[1]
 
     def subset(self, indices: np.ndarray) -> "ClientDataset":
-        return ClientDataset(self.features[indices], self.labels[indices])
+        """The rows at the integer indices, gathered into a new dataset."""
+        return ClientDataset._wrap(self.features[indices], self.labels[indices])
+
+    @classmethod
+    def _wrap(cls, features: np.ndarray, labels: np.ndarray) -> "ClientDataset":
+        """A dataset over arrays gathered from checked ones, which the caller
+        hands over: frozen in place, neither copied nor checked again."""
+        features.flags.writeable = False
+        labels.flags.writeable = False
+        data = object.__new__(cls)
+        object.__setattr__(data, "features", features)
+        object.__setattr__(data, "labels", labels)
+        return data
 
 
 class Segments(NamedTuple):

@@ -255,7 +255,7 @@ def build_federation(cfg: ExperimentConfig) -> tuple[tuple[Segments, Segments], 
     def side(split: list[np.ndarray]) -> Segments:
         rows = np.concatenate(split)
         n = np.array([r.size for r in split])
-        return Segments(ClientDataset(rest.features[rows], labels[rows]), n)
+        return Segments(ClientDataset._wrap(rest.features[rows], labels[rows]), n)
 
     return (side(train_rows), side(val_rows)), global_val
 
@@ -328,9 +328,12 @@ def run_rounds(
                         mp, cfg.alpha_grid, cohort.thetas, errors, spec, global_val
                     )
                 outcome = meta_agg(cohort.thetas, errors, mp, cfg.aggregator_mode)
-            server_perf = evaluate(spec, outcome.theta_g, global_val)
         except ValueError as err:
             raise RuntimeError(f"round {t}, aggregation: {err}") from err
+        try:
+            server_perf = evaluate(spec, outcome.theta_g, global_val)
+        except ValueError as err:
+            raise RuntimeError(f"round {t}, server evaluation: {err}") from err
         history.append(
             RoundRecord(
                 round=t,

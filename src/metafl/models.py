@@ -7,11 +7,17 @@ include the penalty. Argmax ties break toward the lowest class index.
 One forward pass (_forward) and one per-row cross-entropy (_cross_entropy)
 score every model and feed the SGD gradient; each loss is one mean over
 its own rows, so it is bitwise the same whichever function scores it.
+Softmax rows are summed by _row_sum, one np.add per class column in
+numpy's own pairwise order, so the sums keep numpy's bits.
+train_cohort plans its lockstep schedule once per tuple of segment sizes
+(with batch size and epochs) and gathers its batches once per call.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -183,6 +189,31 @@ def _row_max(z: np.ndarray) -> np.ndarray:
     return m
 
 
+def _row_sum(z: np.ndarray) -> np.ndarray:
+    """z.sum(axis=-1) by one np.add per column of z [..., c], bitwise: numpy
+    adds each row's pairwise sum to 0.0, a left fold below 8 columns, 8
+    running sums up to 128 and two halves split at a multiple of 8 above,
+    and so does this, far faster over few classes."""
+    c = z.shape[-1]
+    if c > 128:
+        half = c // 2 - (c // 2) % 8
+        return _row_sum(z[..., :half]) + _row_sum(z[..., half:])
+    if c < 8:
+        s = z[..., 0] + 0.0
+        for j in range(1, c):
+            s += z[..., j]
+        return s
+    body = c - c % 8
+    r = [z[..., j] + z[..., j + 8] if body > 8 else z[..., j] for j in range(8)]
+    for j in range(16, body):
+        r[j % 8] += z[..., j]
+    s = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for j in range(body, c):
+        s += z[..., j]
+    s += 0.0  # an all -0.0 row sums to +0.0, as numpy's 0.0 start gives
+    return s
+
+
 def _shifted_exp(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(m, exp(z - m[..., None])) for the row max m of z [..., c], written over z."""
     m = _row_max(z)
@@ -196,7 +227,7 @@ def _cross_entropy(z: np.ndarray, labels: tuple) -> np.ndarray:
     z: it holds the rows' shifted exponentials afterwards."""
     picked = z[labels]
     m, e = _shifted_exp(z)
-    return m + np.log(e.sum(axis=-1)) - picked
+    return m + np.log(_row_sum(e)) - picked
 
 
 def _ce_grad_arrays(
@@ -208,7 +239,7 @@ def _ce_grad_arrays(
     member g's gradient is bitwise the one its batch would give alone."""
     a, z = _forward(spec, theta, x)
     g = _shifted_exp(z)[1]
-    g /= g.sum(axis=-1, keepdims=True)
+    g /= _row_sum(g)[..., None]
     g -= onehot
     g *= 1.0 / x.shape[1]
     parts = [a.transpose(0, 2, 1) @ g, g.sum(axis=1)]
@@ -255,6 +286,69 @@ def train_local(
     return ParamVector(train_cohort(spec, params.coords[None], side, cfg)[0])
 
 
+class _Plan(NamedTuple):
+    """train_cohort's schedule for one (n, batch size, epochs). Lockstep
+    position i trains cohort member order[i]; a plan row is one batch row
+    of one (member, step), and each group of plan rows is one stacked SGD
+    step."""
+
+    sizes: tuple  # the distinct segment sizes; each draws `epochs` shuffles
+    order: np.ndarray  # [K] the cohort member at each lockstep position
+    pos: np.ndarray  # [R] each plan row's position in the joined shuffles
+    offset: np.ndarray  # [R] the first side row of each plan row's member
+    groups: tuple  # (k, r0, r1, sel): k positions sel (a slice if adjacent) take rows r0:r1
+
+
+@functools.lru_cache(maxsize=2)
+def _plan(n: tuple, size: int, epochs: int) -> _Plan:
+    """The part of train_cohort that depends only on the segment sizes n
+    (cohort order), the batch size and epochs >= 1, with read-only arrays.
+    A run asks for two keys: its rounds' epochs and extract's one epoch."""
+    n = np.array(n)
+    per_epoch = -(-n // size)
+    tail = n - (per_epoch - 1) * size
+    steps = epochs * per_epoch
+
+    # One draw per size and epoch; member k's epochs run on from drawn[k]
+    # in the joined shuffles.
+    sizes, size_of = np.unique(n, return_inverse=True)
+    drawn = epochs * (np.cumsum(sizes) - sizes)[size_of]
+
+    # Most steps first, so the members still training at a step are a
+    # prefix; then longest last batch first, so members on batches of one
+    # length mostly sit together and their group is a slice.
+    order = np.lexsort((-tail, -steps))
+    first = (np.cumsum(n) - n)[order]
+    n, per_epoch, tail, steps = n[order], per_epoch[order], tail[order], steps[order]
+    drawn = drawn[order]
+
+    # The plan has one batch per (member, step), ordered by step, then batch
+    # length, then member; each run of equal (step, length) is a group.
+    member = np.repeat(np.arange(n.size), steps)
+    step = np.arange(member.size) - np.repeat(np.cumsum(steps) - steps, steps)
+    epoch, within = np.divmod(step, per_epoch[member])
+    start = drawn[member] + epoch * n[member] + within * size
+    length = np.where(within == per_epoch[member] - 1, tail[member], size)
+    plan = np.lexsort((member, length, step))
+    member, step, start, length = member[plan], step[plan], start[plan], length[plan]
+    end = np.cumsum(length)
+    pos = np.repeat(start - (end - length), length) + np.arange(end[-1])
+    offset = np.repeat(first[member], length)
+    cuts = np.flatnonzero((step[1:] != step[:-1]) | (length[1:] != length[:-1])) + 1
+    lo, hi = np.append(0, cuts), np.append(cuts, member.size)
+    contiguous = member[hi - 1] - member[lo] == hi - lo - 1
+    for array in (order, pos, offset, member):
+        array.flags.writeable = False
+    groups = tuple(
+        (g1 - g0, r0, r1, slice(m0, m0 + g1 - g0) if in_place else member[g0:g1])
+        for g0, g1, r0, r1, m0, in_place in zip(
+            lo.tolist(), hi.tolist(), (end - length)[lo].tolist(), end[hi - 1].tolist(),
+            member[lo].tolist(), contiguous.tolist(),
+        )
+    )
+    return _Plan(tuple(sizes.tolist()), order, pos, offset, groups)
+
+
 def train_cohort(
     spec: ModelSpec, starts: np.ndarray, side: Segments, cfg: TrainConfig
 ) -> np.ndarray:
@@ -267,69 +361,37 @@ def train_cohort(
     size share those permutations, drawn once. At every global step the
     members still training take one stacked SGD step per batch length.
     Batches are never padded and nothing is reduced across members.
+    The schedule comes from _plan; only the shuffles are drawn per call,
+    and every batch row is gathered once, in plan order.
     Raises ClientError naming the first failing member in cohort order.
     """
     _check_side(spec, starts, side)
     if cfg.epochs == 0:
         return np.array(starts, dtype=np.float64)
-    size, epochs = cfg.batch_size, cfg.epochs
-    n = side.n
-    per_epoch = -(-n // size)
-    tail = n - (per_epoch - 1) * size
-    steps = epochs * per_epoch
-
-    # One draw per size and epoch, as above; member k's epochs run on from
-    # drawn[k] in the joined shuffles.
+    plan = _plan(tuple(side.n.tolist()), cfg.batch_size, cfg.epochs)
     rng = make_rng(cfg.seed)
     fresh = rng.bit_generator.state
-    sizes, size_of = np.unique(n, return_inverse=True)
     shuffles = []
-    for n_k in sizes.tolist():
+    for n_k in plan.sizes:
         rng.bit_generator.state = fresh  # a new make_rng(cfg.seed), at a tenth of the cost
-        shuffles += [rng.permutation(n_k) for _ in range(epochs)]
-    drawn = epochs * (np.cumsum(sizes) - sizes)[size_of]
+        shuffles += [rng.permutation(n_k) for _ in range(cfg.epochs)]
+    rows = np.concatenate(shuffles)[plan.pos]
+    rows += plan.offset
+    d, c = spec.input_dim, spec.num_classes
+    xs = side.data.features[rows]
+    ys = np.eye(c)[side.data.labels[rows]]
 
-    # Most steps first, so the members still training at a step are a
-    # prefix; then longest last batch first, so members on batches of one
-    # length mostly sit together and their group is a slice.
-    order = np.lexsort((-tail, -steps))
-    n, per_epoch, tail, steps = n[order], per_epoch[order], tail[order], steps[order]
-    first, drawn = side.start[order], drawn[order]
-
-    # The plan has one batch per (member, step), ordered by step, then batch
-    # length, then member; each run of equal (step, length) is a group that
-    # takes one stacked SGD step. rows lists the batches' rows in plan order.
-    member = np.repeat(np.arange(n.size), steps)
-    step = np.arange(member.size) - np.repeat(np.cumsum(steps) - steps, steps)
-    epoch, within = np.divmod(step, per_epoch[member])
-    start = drawn[member] + epoch * n[member] + within * size
-    length = np.where(within == per_epoch[member] - 1, tail[member], size)
-    plan = np.lexsort((member, length, step))
-    member, step, start, length = member[plan], step[plan], start[plan], length[plan]
-    end = np.cumsum(length)
-    rows = np.concatenate(shuffles)[np.repeat(start - (end - length), length) + np.arange(end[-1])]
-    rows += np.repeat(first[member], length)
-    cuts = np.flatnonzero((step[1:] != step[:-1]) | (length[1:] != length[:-1])) + 1
-    lo, hi = np.append(0, cuts), np.append(cuts, member.size)
-    contiguous = member[hi - 1] - member[lo] == hi - lo - 1
-
-    x = side.data.features
-    onehot = np.eye(spec.num_classes)[side.data.labels]
-    theta = np.asarray(starts, dtype=np.float64)[order]
+    theta = np.asarray(starts, dtype=np.float64)[plan.order]
     with np.errstate(over="ignore", invalid="ignore"):  # the check below names a divergence
-        for g0, g1, r0, r1, m0, in_place in zip(
-            lo.tolist(), hi.tolist(), (end - length)[lo].tolist(), end[hi - 1].tolist(),
-            member[lo].tolist(), contiguous.tolist(),
-        ):
-            batch = rows[r0:r1].reshape(g1 - g0, -1)
-            sel = slice(m0, m0 + g1 - g0) if in_place else member[g0:g1]
+        for k, r0, r1, sel in plan.groups:
             th = theta[sel]
-            th -= cfg.learning_rate * _ce_grad_arrays(spec, th, x[batch], onehot[batch], cfg.l2)
-            if not in_place:
+            x, onehot = xs[r0:r1].reshape(k, -1, d), ys[r0:r1].reshape(k, -1, c)
+            th -= cfg.learning_rate * _ce_grad_arrays(spec, th, x, onehot, cfg.l2)
+            if not isinstance(sel, slice):
                 theta[sel] = th
 
     trained = np.empty_like(theta)
-    trained[order] = theta
+    trained[plan.order] = theta
     finite = np.isfinite(trained).all(axis=1)
     if not finite.all():
         raise ClientError(int(np.argmin(finite)), "training diverged to non-finite parameters")
@@ -337,11 +399,13 @@ def train_cohort(
 
 
 def evaluate(spec: ModelSpec, params: ParamVector, data: ClientDataset) -> PerformanceMetrics:
-    """Mean cross-entropy (nats) and top-1 accuracy on ``data``."""
+    """Mean cross-entropy (nats) and top-1 accuracy on ``data``. An
+    overflow is not warned of: PerformanceMetrics rejects the non-finite loss."""
     _check_cohort(spec, params.coords[None], data)
-    _, logits = _forward(spec, params.coords, data.features)
-    val_acc = float(np.mean(np.argmax(logits, axis=1) == data.labels))
-    val_loss = float(np.mean(_cross_entropy(logits, (np.arange(data.n), data.labels))))
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, logits = _forward(spec, params.coords, data.features)
+        val_acc = float(np.mean(np.argmax(logits, axis=1) == data.labels))
+        val_loss = float(np.mean(_cross_entropy(logits, (np.arange(data.n), data.labels))))
     return PerformanceMetrics(val_loss, val_acc)
 
 
@@ -359,16 +423,19 @@ def holdout_losses(spec: ModelSpec, thetas: np.ndarray, data: ClientDataset) -> 
     their sizes within one row of each other, all M models at once. Only
     per-row arithmetic is blocked: each block writes its rows'
     cross-entropies into one [M, n] array, and each loss is one mean over
-    a full row of it.
+    a full row of it. An overflow is not warned of: it shows as a
+    non-finite loss.
     """
     _check_cohort(spec, thetas, data, len(thetas))
     n = data.n
     blocks = -(-n // HOLDOUT_BLOCK)
     bounds = (np.arange(blocks + 1) * n // blocks).tolist()
     ce = np.empty((len(thetas), n))
-    for lo, hi in zip(bounds, bounds[1:]):
-        _, z = _forward(spec, thetas, data.features[lo:hi])
-        ce[:, lo:hi] = _cross_entropy(z, (slice(None), np.arange(hi - lo), data.labels[lo:hi]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo, hi in zip(bounds, bounds[1:]):
+            _, z = _forward(spec, thetas, data.features[lo:hi])
+            labels = (slice(None), np.arange(hi - lo), data.labels[lo:hi])
+            ce[:, lo:hi] = _cross_entropy(z, labels)
     return np.mean(ce, axis=1)
 
 

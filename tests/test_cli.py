@@ -26,7 +26,7 @@ from metafl.cli import (
     main,
     serialize_config,
 )
-from metafl.datagen import PartitionConfig, make_blobs
+from metafl.datagen import ClientDataset, PartitionConfig, make_blobs
 from metafl.federation import DataConfig, ExperimentConfig
 from metafl.metafeatures import CompositeErrorConfig
 from metafl.models import ACTIVATIONS, ModelSpec, TrainConfig
@@ -173,6 +173,16 @@ def config_texts(draw):
 @pytest.fixture(autouse=True)
 def no_seed_env(monkeypatch):
     monkeypatch.delenv("METAFL_SEED", raising=False)
+
+
+def overflowing_holdout(tmp_path):
+    """A config whose server holdout holds a row of 1e308 features, which
+    overflows any model's logits: seed 3 puts pool row 7 there."""
+    pool = make_blobs(2, 2, 200, 0.5, 1)
+    features = pool.features.copy()
+    features[7] = 1e308
+    save_csv(ClientDataset(features, pool.labels), str(tmp_path / "pool.csv"))
+    return "seed = 3\nrounds = 1\npartition.num_clients = 2\ndata.csv_path = pool.csv\n"
 
 
 def write(tmp_path, text, name="cfg.txt"):
@@ -378,6 +388,13 @@ class TestCmdRun:
         assert len(lines) == 1
         assert re.fullmatch(f"runtime error: round 1, {fault}", lines[0])
 
+    @pytest.mark.parametrize("grid", ["", "alpha_grid = 0,1,5\n"], ids=["fixed", "grid"])
+    def test_server_evaluation_overflow_writes_one_line(self, tmp_path, capsys, grid):
+        cfg = overflowing_holdout(tmp_path)
+        assert cmd_run(write(tmp_path, cfg + grid), str(tmp_path / "out")) == 3
+        lines = capsys.readouterr().err.splitlines()
+        assert lines == ["runtime error: round 1, server evaluation: val_loss must be finite"]
+
     def test_huge_alpha_weights_the_least_loss(self, tmp_path, capsys):
         # -alpha * E overflows; the closed form's limit is all weight on the
         # client with the least loss (meta.c = 0, so E is the loss)
@@ -517,6 +534,12 @@ class TestCmdDiagnose:
         assert payload["kl_diagnostic"] < 0.05  # IID partition
         assert payload["jensen_gap"] >= -1e-9  # convex hidden_dim=0 loss
         assert payload["generalization_bound"] > 0.0
+
+    def test_overflowing_holdout_writes_one_line(self, tmp_path, capsys):
+        cfg = overflowing_holdout(tmp_path)
+        assert cmd_diagnose(write(tmp_path, cfg), str(tmp_path / "out")) == 3
+        lines = capsys.readouterr().err.splitlines()
+        assert lines == ["runtime error: jensen_gap: a holdout loss is not finite"]
 
     def test_default_eta_contracts(self, tmp_path):
         cfg = MINIMAL + "data.n_samples = 200\n"

@@ -339,3 +339,15 @@ class TestClientDataset:
     def test_rejects_label_mismatch(self):
         with pytest.raises(ValueError, match="label count"):
             ClientDataset([[1.0], [2.0]], [0])
+
+    def test_subset_is_read_only(self):
+        part = make_blobs(2, 2, 20, 0.5, 3).subset(np.array([4, 1, 1]))
+        for array in (part.features, part.labels):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+
+    def test_keeps_its_own_copy(self):
+        features, labels = np.ones((3, 2)), np.array([0, 1, 0])
+        data = ClientDataset(features, labels)
+        features[0, 0], labels[0] = 7.0, 1
+        assert data.features[0, 0] == 1.0 and data.labels[0] == 0

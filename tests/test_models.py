@@ -19,7 +19,9 @@ from metafl.models import (
     _ce_grad_arrays,
     _cross_entropy,
     _forward,
+    _plan,
     _row_max,
+    _row_sum,
     _shifted_exp,
     _unpack,
     cohort_losses,
@@ -259,6 +261,42 @@ class TestTrainCohort:
             out = train_cohort(LOGISTIC_2D, start, pooled([data, data]), TrainConfig(0.1, epochs=epochs))
             assert not np.shares_memory(out, start)
         np.testing.assert_array_equal(start, starts(2))
+
+
+class TestPlan:
+    """train_cohort's schedule is cached per (sizes, batch, epochs); the
+    data and the shuffles are not."""
+
+    def test_equal_sizes_share_no_data(self):
+        # two sides with one size tuple but their own rows, labels and
+        # seeds, trained in turn and again: each equals its reference
+        spec = ModelSpec(3, 4, 3, "tanh")
+        sizes = [13, 7, 13, 2]
+        rng = make_rng(8)
+        runs = []
+        for seed in (4, 5):
+            datasets = [ClientDataset(rng.normal(size=(n, 3)), rng.integers(0, 3, n))
+                        for n in sizes]
+            thetas = rng.normal(scale=0.5, size=(len(sizes), param_count(spec)))
+            runs.append((datasets, thetas, TrainConfig(0.3, epochs=2, batch_size=4, seed=seed)))
+        for datasets, thetas, cfg in runs + runs:
+            got = train_cohort(spec, thetas, pooled(datasets), cfg)
+            for theta, data, row in zip(thetas, datasets, got):
+                want = reference_train_local(spec, ParamVector(theta), data, cfg)
+                assert same_bits(row, want)
+
+    def test_arrays_are_read_only(self):
+        plan = _plan((1, 1, 2, 3), 2, 2)  # its third group is not a slice
+        indices = [sel for *_, sel in plan.groups if not isinstance(sel, slice)]
+        assert indices
+        for array in (plan.order, plan.pos, plan.offset, *indices):
+            assert not array.flags.writeable
+
+    def test_cache_holds_two_plans(self):
+        for n in range(1, 6):
+            train_cohort(LOGISTIC_2D, starts(1), pooled([make_blobs(2, 2, 2 + n, 0.5, n)]),
+                         TrainConfig(0.1))
+        assert _plan.cache_info().currsize <= 2
 
 
 def starts(k):
@@ -510,6 +548,25 @@ class TestForwardPass:
         z = z + 0.0  # -0.0 + 0.0 is 0.0; see the signed-zero test below
         assert same_bits(_row_max(z), z.max(axis=-1))
         assert same_bits(_row_max(z[0]), z[0].max(axis=-1))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        lead=st.sampled_from([(), (1,), (5,), (2, 3), (3, 4)]),
+        c=st.one_of(st.integers(1, 20), st.integers(1, 300)),
+        seed=st.integers(0, 2**32),
+    )
+    def test_row_sum_equals_numpy_sum_bitwise(self, lead, c, seed):
+        # magnitudes 2^-60 to 2^60, so the order of the additions shows;
+        # a twentieth of the entries are signed zeros or infinities; with
+        # leading axes, one row is all -0.0, which numpy's 0.0 start sums to +0.0
+        rng = make_rng(seed)
+        z = rng.normal(size=lead + (c,)) * np.exp2(rng.integers(-60, 60, lead + (c,)))
+        special = rng.random(z.shape) < 0.05
+        z[special] = rng.choice([0.0, -0.0, math.inf, -math.inf], int(special.sum()))
+        if lead:
+            z[(0,) * len(lead)] = -0.0
+        with np.errstate(invalid="ignore"):  # inf - inf
+            assert same_bits(_row_sum(z), z.sum(axis=-1))
 
     def test_row_max_signed_zero_and_nan_sign(self):
         # numpy's reduction may return either zero of a row holding both,
