@@ -460,13 +460,13 @@ def cmd_run(config_path: str, out_dir: str, no_timing: bool = False) -> None:
     """Run one experiment; write rounds.csv, summary.json, config_echo.txt."""
     cfg = load_config(config_path)
     clients, global_val, theta0 = set_up(cfg)
-    out = _prepare_out_dir(out_dir)
     _, history = run_rounds(cfg, clients, global_val, theta0)
     for rec in history:
         if rec.solver_residual >= cfg.meta.tol:
             print(f"warning: round {rec.round}: {cfg.aggregator_mode} solve stopped after "
                   f"{rec.solver_iters} iterations with residual {rec.solver_residual:.3g} "
                   f">= meta.tol {cfg.meta.tol:.3g}", file=sys.stderr)
+    out = _prepare_out_dir(out_dir)
     write_rounds_csv(history, out / "rounds.csv", include_timing=not no_timing)
     _write_json(out / "summary.json", _summary_payload(cfg, history, clients))
     _write(out / "config_echo.txt", serialize_config(cfg))
@@ -503,7 +503,6 @@ def cmd_diagnose(config_path: str, out_dir: str) -> None:
     seeded one-round instance; write diagnostics.json."""
     cfg = load_config(config_path)
     clients, global_val, theta0 = set_up(cfg)
-    out = _prepare_out_dir(out_dir)
     # The probe weights by the closed form whatever the config's mode,
     # so its cohort carries the features that form weights.
     closed = replace(cfg, aggregator_mode="metafl_closed")
@@ -513,7 +512,7 @@ def cmd_diagnose(config_path: str, out_dir: str) -> None:
     contraction, kl, m, bound = _theory(cfg, cfg.meta, errors, clients)
     gap = jensen_gap(cfg.spec, cohort.thetas, weights, global_val)
     _write_json(
-        out / "diagnostics.json",
+        _prepare_out_dir(out_dir) / "diagnostics.json",
         {
             "contraction_estimate": contraction,
             "jensen_gap": gap,

@@ -367,7 +367,7 @@ def train_cohort(
     """
     _check_side(spec, starts, side)
     if cfg.epochs == 0:
-        return np.array(starts, dtype=np.float64)
+        return np.array(starts, dtype=np.float64, order="C")
     plan = _plan(tuple(side.n.tolist()), cfg.batch_size, cfg.epochs)
     rng = make_rng(cfg.seed)
     fresh = rng.bit_generator.state

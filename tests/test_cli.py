@@ -581,16 +581,27 @@ def test_builds_federation_once(tmp_path, monkeypatch, command):
 
 
 TOO_FEW = "rounds = 1\npartition.num_clients = 50\ndata.n_samples = 20\n"
-
-
-@pytest.mark.parametrize(
+DIVERGES = "rounds = 1\npartition.num_clients = 4\nmodel.hidden_dim = 4\ntrain.learning_rate = 1e306\n"
+EVERY_COMMAND = pytest.mark.parametrize(
     "command", [cmd_run, cmd_diagnose, lambda cfg, out: cmd_compare(cfg, cfg, out)],
     ids=["run", "diagnose", "compare"],
 )
+
+
+@EVERY_COMMAND
 def test_data_setup_fault_leaves_no_output_dir(tmp_path, capsys, command):
     out = tmp_path / "out"
     assert command(write(tmp_path, TOO_FEW), str(out)) == 2
     assert "data.n_samples" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@EVERY_COMMAND
+def test_runtime_failure_leaves_no_output_dir(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    assert command(write(tmp_path, DIVERGES), str(out)) == 3
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("runtime error: round 1, client 0: ")
     assert not out.exists()
 
 

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from metafl import federation, metafeatures
@@ -21,16 +21,19 @@ from metafl.federation import (
     rounds_to_target,
     run_experiment,
     run_rounds,
+    set_up,
     shares_data_setup,
 )
-from metafl.aggregator import MetaParams, aggregate
+from metafl.aggregator import AGGREGATOR_MODES, MetaParams, aggregate
 from metafl.metafeatures import CompositeErrorConfig, composite_errors, extract
 from metafl.models import (
     ACTIVATIONS, ClientError, ModelSpec, TrainConfig, holdout_losses, init_params, local_loss,
     train_local,
 )
 from metafl.numerics import derive_seed, softmax_neg
-from testkit import as_clients, per_client, pooled, reference_clients, save_csv, segment
+from testkit import (
+    as_clients, per_client, pooled, reference_clients, reference_federation, save_csv,
+)
 
 
 def small_config(**overrides) -> ExperimentConfig:
@@ -50,16 +53,16 @@ def small_config(**overrides) -> ExperimentConfig:
 
 class TestRunExperiment:
     def test_single_client_fedavg_is_local_training(self):
+        """Against the library's train_local, which the federation oracle
+        does not call."""
         cfg = small_config(
-            partition=PartitionConfig(num_clients=1, seed=3),
-            rounds=1,
-            aggregator_mode="fedavg",
+            partition=PartitionConfig(num_clients=1, seed=3), rounds=1, aggregator_mode="fedavg",
         )
         theta, history = run_experiment(cfg)
         clients, _ = build_federation(cfg)
         theta0 = init_params(cfg.spec, derive_seed(cfg.seed, 2))
         round_cfg = replace(cfg.train, seed=derive_seed(cfg.train.seed, 1))
-        want = train_local(cfg.spec, theta0, segment(clients[0], 0), round_cfg)
+        want = train_local(cfg.spec, theta0, per_client(clients)[0][0], round_cfg)
         np.testing.assert_array_equal(theta.coords, want.coords)
         np.testing.assert_array_equal(history[0].weights.weights, [1.0])
 
@@ -470,59 +473,76 @@ class TestExperimentConfig:
 
 
 @st.composite
-def layouts(draw):
-    """Small configs over a synthetic pool: K 1-12, any beta and
-    val_fraction, a random set of noisy clients and noise rate, softmax or
-    a small relu/tanh MLP, meta-features weighted."""
-    k = draw(st.integers(1, 12))
-    spec = ModelSpec(
-        draw(st.integers(1, 4)), draw(st.sampled_from([0, 3])), draw(st.integers(2, 4)),
-        draw(st.sampled_from(ACTIVATIONS)),
-    )
-    partition = PartitionConfig(
-        num_clients=k,
-        dirichlet_beta=draw(st.floats(0.05, 100.0)),
-        val_fraction=draw(st.floats(0.05, 0.95)),
-        noise_clients=frozenset(draw(st.sets(st.integers(0, k - 1)))),
-        label_noise_rate=draw(st.sampled_from([0.0, 0.2, 0.5, 0.9])),
-        seed=draw(st.integers(0, 2**32)),
-    )
+def federations(draw):
+    """Small synthetic configs: K 1-12, ragged splits, noisy clients; batch 1,
+    2-17 or beyond any split; epochs 0-3; softmax or a relu/tanh MLP of 1-8
+    units; l2 0 or not; every mode, with or without a grid (unsorted, with
+    repeats); meta.c zero or not, normalized or not."""
+    def pick(*values):
+        return draw(st.sampled_from(values))
+
+    k, noisy = draw(st.integers(1, 12)), draw(st.integers(0, 2**12 - 1))
     return small_config(
-        spec=spec,
-        partition=partition,
-        train=TrainConfig(0.1, epochs=1, batch_size=draw(st.integers(1, 17)), seed=4),
-        meta=MetaParams(alpha=1.0, c=WEIGHTED),
-        data=DataConfig(n_samples=draw(st.integers(2 * k + 2, 160)), spread=0.5),
+        spec=ModelSpec(draw(st.integers(1, 4)), draw(st.one_of(st.just(0), st.integers(1, 8))),
+                       draw(st.integers(2, 4)), pick(*ACTIVATIONS)),
+        partition=PartitionConfig(
+            num_clients=k, dirichlet_beta=pick(0.1, 0.5, 1.0, 5.0, 100.0),
+            val_fraction=pick(0.1, 0.3, 0.5, 0.9), label_noise_rate=pick(0.0, 0.2, 0.5, 0.9),
+            noise_clients=frozenset(i for i in range(k) if noisy >> i & 1),
+            seed=draw(st.integers(0, 2**32)),
+        ),
+        train=TrainConfig(
+            learning_rate=pick(0.01, 0.1, 0.5), epochs=draw(st.integers(0, 3)),
+            batch_size=draw(st.one_of(st.just(1), st.integers(2, 17), st.just(1000))),
+            seed=draw(st.integers(0, 2**32)), l2=pick(0.0, 0.01),
+        ),
+        meta=MetaParams(
+            alpha=pick(0.0, 0.5, 1.0, 8.0), lam=pick(0.0, 0.25), eta=pick(0.05, 0.5),
+            max_iters=draw(st.integers(1, 60)),
+            c=CompositeErrorConfig(
+                pick((0.0,) * 5, WEIGHTED.c, (1.0, -0.5, 0.1, 1.0, -0.5), (0.0,) * 4 + (1.0,)),
+                draw(st.booleans()),
+            ),
+        ),
+        data=DataConfig(draw(st.integers(4 * k + 4, 160)),
+                        global_val_fraction=pick(0.05, 0.2, 0.5)),
+        rounds=draw(st.integers(1, 2)),
+        aggregator_mode=pick(*AGGREGATOR_MODES),
+        alpha_grid=pick((), (0.0, 0.5, 2.0), (8.0, 0.5), (32.0, 0.0, 2.0, 2.0)),
         seed=draw(st.integers(0, 2**16)),
     )
 
 
 class TestPooledLayout:
-    """The pooled sides against the per-client program they stand for."""
+    """The pooled sides against the per-client program they stand for, on
+    the oracle's configs: rows a run never reads, such as a train split at
+    0 epochs, and the library's one-client calls, which the oracle does not
+    make."""
 
     @settings(max_examples=60, deadline=None)
-    @given(cfg=layouts())
+    @given(cfg=federations())
     def test_segments_equal_per_client_set_up(self, cfg):
         try:
-            want = reference_clients(cfg)
+            want, want_holdout = reference_clients(cfg)
         except ValueError:
             with pytest.raises(ConfigError):
                 build_federation(cfg)
             return
-        clients, _ = build_federation(cfg)
+        clients, holdout = build_federation(cfg)
         assert len(clients[0].n) == len(clients[1].n) == len(want)
-        for got, pair in zip(per_client(clients), want):
+        for got, pair in zip(per_client(clients) + [(holdout,)], want + [(want_holdout,)]):
             for part, ref in zip(got, pair):
                 assert part.features.tobytes() == ref.features.tobytes()
                 assert part.labels.tobytes() == ref.labels.tobytes()
 
     @settings(max_examples=25, deadline=None)
-    @given(cfg=layouts())
+    @given(cfg=federations())
     def test_cohort_rows_equal_one_client_calls(self, cfg):
         try:
             clients, _ = build_federation(cfg)
         except ConfigError:
             return
+        cfg = replace(cfg, aggregator_mode="metafl_closed", meta=replace(cfg.meta, c=WEIGHTED))
         theta = init_params(cfg.spec, 5)
         cohort = collect_reports(cfg, clients, theta, 1)
         round_train = replace(cfg.train, seed=derive_seed(cfg.train.seed, 1))
@@ -532,3 +552,37 @@ class TestPooledLayout:
             assert cohort.val_loss[k] == local_loss(cfg.spec, alone, val)
             row = extract(cfg.spec, theta, alone.coords[None], as_clients([(train, val)]), round_train)
             assert cohort.features[k].tobytes() == row[0].tobytes()
+
+
+def record_bits(rec) -> dict:
+    """Every field of a RoundRecord but wall_ms, as its bytes."""
+    return {name: np.asarray(getattr(value, "weights", value)).tobytes()
+            for name, value in vars(rec).items() if name != "wall_ms"}
+
+
+@settings(max_examples=120, deadline=None)
+@given(cfg=federations())
+@example(cfg=small_config(  # a holdout of 550 > HOLDOUT_BLOCK rows: two blocks
+    spec=ModelSpec(2, 3, 3, "tanh"), partition=THREE_CLIENTS, rounds=1,
+    meta=MetaParams(alpha=1.0, lam=0.1, c=WEIGHTED), alpha_grid=(0.0, 1.0, 4.0),
+    data=DataConfig(n_samples=1100, global_val_fraction=0.5),
+))
+@example(cfg=small_config(  # 0 epochs: train_cohort returned its starts in F order
+    spec=ModelSpec(1, 1, 3, "tanh"), partition=PartitionConfig(3, val_fraction=0.5, seed=2),
+    train=TrainConfig(0.5, epochs=0, batch_size=1), aggregator_mode="fedavg", rounds=1,
+    data=DataConfig(n_samples=28, global_val_fraction=0.5), seed=1,
+))
+def test_run_rounds_equals_reference_federation(cfg):
+    """Every RoundRecord field but wall_ms, and the final parameters,
+    are bitwise testkit.reference_federation's; a config whose set-up
+    fails there is a ConfigError here."""
+    try:
+        fed = set_up(cfg)
+    except ConfigError:
+        with pytest.raises(ValueError):
+            reference_federation(cfg)
+        return
+    theta, history = run_rounds(cfg, *fed)
+    want_theta, want = reference_federation(cfg)
+    assert [record_bits(rec) for rec in history] == [record_bits(rec) for rec in want]
+    assert theta.coords.tobytes() == want_theta.coords.tobytes()

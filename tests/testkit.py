@@ -1,12 +1,15 @@
 """Helpers only the tests use: central finite differences, the analytic
 gradient of Phi, the full-data training objective with its analytic
 gradient, a CSV writer in the format datagen.load_csv reads, conversions
-between per-client datasets and pooled sides, and reference copies of
-the per-client data set-up, the forward pass, the SGD gradient, the
-per-candidate alpha search and the iterative weight solve as they were
-written before their rewrites, which the program must still equal
-bitwise, and the sampled estimate of the mirror step's contraction
-modulus that the exact one replaced."""
+between per-client datasets and pooled sides, the sampled contraction
+modulus the exact one replaced, and the reference program.
+
+reference_federation is the plain per-client program that run_rounds
+stands for, and run_rounds must equal it bit for bit: one oracle for
+every stacked path. The other reference_* copies are its parts, one per
+kernel. A reference copy stays only where the oracle uses it or where
+it pins a bit the oracle cannot reach, which its test names.
+"""
 
 from __future__ import annotations
 
@@ -17,11 +20,18 @@ from typing import Callable, Sequence, Tuple
 
 import numpy as np
 
-from metafl.aggregator import MetaParams, _clamped_log, _gradient, _mirror_step, aggregate
+from metafl.aggregator import (
+    AggregationOutcome, MetaParams, _clamped_log, _gradient, _mirror_step, aggregate,
+    fedavg_weights, meta_agg,
+)
 from metafl.datagen import (
     MAX_PARTITION_ATTEMPTS, ClientDataset, PartitionConfig, Segments, make_blobs,
 )
-from metafl.models import ModelSpec, _ce_grad_arrays, _check_cohort, _unpack
+from metafl.federation import RoundRecord
+from metafl.metafeatures import composite_errors
+from metafl.models import (
+    ModelSpec, TrainConfig, _ce_grad_arrays, _check_cohort, _unpack, init_params,
+)
 from metafl.numerics import (
     ParamVector, WeightVector, _check_errors, derive_seed, make_rng, softmax_neg,
 )
@@ -96,15 +106,10 @@ def as_clients(pairs: Sequence[Tuple[ClientDataset, ClientDataset]]) -> Tuple[Se
     return pooled([train for train, _ in pairs]), pooled([val for _, val in pairs])
 
 
-def segment(side: Segments, k: int) -> ClientDataset:
-    """Client k's rows of a side as its own dataset."""
-    start = int(side.start[k])
-    return side.data.subset(np.arange(start, start + side.n[k]))
-
-
 def per_client(clients: Tuple[Segments, Segments]) -> list:
     """The (train, val) sides as per-client (train, val) pairs."""
-    return [tuple(segment(side, k) for side in clients) for k in range(len(clients[0].n))]
+    return [tuple(side.data.subset(side.start[k] + np.arange(side.n[k])) for side in clients)
+            for k in range(len(clients[0].n))]
 
 
 def reference_partition(data: ClientDataset, cfg: PartitionConfig) -> list:
@@ -155,23 +160,131 @@ def reference_label_noise(
     return ClientDataset(data.features, labels)
 
 
-def reference_clients(cfg) -> list:
-    """federation.build_federation's client splits for a synthetic pool,
-    built as it was: a (train, val) pair of datasets per client, each
-    noisy client's train split replaced by a relabelled copy."""
+def reference_clients(cfg) -> tuple[list, ClientDataset]:
+    """federation.build_federation for a synthetic pool, built as it was:
+    a (train, val) pair of datasets per client, each noisy client's train
+    split replaced by a relabelled copy; and the server's holdout."""
     spec, data, part = cfg.spec, cfg.data, cfg.partition
     pool = make_blobs(spec.num_classes, spec.input_dim, data.n_samples, data.spread, cfg.seed)
     order = make_rng([cfg.seed, 1]).permutation(pool.n)
     n_holdout = max(1, int(round(data.global_val_fraction * pool.n)))
     clients = reference_partition(pool.subset(order[n_holdout:]), part)
-    noisy = []
-    for k, (train, val) in enumerate(clients):
-        if k in part.noise_clients and part.label_noise_rate > 0.0:
-            train = reference_label_noise(
-                train, part.label_noise_rate, derive_seed(part.seed, k, 11), spec.num_classes
-            )
-        noisy.append((train, val))
-    return noisy
+    for k in part.noise_clients:
+        train, val = clients[k]
+        seed = derive_seed(part.seed, k, 11)
+        clients[k] = reference_label_noise(train, part.label_noise_rate, seed, spec.num_classes), val
+    return clients, pool.subset(order[:n_holdout])
+
+
+def reference_federation(cfg) -> tuple[ParamVector, list]:
+    """federation.run_rounds(cfg, *set_up(cfg)) as the per-client program:
+    (the final global parameters, one RoundRecord per round with wall_ms 0).
+    Past the seeded pool, it calls from the library only init_params,
+    composite_errors, fedavg_weights, meta_agg, aggregate and, in the alpha
+    search, softmax_neg."""
+    spec, mp = cfg.spec, cfg.meta
+    clients, holdout = reference_clients(cfg)
+    fedavg = cfg.aggregator_mode == "fedavg"
+    theta = init_params(spec, derive_seed(cfg.seed, 2))
+    history = []
+    for t in range(1, cfg.rounds + 1):
+        train_cfg = replace(cfg.train, seed=derive_seed(cfg.train.seed, t))
+        thetas = np.array([reference_train_local(spec, theta.coords, train, train_cfg)
+                           for train, _ in clients])
+        val_loss = [reference_local_loss(spec, ParamVector(th), val)
+                    for th, (_, val) in zip(thetas, clients)]
+        if fedavg:
+            weights = fedavg_weights([train.n for train, _ in clients])
+            outcome = AggregationOutcome(aggregate(thetas, weights, 0.0), weights, 0.0, 0, 0.0)
+        else:
+            features = None
+            if mp.c.uses_features:
+                features = np.array([reference_features(spec, theta.coords, th, *pair, train_cfg)
+                                     for th, pair in zip(thetas, clients)])
+            errors = composite_errors(val_loss, features, mp.c)
+            if cfg.searches_alpha:
+                mp = reference_adapt_meta_params(mp, cfg.alpha_grid, thetas, errors, spec, holdout)
+            outcome = meta_agg(thetas, errors, mp, cfg.aggregator_mode)
+        logits = reference_logits(spec, outcome.theta_g.coords, holdout.features)
+        history.append(RoundRecord(
+            round=t, weights=outcome.weights, alpha_used=0.0 if fedavg else mp.alpha,
+            global_val_loss=float(reference_mean_ce(logits, holdout.labels)),
+            global_val_accuracy=float(np.mean(np.argmax(logits, axis=1) == holdout.labels)),
+            per_client_val_loss=tuple(val_loss), phi_value=outcome.phi_value,
+            solver_iters=outcome.solver_iters, solver_residual=outcome.solver_residual, wall_ms=0,
+        ))
+        theta = outcome.theta_g
+    return theta, history
+
+
+def reference_features(spec: ModelSpec, theta_prev: np.ndarray, theta: np.ndarray,
+                       train: ClientDataset, val: ClientDataset, cfg: TrainConfig) -> list:
+    """One client's row of metafeatures.extract, in FEATURE_FIELDS order,
+    from its parameters theta after training from theta_prev."""
+    probe_spec = replace(spec, hidden_dim=0)
+    one_epoch = replace(cfg, epochs=1)
+    probe = reference_train_local(
+        probe_spec, np.zeros((spec.input_dim + 1) * spec.num_classes), train, one_epoch
+    )
+    bumped = replace(one_epoch, learning_rate=1.5 * cfg.learning_rate)
+    base, bump = (
+        reference_local_loss(spec, ParamVector(reference_train_local(spec, theta, train, c)), val)
+        for c in (one_epoch, bumped)
+    )
+    p = np.bincount(train.labels, minlength=spec.num_classes) / train.n
+    p = p[p > 0.0]
+    return [
+        train.n,
+        float(-(p * np.log(p)).sum()),
+        np.linalg.norm(theta - theta_prev),
+        reference_local_loss(probe_spec, ParamVector(probe), val),
+        abs(bump - base) / 0.5,
+    ]
+
+
+def reference_train_local(
+    spec: ModelSpec, theta0: np.ndarray, data: ClientDataset, cfg: TrainConfig
+) -> np.ndarray:
+    """models.train_local as the per-client SGD loop that train_cohort
+    replaced: a fresh make_rng(cfg.seed), one permutation per epoch, one
+    step per batch in order; returns the trained parameters, a new array."""
+    theta = np.array(theta0, dtype=np.float64)
+    rng = make_rng(cfg.seed)
+    for _ in range(cfg.epochs):
+        order = rng.permutation(data.n)
+        for start in range(0, data.n, cfg.batch_size):
+            batch = order[start : start + cfg.batch_size]
+            x, y = data.features[batch], data.labels[batch]
+            theta -= cfg.learning_rate * reference_grad(spec, theta, x, y, cfg.l2)
+    return theta
+
+
+def reference_grad(
+    spec: ModelSpec, theta: np.ndarray, x: np.ndarray, y: np.ndarray, l2: float
+) -> np.ndarray:
+    """The gradient of one batch's mean cross-entropy (+ ridge) at theta
+    [P], for rows x [n, d] and labels y [n]: an allocating forward pass,
+    numpy's softmax, and each layer's backward step written out, the relu
+    mask taken from the pre-activation."""
+    *hidden, w, b = _unpack(spec, theta)
+    a = x
+    if hidden:
+        z1 = x @ hidden[0] + hidden[1]
+        a = np.maximum(z1, 0.0) if spec.activation == "relu" else np.tanh(z1)
+    z = a @ w + b
+    g = np.exp(z - z.max(axis=1, keepdims=True))
+    g = g / g.sum(axis=1, keepdims=True)
+    g[np.arange(len(y)), y] -= 1.0
+    g *= 1.0 / len(y)
+    parts = [a.T @ g, g.sum(axis=0)]
+    if hidden:
+        da = g @ w.T
+        dz1 = da * (z1 > 0.0) if spec.activation == "relu" else da * (1.0 - a**2)
+        parts[:0] = [x.T @ dz1, dz1.sum(axis=0)]
+    grad = np.concatenate([part.ravel() for part in parts])
+    if l2 > 0.0:
+        grad += l2 * theta
+    return grad
 
 
 def reference_logits(spec: ModelSpec, theta: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -184,36 +297,6 @@ def reference_logits(spec: ModelSpec, theta: np.ndarray, x: np.ndarray) -> np.nd
     z1 = x @ w1 + b1
     a1 = np.maximum(z1, 0.0) if spec.activation == "relu" else np.tanh(z1)
     return a1 @ w2 + b2
-
-
-def reference_ce_grad_arrays(
-    spec: ModelSpec, theta: np.ndarray, x: np.ndarray, onehot: np.ndarray, l2: float
-) -> np.ndarray:
-    """models._ce_grad_arrays as written before it shared models._forward:
-    its own allocating forward pass, the relu mask from the pre-activation,
-    and the output-layer gradient written out in each branch."""
-    onehot_err_scale = 1.0 / x.shape[1]
-    xt = x.transpose(0, 2, 1)
-    if spec.hidden_dim == 0:
-        w, b = _unpack(spec, theta)
-        p = reference_softmax_rows(x @ w + b)
-        p -= onehot
-        p *= onehot_err_scale
-        parts = [xt @ p, p.sum(axis=1)]
-    else:
-        w1, b1, w2, b2 = _unpack(spec, theta)
-        z1 = x @ w1 + b1
-        a1 = np.maximum(z1, 0.0) if spec.activation == "relu" else np.tanh(z1)
-        g2 = reference_softmax_rows(a1 @ w2 + b2)
-        g2 -= onehot
-        g2 *= onehot_err_scale
-        da1 = g2 @ w2.transpose(0, 2, 1)
-        dz1 = da1 * (z1 > 0.0) if spec.activation == "relu" else da1 * (1.0 - a1**2)
-        parts = [xt @ dz1, dz1.sum(axis=1), a1.transpose(0, 2, 1) @ g2, g2.sum(axis=1)]
-    grad = np.concatenate([part.reshape(len(theta), -1) for part in parts], axis=1)
-    if l2 > 0.0:
-        grad += l2 * theta
-    return grad
 
 
 def reference_local_loss(spec: ModelSpec, params: ParamVector, data: ClientDataset) -> float:
@@ -256,13 +339,6 @@ def reference_mean_ce(logits: np.ndarray, y: np.ndarray) -> np.ndarray:
     lse = m[..., 0] + np.log(np.exp(logits - m).sum(axis=-1))
     picked = logits.reshape(-1, logits.shape[-1])[np.arange(y.size), y.reshape(-1)]
     return np.mean(lse - picked.reshape(y.shape), axis=-1)
-
-
-def reference_softmax_rows(z: np.ndarray) -> np.ndarray:
-    """The softmax models._ce_grad_arrays takes of its logits, with
-    numpy's row max, allocating each step."""
-    e = np.exp(z - z.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
 
 
 def _reference_project_simplex(x: np.ndarray) -> np.ndarray:
