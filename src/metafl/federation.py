@@ -15,7 +15,10 @@ row k for client k. The round then computes the composite errors E
 once, optionally re-tunes alpha on the server-held validation split,
 aggregates, and broadcasts.
 Meta-features are extracted only when they can move a weight: the mode
-is not fedavg and some meta.c coefficient is nonzero.
+is not fedavg and some meta.c coefficient is nonzero. Even then only the
+weighted columns are computed: the probe trains only for data_complexity,
+and the 1x and 1.5x extra epochs, one train_cohort call of two copies of
+the cohort, only for lr_sensitivity.
 The cohort trains in lockstep (models.train_cohort): each client draws
 the same shuffles as it would alone and does the same arithmetic on its
 own batches, grouped with the other clients on batches of one length
@@ -292,7 +295,8 @@ def collect_reports(
     try:
         thetas = train_cohort(spec, starts, train, round_train)
         try:
-            features = extract(spec, theta, thetas, clients, round_train) if with_meta else None
+            features = (extract(spec, theta, thetas, clients, round_train, cfg.meta.c.c)
+                        if with_meta else None)
         except ClientError as err:
             raise ClientError(err.index, f"meta-features: {err}") from err
         val_loss = cohort_losses(spec, thetas, val)

@@ -16,7 +16,8 @@ import numpy as np
 
 from .datagen import Segments, label_distribution
 from .models import (
-    ModelSpec, TrainConfig, _check_nonnegative, cohort_losses, param_count, train_cohort,
+    ClientError, ModelSpec, TrainConfig, _check_nonnegative, cohort_losses, param_count,
+    train_cohort,
 )
 from .numerics import ParamVector, _check_errors
 
@@ -70,42 +71,53 @@ def extract(
     thetas: np.ndarray,
     clients: tuple[Segments, Segments],
     cfg: TrainConfig,
+    c: Sequence[float],
 ) -> np.ndarray:
     """Meta-feature matrix of a cohort's round, one row per client of the
-    (train, val) sides, in FEATURE_FIELDS column order.
+    (train, val) sides, in FEATURE_FIELDS column order, with a column
+    computed only when its coefficient in c is nonzero and 0 otherwise.
 
     Row k of thetas [K, P] holds client k's parameters after training from
     theta_prev. data_complexity is the validation loss of a linear probe
     trained for one epoch from zero on the client's train split;
     lr_sensitivity is the validation-loss delta from one extra training
     epoch at 1.5x the learning rate versus 1x, per unit of relative
-    perturbation (0.5). The probe, 1x and 1.5x epochs each train the whole
-    cohort in one train_cohort call, and each is scored in one
-    cohort_losses call. Every feature must be finite and nonnegative.
-    Raises ClientError naming the first failing client.
+    perturbation (0.5). The probe trains the cohort in one train_cohort
+    call; the 1x and 1.5x epochs train it twice over in one more, as 2K
+    members at their own rates, and each is scored in one cohort_losses
+    call. Every feature must be finite and nonnegative. Raises ClientError
+    naming the first failing client: the probe's, then the 1x epoch's,
+    then the 1.5x epoch's, then the first row with a bad feature.
     """
     train, val = clients
-    shape = (len(train.n), theta_prev.dim)
+    k = len(train.n)
+    shape = (k, theta_prev.dim)
     if thetas.shape != shape:
         raise ValueError(f"dimension mismatch: parameters of shape {thetas.shape}, need {shape}")
-    probe_spec = ModelSpec(spec.input_dim, 0, spec.num_classes, spec.activation)
-    probe_zero = np.zeros((len(train.n), param_count(probe_spec)))
+    if len(c) != len(FEATURE_FIELDS):
+        raise ValueError(f"need {len(FEATURE_FIELDS)} coefficients, got {len(c)}")
+    size, entropy, norm, complexity, sensitivity = (v != 0.0 for v in c)
     one_epoch = replace(cfg, epochs=1)
-    bumped = replace(cfg, epochs=1, learning_rate=1.5 * cfg.learning_rate)
-    probes = train_cohort(probe_spec, probe_zero, train, one_epoch)
-    bases = train_cohort(spec, thetas, train, one_epoch)
-    bumps = train_cohort(spec, thetas, train, bumped)
-    loss_base = cohort_losses(spec, bases, val)
-    loss_bump = cohort_losses(spec, bumps, val)
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the check below
-        update_norm = [np.linalg.norm(row - theta_prev.coords) for row in thetas]
-    features = np.column_stack([
-        train.n,
-        [_entropy(p) for p in label_distribution(train, spec.num_classes)],
-        update_norm,
-        cohort_losses(probe_spec, probes, val),
-        np.abs(loss_bump - loss_base) / 0.5,
-    ])
+    features = np.zeros((k, len(FEATURE_FIELDS)))
+    if size:
+        features[:, 0] = train.n
+    if entropy:
+        features[:, 1] = [_entropy(p) for p in label_distribution(train, spec.num_classes)]
+    if norm:
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the check below
+            features[:, 2] = [np.linalg.norm(row - theta_prev.coords) for row in thetas]
+    if complexity:
+        probe_spec = ModelSpec(spec.input_dim, 0, spec.num_classes, spec.activation)
+        probes = train_cohort(probe_spec, np.zeros((k, param_count(probe_spec))), train, one_epoch)
+        features[:, 3] = cohort_losses(probe_spec, probes, val)
+    if sensitivity:
+        rates = np.repeat([cfg.learning_rate, 1.5 * cfg.learning_rate], k)
+        try:
+            epochs = train_cohort(spec, np.tile(thetas, (2, 1)), train, one_epoch, rates)
+        except ClientError as err:
+            raise ClientError(err.index % k, str(err)) from err
+        base, bump = cohort_losses(spec, epochs, val).reshape(2, k)
+        features[:, 4] = np.abs(bump - base) / 0.5
     _check_nonnegative("meta-features", features)
     return features
 

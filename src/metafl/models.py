@@ -9,15 +9,19 @@ score every model and feed the SGD gradient; each loss is one mean over
 its own rows, so it is bitwise the same whichever function scores it.
 Softmax rows are summed by _row_sum, one np.add per class column in
 numpy's own pairwise order, so the sums keep numpy's bits.
-train_cohort plans its lockstep schedule once per tuple of segment sizes
-(with batch size and epochs) and gathers its batches once per call.
+train_cohort and cohort_losses take r·K member rows on a side of K
+segments: member i reads segment i mod K, with the rows and shuffles of
+member i mod K, so r copies of a cohort (for train_cohort, each at its
+own learning rate) run as one cohort. train_cohort plans its lockstep
+schedule once per tuple of segment sizes (with batch size, epochs and
+copies) and gathers its batches once per call.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -142,15 +146,18 @@ def _check_cohort(spec: ModelSpec, thetas: np.ndarray, data: ClientDataset, k: i
                          f"of dim {data.dim}, need {need} and spec.input_dim={spec.input_dim}")
 
 
-def _check_side(spec: ModelSpec, thetas: np.ndarray, side: Segments) -> None:
-    """_check_cohort for the K segments of side, whose row counts must each
-    be >= 1 and sum to the rows of side.data."""
+def _check_side(spec: ModelSpec, thetas: np.ndarray, side: Segments) -> int:
+    """_check_cohort for r·K member rows of thetas on the K segments of
+    side, whose row counts must each be >= 1 and sum to the rows of
+    side.data; returns the copies r >= 1."""
     n = side.n
     if (n < 1).any() or n.sum() != side.data.n:
         raise ValueError(f"segment counts must each be >= 1 and sum to the side's {side.data.n} "
                          f"rows, got {n.size} counts summing to {n.sum()}, "
                          f"{np.count_nonzero(n < 1)} of them below 1")
-    _check_cohort(spec, thetas, side.data, n.size)
+    copies = max(1, len(thetas) // n.size)
+    _check_cohort(spec, thetas, side.data, copies * n.size)
+    return copies
 
 
 def _check_nonnegative(name: str, values: np.ndarray) -> None:
@@ -163,10 +170,14 @@ def _check_nonnegative(name: str, values: np.ndarray) -> None:
         raise ClientError(int(bad[0]), f"{name} must be {problem}")
 
 
-def _forward(spec: ModelSpec, theta: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _forward(
+    spec: ModelSpec, layers: Sequence[np.ndarray], x: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """The output layer's input a (x itself with no hidden layer) and the
-    logits, each a new matmul result that its bias add and activation update in place."""
-    *hidden, w, b = _unpack(spec, theta)
+    logits, each a new matmul result that its bias add and activation
+    update in place. layers are _unpack's; a bias may instead be tiled to
+    the rows of x, which adds the same bits without broadcasting."""
+    *hidden, w, b = layers
     a = x
     if hidden:
         a = x @ hidden[0]
@@ -237,14 +248,15 @@ def _ce_grad_arrays(
     and one-hot labels [G, n, c] give [G, P]. Every operation acts within
     one member (a matmul per member, reductions over its own rows), so
     member g's gradient is bitwise the one its batch would give alone."""
-    a, z = _forward(spec, theta, x)
+    layers = _unpack(spec, theta)
+    a, z = _forward(spec, layers, x)
     g = _shifted_exp(z)[1]
     g /= _row_sum(g)[..., None]
     g -= onehot
     g *= 1.0 / x.shape[1]
     parts = [a.transpose(0, 2, 1) @ g, g.sum(axis=1)]
     if spec.hidden_dim:
-        da = g @ _unpack(spec, theta)[2].transpose(0, 2, 1)
+        da = g @ layers[2].transpose(0, 2, 1)
         # relu's derivative from its output: a > 0 exactly where z1 > 0
         da *= (a > 0.0) if spec.activation == "relu" else 1.0 - a**2
         parts[:0] = [x.transpose(0, 2, 1) @ da, da.sum(axis=1)]
@@ -287,24 +299,27 @@ def train_local(
 
 
 class _Plan(NamedTuple):
-    """train_cohort's schedule for one (n, batch size, epochs). Lockstep
-    position i trains cohort member order[i]; a plan row is one batch row
-    of one (member, step), and each group of plan rows is one stacked SGD
-    step."""
+    """train_cohort's schedule for one (n, batch size, epochs, copies).
+    Lockstep position i trains cohort member order[i]; a plan row is one
+    batch row of one (member, step), and each group of plan rows is one
+    stacked SGD step."""
 
     sizes: tuple  # the distinct segment sizes; each draws `epochs` shuffles
-    order: np.ndarray  # [K] the cohort member at each lockstep position
+    order: np.ndarray  # [M] the cohort member at each lockstep position
     pos: np.ndarray  # [R] each plan row's position in the joined shuffles
     offset: np.ndarray  # [R] the first side row of each plan row's member
     groups: tuple  # (k, r0, r1, sel): k positions sel (a slice if adjacent) take rows r0:r1
 
 
-@functools.lru_cache(maxsize=2)
-def _plan(n: tuple, size: int, epochs: int) -> _Plan:
+@functools.lru_cache(maxsize=3)
+def _plan(n: tuple, size: int, epochs: int, copies: int = 1) -> _Plan:
     """The part of train_cohort that depends only on the segment sizes n
-    (cohort order), the batch size and epochs >= 1, with read-only arrays.
-    A run asks for two keys: its rounds' epochs and extract's one epoch."""
-    n = np.array(n)
+    (segment order), the batch size, epochs >= 1 and the copies r of the
+    cohort (member i on segment i mod K), with read-only arrays. A run asks
+    for up to three keys: its rounds' epochs, extract's one-epoch probe and
+    its two copies of the cohort for one epoch."""
+    segments = np.array(n)
+    n = np.tile(segments, copies)
     per_epoch = -(-n // size)
     tail = n - (per_epoch - 1) * size
     steps = epochs * per_epoch
@@ -318,7 +333,7 @@ def _plan(n: tuple, size: int, epochs: int) -> _Plan:
     # prefix; then longest last batch first, so members on batches of one
     # length mostly sit together and their group is a slice.
     order = np.lexsort((-tail, -steps))
-    first = (np.cumsum(n) - n)[order]
+    first = np.tile(np.cumsum(segments) - segments, copies)[order]
     n, per_epoch, tail, steps = n[order], per_epoch[order], tail[order], steps[order]
     drawn = drawn[order]
 
@@ -350,11 +365,17 @@ def _plan(n: tuple, size: int, epochs: int) -> _Plan:
 
 
 def train_cohort(
-    spec: ModelSpec, starts: np.ndarray, side: Segments, cfg: TrainConfig
+    spec: ModelSpec,
+    starts: np.ndarray,
+    side: Segments,
+    cfg: TrainConfig,
+    rates: np.ndarray | None = None,
 ) -> np.ndarray:
-    """train_local for every member k, from row k of starts [K, P] on its
-    segment of side, bitwise, in lockstep; returns the trained rows [K, P]
-    as a new array.
+    """train_local for every member i, from row i of starts [M, P] on
+    segment i mod K of side's K segments (M a multiple of K), bitwise, in
+    lockstep; returns the trained rows [M, P] as a new array. rates [M],
+    when given, are the members' learning rates in place of
+    cfg.learning_rate, each step bitwise that of a config at that rate.
 
     Each member shuffles as a fresh make_rng(cfg.seed) would, one
     permutation per epoch, and walks its batches in order; members of one
@@ -365,10 +386,14 @@ def train_cohort(
     and every batch row is gathered once, in plan order.
     Raises ClientError naming the first failing member in cohort order.
     """
-    _check_side(spec, starts, side)
+    copies = _check_side(spec, starts, side)
+    if rates is not None:
+        rates = np.asarray(rates, dtype=np.float64)
+        if rates.shape != (len(starts),) or not (np.isfinite(rates) & (rates > 0.0)).all():
+            raise ValueError(f"need {len(starts)} finite and positive learning rates")
     if cfg.epochs == 0:
         return np.array(starts, dtype=np.float64, order="C")
-    plan = _plan(tuple(side.n.tolist()), cfg.batch_size, cfg.epochs)
+    plan = _plan(tuple(side.n.tolist()), cfg.batch_size, cfg.epochs, copies)
     rng = make_rng(cfg.seed)
     fresh = rng.bit_generator.state
     shuffles = []
@@ -382,11 +407,14 @@ def train_cohort(
     ys = np.eye(c)[side.data.labels[rows]]
 
     theta = np.asarray(starts, dtype=np.float64)[plan.order]
+    if rates is not None:
+        rates = rates[plan.order, None]
     with np.errstate(over="ignore", invalid="ignore"):  # the check below names a divergence
         for k, r0, r1, sel in plan.groups:
             th = theta[sel]
             x, onehot = xs[r0:r1].reshape(k, -1, d), ys[r0:r1].reshape(k, -1, c)
-            th -= cfg.learning_rate * _ce_grad_arrays(spec, th, x, onehot, cfg.l2)
+            rate = cfg.learning_rate if rates is None else rates[sel]
+            th -= rate * _ce_grad_arrays(spec, th, x, onehot, cfg.l2)
             if not isinstance(sel, slice):
                 theta[sel] = th
 
@@ -403,7 +431,7 @@ def evaluate(spec: ModelSpec, params: ParamVector, data: ClientDataset) -> Perfo
     overflow is not warned of: PerformanceMetrics rejects the non-finite loss."""
     _check_cohort(spec, params.coords[None], data)
     with np.errstate(over="ignore", invalid="ignore"):
-        _, logits = _forward(spec, params.coords, data.features)
+        _, logits = _forward(spec, _unpack(spec, params.coords), data.features)
         val_acc = float(np.mean(np.argmax(logits, axis=1) == data.labels))
         val_loss = float(np.mean(_cross_entropy(logits, (np.arange(data.n), data.labels))))
     return PerformanceMetrics(val_loss, val_acc)
@@ -423,40 +451,48 @@ def holdout_losses(spec: ModelSpec, thetas: np.ndarray, data: ClientDataset) -> 
     their sizes within one row of each other, all M models at once. Only
     per-row arithmetic is blocked: each block writes its rows'
     cross-entropies into one [M, n] array, and each loss is one mean over
-    a full row of it. An overflow is not warned of: it shows as a
-    non-finite loss.
+    a full row of it. Each bias is tiled once per call to the largest
+    block's rows, and every block adds a slice of its tile. An overflow
+    is not warned of: it shows as a non-finite loss.
     """
     _check_cohort(spec, thetas, data, len(thetas))
     n = data.n
     blocks = -(-n // HOLDOUT_BLOCK)
     bounds = (np.arange(blocks + 1) * n // blocks).tolist()
+    rows = -(-n // blocks)  # the largest block's
+    tiled = [np.repeat(p, rows, axis=1) if i % 2 else p
+             for i, p in enumerate(_unpack(spec, thetas))]
     ce = np.empty((len(thetas), n))
     with np.errstate(over="ignore", invalid="ignore"):
         for lo, hi in zip(bounds, bounds[1:]):
-            _, z = _forward(spec, thetas, data.features[lo:hi])
+            layers = [p[:, : hi - lo] if i % 2 else p for i, p in enumerate(tiled)]
+            _, z = _forward(spec, layers, data.features[lo:hi])
             labels = (slice(None), np.arange(hi - lo), data.labels[lo:hi])
             ce[:, lo:hi] = _cross_entropy(z, labels)
     return np.mean(ce, axis=1)
 
 
 def cohort_losses(spec: ModelSpec, thetas: np.ndarray, side: Segments) -> np.ndarray:
-    """local_loss for every member k, of row k of thetas [K, P] on its
-    segment of side, bitwise; returns the losses [K].
+    """local_loss for every member i, of row i of thetas [M, P] on segment
+    i mod K of side's K segments (M a multiple of K), bitwise; returns the
+    losses [M].
 
     Members whose segments have one length share one stacked forward pass,
     and each member's mean is taken over its own rows. Nothing is padded
     or reduced across members. An overflow is not warned of: it shows as
     a non-finite loss, which the caller's check names.
     """
-    _check_side(spec, thetas, side)
-    losses = np.empty(len(side.n))
-    order = np.argsort(side.n, kind="stable")
-    n, first = side.n[order], side.start[order]
+    copies = _check_side(spec, thetas, side)
+    losses = np.empty(len(thetas))
+    n, first = np.tile(side.n, copies), np.tile(side.start, copies)
+    order = np.argsort(n, kind="stable")
+    n, first = n[order], first[order]
     cuts = (np.flatnonzero(np.diff(n)) + 1).tolist()
     with np.errstate(over="ignore", invalid="ignore"):
         for lo, hi in zip([0, *cuts], [*cuts, len(n)]):
             rows = first[lo:hi, None] + np.arange(n[lo])
-            _, logits = _forward(spec, thetas[order[lo:hi]], side.data.features[rows])
+            layers = _unpack(spec, thetas[order[lo:hi]])
+            _, logits = _forward(spec, layers, side.data.features[rows])
             labels = (np.arange(hi - lo)[:, None], np.arange(n[lo]), side.data.labels[rows])
             losses[order[lo:hi]] = np.mean(_cross_entropy(logits, labels), axis=-1)
     return losses

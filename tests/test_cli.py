@@ -4,6 +4,7 @@ import errno
 import json
 import os
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -27,12 +28,17 @@ from metafl.cli import (
     serialize_config,
 )
 from metafl.datagen import ClientDataset, PartitionConfig, make_blobs
-from metafl.federation import DataConfig, ExperimentConfig
+from metafl.federation import DataConfig, ExperimentConfig, set_up
 from metafl.metafeatures import CompositeErrorConfig
-from metafl.models import ACTIVATIONS, ModelSpec, TrainConfig
+from metafl.models import ACTIVATIONS, ClientError, ModelSpec, TrainConfig, train_cohort
+from metafl.numerics import derive_seed
 from testkit import save_csv
 
 MINIMAL = "rounds = 2\npartition.num_clients = 2\n"
+#: One round of 4 hidden-layer clients at a rate whose extra 1.5x epoch
+#: alone diverges (for client 2); the CI step of that name runs it too.
+DIVERGE_AT_1_5X = ("rounds = 1\npartition.num_clients = 4\nmodel.hidden_dim = 4\n"
+                   "train.learning_rate = 4e39\n")
 
 SMALL = """
 # small deterministic experiment
@@ -372,7 +378,8 @@ class TestCmdRun:
         [
             (MINIMAL + "model.hidden_dim = 4\ntrain.learning_rate = 1e306\n",
              "client 0: training diverged.*"),
-            (MINIMAL + "meta.c = 0,0,0,1,0\ntrain.learning_rate = 1e300\n",
+            # the update norm overflows; it fails the run only when weighted
+            (MINIMAL + "meta.c = 0,0,1,1,0\ntrain.learning_rate = 1e300\n",
              "client 0: meta-features: .*"),
             # training stays finite, but its weights overflow the validation logits
             ("rounds = 1\npartition.num_clients = 4\nmodel.hidden_dim = 4\n"
@@ -387,6 +394,32 @@ class TestCmdRun:
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1
         assert re.fullmatch(f"runtime error: round 1, {fault}", lines[0])
+
+    @pytest.mark.parametrize("c", ["0,0,0,0,1", "0,0,1,1,0"], ids=["weighted", "unweighted"])
+    def test_extra_epoch_divergence_fails_only_when_weighted(self, tmp_path, capsys, c):
+        """At this rate, found by bisection, the round and its extra epoch
+        at 1x stay finite and only the 1.5x epoch diverges, for client 2 of
+        4: member 6 of the one 2K-member call. It fails the run only when
+        lr_sensitivity, the column it feeds, is weighted."""
+        path = write(tmp_path, DIVERGE_AT_1_5X + f"meta.c = {c}\n")
+        cfg = load_config(path)
+        (train, _), _, theta = set_up(cfg)
+        round_train = replace(cfg.train, seed=derive_seed(cfg.train.seed, 1))
+        thetas = train_cohort(cfg.spec, np.tile(theta.coords, (4, 1)), train, round_train)
+        rates = np.repeat([1.0, 1.5], 4) * cfg.train.learning_rate
+        with pytest.raises(ClientError) as info:
+            train_cohort(cfg.spec, np.tile(thetas, (2, 1)), train, replace(round_train, epochs=1),
+                         rates)
+        assert info.value.index == 6
+        train_cohort(cfg.spec, thetas, train, replace(round_train, epochs=1))  # the 1x half alone
+        code = cmd_run(path, str(tmp_path / "out"))
+        lines = capsys.readouterr().err.splitlines()
+        if c == "0,0,0,0,1":
+            assert (code, lines) == (3, ["runtime error: round 1, client 2: meta-features: "
+                                         "training diverged to non-finite parameters"])
+            assert not (tmp_path / "out").exists()
+        else:
+            assert (code, lines) == (0, [])
 
     @pytest.mark.parametrize("grid", ["", "alpha_grid = 0,1,5\n"], ids=["fixed", "grid"])
     def test_server_evaluation_overflow_writes_one_line(self, tmp_path, capsys, grid):

@@ -24,11 +24,11 @@ from metafl.federation import (
     set_up,
     shares_data_setup,
 )
-from metafl.aggregator import AGGREGATOR_MODES, MetaParams, aggregate
+from metafl.aggregator import AGGREGATOR_MODES, MetaParams, aggregate, fedavg_weights
 from metafl.metafeatures import CompositeErrorConfig, composite_errors, extract
 from metafl.models import (
     ACTIVATIONS, ClientError, ModelSpec, TrainConfig, holdout_losses, init_params, local_loss,
-    train_local,
+    train_cohort, train_local,
 )
 from metafl.numerics import derive_seed, softmax_neg
 from testkit import (
@@ -179,8 +179,8 @@ class TestCollectReports:
         theta = init_params(cfg.spec, derive_seed(cfg.seed, 2))
         cohort = collect_reports(cfg, clients, theta, 1)
         assert len(calls) == 1
-        _, prev, thetas, pairs, _ = calls[0]
-        assert prev is theta and pairs is clients
+        _, prev, thetas, pairs, _, c = calls[0]
+        assert prev is theta and pairs is clients and c == WEIGHTED.c
         np.testing.assert_array_equal(thetas, cohort.thetas)
         assert cohort.features.shape == (3, 5)
         run_experiment(cfg)
@@ -208,12 +208,17 @@ class TestCollectReports:
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -1.0], ids=["nan", "inf", "negative"])
 def test_collect_reports_and_extract_name_the_same_client(monkeypatch, value):
-    # cohort_losses gives client 1 the bad value (and client 2 another), so
-    # both the validation losses and the data_complexity feature go bad
+    # cohort_losses gives client 1 the bad value (and client 2 another), in
+    # each copy of the cohort it scores, so both the validation losses and
+    # the data_complexity feature go bad
     losses = np.array([0.3, value, np.nan, -1.0])
     problem = "nonnegative" if np.isfinite(value) else "finite"
-    monkeypatch.setattr(federation, "cohort_losses", lambda *args: losses)
-    monkeypatch.setattr(metafeatures, "cohort_losses", lambda *args: losses)
+
+    def scores(spec, thetas, side):
+        return np.resize(losses, len(thetas))
+
+    monkeypatch.setattr(federation, "cohort_losses", scores)
+    monkeypatch.setattr(metafeatures, "cohort_losses", scores)
     cfg = small_config(partition=PartitionConfig(num_clients=4, dirichlet_beta=5.0, seed=3))
     clients, _ = build_federation(cfg)
     theta = init_params(cfg.spec, 0)
@@ -222,8 +227,45 @@ def test_collect_reports_and_extract_name_the_same_client(monkeypatch, value):
     thetas = np.stack([theta.coords] * 4)
     with np.errstate(invalid="ignore"):
         with pytest.raises(ClientError, match=f"^meta-features must be {problem}$") as info:
-            extract(cfg.spec, theta, thetas, clients, cfg.train)
+            extract(cfg.spec, theta, thetas, clients, cfg.train, WEIGHTED.c)
     assert info.value.index == 1
+
+
+@pytest.mark.parametrize("normalize", [True, False])
+@pytest.mark.parametrize("c, members", [
+    ((1.0, 0.0, 0.0, 0.0, 0.0), [3]),
+    ((0.0, 1.0, 0.0, 0.0, 0.0), [3]),
+    ((0.0, 0.0, 1.0, 0.0, 0.0), [3]),
+    ((0.0, 0.0, 0.0, 1.0, 0.0), [3, 3]),  # the round, then the probe
+    ((0.0, 0.0, 0.0, 0.0, 1.0), [3, 6]),  # the round, then both extra epochs at once
+])
+def test_extract_trains_only_for_weighted_columns(monkeypatch, c, members, normalize):
+    """Each round's train_cohort calls, by member count; the unweighted
+    columns are 0, and E is bitwise that of the full feature matrix."""
+    calls = []
+
+    def counting(spec, starts, *args):
+        calls.append(len(starts))
+        return train_cohort(spec, starts, *args)
+
+    monkeypatch.setattr(federation, "train_cohort", counting)
+    monkeypatch.setattr(metafeatures, "train_cohort", counting)
+    coeffs = CompositeErrorConfig(c=c, normalize=normalize)
+    cfg = small_config(meta=MetaParams(alpha=1.0, c=coeffs), partition=THREE_CLIENTS)
+    clients, _ = build_federation(cfg)
+    theta = init_params(cfg.spec, derive_seed(cfg.seed, 2))
+    for t in (1, 2):
+        calls.clear()
+        cohort = collect_reports(cfg, clients, theta, t)
+        assert calls == members
+        round_train = replace(cfg.train, seed=derive_seed(cfg.train.seed, t))
+        full = extract(cfg.spec, theta, cohort.thetas, clients, round_train, (1.0,) * 5)
+        weighted = np.array(c) != 0.0
+        assert cohort.features[:, weighted].tobytes() == full[:, weighted].tobytes()
+        assert not cohort.features[:, ~weighted].any()
+        errors = composite_errors(cohort.val_loss, cohort.features, coeffs)
+        assert errors.tobytes() == composite_errors(cohort.val_loss, full, coeffs).tobytes()
+        theta = aggregate(cohort.thetas, fedavg_weights(clients[0].n), 0.0)
 
 
 class TestCohort:
@@ -550,7 +592,8 @@ class TestPooledLayout:
             alone = train_local(cfg.spec, theta, train, round_train)
             assert cohort.thetas[k].tobytes() == alone.coords.tobytes()
             assert cohort.val_loss[k] == local_loss(cfg.spec, alone, val)
-            row = extract(cfg.spec, theta, alone.coords[None], as_clients([(train, val)]), round_train)
+            row = extract(cfg.spec, theta, alone.coords[None], as_clients([(train, val)]),
+                          round_train, WEIGHTED.c)
             assert cohort.features[k].tobytes() == row[0].tobytes()
 
 

@@ -20,6 +20,8 @@ from testkit import as_clients
 
 SPEC = ModelSpec(input_dim=3, hidden_dim=0, num_classes=2)
 CFG = TrainConfig(learning_rate=0.1, epochs=1, batch_size=16, seed=5)
+#: Coefficients that weight every column, so extract computes them all.
+ALL = (1.0,) * len(FEATURE_FIELDS)
 
 
 def feat(entropy=0.0, size=10, norm=0.0, complexity=0.0, sens=0.0):
@@ -29,7 +31,7 @@ def feat(entropy=0.0, size=10, norm=0.0, complexity=0.0, sens=0.0):
 
 def extract_one(theta_prev, theta_k, train, val, cfg=CFG):
     """extract for a cohort of one client, as {feature name: value}."""
-    (row,) = extract(SPEC, theta_prev, theta_k.coords[None], as_clients([(train, val)]), cfg)
+    (row,) = extract(SPEC, theta_prev, theta_k.coords[None], as_clients([(train, val)]), cfg, ALL)
     return dict(zip(FEATURE_FIELDS, row))
 
 
@@ -97,8 +99,8 @@ class TestExtract:
         train, val = client_data
         a = init_params(SPEC, 1)
         b = train_local(SPEC, a, train, CFG)
-        x1 = extract(SPEC, a, b.coords[None], as_clients([(train, val)]), CFG)
-        x2 = extract(SPEC, a, b.coords[None], as_clients([(train, val)]), CFG)
+        x1 = extract(SPEC, a, b.coords[None], as_clients([(train, val)]), CFG, ALL)
+        x2 = extract(SPEC, a, b.coords[None], as_clients([(train, val)]), CFG, ALL)
         assert x1.shape == (1, len(FEATURE_FIELDS))
         assert x1.tobytes() == x2.tobytes()
         assert np.all(x1 >= 0.0)
@@ -110,8 +112,8 @@ class TestExtract:
         other = make_blobs(2, 3, 37, 0.9, 4), make_blobs(2, 3, 11, 0.9, 5)
         prev = init_params(SPEC, 2)
         thetas = np.stack([train_local(SPEC, prev, t, CFG).coords for t in (train, other[0])])
-        cohort = extract(SPEC, prev, thetas, as_clients([(train, val), other]), CFG)
-        one_by_one = [extract(SPEC, prev, th[None], as_clients([pair]), CFG)[0]
+        cohort = extract(SPEC, prev, thetas, as_clients([(train, val), other]), CFG, ALL)
+        one_by_one = [extract(SPEC, prev, th[None], as_clients([pair]), CFG, ALL)[0]
                       for th, pair in zip(thetas, [(train, val), other])]
         assert cohort.tobytes() == np.array(one_by_one).tobytes()
 
@@ -120,11 +122,12 @@ class TestExtract:
         prev = init_params(SPEC, 0)
         huge = ClientDataset(train.features * 1e160, train.labels)
         with pytest.raises(ClientError, match="diverged") as info:
-            extract(SPEC, prev, np.stack([prev.coords] * 2), as_clients([(train, val), (huge, val)]), CFG)
+            extract(SPEC, prev, np.stack([prev.coords] * 2), as_clients([(train, val), (huge, val)]),
+                    CFG, ALL)
         assert info.value.index == 1
         short = np.stack([prev.coords[:-1]] * 2)
         with pytest.raises(ValueError, match="dimension mismatch"):
-            extract(SPEC, prev, short, as_clients([(train, val)] * 2), CFG)
+            extract(SPEC, prev, short, as_clients([(train, val)] * 2), CFG, ALL)
 
 
 class TestCompositeError:
@@ -222,8 +225,10 @@ class TestCompositeError:
             ([0.5, inf], [0.5, 0.5], [-1.0, 0.5], "must be nonnegative", 0),
         )
         for base, bump, probe, message, index in cases:
-            losses = iter(map(np.array, (base, bump, probe)))  # one [K] array per pass
+            # the probe's [K] losses, then the 1x and 1.5x epochs' [2K]
+            losses = iter(map(np.array, (probe, base + bump)))
             monkeypatch.setattr(metafeatures, "cohort_losses", lambda *args: next(losses))
             with pytest.raises(ClientError, match=message) as info:
-                extract(SPEC, prev, np.stack([prev.coords] * 2), as_clients([(train, val)] * 2), CFG)
+                extract(SPEC, prev, np.stack([prev.coords] * 2), as_clients([(train, val)] * 2),
+                        CFG, ALL)
             assert info.value.index == index

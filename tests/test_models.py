@@ -1,6 +1,7 @@
 """Local-model training and evaluation tests, incl. gradient checks."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from metafl.datagen import ClientDataset, Segments, make_blobs
+from metafl.metafeatures import extract
 from metafl.models import (
     ACTIVATIONS,
     HOLDOUT_BLOCK,
@@ -84,6 +86,34 @@ def scored_cohorts(draw):
     datasets = [ClientDataset(rng.normal(size=(n, d)), rng.integers(0, c, n)) for n in sizes]
     thetas = rng.normal(scale=2.0, size=(len(sizes), param_count(spec)))
     return spec, thetas, datasets
+
+
+@st.composite
+def replicated_cohorts(draw):
+    """(spec, starts, side, cfg, rates): r 2-3 copies of a cohort of K 1-6
+    clients, starts [r·K, P] unequal across copies, and each copy's rate.
+    Hidden 0-4 with relu or tanh, l2 0 or 0.01, epochs 0-3, batch b 2-6.
+    With 2+ epochs and 3+ clients the first three hold b + 1, b and 1 rows:
+    at the second step the first and third sit on batches of one row
+    around the second's full batch, an index-gathered (non-slice) group."""
+    d, c = draw(st.integers(1, 4)), draw(st.integers(2, 4))
+    spec = ModelSpec(d, draw(st.integers(0, 4)), c, draw(st.sampled_from(ACTIVATIONS)))
+    cfg = TrainConfig(
+        learning_rate=draw(st.floats(0.01, 1.0)),
+        epochs=draw(st.integers(0, 3)),
+        batch_size=draw(st.integers(2, 6)),
+        seed=draw(st.integers(0, 2**32)),
+        l2=draw(st.sampled_from([0.0, 0.01])),
+    )
+    b, k, r = cfg.batch_size, draw(st.integers(1, 6)), draw(st.integers(2, 3))
+    sizes = draw(st.lists(st.integers(1, 3 * b), min_size=k, max_size=k))
+    if cfg.epochs >= 2 and k >= 3:
+        sizes[:3] = [b + 1, b, 1]
+    rates = draw(st.lists(st.floats(0.01, 1.0), min_size=r, max_size=r))
+    rng = make_rng(draw(st.integers(0, 2**32)))
+    side = pooled([ClientDataset(rng.normal(size=(n, d)), rng.integers(0, c, n)) for n in sizes])
+    starts = rng.normal(scale=0.5, size=(r * k, param_count(spec)))
+    return spec, starts, side, cfg, rates
 
 
 class TestInitParams:
@@ -171,6 +201,27 @@ class TestTrainCohort:
             assert np.array_equal(got, alone)
             assert np.array_equal(got, reference_train_local(spec, start, data, cfg))
 
+    @settings(max_examples=80, deadline=None)
+    @given(cohort=replicated_cohorts())
+    def test_copies_at_own_rates_equal_separate_calls(self, cohort):
+        """r·K members, member i on segment i mod K at the rate of its copy,
+        are bitwise r single-rate calls of K members each."""
+        spec, starts, side, cfg, rates = cohort
+        k = len(side.n)
+        if cfg.epochs >= 2 and k >= 3:
+            plan = _plan(tuple(side.n.tolist()), cfg.batch_size, cfg.epochs, len(rates))
+            assert any(not isinstance(sel, slice) for *_, sel in plan.groups)
+        together = train_cohort(spec, starts, side, cfg, np.repeat(rates, k))
+        apart = [train_cohort(spec, starts[i * k:(i + 1) * k], side, replace(cfg, learning_rate=rate))
+                 for i, rate in enumerate(rates)]
+        assert same_bits(together, np.concatenate(apart))
+
+    def test_rates_must_be_one_finite_positive_per_member(self):
+        side = pooled([make_blobs(2, 2, 20, 0.5, 3)] * 2)
+        for rates in ([0.1] * 3, [0.1, 0.0], [0.1, np.inf], [0.1, -0.1]):
+            with pytest.raises(ValueError, match="need 2 finite and positive learning rates"):
+                train_cohort(LOGISTIC_2D, starts(2), side, TrainConfig(0.1), np.array(rates))
+
     def test_failure_names_first_member_in_cohort_order(self):
         # members 1 and 2 diverge; the lockstep order is by batch count,
         # member 2 first and member 0 last
@@ -232,11 +283,26 @@ class TestPlan:
         for array in (plan.order, plan.pos, plan.offset, *indices):
             assert not array.flags.writeable
 
-    def test_cache_holds_two_plans(self):
+    def test_cache_holds_a_runs_three_plans(self):
+        """A run asks for three plans: its rounds' epochs, extract's probe
+        and extract's two copies of the cohort for one epoch. Once each is
+        made, no later round rebuilds one, and the cache stays bounded."""
+        spec = ModelSpec(2, 3, 2)
+        data = make_blobs(2, 2, 40, 0.5, 3)
+        train = pooled([data.subset(np.arange(0, 15)), data.subset(np.arange(15, 32))])
+        val = pooled([data.subset(np.arange(32, 36)), data.subset(np.arange(36, 40))])
+        theta = init_params(spec, 0)
+        _plan.cache_clear()
+        for seed in range(3):
+            cfg = TrainConfig(0.1, epochs=2, batch_size=4, seed=seed)
+            thetas = train_cohort(spec, np.tile(theta.coords, (2, 1)), train, cfg)
+            extract(spec, theta, thetas, (train, val), cfg, (1.0,) * 5)
+        info = _plan.cache_info()
+        assert (info.misses, info.currsize) == (3, 3)
         for n in range(1, 6):
             train_cohort(LOGISTIC_2D, starts(1), pooled([make_blobs(2, 2, 2 + n, 0.5, n)]),
                          TrainConfig(0.1))
-        assert _plan.cache_info().currsize <= 2
+        assert _plan.cache_info().currsize <= 3
 
 
 def starts(k):
@@ -253,10 +319,21 @@ class TestCohortLosses:
         alone = [evaluate(spec, ParamVector(th), d).val_loss for th, d in zip(thetas, datasets)]
         assert losses.tobytes() == np.array(alone).tobytes()
 
+    @settings(max_examples=60, deadline=None)
+    @given(cohort=replicated_cohorts())
+    def test_copies_equal_separate_calls(self, cohort):
+        """r·K members, member i on segment i mod K, are bitwise r calls of
+        K members each."""
+        spec, thetas, side, _, rates = cohort
+        k = len(side.n)
+        apart = [cohort_losses(spec, thetas[i * k:(i + 1) * k], side) for i in range(len(rates))]
+        assert cohort_losses(spec, thetas, side).tobytes() == np.concatenate(apart).tobytes()
+
     def test_dimension_mismatch(self):
         good = pooled([make_blobs(2, 2, 20, 0.5, 3)] * 3)
         wide = pooled([make_blobs(2, 3, 20, 0.5, 3)] * 3)
-        for thetas, side in ((starts(3), wide), (starts(3)[:, :-1], good), (starts(2), good)):
+        for thetas, side in ((starts(3), wide), (starts(3)[:, :-1], good), (starts(2), good),
+                             (starts(4), good)):
             with pytest.raises(ValueError, match="dimension mismatch") as info:
                 cohort_losses(LOGISTIC_2D, thetas, side)
             assert type(info.value) is ValueError
@@ -462,7 +539,7 @@ class TestForwardPass:
         """Stacked leading axes and exactly zero logits of either sign,
         which the federation oracle does not reach."""
         spec, theta, x, y = case
-        a, logits = _forward(spec, theta, x)
+        a, logits = _forward(spec, _unpack(spec, theta), x)
         want = reference_logits(spec, theta, x)
         assert same_bits(logits, want)
         assert a is x if spec.hidden_dim == 0 else a.shape == x.shape[:-1] + (spec.hidden_dim,)

@@ -219,8 +219,9 @@ def reference_federation(cfg) -> tuple[ParamVector, list]:
 
 def reference_features(spec: ModelSpec, theta_prev: np.ndarray, theta: np.ndarray,
                        train: ClientDataset, val: ClientDataset, cfg: TrainConfig) -> list:
-    """One client's row of metafeatures.extract, in FEATURE_FIELDS order,
-    from its parameters theta after training from theta_prev."""
+    """One client's row of metafeatures.extract with every column weighted,
+    in FEATURE_FIELDS order, from its parameters theta after training from
+    theta_prev."""
     probe_spec = replace(spec, hidden_dim=0)
     one_epoch = replace(cfg, epochs=1)
     probe = reference_train_local(
