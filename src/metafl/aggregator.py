@@ -140,11 +140,7 @@ def _projected_step(w: np.ndarray, e: np.ndarray, tau: float, eta: float) -> np.
     return _project_simplex(target) if np.isfinite(target).all() else target
 
 
-#: Each solver's step, and the numpy warnings its whole solve turns off.
-_STEPS = {
-    "mirror": (_mirror_step, {}),
-    "projected": (_projected_step, {"over": "ignore", "invalid": "ignore"}),
-}
+_STEPS = {"mirror": _mirror_step, "projected": _projected_step}
 
 
 def weights_iterative(
@@ -170,10 +166,10 @@ def weights_iterative(
     if k == 1:
         return WeightVector(np.ones(1)), 0, 0.0
     tau = mp.resolved_tau()
-    step, quiet = _STEPS[solver]
+    step = _STEPS[solver]
     w = np.full(k, 1.0 / k)
     residual = math.inf
-    with np.errstate(**quiet):
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite iterate is divergence
         for t in range(1, mp.max_iters + 1):
             w_next = step(w, e, tau, mp.eta)
             if not np.isfinite(w_next).all():

@@ -507,8 +507,11 @@ def cmd_diagnose(config_path: str, out_dir: str) -> None:
     # so its cohort carries the features that form weights.
     closed = replace(cfg, aggregator_mode="metafl_closed")
     cohort = collect_reports(closed, clients, theta0, 1)
-    errors = composite_errors(cohort.val_loss, cohort.features, cfg.meta.c)
-    weights = softmax_neg(errors, cfg.meta.alpha)
+    try:
+        errors = composite_errors(cohort.val_loss, cohort.features, cfg.meta.c)
+        weights = softmax_neg(errors, cfg.meta.alpha)
+    except ValueError as err:
+        raise RuntimeError(f"round 1, aggregation: {err}") from err
     contraction, kl, m, bound = _theory(cfg, cfg.meta, errors, clients)
     gap = jensen_gap(cfg.spec, cohort.thetas, weights, global_val)
     _write_json(

@@ -156,7 +156,8 @@ def make_blobs(
     centroids /= min_dist
     labels = np.arange(n, dtype=np.int64) % num_classes
     labels = labels[rng.permutation(n)]
-    features = centroids[labels] + spread * rng.normal(size=(n, dim))
+    with np.errstate(over="ignore"):  # an overflow fails ClientDataset's finiteness check
+        features = centroids[labels] + spread * rng.normal(size=(n, dim))
     return ClientDataset(features, labels)
 
 

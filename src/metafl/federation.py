@@ -148,6 +148,9 @@ class ExperimentConfig:
             raise ValueError(f"meta.eta must be > 0 for aggregator {self.aggregator_mode}")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
+        if self.meta.c.c[4] != 0.0 and not np.isfinite(1.5 * float(self.train.learning_rate)):
+            raise ValueError("train.learning_rate * 1.5 must be finite while meta.c weights "
+                             "lr_sensitivity")
         object.__setattr__(self, "alpha_grid", grid)
 
     @property
@@ -225,7 +228,8 @@ def build_federation(cfg: ExperimentConfig) -> tuple[tuple[Segments, Segments], 
     when the pool is a CSV file.
     """
     spec, data, part = cfg.spec, cfg.data, cfg.partition
-    source = f"invalid data set-up (synthetic pool, data.n_samples = {data.n_samples}): "
+    source = (f"invalid data set-up (synthetic pool, data.n_samples = {data.n_samples}, "
+              f"data.spread = {data.spread}): ")
     try:
         if data.csv_path is not None:
             source = f"invalid value for key 'data.csv_path' ({data.csv_path}): "

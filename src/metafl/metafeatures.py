@@ -151,4 +151,5 @@ def composite_errors(
         active = span > 0.0
         scaled[:, active] = (matrix[:, active] - lo[active]) / span[active]
         matrix = scaled
-    return loss_arr + matrix @ np.asarray(cfg.c)
+    with np.errstate(over="ignore", invalid="ignore"):  # the caller's check reports non-finite E
+        return loss_arr + matrix @ np.asarray(cfg.c)

@@ -1,6 +1,5 @@
 """Command-line front end: config parsing, outputs, exit codes."""
 
-import errno
 import json
 import os
 import re
@@ -27,18 +26,13 @@ from metafl.cli import (
     main,
     serialize_config,
 )
-from metafl.datagen import ClientDataset, PartitionConfig, make_blobs
+from metafl.datagen import PartitionConfig, make_blobs
 from metafl.federation import DataConfig, ExperimentConfig, set_up
 from metafl.metafeatures import CompositeErrorConfig
 from metafl.models import ACTIVATIONS, ClientError, ModelSpec, TrainConfig, train_cohort
 from metafl.numerics import derive_seed
+from cli_contract import CASES, COMMANDS, CONFIG_ERRORS, MINIMAL, check
 from testkit import save_csv
-
-MINIMAL = "rounds = 2\npartition.num_clients = 2\n"
-#: One round of 4 hidden-layer clients at a rate whose extra 1.5x epoch
-#: alone diverges (for client 2); the CI step of that name runs it too.
-DIVERGE_AT_1_5X = ("rounds = 1\npartition.num_clients = 4\nmodel.hidden_dim = 4\n"
-                   "train.learning_rate = 4e39\n")
 
 SMALL = """
 # small deterministic experiment
@@ -52,44 +46,6 @@ partition.dirichlet_beta = 5.0
 train.learning_rate = 0.1
 """
 
-
-#: Configs that must exit 2, with the part of the message naming the fault.
-EXIT_2_CONFIGS = {
-    "missing_rounds": ("partition.num_clients = 2\n", "rounds"),
-    "negative_seed": (MINIMAL + "seed = -3\n", "seed"),
-    "negative_partition_seed": (MINIMAL + "partition.seed = -4\n", "'partition.*'"),
-    "negative_train_seed": (MINIMAL + "train.seed = -1\n", "'train.*'"),
-    "nan_learning_rate": (MINIMAL + "train.learning_rate = nan\n", "'train.*'"),
-    "inf_learning_rate": (MINIMAL + "train.learning_rate = inf\n", "'train.*'"),
-    "nan_l2": (MINIMAL + "train.l2 = nan\n", "'train.*'"),
-    "inf_spread": (MINIMAL + "data.spread = inf\n", "'data.*'"),
-    "nan_dirichlet_beta": (MINIMAL + "partition.dirichlet_beta = nan\n", "'partition.*'"),
-    "nan_log_h": (MINIMAL + "diagnostics.log_h = nan\n", "log_h"),
-    "inf_log_h": (MINIMAL + "diagnostics.log_h = inf\n", "log_h"),
-    "inf_tau": (MINIMAL + "meta.tau = inf\n", "unknown key 'meta.tau'"),
-    "empty_csv_path": (MINIMAL + "data.csv_path =\n", "csv_path"),
-    "missing_csv_path": (MINIMAL + "data.csv_path = nope.csv\n", "data.csv_path"),
-    "csv_path_is_directory": (MINIMAL + "data.csv_path = .\n", "data.csv_path"),
-    "fewer_samples_than_clients": (
-        "rounds = 2\npartition.num_clients = 50\ndata.n_samples = 20\n", "data.n_samples"
-    ),
-    "fewer_samples_than_classes": (
-        MINIMAL + "data.n_samples = 3\nmodel.num_classes = 5\n", "data.n_samples"
-    ),
-    "holdout_takes_every_sample": (
-        MINIMAL + "data.n_samples = 4\ndata.global_val_fraction = 0.9\n", "data.n_samples"
-    ),
-    "unknown_aggregator": (MINIMAL + "aggregator = metafl_newton\n", "aggregator must be one of"),
-    "subnormal_alpha_grid": (MINIMAL + "alpha_grid = 0,5e-324\n", "alpha_grid"),
-    "one_entry_alpha_grid": (MINIMAL + "alpha_grid = 5\n", "alpha_grid"),
-    "subnormal_alpha": (MINIMAL + "meta.alpha = 5e-324\n", "'meta.*'"),
-    "zero_eta_mirror": (
-        MINIMAL + "aggregator = metafl_mirror\nmeta.alpha = 5\nmeta.eta = 0\n", "meta.eta must be > 0"
-    ),
-    "zero_eta_projected": (
-        MINIMAL + "aggregator = metafl_projected\nmeta.alpha = 5\nmeta.eta = 0\n", "meta.eta must be > 0"
-    ),
-}
 
 #: The pinned key set of summary.json.
 SUMMARY_KEYS = {
@@ -179,16 +135,6 @@ def config_texts(draw):
 @pytest.fixture(autouse=True)
 def no_seed_env(monkeypatch):
     monkeypatch.delenv("METAFL_SEED", raising=False)
-
-
-def overflowing_holdout(tmp_path):
-    """A config whose server holdout holds a row of 1e308 features, which
-    overflows any model's logits: seed 3 puts pool row 7 there."""
-    pool = make_blobs(2, 2, 200, 0.5, 1)
-    features = pool.features.copy()
-    features[7] = 1e308
-    save_csv(ClientDataset(features, pool.labels), str(tmp_path / "pool.csv"))
-    return "seed = 3\nrounds = 1\npartition.num_clients = 2\ndata.csv_path = pool.csv\n"
 
 
 def write(tmp_path, text, name="cfg.txt"):
@@ -295,13 +241,11 @@ class TestConfigParsing:
 
 
 class TestCmdRun:
-    @pytest.mark.parametrize("case", EXIT_2_CONFIGS)
-    def test_config_error_exit_2(self, tmp_path, capsys, case):
-        text, named = EXIT_2_CONFIGS[case]
-        code = cmd_run(write(tmp_path, text), str(tmp_path / "out"))
-        assert code == 2
-        assert named in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
+    @pytest.mark.parametrize(
+        "name", ["missing_rounds", "fewer_samples_than_clients", *CONFIG_ERRORS]
+    )
+    def test_config_error_exit_2(self, tmp_path, name):
+        check(CASES[name], tmp_path)
 
     def test_minimal_run(self, tmp_path):
         out = tmp_path / "out"
@@ -366,43 +310,26 @@ class TestCmdRun:
         assert os.path.samefile(echoed.data.csv_path, tmp_path / "dir" / "pool.csv")
         assert echoed == load_config("dir/cfg.txt")
 
-    def test_runtime_failure_exit_3(self, tmp_path, capsys):
-        # a step of 1e300 on the ridge term overflows the parameters
-        cfg = MINIMAL + "train.learning_rate = 1e300\ntrain.l2 = 1\n"
-        code = cmd_run(write(tmp_path, cfg), str(tmp_path / "out"))
-        assert code == 3
-        assert "runtime error: round 1, client 0: training diverged" in capsys.readouterr().err
+    def test_runtime_failure_exit_3(self, tmp_path):
+        check(CASES["ridge_overflow"], tmp_path)
 
     @pytest.mark.parametrize(
-        "cfg, fault",
-        [
-            (MINIMAL + "model.hidden_dim = 4\ntrain.learning_rate = 1e306\n",
-             "client 0: training diverged.*"),
-            # the update norm overflows; it fails the run only when weighted
-            (MINIMAL + "meta.c = 0,0,1,1,0\ntrain.learning_rate = 1e300\n",
-             "client 0: meta-features: .*"),
-            # training stays finite, but its weights overflow the validation logits
-            ("rounds = 1\npartition.num_clients = 4\nmodel.hidden_dim = 4\n"
-             "train.learning_rate = 1e60\n", r"client \d+: val_loss must be finite"),
-        ],
+        "name",
+        ["training_diverges_two_clients", "update_norm_overflows", "validation_logits_overflow"],
         ids=["training", "meta-features", "scoring"],
     )
-    def test_divergence_writes_one_line(self, tmp_path, capsys, cfg, fault):
-        # pytest turns a numpy RuntimeWarning into an error, so a warning on
-        # the way to the finiteness check would end the run in a traceback
-        assert cmd_run(write(tmp_path, cfg), str(tmp_path / "out")) == 3
-        lines = capsys.readouterr().err.splitlines()
-        assert len(lines) == 1
-        assert re.fullmatch(f"runtime error: round 1, {fault}", lines[0])
+    def test_divergence_writes_one_line(self, tmp_path, name):
+        check(CASES[name], tmp_path)
 
-    @pytest.mark.parametrize("c", ["0,0,0,0,1", "0,0,1,1,0"], ids=["weighted", "unweighted"])
-    def test_extra_epoch_divergence_fails_only_when_weighted(self, tmp_path, capsys, c):
+    @pytest.mark.parametrize("name", ["extra_epoch_weighted", "extra_epoch_unweighted"],
+                             ids=["weighted", "unweighted"])
+    def test_extra_epoch_divergence_fails_only_when_weighted(self, tmp_path, name):
         """At this rate, found by bisection, the round and its extra epoch
         at 1x stay finite and only the 1.5x epoch diverges, for client 2 of
-        4: member 6 of the one 2K-member call. It fails the run only when
-        lr_sensitivity, the column it feeds, is weighted."""
-        path = write(tmp_path, DIVERGE_AT_1_5X + f"meta.c = {c}\n")
-        cfg = load_config(path)
+        4: member 6 of the one 2K-member call. Its row fails the run only
+        when lr_sensitivity, the column it feeds, is weighted."""
+        check(CASES[name], tmp_path)
+        cfg = load_config(str(tmp_path / "cfg.txt"))
         (train, _), _, theta = set_up(cfg)
         round_train = replace(cfg.train, seed=derive_seed(cfg.train.seed, 1))
         thetas = train_cohort(cfg.spec, np.tile(theta.coords, (4, 1)), train, round_train)
@@ -412,66 +339,27 @@ class TestCmdRun:
                          rates)
         assert info.value.index == 6
         train_cohort(cfg.spec, thetas, train, replace(round_train, epochs=1))  # the 1x half alone
-        code = cmd_run(path, str(tmp_path / "out"))
-        lines = capsys.readouterr().err.splitlines()
-        if c == "0,0,0,0,1":
-            assert (code, lines) == (3, ["runtime error: round 1, client 2: meta-features: "
-                                         "training diverged to non-finite parameters"])
-            assert not (tmp_path / "out").exists()
-        else:
-            assert (code, lines) == (0, [])
 
-    @pytest.mark.parametrize("grid", ["", "alpha_grid = 0,1,5\n"], ids=["fixed", "grid"])
-    def test_server_evaluation_overflow_writes_one_line(self, tmp_path, capsys, grid):
-        cfg = overflowing_holdout(tmp_path)
-        assert cmd_run(write(tmp_path, cfg + grid), str(tmp_path / "out")) == 3
-        lines = capsys.readouterr().err.splitlines()
-        assert lines == ["runtime error: round 1, server evaluation: val_loss must be finite"]
+    @pytest.mark.parametrize("name", ["holdout_overflows", "holdout_overflows_grid"],
+                             ids=["fixed", "grid"])
+    def test_server_evaluation_overflow_writes_one_line(self, tmp_path, name):
+        check(CASES[name], tmp_path)
 
-    def test_huge_alpha_weights_the_least_loss(self, tmp_path, capsys):
+    def test_huge_alpha_weights_the_least_loss(self, tmp_path):
         # -alpha * E overflows; the closed form's limit is all weight on the
         # client with the least loss (meta.c = 0, so E is the loss)
-        cfg = (
-            "rounds = 1\npartition.num_clients = 4\nmodel.num_classes = 8\n"
-            "model.input_dim = 4\ndata.n_samples = 400\ntrain.epochs = 0\n"
-            "meta.alpha = 1.7e308\n"
-        )
-        out = tmp_path / "out"
-        assert cmd_run(write(tmp_path, cfg), str(out), no_timing=True) == 0
-        assert capsys.readouterr().err == ""
-        header, row = (out / "rounds.csv").read_text().splitlines()
+        header, row = (check(CASES["huge_alpha"], tmp_path) / "rounds.csv").read_text().splitlines()
         cells = dict(zip(header.split(","), map(float, row.split(","))))
         losses = [cells[f"client_val_loss_{k}"] for k in range(4)]
         weights = [cells[f"w_{k}"] for k in range(4)]
         assert weights == [float(k == int(np.argmin(losses))) for k in range(4)]
 
-    def test_projected_step_too_large_exit_3(self, tmp_path, capsys):
-        # meta.eta = 1e300 sends the projected step's targets where the
-        # simplex projection rounds away; a numerical failure, not a bug
-        cfg = MINIMAL + "aggregator = metafl_projected\nmeta.eta = 1e300\n"
-        assert cmd_run(write(tmp_path, cfg), str(tmp_path / "out")) == 3
-        err = capsys.readouterr().err
-        assert err.startswith("runtime error: round 1, aggregation: entries too large")
-        assert len(err.splitlines()) == 1 and "Traceback" not in err
+    def test_projected_step_too_large_exit_3(self, tmp_path):
+        check(CASES["projected_step_too_large"], tmp_path)
 
-    @pytest.mark.parametrize(
-        "pool, named",
-        [
-            ("1.0,2.0,0\n1.0,2.0,7\n", "row 2: label 7 out of range [0, 2)"),
-            ("1.0,2.0,0\n1.0,x,1\n", "row 2: non-numeric cell 'x' in column 1"),
-            ("1.0,2.0,0\n1.0,1\n", "row 2: ragged row with 2 cells, expected 3"),
-            ("1.0,2.0,3.0,0\n0.5,1.5,2.5,1\n",
-             "csv feature dim 3 does not match model input_dim 2"),
-        ],
-        ids=["bad_label", "non_numeric", "ragged", "dim_mismatch"],
-    )
-    def test_malformed_csv_pool_exit_2(self, tmp_path, capsys, pool, named):
-        (tmp_path / "pool.csv").write_text(pool)
-        cfg = "rounds = 1\npartition.num_clients = 2\ndata.csv_path = pool.csv\n"
-        assert cmd_run(write(tmp_path, cfg), str(tmp_path / "out")) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("config error: invalid value for key 'data.csv_path'")
-        assert named in err
+    @pytest.mark.parametrize("name", ["bad_label", "non_numeric", "ragged", "dim_mismatch"])
+    def test_malformed_csv_pool_exit_2(self, tmp_path, name):
+        check(CASES[f"csv_{name}"], tmp_path)
 
     def test_programming_error_prints_traceback(self, tmp_path, monkeypatch, capsys):
         def broken(*args, **kwargs):
@@ -537,11 +425,8 @@ class TestCmdCompare:
         summary = json.loads((out / "compare_summary.json").read_text())
         assert summary["winner"] == "tie"
 
-    def test_different_seeds_rejected(self, tmp_path, capsys):
-        a = write(tmp_path, SMALL, "a.txt")
-        b = write(tmp_path, SMALL.replace("seed = 7", "seed = 8"), "b.txt")
-        assert cmd_compare(a, b, str(tmp_path / "out")) == 2
-        assert "share data setup" in capsys.readouterr().err
+    def test_different_seeds_rejected(self, tmp_path):
+        check(CASES["different_seeds"], tmp_path)
 
     def test_preset_pair_schema(self, tmp_path):
         out = tmp_path / "out"
@@ -568,11 +453,8 @@ class TestCmdDiagnose:
         assert payload["jensen_gap"] >= -1e-9  # convex hidden_dim=0 loss
         assert payload["generalization_bound"] > 0.0
 
-    def test_overflowing_holdout_writes_one_line(self, tmp_path, capsys):
-        cfg = overflowing_holdout(tmp_path)
-        assert cmd_diagnose(write(tmp_path, cfg), str(tmp_path / "out")) == 3
-        lines = capsys.readouterr().err.splitlines()
-        assert lines == ["runtime error: jensen_gap: a holdout loss is not finite"]
+    def test_overflowing_holdout_writes_one_line(self, tmp_path):
+        check(CASES["holdout_overflows_diagnose"], tmp_path)
 
     def test_default_eta_contracts(self, tmp_path):
         cfg = MINIMAL + "data.n_samples = 200\n"
@@ -613,38 +495,18 @@ def test_builds_federation_once(tmp_path, monkeypatch, command):
     assert len(calls) == 1
 
 
-TOO_FEW = "rounds = 1\npartition.num_clients = 50\ndata.n_samples = 20\n"
-DIVERGES = "rounds = 1\npartition.num_clients = 4\nmodel.hidden_dim = 4\ntrain.learning_rate = 1e306\n"
-EVERY_COMMAND = pytest.mark.parametrize(
-    "command", [cmd_run, cmd_diagnose, lambda cfg, out: cmd_compare(cfg, cfg, out)],
-    ids=["run", "diagnose", "compare"],
-)
+@pytest.mark.parametrize("command", COMMANDS)
+def test_data_setup_fault_leaves_no_output_dir(tmp_path, command):
+    check(CASES[f"too_few_samples_{command}"], tmp_path)
 
 
-@EVERY_COMMAND
-def test_data_setup_fault_leaves_no_output_dir(tmp_path, capsys, command):
-    out = tmp_path / "out"
-    assert command(write(tmp_path, TOO_FEW), str(out)) == 2
-    assert "data.n_samples" in capsys.readouterr().err
-    assert not out.exists()
+@pytest.mark.parametrize("command", COMMANDS)
+def test_runtime_failure_leaves_no_output_dir(tmp_path, command):
+    check(CASES[f"training_diverges_{command}"], tmp_path)
 
 
-@EVERY_COMMAND
-def test_runtime_failure_leaves_no_output_dir(tmp_path, capsys, command):
-    out = tmp_path / "out"
-    assert command(write(tmp_path, DIVERGES), str(out)) == 3
-    lines = capsys.readouterr().err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("runtime error: round 1, client 0: ")
-    assert not out.exists()
-
-
-def test_unwritable_output_is_config_error(tmp_path, capsys):
-    out = tmp_path / "out"
-    (out / "rounds.csv").mkdir(parents=True)
-    assert cmd_run(write(tmp_path, MINIMAL), str(out)) == 2
-    err = capsys.readouterr().err
-    reason = os.strerror(errno.EISDIR)
-    assert err.splitlines() == [f"config error: cannot write {out / 'rounds.csv'}: {reason}"]
+def test_unwritable_output_is_config_error(tmp_path):
+    check(CASES["unwritable_output"], tmp_path)
 
 
 class TestMain:
@@ -656,3 +518,9 @@ class TestMain:
         with pytest.raises(SystemExit) as info:
             main(["--help"])
         assert info.value.code == 0
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_contract_case(tmp_path, name):
+    """Every row of the CLI failure contract, through cli.main in process."""
+    check(CASES[name], tmp_path)
