@@ -20,7 +20,7 @@ copies) and gathers its batches once per call.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -384,7 +384,8 @@ def train_cohort(
     Batches are never padded and nothing is reduced across members.
     The schedule comes from _plan; only the shuffles are drawn per call,
     and every batch row is gathered once, in plan order.
-    Raises ClientError naming the first failing member in cohort order.
+    Raises ClientError naming the first failing member in cohort order
+    and the first epoch that left it non-finite.
     """
     copies = _check_side(spec, starts, side)
     if rates is not None:
@@ -407,13 +408,12 @@ def train_cohort(
     ys = np.eye(c)[side.data.labels[rows]]
 
     theta = np.asarray(starts, dtype=np.float64)[plan.order]
-    if rates is not None:
-        rates = rates[plan.order, None]
+    ordered = None if rates is None else rates[plan.order, None]
     with np.errstate(over="ignore", invalid="ignore"):  # the check below names a divergence
         for k, r0, r1, sel in plan.groups:
             th = theta[sel]
             x, onehot = xs[r0:r1].reshape(k, -1, d), ys[r0:r1].reshape(k, -1, c)
-            rate = cfg.learning_rate if rates is None else rates[sel]
+            rate = cfg.learning_rate if ordered is None else ordered[sel]
             th -= rate * _ce_grad_arrays(spec, th, x, onehot, cfg.l2)
             if not isinstance(sel, slice):
                 theta[sel] = th
@@ -422,8 +422,27 @@ def train_cohort(
     trained[plan.order] = theta
     finite = np.isfinite(trained).all(axis=1)
     if not finite.all():
-        raise ClientError(int(np.argmin(finite)), "training diverged to non-finite parameters")
+        i = int(np.argmin(finite))
+        epoch = _diverged_epoch(spec, starts, side, cfg, rates, i)
+        raise ClientError(i, f"training diverged to non-finite parameters in epoch {epoch}")
     return trained
+
+
+def _diverged_epoch(spec: ModelSpec, starts: np.ndarray, side: Segments, cfg: TrainConfig,
+                    rates: np.ndarray | None, i: int) -> int:
+    """The first epoch after which member i of a diverged train_cohort call
+    is non-finite: member i replays alone on its segment at its rate for 1,
+    2, ... epochs, each the call's first epochs as the shuffles are the
+    same; the failing replay's own scan meets only finite epochs."""
+    k = i % side.n.size
+    solo = Segments(side.data.subset(side.start[k] + np.arange(side.n[k])), side.n[k : k + 1])
+    for epoch in range(1, cfg.epochs):
+        try:
+            train_cohort(spec, starts[i : i + 1], solo, replace(cfg, epochs=epoch),
+                         None if rates is None else rates[i : i + 1])
+        except ClientError:
+            return epoch
+    return cfg.epochs
 
 
 def evaluate(spec: ModelSpec, params: ParamVector, data: ClientDataset) -> PerformanceMetrics:

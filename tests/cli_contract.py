@@ -69,7 +69,7 @@ POSITIVE = " must be finite and positive"
 FINITE_RATE = "learning_rate" + POSITIVE
 SEED = "seed must be >= 0"
 RATE = r"train\.learning_rate \* 1\.5 must be finite while meta\.c weights lr_sensitivity"
-DIVERGED = "round 1, client 0: training diverged to non-finite parameters"
+DIVERGED = "round 1, client 0: training diverged to non-finite parameters in epoch {}"
 COMMANDS = ("run", "diagnose", "compare")
 
 #: run's config errors on MINIMAL plus some lines: (the lines, the message pattern).
@@ -142,12 +142,17 @@ CASES = {case.name: case for case in (
           ("dim_mismatch", "1.0,2.0,3.0,0\n0.5,1.5,2.5,1\n",
            "csv feature dim 3 does not match model input_dim 2"),
       ]),
-    *(Case(f"training_diverges_{command}", command, DIVERGES, 3, DIVERGED) for command in COMMANDS),
+    *(Case(f"training_diverges_{command}", command, DIVERGES, 3, DIVERGED.format(1))
+      for command in COMMANDS),
     Case("training_diverges_two_clients", "run",
-         MINIMAL + "model.hidden_dim = 4\ntrain.learning_rate = 1e306\n", 3, DIVERGED),
+         MINIMAL + "model.hidden_dim = 4\ntrain.learning_rate = 1e306\n", 3, DIVERGED.format(1)),
     # a step of 1e300 on the ridge term overflows the parameters
     Case("ridge_overflow", "run", MINIMAL + "train.learning_rate = 1e300\ntrain.l2 = 1\n", 3,
-         DIVERGED),
+         DIVERGED.format(1)),
+    # a smaller step overflows the parameters only in the last of three epochs
+    Case("ridge_overflow_third_epoch", "run",
+         MINIMAL + "train.epochs = 3\ntrain.learning_rate = 1e30\ntrain.l2 = 1\n", 3,
+         DIVERGED.format(3)),
     # the update norm overflows; it fails the run only when weighted
     Case("update_norm_overflows", "run",
          MINIMAL + "meta.c = 0,0,1,1,0\ntrain.learning_rate = 1e300\n", 3,
@@ -156,7 +161,8 @@ CASES = {case.name: case for case in (
     Case("validation_logits_overflow", "run", DIVERGES.replace("1e306", "1e60"), 3,
          "round 1, client 2: val_loss must be finite"),
     Case("extra_epoch_weighted", "run", DIVERGE_AT_1_5X + "meta.c = 0,0,0,0,1\n", 3,
-         "round 1, client 2: meta-features: training diverged to non-finite parameters"),
+         "round 1, client 2: meta-features: training diverged to non-finite parameters "
+         "in epoch 1"),
     Case("extra_epoch_unweighted", "run", DIVERGE_AT_1_5X + "meta.c = 0,0,1,1,0\n", 0),
     *(Case(f"holdout_overflows{name}", "run", HOLDOUT + grid, 3,
            "round 1, server evaluation: val_loss must be finite", HOLDOUT_POOL)

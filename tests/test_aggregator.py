@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from metafl import aggregator, numerics
 from metafl.aggregator import (
+    SCALAR_CUTOFF,
     MetaParams,
     _mirror_step,
     adapt_meta_params,
@@ -35,6 +36,15 @@ from testkit import (
 def rows(*coords):
     """A [K, P] parameter matrix from K rows."""
     return np.array(coords, dtype=np.float64)
+
+
+#: The cohort sizes on either side of the projected solve's scalar route.
+EDGE = (SCALAR_CUTOFF, SCALAR_CUTOFF + 1)
+
+
+def spread(k, lo=0.0, hi=5.0):
+    """k errors evenly spaced over [lo, hi]."""
+    return np.linspace(lo, hi, k).tolist()
 
 
 class TestClosedForm:
@@ -201,11 +211,13 @@ class TestIterativeSolvers:
             weights_iterative([0.0, 1e3], mp, "projected")
 
     def test_projection_cancelled_by_rounding_is_value_error(self):
-        # a step of 1e300 puts both targets near 1e300, where u - css / idx
-        # rounds to 0 for every threshold candidate
+        # a step of 1e300 puts equal targets near 1e300, where u - css / idx
+        # rounds to 0 for every threshold candidate, on either side of
+        # SCALAR_CUTOFF; testkit's reference projection has no such message
         mp = MetaParams(alpha=1.0, eta=1e300)
-        with pytest.raises(ValueError, match="too large to project onto the simplex"):
-            weights_iterative([0.0, 0.0], mp, "projected")
+        want = (ValueError, "entries too large to project onto the simplex in float64")
+        for k in (2, *EDGE):
+            assert solve_outcome(weights_iterative, [0.0] * k, mp, "projected") == want
 
     def test_unknown_solver(self):
         with pytest.raises(ValueError, match="solver"):
@@ -226,8 +238,13 @@ class TestIterativeSolvers:
         st.sampled_from([0.01, 0.1, 0.5]),
         st.integers(1, 200),
     )
+    @example(spread(EDGE[0]), 32.0, 0.1, 200)
+    @example(spread(EDGE[1]), 32.0, 0.1, 200)
+    @example([4.42, 4.78], 0.5, 0.5, 20)  # math.log in place of np.log changes the weights
+    @example([0.42, 2.47, 1.46, 0.78], 0.5, 0.1, 20)  # and here
     def test_projected_equals_reference_loop(self, errors, alpha, eta, max_iters):
-        """One client and up to 40, which the federation oracle never draws."""
+        """One client and up to 40, which the federation oracle never draws,
+        on both sides of SCALAR_CUTOFF."""
         mp = MetaParams(alpha=alpha, eta=eta, max_iters=max_iters)
         got = solve_outcome(weights_iterative, errors, mp, "projected")
         assert got == solve_outcome(reference_weights_iterative, errors, mp, "projected")
@@ -402,13 +419,15 @@ class TestSolverRegression:
 
     @settings(max_examples=200, deadline=None)
     @given(
-        st.lists(st.floats(-5.0, 5.0), min_size=2, max_size=12),
+        st.lists(st.floats(-5.0, 5.0), min_size=2, max_size=40),
         st.floats(0.01, 32.0),
         st.sampled_from([0.01, 0.1, 0.5, 2.0]),
         st.integers(1, 300),
         st.sampled_from([1e-10, 1e-6, 1e-3]),
         st.sampled_from(["mirror", "projected"]),
     )
+    @example(spread(EDGE[0], -5.0), 32.0, 0.1, 300, 1e-10, "projected")
+    @example(spread(EDGE[1], -5.0), 32.0, 0.1, 300, 1e-10, "projected")
     def test_equals_reference_loop(self, errors, alpha, eta, max_iters, tol, solver):
         mp = MetaParams(alpha=alpha, eta=eta, max_iters=max_iters, tol=tol)
         got = solve_outcome(weights_iterative, errors, mp, solver)
@@ -416,12 +435,13 @@ class TestSolverRegression:
 
     @pytest.mark.parametrize("solver", ["mirror", "projected"])
     def test_unconverged_solve_equals_reference(self, solver):
-        # holdout_search-like: six clients, alpha 32, the default 500 steps
-        errors = [0.9, 1.7, 0.41, 0.43, 0.45, 0.47]
+        # holdout_search-like: six clients, alpha 32, the default 500 steps;
+        # then wide_cohort's K = 300, far above SCALAR_CUTOFF
         mp = MetaParams(alpha=32.0)
-        got = solve_outcome(weights_iterative, errors, mp, solver)
-        assert got[1] == mp.max_iters and got[2] >= mp.tol
-        assert got == solve_outcome(reference_weights_iterative, errors, mp, solver)
+        for errors in ([0.9, 1.7, 0.41, 0.43, 0.45, 0.47], make_rng(300).uniform(0.4, 1.8, 300)):
+            got = solve_outcome(weights_iterative, errors, mp, solver)
+            assert got[1] == mp.max_iters and got[2] >= mp.tol
+            assert got == solve_outcome(reference_weights_iterative, errors, mp, solver)
 
     @pytest.mark.parametrize(
         "errors,mp,solver,iteration",
@@ -430,6 +450,8 @@ class TestSolverRegression:
             ([1.7695071894782e45, 1.1763080056202768e45, 6.350481730618359e45],
              MetaParams(alpha=1e-306, eta=53.70480783948084, max_iters=50), "projected", 2),
             ([-1e308, 0.0], MetaParams(alpha=1.0, eta=10.0, max_iters=10), "mirror", 1),
+            ([0.0, 1e3] + [0.5] * (EDGE[1] - 2), MetaParams(alpha=1.0, eta=1e308, max_iters=10),
+             "projected", 1),
         ],
     )
     def test_divergence_at_reference_iteration(self, errors, mp, solver, iteration):
@@ -441,10 +463,14 @@ class TestSolverRegression:
 
     @settings(max_examples=100, deadline=None)
     @given(
-        st.lists(st.floats(200.0, 1e3), min_size=2, max_size=12),
+        st.lists(st.floats(200.0, 1e3), min_size=2, max_size=40),
         st.floats(0.01, 32.0),
         st.sampled_from([0.1, 1e308]),
     )
+    @example(spread(EDGE[0], 200.0, 1e3), 32.0, 0.1)
+    @example(spread(EDGE[1], 200.0, 1e3), 32.0, 0.1)
+    @example(spread(EDGE[0], 200.0, 1e3), 32.0, 1e308)
+    @example(spread(EDGE[1], 200.0, 1e3), 32.0, 1e308)
     def test_projected_solve_emits_no_runtime_warning(self, errors, alpha, eta):
         # errors of 200 or more make a step of 1e308 overflow the target,
         # which the solve reports as divergence rather than warns about

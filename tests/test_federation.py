@@ -157,12 +157,13 @@ class TestCollectReports:
 
     def test_meta_features_failure_names_its_phase(self, monkeypatch):
         def diverge(*args):
-            raise ClientError(2, "training diverged to non-finite parameters")
+            raise ClientError(2, "training diverged to non-finite parameters in epoch 1")
 
         monkeypatch.setattr(federation, "extract", diverge)
         cfg = small_config(meta=MetaParams(alpha=1.0, c=WEIGHTED), partition=THREE_CLIENTS)
         clients, _ = build_federation(cfg)
-        message = "^round 3, client 2: meta-features: training diverged to non-finite parameters$"
+        message = ("^round 3, client 2: meta-features: training diverged to non-finite parameters "
+                   "in epoch 1$")
         with pytest.raises(RuntimeError, match=message):
             collect_reports(cfg, clients, init_params(cfg.spec, 0), 3)
 
@@ -192,7 +193,8 @@ class TestCollectReports:
         pairs = per_client(clients)
         train, val = pairs[1]
         pairs[1] = (ClientDataset(train.features * 1e160, train.labels), val)
-        with pytest.raises(RuntimeError, match="round 1, client 1: training diverged"):
+        message = "^round 1, client 1: training diverged to non-finite parameters in epoch 1$"
+        with pytest.raises(RuntimeError, match=message):
             run_rounds(cfg, as_clients(pairs), global_val, init_params(cfg.spec, 0))
 
     def test_evaluation_failure_names_client(self):

@@ -222,6 +222,24 @@ class TestTrainCohort:
             with pytest.raises(ValueError, match="need 2 finite and positive learning rates"):
                 train_cohort(LOGISTIC_2D, starts(2), side, TrainConfig(0.1), np.array(rates))
 
+    @pytest.mark.parametrize("rate, epoch", [(1e120, 1), (1e60, 2), (1e40, 3), (1e30, 4)])
+    def test_divergence_names_first_non_finite_epoch(self, rate, epoch):
+        """Member 3, the second copy of segment 1 at its own rate, diverges
+        alone; its message names the first epoch after which the reference
+        loop alone is non-finite, which a smaller rate delays."""
+        second = make_blobs(2, 2, 12, 0.5, 4)
+        side = pooled([make_blobs(2, 2, 20, 0.5, 3), second])
+        cfg = TrainConfig(learning_rate=0.1, epochs=4, batch_size=4, l2=1.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            finite = [np.isfinite(reference_train_local(
+                LOGISTIC_2D, starts(1)[0], second, replace(cfg, epochs=e, learning_rate=rate)
+            )).all() for e in range(1, 5)]
+        assert finite.index(False) == epoch - 1
+        message = f"^training diverged to non-finite parameters in epoch {epoch}$"
+        with pytest.raises(ClientError, match=message) as info:
+            train_cohort(LOGISTIC_2D, starts(4), side, cfg, np.array([0.1, 0.1, 0.1, rate]))
+        assert info.value.index == 3
+
     def test_failure_names_first_member_in_cohort_order(self):
         # members 1 and 2 diverge; the lockstep order is by batch count,
         # member 2 first and member 0 last
@@ -230,7 +248,7 @@ class TestTrainCohort:
         small = ClientDataset(pool.features[:20] * 1e160, pool.labels[:20])
         large = ClientDataset(pool.features * 1e160, pool.labels)
         cfg = TrainConfig(learning_rate=0.1, epochs=2, batch_size=4)
-        with pytest.raises(ClientError, match="diverged") as info:
+        with pytest.raises(ClientError, match="non-finite parameters in epoch 1$") as info:
             train_cohort(LOGISTIC_2D, starts(3), pooled([good, small, large]), cfg)
         assert info.value.index == 1
 
