@@ -25,9 +25,7 @@ import numpy as np
 from .datagen import ClientDataset
 from .metafeatures import CompositeErrorConfig
 from .models import ModelSpec, holdout_losses
-from .numerics import (
-    ParamVector, WeightVector, _check_errors, _project_simplex, softmax_neg, weighted_sum,
-)
+from .numerics import ParamVector, WeightVector, _check_errors, softmax_neg, weighted_sum
 
 __all__ = [
     "MetaParams",
@@ -135,24 +133,13 @@ def _mirror_step(w: np.ndarray, e: np.ndarray, tau: float, eta: float) -> np.nda
     return out / out.sum()
 
 
-def _projected_step(w: np.ndarray, e: np.ndarray, tau: float, eta: float) -> np.ndarray:
-    """One projected-gradient step; a non-finite target is returned as is,
-    for the solver loop to report as divergence, not warned about."""
-    target = w - eta * _gradient(_clamped_log(w), e, tau)
-    return _project_simplex(target) if np.isfinite(target).all() else target
-
-
-_STEPS = {"mirror": _mirror_step, "projected": _projected_step}
-
-#: Most clients for which weights_iterative runs the projected solve over
-#: Python floats, below where numpy's per-call cost stops dominating (README).
-SCALAR_CUTOFF = 32
-
-
-def _projected_scalar(e: np.ndarray, mp: MetaParams, tau: float) -> tuple[WeightVector, int, float]:
-    """weights_iterative's projected loop over Python floats, bit for bit:
-    _projected_step and _project_simplex step by step, in numpy's order.
-    Only the log stays np.log, as math.log rounds some inputs apart."""
+def _projected_solve(e: np.ndarray, mp: MetaParams, tau: float) -> tuple[WeightVector, int, float]:
+    """weights_iterative's projected-gradient loop over Python floats: each
+    step is the numpy step w - eta * _gradient(_clamped_log(w), e, tau),
+    then numerics._project_simplex of that target, in numpy's order and to
+    the bit. A non-finite target is not projected but reported as
+    divergence. Only the log stays np.log, as math.log rounds some inputs
+    apart."""
     k, eta, errs = e.size, mp.eta, e.tolist()
     w, residual = [1.0 / k] * k, math.inf
     for t in range(1, mp.max_iters + 1):
@@ -190,13 +177,13 @@ def weights_iterative(
     BOUNDARY_CLAMP, so for eta*tau <= 1 an unconverged mirror solve reports
     the closed form at a smaller alpha than mp.alpha.
 
-    A projected solve of K <= SCALAR_CUTOFF = 32 clients takes
-    _projected_scalar, with the same bits in 0.2 (K = 2) to 0.9 (K = 32)
-    of the time; README gives the per-K table. The mirror step is an exp,
+    The projected solve runs over Python floats (_projected_solve): 0.2
+    (K = 2) to 0.7 (K = 24) of the numpy loop's time, but more from about
+    K = 40 on, 5.4 times at K = 300 (README). The mirror step is an exp,
     which math.exp rounds apart from np.exp, so it keeps the numpy loop.
     """
-    if solver not in _STEPS:
-        raise ValueError(f"solver must be one of {tuple(_STEPS)}")
+    if solver not in ("mirror", "projected"):
+        raise ValueError("solver must be one of ('mirror', 'projected')")
     if mp.eta == 0.0:
         raise ValueError(f"eta must be > 0 for the {solver} solver")
     e = _check_errors(errors)
@@ -204,16 +191,15 @@ def weights_iterative(
     if k == 1:
         return WeightVector(np.ones(1)), 0, 0.0
     tau = mp.resolved_tau()
-    if solver == "projected" and k <= SCALAR_CUTOFF:
-        return _projected_scalar(e, mp, tau)
-    step = _STEPS[solver]
+    if solver == "projected":
+        return _projected_solve(e, mp, tau)
     w = np.full(k, 1.0 / k)
     residual = math.inf
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite iterate is divergence
         for t in range(1, mp.max_iters + 1):
-            w_next = step(w, e, tau, mp.eta)
+            w_next = _mirror_step(w, e, tau, mp.eta)
             if not np.isfinite(w_next).all():
-                raise ValueError(f"divergence in {solver} solver at iteration {t}")
+                raise ValueError(f"divergence in mirror solver at iteration {t}")
             residual = float(np.abs(w_next - w).max())
             w = w_next
             if residual < mp.tol:

@@ -394,6 +394,19 @@ def train_cohort(
             raise ValueError(f"need {len(starts)} finite and positive learning rates")
     if cfg.epochs == 0:
         return np.array(starts, dtype=np.float64, order="C")
+    trained = _descend(spec, starts, side, cfg, rates, copies)
+    finite = np.isfinite(trained).all(axis=1)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        epoch = _diverged_epoch(spec, starts, side, cfg, rates, i)
+        raise ClientError(i, f"training diverged to non-finite parameters in epoch {epoch}")
+    return trained
+
+
+def _descend(spec: ModelSpec, starts: np.ndarray, side: Segments, cfg: TrainConfig,
+             rates: np.ndarray | None, copies: int) -> np.ndarray:
+    """train_cohort's SGD for cfg.epochs >= 1 on checked arguments, with
+    the trained rows returned unchecked."""
     plan = _plan(tuple(side.n.tolist()), cfg.batch_size, cfg.epochs, copies)
     rng = make_rng(cfg.seed)
     fresh = rng.bit_generator.state
@@ -408,41 +421,38 @@ def train_cohort(
     ys = np.eye(c)[side.data.labels[rows]]
 
     theta = np.asarray(starts, dtype=np.float64)[plan.order]
-    ordered = None if rates is None else rates[plan.order, None]
-    with np.errstate(over="ignore", invalid="ignore"):  # the check below names a divergence
+    if rates is not None:
+        rates = rates[plan.order, None]
+    with np.errstate(over="ignore", invalid="ignore"):  # train_cohort names a divergence
         for k, r0, r1, sel in plan.groups:
             th = theta[sel]
             x, onehot = xs[r0:r1].reshape(k, -1, d), ys[r0:r1].reshape(k, -1, c)
-            rate = cfg.learning_rate if ordered is None else ordered[sel]
+            rate = cfg.learning_rate if rates is None else rates[sel]
             th -= rate * _ce_grad_arrays(spec, th, x, onehot, cfg.l2)
             if not isinstance(sel, slice):
                 theta[sel] = th
 
     trained = np.empty_like(theta)
     trained[plan.order] = theta
-    finite = np.isfinite(trained).all(axis=1)
-    if not finite.all():
-        i = int(np.argmin(finite))
-        epoch = _diverged_epoch(spec, starts, side, cfg, rates, i)
-        raise ClientError(i, f"training diverged to non-finite parameters in epoch {epoch}")
     return trained
 
 
 def _diverged_epoch(spec: ModelSpec, starts: np.ndarray, side: Segments, cfg: TrainConfig,
                     rates: np.ndarray | None, i: int) -> int:
     """The first epoch after which member i of a diverged train_cohort call
-    is non-finite: member i replays alone on its segment at its rate for 1,
-    2, ... epochs, each the call's first epochs as the shuffles are the
-    same; the failing replay's own scan meets only finite epochs."""
+    is non-finite. Member i replays alone on its segment at its rate; a
+    replay of e epochs is the call's first e epochs, as the shuffles are
+    the same, and a non-finite parameter stays non-finite under SGD, so
+    about log2(cfg.epochs) replays bisect for the epoch."""
     k = i % side.n.size
     solo = Segments(side.data.subset(side.start[k] + np.arange(side.n[k])), side.n[k : k + 1])
-    for epoch in range(1, cfg.epochs):
-        try:
-            train_cohort(spec, starts[i : i + 1], solo, replace(cfg, epochs=epoch),
-                         None if rates is None else rates[i : i + 1])
-        except ClientError:
-            return epoch
-    return cfg.epochs
+    rate = None if rates is None else rates[i : i + 1]
+    finite, diverged = 0, cfg.epochs  # member i is finite after `finite` epochs, not `diverged`
+    while diverged - finite > 1:
+        mid = (finite + diverged) // 2
+        trained = _descend(spec, starts[i : i + 1], solo, replace(cfg, epochs=mid), rate, 1)
+        finite, diverged = (mid, diverged) if np.isfinite(trained).all() else (finite, mid)
+    return diverged
 
 
 def evaluate(spec: ModelSpec, params: ParamVector, data: ClientDataset) -> PerformanceMetrics:

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from metafl import models
 from metafl.datagen import ClientDataset, Segments, make_blobs
 from metafl.metafeatures import extract
 from metafl.models import (
@@ -239,6 +240,22 @@ class TestTrainCohort:
         with pytest.raises(ClientError, match=message) as info:
             train_cohort(LOGISTIC_2D, starts(4), side, cfg, np.array([0.1, 0.1, 0.1, rate]))
         assert info.value.index == 3
+
+    def test_divergence_epoch_is_bisected(self, monkeypatch):
+        """A 64-epoch call whose member 3 diverges in epoch 3 finds that
+        epoch in log2(64) solo replays, halving from 32 epochs."""
+        side = pooled([make_blobs(2, 2, 20, 0.5, 3), make_blobs(2, 2, 12, 0.5, 4)])
+        cfg = TrainConfig(learning_rate=0.1, epochs=64, batch_size=4, l2=1.0)
+        epochs, descend = [], models._descend
+
+        def counted(spec, starts, side, cfg, rates, copies):
+            epochs.append(cfg.epochs)
+            return descend(spec, starts, side, cfg, rates, copies)
+
+        monkeypatch.setattr(models, "_descend", counted)
+        with pytest.raises(ClientError, match="non-finite parameters in epoch 3$"):
+            train_cohort(LOGISTIC_2D, starts(4), side, cfg, np.array([0.1, 0.1, 0.1, 1e40]))
+        assert epochs == [64, 32, 16, 8, 4, 2, 3]
 
     def test_failure_names_first_member_in_cohort_order(self):
         # members 1 and 2 diverge; the lockstep order is by batch count,
