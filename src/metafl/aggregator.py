@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from itertools import accumulate
 from operator import sub
 from typing import Sequence
 
@@ -25,7 +24,8 @@ import numpy as np
 from .datagen import ClientDataset
 from .metafeatures import CompositeErrorConfig
 from .models import ModelSpec, holdout_losses
-from .numerics import ParamVector, WeightVector, _check_errors, softmax_neg, weighted_sum
+from .numerics import (ParamVector, WeightVector, _check_errors, _project_simplex, softmax_neg,
+                       weighted_sum)
 
 __all__ = [
     "MetaParams",
@@ -146,14 +146,7 @@ def _projected_solve(e: np.ndarray, mp: MetaParams, tau: float) -> tuple[WeightV
         logs = np.log([v if v > BOUNDARY_CLAMP else BOUNDARY_CLAMP for v in w]).tolist()
         w_next = target = [v - eta * (ek + tau * (1.0 + lv)) for v, ek, lv in zip(w, errs, logs)]
         if all(map(math.isfinite, target)):
-            u, rho = sorted(target, reverse=True), -1
-            for i, (ui, ci) in enumerate(zip(u, accumulate(u))):  # rho: the last positive index
-                if ui - (ci - 1.0) / (i + 1) > 0.0:
-                    rho, css = i, ci - 1.0
-            if rho < 0:
-                raise ValueError("entries too large to project onto the simplex in float64")
-            shift = css / (rho + 1.0)
-            w_next = [v - shift if v > shift else 0.0 for v in target]  # > 0 iff v > shift
+            w_next = _project_simplex(target)
         if not all(map(math.isfinite, w_next)):
             raise ValueError(f"divergence in projected solver at iteration {t}")
         residual = max(map(abs, map(sub, w_next, w)))

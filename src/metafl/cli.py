@@ -9,9 +9,10 @@ Commands:
 '#' comments, one `key = value` per line) or the name of a shipped
 preset. The METAFL_SEED environment variable overrides the top-level
 seed. Exit codes: 0 success, 2 config error (an output path that cannot
-be created or written is one too), 3 runtime numerical failure. `run`
-warns on stderr for each round whose iterative weight solve stopped at
-meta.max_iters with its residual still >= meta.tol.
+be created or written is one too), 3 runtime numerical failure. A
+failure prints exactly one line on stderr. Once its three files are
+written, `run` warns on stderr for each round whose iterative weight
+solve stopped at meta.max_iters with its residual still >= meta.tol.
 """
 
 from __future__ import annotations
@@ -461,15 +462,15 @@ def cmd_run(config_path: str, out_dir: str, no_timing: bool = False) -> None:
     cfg = load_config(config_path)
     clients, global_val, theta0 = set_up(cfg)
     _, history = run_rounds(cfg, clients, global_val, theta0)
-    for rec in history:
-        if rec.solver_residual >= cfg.meta.tol:
-            print(f"warning: round {rec.round}: {cfg.aggregator_mode} solve stopped after "
-                  f"{rec.solver_iters} iterations with residual {rec.solver_residual:.3g} "
-                  f">= meta.tol {cfg.meta.tol:.3g}", file=sys.stderr)
     out = _prepare_out_dir(out_dir)
     write_rounds_csv(history, out / "rounds.csv", include_timing=not no_timing)
     _write_json(out / "summary.json", _summary_payload(cfg, history, clients))
     _write(out / "config_echo.txt", serialize_config(cfg))
+    for rec in history:  # only once the files are written, so a failure prints one line
+        if rec.solver_residual >= cfg.meta.tol:
+            print(f"warning: round {rec.round}: {cfg.aggregator_mode} solve stopped after "
+                  f"{rec.solver_iters} iterations with residual {rec.solver_residual:.3g} "
+                  f">= meta.tol {cfg.meta.tol:.3g}", file=sys.stderr)
 
 
 @_exit_code

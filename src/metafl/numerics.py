@@ -9,6 +9,7 @@ and platforms.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
@@ -128,18 +129,18 @@ def softmax_neg(values: Sequence[float], alpha: float) -> WeightVector:
     return WeightVector(e / e.sum())
 
 
-def _project_simplex(x: np.ndarray) -> np.ndarray:
-    """Euclidean projection of a finite 1-D array onto the simplex,
-    unchecked: the inner step of the projected solver."""
-    u = np.sort(x)[::-1]
-    css = u.cumsum() - 1.0
-    idx = np.arange(1, x.size + 1)
-    positive = np.nonzero(u - css / idx > 0.0)[0]
-    if positive.size == 0:  # exact arithmetic always keeps rho = 0; rounding may not
+def _project_simplex(x: list[float]) -> list[float]:
+    """Euclidean projection of finite floats onto the simplex, unchecked:
+    the inner step of the projected solver. It runs over Python floats,
+    in the order and to the bit of numpy's sort, cumsum and maximum."""
+    u, rho = sorted(x, reverse=True), -1
+    for i, (ui, ci) in enumerate(zip(u, accumulate(u))):  # rho: the last positive index
+        if ui - (ci - 1.0) / (i + 1) > 0.0:
+            rho, css = i, ci - 1.0
+    if rho < 0:  # exact arithmetic always keeps rho = 0; rounding may not
         raise ValueError("entries too large to project onto the simplex in float64")
-    rho = positive[-1]
-    tau = css[rho] / (rho + 1.0)
-    return np.maximum(x - tau, 0.0)
+    tau = css / (rho + 1.0)
+    return [v - tau if v > tau else 0.0 for v in x]  # v - tau > 0 iff v > tau
 
 
 def project_simplex(point: Sequence[float]) -> WeightVector:
@@ -153,7 +154,7 @@ def project_simplex(point: Sequence[float]) -> WeightVector:
         raise ValueError("empty point")
     if not np.all(np.isfinite(x)):
         raise ValueError("non-finite coordinates")
-    return WeightVector(_project_simplex(x))
+    return WeightVector(_project_simplex(x.tolist()))
 
 
 def weighted_sum(thetas: np.ndarray, w: WeightVector) -> ParamVector:

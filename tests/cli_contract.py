@@ -1,13 +1,16 @@
-"""The failure contract of the metafl command line, as one table of cases.
+"""The contract of the metafl command line, as one table of cases.
 
 A failure exits 2 or 3 and prints exactly one line, `config error: ` or
 `runtime error: ` and a message that the case's pattern matches in full
 (so no traceback or numpy warning), and leaves the output path as it
 found it. A success exits 0 with nothing on stderr. A pattern's `{dir}`
-stands for the directory that holds the case's files. tests/test_cli.py
-checks every case in process; `python tests/cli_contract.py` checks
-every case through the installed `metafl` script, and exits 1 if one
-fails. It imports only the standard library, numpy and metafl.
+stands for the directory that holds the case's files. The goldens are
+rows too (`GOLDENS`, checked by `check_golden`): each exits 0 with an
+empty stderr and writes the files under tests/golden/<case>/ byte for
+byte. tests/test_cli.py and tests/test_golden.py check every row in
+process; `python tests/cli_contract.py` checks every row through the
+installed `metafl` script, and exits 1 if one fails. It imports only
+the standard library, numpy and metafl.
 """
 
 from __future__ import annotations
@@ -24,10 +27,13 @@ import warnings
 from pathlib import Path
 from typing import Callable, NamedTuple
 
-from metafl.cli import main
+from metafl.cli import PRESETS, main
 from metafl.datagen import make_blobs
 
 PREFIX = {2: "config error: ", 3: "runtime error: "}
+GOLDEN = Path(__file__).parent / "golden"
+FEATURES_CFG = str(GOLDEN / "metafl_features.cfg")
+RUN_FILES = ("rounds.csv", "summary.json", "config_echo.txt")
 
 
 class Case(NamedTuple):
@@ -123,9 +129,11 @@ CASES = {case.name: case for case in (
     # diagnose weights meta.c whatever the mode
     Case("overflowing_extra_epoch_rate_diagnose", "diagnose", MINIMAL + "aggregator = fedavg\n"
          + CONFIG_ERRORS["overflowing_extra_epoch_rate"][0], 2, RATE),
-    Case("unwritable_output", "run", MINIMAL, 2,
-         r"cannot write {dir}/out/rounds\.csv: " + IS_A_DIRECTORY,
-         {"out/rounds.csv/": ""}),
+    # the second row's unconverged solves must not warn before its write fails
+    *(Case(f"unwritable_output{name}", "run", MINIMAL + lines, 2,
+           r"cannot write {dir}/out/rounds\.csv: " + IS_A_DIRECTORY, {"out/rounds.csv/": ""})
+      for name, lines in [("", ""),
+                          ("_unconverged", "aggregator = metafl_projected\nmeta.max_iters = 1\n")]),
     Case("fewer_samples_than_clients", "run",
          "rounds = 2\npartition.num_clients = 50\ndata.n_samples = 20\n", 2,
          POOL.format(20, 0.5) + r"infeasible \(n < K\): 16 samples for 50 clients"),
@@ -187,6 +195,18 @@ CASES = {case.name: case for case in (
 )}
 
 
+#: The goldens, as rows of the contract: case name -> (the command's
+#: arguments without -o, the files that tests/golden/<case>/ pins).
+GOLDENS = {
+    **{name: (["run", name, "--no-timing"], RUN_FILES) for name in PRESETS},
+    "compare_noisy": (["compare", "preset_noisy_clients", "preset_noisy_clients_fedavg"],
+                      ("compare.csv", "compare_summary.json")),
+    "diagnose_iid": (["diagnose", "preset_iid"], ("diagnostics.json",)),
+    "diagnose_features": (["diagnose", FEATURES_CFG], ("diagnostics.json",)),
+    "metafl_features": (["run", FEATURES_CFG, "--no-timing"], RUN_FILES),
+}
+
+
 def in_process(argv: list[str]) -> tuple[int, str]:
     """cli.main's exit code and stderr, with each warning it raises
     printed there too, as the console script prints it."""
@@ -237,14 +257,28 @@ def check(case: Case, workdir: Path,
     return out
 
 
+def check_golden(name: str, out: Path,
+                 run: Callable[[list[str]], tuple[int, str]] = in_process) -> None:
+    """Run the golden case's command through run with the output path
+    out; it must exit 0 with nothing on stderr and write every pinned
+    file byte for byte."""
+    argv, files = GOLDENS[name]
+    code, err = run([*argv, "-o", str(out)])
+    assert (code, err) == (0, ""), f"{name}: exit {code}, stderr:\n{err}"
+    for file in files:
+        got = (out / file).read_bytes()
+        assert got == (GOLDEN / name / file).read_bytes(), f"{name}/{file} moved"
+
+
 if __name__ == "__main__":
     failed = 0
-    for case in CASES.values():
+    rows = [(check, case) for case in CASES.values()] + [(check_golden, name) for name in GOLDENS]
+    for check_row, row in rows:
         with tempfile.TemporaryDirectory() as workdir:
             try:
-                check(case, Path(workdir), console)
+                check_row(row, Path(workdir), console)
             except AssertionError as err:
                 failed += 1
                 print(f"FAIL {err}")
-    print(f"{len(CASES) - failed} of {len(CASES)} cases hold")
+    print(f"{len(rows) - failed} of {len(rows)} cases hold")
     sys.exit(1 if failed else 0)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from metafl.numerics import (
     ParamVector,
@@ -11,12 +13,23 @@ from metafl.numerics import (
     softmax_neg,
     weighted_sum,
 )
-from testkit import finite_diff_grad
+from testkit import _reference_project_simplex, finite_diff_grad
 
 
 def assert_valid_weights(w: WeightVector):
     assert np.all(w.weights >= 0.0)
     assert abs(w.weights.sum() - 1.0) <= 1e-9
+
+
+@st.composite
+def simplex_points(draw):
+    """K = 1 to 300 finite entries: a mantissa in [-1.7, 1.7] times a power
+    of ten from a drawn range within 1e-308 to 1e308, or a signed zero."""
+    lo = draw(st.integers(-308, 308))
+    hi = draw(st.integers(lo, 308))
+    scaled = st.builds(lambda m, e: m * 10.0 ** e, st.floats(-1.7, 1.7), st.integers(lo, hi))
+    entry = st.one_of(scaled, st.sampled_from([0.0, -0.0]))
+    return draw(st.lists(entry, min_size=1, max_size=300))
 
 
 def grid_project_oracle(point, levels=6, ticks=60):
@@ -187,6 +200,29 @@ class TestProjectSimplex:
             project_simplex([np.inf, 0.0])
         with pytest.raises(ValueError, match="empty"):
             project_simplex([])
+
+    @settings(max_examples=200, deadline=None)
+    @given(simplex_points())
+    @example([1.0, -0.0])  # tau is +0.0, so the -0.0 entry lands on x - tau = -0.0
+    @example([-0.0, 0.5, 0.25, -0.0])
+    @example([(i % 7) / 20.0 - 0.1 for i in range(300)])
+    @example([1e17] * 300)  # K = 300, every candidate rounds away
+    def test_equals_numpy_reference_bitwise(self, point):
+        """The projection over Python floats gives the numpy reference's
+        bytes, or its error; where the reference finds no positive index
+        (an IndexError), the program names the rounding."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                want = WeightVector(_reference_project_simplex(np.array(point))).weights.tobytes()
+            except IndexError:
+                want = "entries too large to project onto the simplex in float64"
+            except ValueError as err:
+                want = str(err)
+        try:
+            got = project_simplex(point).weights.tobytes()
+        except ValueError as err:
+            got = str(err)
+        assert got == want
 
     @pytest.mark.parametrize("point", [[1e17, 1e17], [-1e17, -1e17], [3e300, 3e300, 1.0]])
     def test_rounding_cancelled_point_is_value_error(self, point):
