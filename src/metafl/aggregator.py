@@ -50,6 +50,10 @@ AGGREGATOR_MODES = ("metafl_closed", "metafl_mirror", "metafl_projected", "fedav
 # up; gradient evaluation clamps weights at this floor.
 BOUNDARY_CLAMP = 1e-12
 
+#: Mirror steps per chunk: the mirror solve checks its iterates for
+#: finiteness and convergence once per chunk.
+MIRROR_CHUNK = 16
+
 
 @dataclass(frozen=True)
 class MetaParams:
@@ -115,31 +119,13 @@ def phi_objective(w: WeightVector, errors: Sequence[float], tau: float) -> float
     return float(wv @ e) + tau * entropy_term
 
 
-def _clamped_log(w: np.ndarray) -> np.ndarray:
-    """ln w_k with w clamped at BOUNDARY_CLAMP."""
-    return np.log(np.maximum(w, BOUNDARY_CLAMP))
-
-
-def _gradient(log_w: np.ndarray, e: np.ndarray, tau: float) -> np.ndarray:
-    """E_k + tau (1 + ln w_k), given log_w = _clamped_log(w)."""
-    return e + tau * (1.0 + log_w)
-
-
-def _mirror_step(w: np.ndarray, e: np.ndarray, tau: float, eta: float) -> np.ndarray:
-    log_w = _clamped_log(w)
-    z = log_w - eta * _gradient(log_w, e, tau)
-    z -= z.max()
-    out = np.exp(z)
-    return out / out.sum()
-
-
 def _projected_solve(e: np.ndarray, mp: MetaParams, tau: float) -> tuple[WeightVector, int, float]:
     """weights_iterative's projected-gradient loop over Python floats: each
-    step is the numpy step w - eta * _gradient(_clamped_log(w), e, tau),
-    then numerics._project_simplex of that target, in numpy's order and to
-    the bit. A non-finite target is not projected but reported as
-    divergence. Only the log stays np.log, as math.log rounds some inputs
-    apart."""
+    step is the numpy step w - eta * (E + tau * (1 + ln max(w,
+    BOUNDARY_CLAMP))), then numerics._project_simplex of that target, in
+    numpy's order and to the bit. A non-finite target is not projected but
+    reported as divergence. Only the log stays np.log, as math.log rounds
+    some inputs apart."""
     k, eta, errs = e.size, mp.eta, e.tolist()
     w, residual = [1.0 / k] * k, math.inf
     for t in range(1, mp.max_iters + 1):
@@ -154,6 +140,51 @@ def _projected_solve(e: np.ndarray, mp: MetaParams, tau: float) -> tuple[WeightV
         if residual < mp.tol:
             return WeightVector(w), t, residual
     return WeightVector(w), mp.max_iters, residual
+
+
+def _mirror_solve(e: np.ndarray, mp: MetaParams, tau: float) -> tuple[WeightVector, int, float]:
+    """weights_iterative's mirror-descent loop, MIRROR_CHUNK steps at a
+    time in preallocated buffers. Each step is, in numpy's order and to
+    the bit, log_w = ln max(w, BOUNDARY_CLAMP), z = log_w - eta * (E +
+    tau * (1 + log_w)), z -= max z, w' = exp z / sum exp z. A chunk's
+    iterates are checked together: the first that meets mp.tol is
+    returned, else the first non-finite one is reported as divergence at
+    its own iteration."""
+    k, eta = e.size, mp.eta
+    ws = np.empty((MIRROR_CHUNK + 1, k))  # row 0 the chunk's start, row j its iterate j
+    ws[0] = 1.0 / k
+    log_w, step = np.empty(k), np.empty(k)
+    done = 0
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite iterate is divergence
+        while done < mp.max_iters:
+            steps = min(MIRROR_CHUNK, mp.max_iters - done)
+            for j in range(1, steps + 1):
+                w = ws[j]
+                np.maximum(ws[j - 1], BOUNDARY_CLAMP, out=log_w)
+                np.log(log_w, out=log_w)
+                np.add(log_w, 1.0, out=step)
+                np.multiply(step, tau, out=step)
+                np.add(step, e, out=step)
+                np.multiply(step, eta, out=step)
+                np.subtract(log_w, step, out=w)
+                np.subtract(w, np.maximum.reduce(w), out=w)
+                np.exp(w, out=w)
+                np.divide(w, np.add.reduce(w), out=w)
+            chunk = ws[1 : steps + 1]
+            residuals = np.abs(chunk - ws[:steps]).max(axis=1)
+            # a NaN, once in an iterate, fills every later one and no NaN
+            # residual meets tol, so a met tol comes before any divergence
+            met = np.flatnonzero(residuals < mp.tol)
+            if met.size:
+                i = int(met[0])
+                return WeightVector(chunk[i]), done + i + 1, float(residuals[i])
+            diverged = np.flatnonzero(~np.isfinite(chunk).all(axis=1))
+            if diverged.size:
+                t = done + int(diverged[0]) + 1
+                raise ValueError(f"divergence in mirror solver at iteration {t}")
+            done += steps
+            ws[0] = ws[steps]
+    return WeightVector(ws[0]), mp.max_iters, float(residuals[-1])
 
 
 def weights_iterative(
@@ -173,7 +204,9 @@ def weights_iterative(
     The projected solve runs over Python floats (_projected_solve): 0.2
     (K = 2) to 0.7 (K = 24) of the numpy loop's time, but more from about
     K = 40 on, 5.4 times at K = 300 (README). The mirror step is an exp,
-    which math.exp rounds apart from np.exp, so it keeps the numpy loop.
+    which math.exp rounds apart from np.exp, so it stays in numpy
+    (_mirror_solve): its steps write into buffers made once per call, and
+    finiteness and the residual are checked once per MIRROR_CHUNK steps.
     """
     if solver not in ("mirror", "projected"):
         raise ValueError("solver must be one of ('mirror', 'projected')")
@@ -186,18 +219,7 @@ def weights_iterative(
     tau = mp.resolved_tau()
     if solver == "projected":
         return _projected_solve(e, mp, tau)
-    w = np.full(k, 1.0 / k)
-    residual = math.inf
-    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite iterate is divergence
-        for t in range(1, mp.max_iters + 1):
-            w_next = _mirror_step(w, e, tau, mp.eta)
-            if not np.isfinite(w_next).all():
-                raise ValueError(f"divergence in mirror solver at iteration {t}")
-            residual = float(np.abs(w_next - w).max())
-            w = w_next
-            if residual < mp.tol:
-                return WeightVector(w), t, residual
-    return WeightVector(w), mp.max_iters, residual
+    return _mirror_solve(e, mp, tau)
 
 
 def aggregate(thetas: np.ndarray, w: WeightVector, lam: float) -> ParamVector:

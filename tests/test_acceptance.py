@@ -10,7 +10,6 @@ import numpy as np
 
 from metafl.aggregator import (
     MetaParams,
-    _mirror_step,
     aggregate,
     fedavg_weights,
     jensen_gap,
@@ -30,7 +29,7 @@ from metafl.federation import (
 from metafl.metafeatures import composite_errors
 from metafl.models import ModelSpec, TrainConfig, init_params, param_count
 from metafl.numerics import ParamVector, WeightVector, make_rng, project_simplex, softmax_neg
-from testkit import finite_diff_grad, loss_and_grad, phi_gradient
+from testkit import _mirror_step, finite_diff_grad, loss_and_grad, phi_gradient
 
 
 def verdict(cid: str, ok: bool, detail: str):

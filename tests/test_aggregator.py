@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from metafl import aggregator, numerics
 from metafl.aggregator import (
     MetaParams,
-    _mirror_step,
     adapt_meta_params,
     aggregate,
     contraction_estimate,
@@ -27,8 +26,8 @@ from metafl.metafeatures import CompositeErrorConfig, composite_errors
 from metafl.models import ModelSpec, TrainConfig, init_params, local_loss, param_count, train_local
 from metafl.numerics import ParamVector, WeightVector, make_rng, softmax_neg
 from testkit import (
-    finite_diff_grad, phi_gradient, reference_adapt_meta_params, reference_local_loss,
-    reference_weights_iterative, sampled_contraction,
+    _mirror_step, finite_diff_grad, phi_gradient, reference_adapt_meta_params,
+    reference_local_loss, reference_weights_iterative, sampled_contraction,
 )
 
 
@@ -426,10 +425,31 @@ class TestSolverRegression:
         st.sampled_from(["mirror", "projected"]),
     )
     @example(spread(WIDE, -5.0), 32.0, 0.1, 300, 1e-10, "projected")
+    # the mirror solve checks once per MIRROR_CHUNK = 16 steps: stops on
+    # either side of a chunk's end and of the second's
+    @example(spread(6), 32.0, 0.1, 15, 1e-10, "mirror")
+    @example(spread(6), 32.0, 0.1, 16, 1e-10, "mirror")
+    @example(spread(6), 32.0, 0.1, 17, 1e-10, "mirror")
+    @example(spread(6), 32.0, 0.1, 33, 1e-10, "mirror")
+    @example(spread(WIDE), 32.0, 0.1, 15, 1e-10, "mirror")
+    @example(spread(WIDE), 32.0, 0.1, 16, 1e-10, "mirror")
+    @example(spread(WIDE), 32.0, 0.1, 17, 1e-10, "mirror")
+    @example(spread(WIDE), 32.0, 0.1, 33, 1e-10, "mirror")
+    # tol first met at iteration 16, the first chunk's last, and at 17
+    @example(spread(6), 2.0, 0.5, 300, 1e-3, "mirror")
+    @example(spread(WIDE), 4.0, 0.5, 300, 1e-3, "mirror")
     def test_equals_reference_loop(self, errors, alpha, eta, max_iters, tol, solver):
         mp = MetaParams(alpha=alpha, eta=eta, max_iters=max_iters, tol=tol)
         got = solve_outcome(weights_iterative, errors, mp, solver)
         assert got == solve_outcome(reference_weights_iterative, errors, mp, solver)
+
+    @pytest.mark.parametrize("errors,mp,iters", [
+        (spread(6), MetaParams(alpha=2.0, eta=0.5, max_iters=300, tol=1e-3), 16),
+        (spread(WIDE), MetaParams(alpha=4.0, eta=0.5, max_iters=300, tol=1e-3), 17),
+    ])
+    def test_chunk_edge_examples_converge_there(self, errors, mp, iters):
+        # keeps the two examples above on the chunk edge they pin
+        assert weights_iterative(errors, mp, "mirror")[1] == iters
 
     @pytest.mark.parametrize("solver", ["mirror", "projected"])
     def test_unconverged_solve_equals_reference(self, solver):

@@ -22,6 +22,7 @@ from metafl.models import (
     _ce_grad_arrays,
     _cross_entropy,
     _forward,
+    _loss_plan,
     _plan,
     _row_max,
     _row_sum,
@@ -363,6 +364,32 @@ class TestCohortLosses:
         k = len(side.n)
         apart = [cohort_losses(spec, thetas[i * k:(i + 1) * k], side) for i in range(len(rates))]
         assert cohort_losses(spec, thetas, side).tobytes() == np.concatenate(apart).tobytes()
+
+    def test_cache_holds_a_runs_two_loss_plans(self):
+        """A run that weights data_complexity and lr_sensitivity asks for two
+        loss plans: its validation side once (each round's scoring and
+        extract's probe) and twice over (extract's 1x and 1.5x epochs).
+        Once each is made, no later round rebuilds one, the cache stays
+        bounded and the plans' arrays are read-only."""
+        spec = ModelSpec(2, 3, 2)
+        data = make_blobs(2, 2, 40, 0.5, 3)
+        train = pooled([data.subset(np.arange(0, 15)), data.subset(np.arange(15, 32))])
+        val = pooled([data.subset(np.arange(32, 35)), data.subset(np.arange(35, 40))])
+        theta = init_params(spec, 0)
+        _loss_plan.cache_clear()
+        for seed in range(3):
+            cfg = TrainConfig(0.1, epochs=2, batch_size=4, seed=seed)
+            thetas = train_cohort(spec, np.tile(theta.coords, (2, 1)), train, cfg)
+            cohort_losses(spec, thetas, val)
+            extract(spec, theta, thetas, (train, val), cfg, (0.0, 0.0, 0.0, 1.0, 1.0))
+        info = _loss_plan.cache_info()
+        assert (info.misses, info.currsize) == (2, 2)
+        for copies in (1, 2):
+            for group in _loss_plan((3, 5), copies):
+                assert not any(array.flags.writeable for array in group)
+        for n in range(1, 6):
+            cohort_losses(LOGISTIC_2D, starts(1), pooled([make_blobs(2, 2, 2 + n, 0.5, n)]))
+        assert _loss_plan.cache_info().currsize <= 2
 
     def test_dimension_mismatch(self):
         good = pooled([make_blobs(2, 2, 20, 0.5, 3)] * 3)

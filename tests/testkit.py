@@ -1,8 +1,9 @@
 """Helpers only the tests use: central finite differences, the analytic
-gradient of Phi, the full-data training objective with its analytic
-gradient, a CSV writer in the format datagen.load_csv reads, conversions
-between per-client datasets and pooled sides, the sampled contraction
-modulus the exact one replaced, and the reference program.
+gradient of Phi and the mirror step the solver oracle takes, the
+full-data training objective with its analytic gradient, a CSV writer in
+the format datagen.load_csv reads, conversions between per-client
+datasets and pooled sides, the sampled contraction modulus the exact one
+replaced, and the reference program.
 
 reference_federation is the plain per-client program that run_rounds
 stands for, and run_rounds must equal it bit for bit: one oracle for
@@ -21,8 +22,7 @@ from typing import Callable, Sequence, Tuple
 import numpy as np
 
 from metafl.aggregator import (
-    AggregationOutcome, MetaParams, _clamped_log, _gradient, _mirror_step, aggregate,
-    fedavg_weights, meta_agg,
+    BOUNDARY_CLAMP, AggregationOutcome, MetaParams, aggregate, fedavg_weights, meta_agg,
 )
 from metafl.datagen import (
     MAX_PARTITION_ATTEMPTS, ClientDataset, PartitionConfig, Segments, make_blobs,
@@ -54,6 +54,25 @@ def finite_diff_grad(
             raise ValueError(f"non-finite evaluation at coordinate {i}")
         grad[i] = (fp - fm) / (2.0 * h)
     return grad
+
+
+def _clamped_log(w: np.ndarray) -> np.ndarray:
+    """ln w_k with w clamped at BOUNDARY_CLAMP."""
+    return np.log(np.maximum(w, BOUNDARY_CLAMP))
+
+
+def _gradient(log_w: np.ndarray, e: np.ndarray, tau: float) -> np.ndarray:
+    """E_k + tau (1 + ln w_k), given log_w = _clamped_log(w)."""
+    return e + tau * (1.0 + log_w)
+
+
+def _mirror_step(w: np.ndarray, e: np.ndarray, tau: float, eta: float) -> np.ndarray:
+    """One entropic mirror step from w, allocating each array."""
+    log_w = _clamped_log(w)
+    z = log_w - eta * _gradient(log_w, e, tau)
+    z -= z.max()
+    out = np.exp(z)
+    return out / out.sum()
 
 
 def phi_gradient(w: WeightVector, errors: Sequence[float], tau: float) -> np.ndarray:
