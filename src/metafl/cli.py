@@ -394,8 +394,14 @@ def _summary_payload(cfg: ExperimentConfig, history, clients) -> dict:
     }
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    _write(path, json.dumps(payload, indent=2) + "\n")
+def _json(name: str, payload: dict) -> str:
+    """payload as the strict JSON text of the file name. A command builds
+    it before it makes the output directory, so a non-finite number, which
+    JSON cannot hold, fails the command with nothing written."""
+    try:
+        return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+    except ValueError:
+        raise RuntimeError(f"{name}: a value is not finite, which JSON cannot hold") from None
 
 
 def write_compare_csv(summary: ComparisonSummary, path: Path) -> None:
@@ -462,9 +468,10 @@ def cmd_run(config_path: str, out_dir: str, no_timing: bool = False) -> None:
     cfg = load_config(config_path)
     clients, global_val, theta0 = set_up(cfg)
     _, history = run_rounds(cfg, clients, global_val, theta0)
+    summary = _json("summary.json", _summary_payload(cfg, history, clients))
     out = _prepare_out_dir(out_dir)
     write_rounds_csv(history, out / "rounds.csv", include_timing=not no_timing)
-    _write_json(out / "summary.json", _summary_payload(cfg, history, clients))
+    _write(out / "summary.json", summary)
     _write(out / "config_echo.txt", serialize_config(cfg))
     for rec in history:  # only once the files are written, so a failure prints one line
         if rec.solver_residual >= cfg.meta.tol:
@@ -479,12 +486,10 @@ def cmd_compare(config_a: str, config_b: str, out_dir: str) -> None:
     cfg_a = load_config(config_a)
     cfg_b = load_config(config_b)
     summary = compare_runs(cfg_a, cfg_b)
-    out = _prepare_out_dir(out_dir)
-    write_compare_csv(summary, out / "compare.csv")
     diff = summary.terminal_accuracy_diff
     winner = "a" if diff > 0 else "b" if diff < 0 else "tie"
-    _write_json(
-        out / "compare_summary.json",
+    text = _json(
+        "compare_summary.json",
         {
             "terminal_accuracy_a": summary.terminal_accuracy_a,
             "terminal_accuracy_b": summary.terminal_accuracy_b,
@@ -496,6 +501,9 @@ def cmd_compare(config_a: str, config_b: str, out_dir: str) -> None:
             "winner": winner,
         },
     )
+    out = _prepare_out_dir(out_dir)
+    write_compare_csv(summary, out / "compare.csv")
+    _write(out / "compare_summary.json", text)
 
 
 @_exit_code
@@ -515,8 +523,8 @@ def cmd_diagnose(config_path: str, out_dir: str) -> None:
         raise RuntimeError(f"round 1, aggregation: {err}") from err
     contraction, kl, m, bound = _theory(cfg, cfg.meta, errors, clients)
     gap = jensen_gap(cfg.spec, cohort.thetas, weights, global_val)
-    _write_json(
-        _prepare_out_dir(out_dir) / "diagnostics.json",
+    text = _json(
+        "diagnostics.json",
         {
             "contraction_estimate": contraction,
             "jensen_gap": gap,
@@ -528,6 +536,7 @@ def cmd_diagnose(config_path: str, out_dir: str) -> None:
             "log_h": cfg.log_h,
         },
     )
+    _write(_prepare_out_dir(out_dir) / "diagnostics.json", text)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -74,8 +74,9 @@ class ClientDataset:
 
     @classmethod
     def _wrap(cls, features: np.ndarray, labels: np.ndarray) -> "ClientDataset":
-        """A dataset over arrays gathered from checked ones, which the caller
-        hands over: frozen in place, neither copied nor checked again."""
+        """A dataset over arrays that the caller has checked, or gathered from
+        checked ones, and hands over: frozen in place, neither copied nor
+        checked again."""
         features.flags.writeable = False
         labels.flags.writeable = False
         data = object.__new__(cls)
@@ -135,7 +136,7 @@ def make_blobs(
 
     Centroids are rescaled so the minimum pairwise distance is exactly 1;
     the label multiset is balanced within +-1 and the sample order is a
-    seeded shuffle.
+    seeded shuffle. Features that overflow float64 raise ValueError.
     """
     if num_classes < 2:
         raise ValueError("num_classes must be >= 2")
@@ -156,43 +157,56 @@ def make_blobs(
     centroids /= min_dist
     labels = np.arange(n, dtype=np.int64) % num_classes
     labels = labels[rng.permutation(n)]
-    with np.errstate(over="ignore"):  # an overflow fails ClientDataset's finiteness check
-        features = centroids[labels] + spread * rng.normal(size=(n, dim))
-    return ClientDataset(features, labels)
+    # centroids[labels] + spread * noise, built in the noise's array: a
+    # float product and sum commute, so every element keeps its bits
+    features = rng.normal(size=(n, dim))
+    with np.errstate(over="ignore"):  # an overflow fails the finiteness check below
+        features *= spread
+        features += centroids[labels]
+    if not np.isfinite(features).all():
+        raise ValueError("features contain non-finite values")
+    return ClientDataset._wrap(features, labels)
 
 
 def partition_dirichlet(
-    data: ClientDataset, cfg: PartitionConfig
+    labels: np.ndarray, cfg: PartitionConfig
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Split a pool across clients via per-class Dirichlet(beta) proportions.
+    """Split a pool, given by its labels, across clients via per-class
+    Dirichlet(beta) proportions.
 
     Each sample lands with exactly one client; per client the samples are
     then split into train/val by val_fraction. Assignments leaving any
     client without at least one train and one val sample are redrawn, up
     to MAX_PARTITION_ATTEMPTS times. Returns (train, val): per client, the
-    rows of data in its train split and in its val split.
+    positions in labels of its train split and of its val split.
+
+    A draw takes, per class, a shuffle of the class's positions and a cut
+    of it into K consecutive slices, slice k for client k. Its feasibility
+    is read from the slice sizes alone. Client k's rows are its slices in
+    class order, found by one stable sort of the concatenated slices by
+    client; each client's rows are then shuffled once to split them.
     """
     k = cfg.num_clients
-    if data.n < k:
-        raise ValueError(f"infeasible (n < K): {data.n} samples for {k} clients")
+    if labels.size < k:
+        raise ValueError(f"infeasible (n < K): {labels.size} samples for {k} clients")
     rng = make_rng(cfg.seed)
-    classes = np.unique(data.labels)
+    by_class = np.argsort(labels, kind="stable")
+    class_sizes = np.unique(labels, return_counts=True)[1]
+    class_slices = np.split(by_class, np.cumsum(class_sizes)[:-1])
     for _ in range(MAX_PARTITION_ATTEMPTS):
-        assignment = [[] for _ in range(k)]
-        for cls in classes:
-            idx = np.nonzero(data.labels == cls)[0]
-            idx = idx[rng.permutation(idx.size)]
+        shuffled, slice_sizes = [], []
+        for idx in class_slices:
+            shuffled.append(idx[rng.permutation(idx.size)])
             props = rng.dirichlet(np.full(k, cfg.dirichlet_beta))
             bounds = np.floor(np.cumsum(props) * idx.size).astype(int)
             bounds[-1] = idx.size
-            start = 0
-            for client, stop in enumerate(bounds):
-                assignment[client].extend(idx[start:stop].tolist())
-                start = stop
-        if all(len(a) >= 2 for a in assignment):
+            slice_sizes.append(np.diff(bounds, prepend=0))
+        counts = np.sum(slice_sizes, axis=0)
+        if (counts >= 2).all():
+            client = np.repeat(np.tile(np.arange(k), len(slice_sizes)), np.concatenate(slice_sizes))
+            rows = np.concatenate(shuffled)[np.argsort(client, kind="stable")]
             train, val = [], []
-            for a in assignment:
-                idx = np.asarray(a, dtype=np.int64)
+            for idx in np.split(rows, np.cumsum(counts)[:-1]):
                 idx = idx[rng.permutation(idx.size)]
                 n_val = int(round(cfg.val_fraction * idx.size))
                 n_val = min(max(n_val, 1), idx.size - 1)
@@ -225,8 +239,10 @@ def inject_label_noise(labels: np.ndarray, rate: float, seed: int, num_classes: 
 def load_csv(path: str, num_classes: int) -> ClientDataset:
     """Parse a feature+label CSV file into a ClientDataset.
 
-    Raises ConfigError for a malformed file; errors carry 1-based file
-    line numbers.
+    A well-formed file is parsed in one call, and the dataset's features
+    are a read-only view of the checked table, not a second copy. Raises
+    ConfigError for a malformed file; errors carry 1-based file line
+    numbers.
     """
     try:
         with warnings.catch_warnings():
@@ -244,7 +260,7 @@ def load_csv(path: str, num_classes: int) -> ClientDataset:
         or not ((labels >= 0) & (labels < num_classes)).all()
     ):
         return _read_csv(path, num_classes)
-    return ClientDataset(table[:, :-1], labels.astype(np.int64))
+    return ClientDataset._wrap(table[:, :-1], labels.astype(np.int64))
 
 
 def _read_csv(path: str, num_classes: int) -> ClientDataset:

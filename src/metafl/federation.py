@@ -144,6 +144,12 @@ class ExperimentConfig:
             raise ValueError("target_accuracy must lie in (0, 1]")
         if not np.isfinite(self.log_h) or self.log_h < 0.0:
             raise ValueError("log_h must be finite and >= 0")
+        if not np.isfinite(2.0 * self.log_h):  # the generalization bound's term
+            raise ValueError("diagnostics.log_h * 2 must be finite")
+        if not all(np.isfinite(self.meta.eta * replace(self.meta, alpha=a).resolved_tau())
+                   for a in (self.meta.alpha, *grid)):  # the contraction estimate's step
+            raise ValueError("meta.eta * tau must be finite for meta.alpha and every "
+                             "alpha_grid entry, with tau = 1/alpha")
         if self.meta.eta == 0.0 and self.aggregator_mode in ("metafl_mirror", "metafl_projected"):
             raise ValueError(f"meta.eta must be > 0 for aggregator {self.aggregator_mode}")
         if self.seed < 0:
@@ -221,9 +227,11 @@ class ComparisonSummary:
 def build_federation(cfg: ExperimentConfig) -> tuple[tuple[Segments, Segments], ClientDataset]:
     """Materialize the client (train, val) sides and the server's IID holdout.
 
-    The holdout is drawn before partitioning. Label noise corrupts the
-    marked clients' train splits only, so client validation losses
-    honestly reflect the damage. Any fault in drawing the pool, the
+    The holdout is drawn before partitioning, and the rest of the pool is
+    partitioned by its labels alone: each side gathers its rows straight
+    from the pool, so the rest is never copied as a dataset. Label noise
+    corrupts the marked clients' train splits only, so client validation
+    losses honestly reflect the damage. Any fault in drawing the pool, the
     holdout or the partition raises one ConfigError, naming data.csv_path
     when the pool is a CSV file.
     """
@@ -248,11 +256,11 @@ def build_federation(cfg: ExperimentConfig) -> tuple[tuple[Segments, Segments], 
         if n_holdout >= pool.n:
             raise ValueError("global validation holdout would consume every sample")
         global_val = pool.subset(order[:n_holdout])
-        rest = pool.subset(order[n_holdout:])
-        train_rows, val_rows = partition_dirichlet(rest, part)
+        rest = order[n_holdout:]
+        labels = pool.labels[rest]
+        train_rows, val_rows = partition_dirichlet(labels, part)
     except ValueError as err:
         raise ConfigError(f"{source}{err}") from None
-    labels = rest.labels.copy()
     for k in sorted(part.noise_clients):
         rows = train_rows[k]
         labels[rows] = inject_label_noise(
@@ -262,7 +270,7 @@ def build_federation(cfg: ExperimentConfig) -> tuple[tuple[Segments, Segments], 
     def side(split: list[np.ndarray]) -> Segments:
         rows = np.concatenate(split)
         n = np.array([r.size for r in split])
-        return Segments(ClientDataset._wrap(rest.features[rows], labels[rows]), n)
+        return Segments(ClientDataset._wrap(pool.features[rest[rows]], labels[rows]), n)
 
     return (side(train_rows), side(val_rows)), global_val
 

@@ -521,7 +521,7 @@ def holdout_losses(spec: ModelSpec, thetas: np.ndarray, data: ClientDataset) -> 
             _, z = _forward(spec, layers, data.features[lo:hi])
             labels = (slice(None), np.arange(hi - lo), data.labels[lo:hi])
             ce[:, lo:hi] = _cross_entropy(z, labels)
-    return np.mean(ce, axis=1)
+        return np.mean(ce, axis=1)
 
 
 @functools.lru_cache(maxsize=2)

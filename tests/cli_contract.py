@@ -75,6 +75,13 @@ POSITIVE = " must be finite and positive"
 FINITE_RATE = "learning_rate" + POSITIVE
 SEED = "seed must be >= 0"
 RATE = r"train\.learning_rate \* 1\.5 must be finite while meta\.c weights lr_sensitivity"
+STEP = (r"meta\.eta \* tau must be finite for meta\.alpha and every alpha_grid entry, "
+        r"with tau = 1/alpha")
+LOG_H = r"diagnostics\.log_h \* 2 must be finite"
+#: One client whose ridge step overflows the holdout losses' sum, not its rows' losses.
+LOSS_SUM_OVERFLOWS = ("rounds = 2\npartition.num_clients = 1\ntrain.l2 = 1.7e308\n"
+                      "model.activation = tanh\ndata.global_val_fraction = 0.99\n"
+                      "model.num_classes = 5\n")
 DIVERGED = "round 1, client 0: training diverged to non-finite parameters in epoch {}"
 COMMANDS = ("run", "diagnose", "compare")
 
@@ -119,6 +126,10 @@ CONFIG_ERRORS = {
                            + "features contain non-finite values"),
     "overflowing_extra_epoch_rate": (
         "train.epochs = 0\ntrain.learning_rate = 1.5e308\nmeta.c = 0,0,0,0,1", RATE),
+    # the contraction estimate |1 - eta * tau| and the bound's 2 * log_h would be Infinity
+    "overflowing_contraction_step": ("meta.alpha = 1e-300\nmeta.eta = 1e10", STEP),
+    "overflowing_contraction_step_grid": ("alpha_grid = 0,1e-300\nmeta.eta = 1e10", STEP),
+    "overflowing_log_h": ("diagnostics.log_h = 1.7e308", LOG_H),
 }
 
 CASES = {case.name: case for case in (
@@ -177,6 +188,13 @@ CASES = {case.name: case for case in (
       for name, grid in [("", ""), ("_grid", "alpha_grid = 0,1,5\n")]),
     Case("holdout_overflows_diagnose", "diagnose", HOLDOUT, 3,
          "jensen_gap: a holdout loss is not finite", HOLDOUT_POOL),
+    # each row's loss is finite, but their mean overflows: no numpy warning
+    Case("holdout_loss_sum_overflows", "run", LOSS_SUM_OVERFLOWS + "alpha_grid = 0,1\n", 3,
+         "round 1, server evaluation: val_loss must be finite"),
+    Case("holdout_loss_sum_overflows_diagnose", "diagnose", LOSS_SUM_OVERFLOWS, 3,
+         "jensen_gap: a holdout loss is not finite"),
+    Case("overflowing_log_h_diagnose", "diagnose", MINIMAL + CONFIG_ERRORS["overflowing_log_h"][0]
+         + "\n", 2, LOG_H),
     # the projected step's targets lie where the simplex projection rounds away
     Case("projected_step_too_large", "run",
          MINIMAL + "aggregator = metafl_projected\nmeta.eta = 1e300\n", 3,

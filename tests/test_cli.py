@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from metafl import aggregator, federation
+from metafl import aggregator, cli, federation
 from metafl.aggregator import AGGREGATOR_MODES, MetaParams
 from metafl.cli import (
     _KEYS,
@@ -62,7 +62,8 @@ SUMMARY_KEYS = {
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 POSITIVE = st.floats(min_value=1e-6, max_value=1e6)
 NONNEGATIVE = st.floats(min_value=0.0, max_value=1e6)
-ALPHAS = st.floats(min_value=0.0, max_value=1e6, allow_subnormal=False)  # 1/alpha finite
+# 0, or 1/alpha and eta * (1/alpha) finite for any eta up to 1e6
+ALPHAS = st.just(0.0) | st.floats(min_value=1e-300, max_value=1e6)
 OPEN_UNIT = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
 SEEDS = st.integers(0, 2**64 - 1)
 
@@ -507,6 +508,18 @@ def test_runtime_failure_leaves_no_output_dir(tmp_path, command):
 
 def test_unwritable_output_is_config_error(tmp_path):
     check(CASES["unwritable_output"], tmp_path)
+
+
+@pytest.mark.parametrize("command, name", [(cmd_run, "summary.json"),
+                                           (cmd_diagnose, "diagnostics.json")])
+def test_non_finite_json_value_leaves_no_output_dir(tmp_path, monkeypatch, capsys, command, name):
+    # JSON has no Infinity; the config rules keep it out, and this is the backstop
+    monkeypatch.setattr(cli, "contraction_estimate", lambda errors, mp: float("inf"))
+    out = tmp_path / "out"
+    assert command(write(tmp_path, MINIMAL), str(out)) == 3
+    assert capsys.readouterr().err == (
+        f"runtime error: {name}: a value is not finite, which JSON cannot hold\n")
+    assert not out.exists()
 
 
 class TestMain:

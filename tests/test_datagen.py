@@ -20,14 +20,15 @@ from metafl.datagen import (
 )
 from metafl.models import ModelSpec, TrainConfig, evaluate, init_params, train_local
 from metafl.numerics import make_rng
-from testkit import pooled, save_csv
+from testkit import pooled, reference_blobs, reference_partition, save_csv
 
 
-def read_outcome(read, path, num_classes):
-    """What a CSV reader gives for a file: its arrays' bytes and shapes, or
-    its error's type and message."""
+def outcome(make, *args):
+    """What a dataset maker (a generator or a CSV reader) gives for args:
+    its features' shape and its arrays' bytes, or its error's type and
+    message."""
     try:
-        data = read(str(path), num_classes)
+        data = make(*args)
     except Exception as err:
         return type(err), str(err)
     return data.features.shape, data.features.tobytes(), data.labels.tobytes()
@@ -75,6 +76,16 @@ ODD_FILES = {
 }
 
 
+def split_outcome(partition, labels, cfg):
+    """What a partition gives: each client's train and val positions as
+    bytes, or its error's type and message."""
+    try:
+        train, val = partition(labels, cfg)
+    except ValueError as err:
+        return type(err), str(err)
+    return [rows.tobytes() for rows in train], [rows.tobytes() for rows in val]
+
+
 def sorted_rows(data: ClientDataset) -> np.ndarray:
     rows = np.column_stack([data.features, data.labels.astype(np.float64)])
     return rows[np.lexsort(rows.T[::-1])]
@@ -106,6 +117,20 @@ class TestMakeBlobs:
         )
         assert evaluate(spec, params, data).val_accuracy >= 0.99
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        num_classes=st.integers(2, 6),
+        dim=st.integers(1, 6),
+        extra=st.integers(0, 80),
+        spread=st.floats(1e-300, 1.7e308),
+        seed=st.integers(0, 2**32),
+    )
+    def test_equals_reference_sum(self, num_classes, dim, extra, spread, seed):
+        # the noise scaled and shifted in place is centroids[labels] + spread * noise,
+        # bit for bit, and an overflow fails both with one message
+        args = num_classes, dim, num_classes + extra, spread, seed
+        assert outcome(make_blobs, *args) == outcome(reference_blobs, *args)
+
     def test_errors(self):
         with pytest.raises(ValueError, match="num_classes"):
             make_blobs(1, 2, 10, 0.5, 0)
@@ -116,7 +141,7 @@ class TestMakeBlobs:
 class TestPartitionDirichlet:
     def test_conserves_multiset(self):
         data = make_blobs(3, 2, 200, 0.8, 3)
-        train, val = partition_dirichlet(data, PartitionConfig(num_clients=5, seed=9))
+        train, val = partition_dirichlet(data.labels, PartitionConfig(num_clients=5, seed=9))
         merged = data.subset(np.concatenate(train + val))
         assert merged.n == data.n
         np.testing.assert_array_equal(sorted_rows(merged), sorted_rows(data))
@@ -131,12 +156,11 @@ class TestPartitionDirichlet:
         seeds=st.tuples(st.integers(0, 2**32), st.integers(0, 2**32)),
     )
     def test_places_each_sample_exactly_once(self, n, num_clients, num_classes, beta, val_fraction, seeds):
-        # the splits are rows of the pool, so they must hold every row once
+        # the splits are positions in labels, so they must hold every one once
         labels = make_rng(seeds[0]).integers(0, num_classes, n)
-        pool = ClientDataset(np.zeros((n, 2)), labels)
         cfg = PartitionConfig(num_clients, beta, val_fraction, seed=seeds[1])
         try:
-            train, val = partition_dirichlet(pool, cfg)
+            train, val = partition_dirichlet(labels, cfg)
         except ValueError as err:
             # n < K, or no draw gave every client a train and a val sample
             if not str(err).startswith(("infeasible", "retry exhaustion")):
@@ -146,16 +170,58 @@ class TestPartitionDirichlet:
         assert all(rows.size >= 1 for rows in train + val)
         np.testing.assert_array_equal(np.sort(np.concatenate(train + val)), np.arange(n))
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(1, 200),
+        num_clients=st.integers(1, 40),
+        num_classes=st.integers(1, 6),
+        beta=st.floats(0.01, 100.0),
+        val_fraction=st.floats(0.05, 0.95),
+        seeds=st.tuples(st.integers(0, 2**32), st.integers(0, 2**32)),
+    )
+    def test_equals_reference_partition(self, n, num_clients, num_classes, beta, val_fraction,
+                                        seeds):
+        # the stable sort by client gives the per-client extend order, and
+        # every draw keeps its place, retries and failures included
+        labels = make_rng(seeds[0]).integers(0, num_classes, n)
+        cfg = PartitionConfig(num_clients, beta, val_fraction, seed=seeds[1])
+        assert split_outcome(partition_dirichlet, labels, cfg) == split_outcome(
+            reference_partition, labels, cfg)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4, 5, 8])
+    def test_retried_draws_equal_reference(self, monkeypatch, seed):
+        # 8 clients on 60 samples of 3 classes at beta 0.3: each of these
+        # seeds leaves some client short at the first attempt
+        draws = []
+
+        class CountingRng:
+            def __init__(self, rng):
+                self.rng = rng
+
+            def dirichlet(self, *args):
+                draws.append(1)
+                return self.rng.dirichlet(*args)
+
+            def __getattr__(self, name):
+                return getattr(self.rng, name)
+
+        monkeypatch.setattr(datagen, "make_rng", lambda s: CountingRng(make_rng(s)))
+        labels = make_rng(1).integers(0, 3, 60)
+        cfg = PartitionConfig(num_clients=8, dirichlet_beta=0.3, val_fraction=0.3, seed=seed)
+        got = split_outcome(partition_dirichlet, labels, cfg)
+        assert len(draws) > 3  # one dirichlet draw per class and attempt
+        assert got == split_outcome(reference_partition, labels, cfg)
+
     def test_sample_counts_add_up(self):
         data = make_blobs(2, 2, 150, 0.8, 4)
-        train, val = partition_dirichlet(data, PartitionConfig(num_clients=4, seed=2))
+        train, val = partition_dirichlet(data.labels, PartitionConfig(num_clients=4, seed=2))
         assert sum(t.size + v.size for t, v in zip(train, val)) == data.n
 
     def test_high_beta_is_nearly_iid(self):
         data = make_blobs(2, 2, 4000, 0.8, 11)
         global_share = label_distribution(pooled([data]), 2)[0, 1]
         cfg = PartitionConfig(num_clients=4, dirichlet_beta=1e6, seed=5)
-        train, val = partition_dirichlet(data, cfg)
+        train, val = partition_dirichlet(data.labels, cfg)
         merged = [data.subset(np.concatenate(pair)) for pair in zip(train, val)]
         for share in label_distribution(pooled(merged), 2)[:, 1]:
             assert abs(share - global_share) <= 0.05
@@ -164,13 +230,13 @@ class TestPartitionDirichlet:
         data = make_blobs(2, 2, 60, 0.8, 1)
         for seed in range(10):
             cfg = PartitionConfig(num_clients=5, dirichlet_beta=0.3, seed=seed)
-            train, val = partition_dirichlet(data, cfg)
+            train, val = partition_dirichlet(data.labels, cfg)
             assert all(t.size >= 1 and v.size >= 1 for t, v in zip(train, val))
 
     def test_infeasible(self):
         data = make_blobs(2, 2, 4, 0.5, 0)
         with pytest.raises(ValueError, match="infeasible"):
-            partition_dirichlet(data, PartitionConfig(num_clients=5))
+            partition_dirichlet(data.labels, PartitionConfig(num_clients=5))
 
     def test_beta_controls_skew(self):
         # smaller beta concentrates labels: lower mean per-client entropy
@@ -178,7 +244,7 @@ class TestPartitionDirichlet:
 
         def mean_entropy(beta, seed):
             cfg = PartitionConfig(num_clients=5, dirichlet_beta=beta, seed=seed)
-            train, _ = partition_dirichlet(data, cfg)
+            train, _ = partition_dirichlet(data.labels, cfg)
             ents = []
             for p in label_distribution(pooled([data.subset(rows) for rows in train]), 2):
                 nz = p[p > 0]
@@ -192,8 +258,8 @@ class TestPartitionDirichlet:
     def test_deterministic(self):
         data = make_blobs(3, 2, 120, 0.8, 6)
         cfg = PartitionConfig(num_clients=3, dirichlet_beta=0.5, seed=8)
-        a = partition_dirichlet(data, cfg)
-        b = partition_dirichlet(data, cfg)
+        a = partition_dirichlet(data.labels, cfg)
+        b = partition_dirichlet(data.labels, cfg)
         for side_a, side_b in zip(a, b):
             for rows_a, rows_b in zip(side_a, side_b):
                 np.testing.assert_array_equal(rows_a, rows_b)
@@ -234,6 +300,14 @@ class TestCsv:
         np.testing.assert_array_equal(data.features, [[1.5, 2.0], [-0.25, 3.5]])
         np.testing.assert_array_equal(data.labels, [0, 1])
 
+    def test_hands_over_read_only_arrays(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("1.5,2.0,0\n-0.25,3.5,1\n")
+        data = load_csv(str(path), 2)
+        for array in (data.features, data.labels):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+
     def test_label_out_of_range_names_row(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("1.0,2.0,0\n1.0,2.0,2\n")
@@ -269,9 +343,9 @@ class TestCsv:
         text, num_classes = pool
         path = tmp_path_factory.getbasetemp() / "pool.csv"
         path.write_bytes(text.encode("utf-8"))
-        got = read_outcome(load_csv, path, num_classes)
+        got = outcome(load_csv, str(path), num_classes)
         assert len(got) == 3  # loaded
-        assert got == read_outcome(datagen._read_csv, path, num_classes)
+        assert got == outcome(datagen._read_csv, str(path), num_classes)
 
     @pytest.mark.parametrize("name", ODD_FILES)
     def test_odd_file_equals_row_reader(self, tmp_path, name):
@@ -280,9 +354,9 @@ class TestCsv:
         path.write_bytes(text.encode("utf-8"))
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            got = read_outcome(load_csv, path, 3)
+            got = outcome(load_csv, str(path), 3)
         assert caught == []  # numpy warns on a file with no data
-        assert got == read_outcome(datagen._read_csv, path, 3)
+        assert got == outcome(datagen._read_csv, str(path), 3)
         if isinstance(want, str):
             assert got == (ConfigError, want)
         else:

@@ -1,6 +1,7 @@
 """Round-loop orchestration, comparison, and diagnostics tests."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -399,6 +400,48 @@ class TestBuildFederation:
             build_federation(cfg)
 
 
+class TestSetUpMemory:
+    """set_up holds at most one pool beside what it keeps: its tracemalloc
+    peak stays within SETUP_PEAK_BOUND of the bytes it returns, at
+    wide_cohort's shapes (K = 300, 30,000 samples of 16 features)."""
+
+    SETUP_PEAK_BOUND = 2.5
+
+    @staticmethod
+    def wide_config(**data) -> ExperimentConfig:
+        return small_config(
+            spec=ModelSpec(input_dim=16, hidden_dim=16, num_classes=4),
+            partition=PartitionConfig(num_clients=300, dirichlet_beta=1.0, val_fraction=0.3,
+                                      noise_clients=frozenset(range(0, 300, 5)),
+                                      label_noise_rate=0.4, seed=5),
+            data=DataConfig(n_samples=30_000, spread=0.7, **data),
+        )
+
+    @pytest.mark.parametrize("source", ["synthetic", "csv"])
+    def test_peak_within_bound_of_kept_bytes(self, tmp_path, source):
+        data = {}
+        if source == "csv":
+            data["csv_path"] = str(tmp_path / "pool.csv")
+            save_csv(make_blobs(4, 16, 30_000, 0.7, 1), data["csv_path"])
+        cfg = self.wide_config(**data)
+        set_up(cfg)  # the first call also pays one-off imports
+        started = tracemalloc.is_tracing()
+        if not started:
+            tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            (train, val), holdout, theta0 = set_up(cfg)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not started:
+                tracemalloc.stop()
+        kept = sum(array.nbytes for array in (
+            train.data.features, train.data.labels, train.n, val.data.features, val.data.labels,
+            val.n, holdout.features, holdout.labels, theta0.coords))
+        assert peak <= self.SETUP_PEAK_BOUND * kept, f"peak {peak / kept:.2f} times the kept bytes"
+
+
 class TestCompareRuns:
     def test_builds_federation_once(self, monkeypatch):
         calls = []
@@ -509,6 +552,16 @@ class TestExperimentConfig:
         cfg = small_config(aggregator_mode=mode, meta=MetaParams(alpha=5.0, eta=0.0))
         assert cfg.meta.eta == 0.0
 
+    @pytest.mark.parametrize("overrides, message", [
+        (dict(meta=MetaParams(alpha=1e-300, eta=1e10)), r"meta\.eta \* tau must be finite"),
+        (dict(alpha_grid=(0.0, 1e-300), meta=MetaParams(eta=1e10)), r"meta\.eta \* tau"),
+        (dict(log_h=1.7e308), r"diagnostics\.log_h \* 2 must be finite"),
+    ])
+    def test_rejects_what_a_json_output_cannot_hold(self, overrides, message):
+        # contraction_estimate's eta * tau and generalization_bound's 2 * log_h
+        with pytest.raises(ValueError, match=message):
+            small_config(**overrides)
+
     def test_rejects_negative_seed_and_nonfinite_log_h(self):
         with pytest.raises(ValueError, match="seed"):
             small_config(seed=-1)
@@ -563,9 +616,16 @@ class TestPooledLayout:
     0 epochs, and the library's one-client calls, which the oracle does not
     make."""
 
-    @settings(max_examples=60, deadline=None)
-    @given(cfg=federations())
-    def test_segments_equal_per_client_set_up(self, cfg):
+    @settings(max_examples=80, deadline=None)
+    @given(cfg=federations(), csv_spread=st.sampled_from([None, None, 1e-3, 0.5, 1e3]))
+    def test_segments_equal_per_client_set_up(self, tmp_path_factory, cfg, csv_spread):
+        """With csv_spread, the pool is a CSV file of that spread: the one-call
+        parse's view of it against the row-by-row reader's dataset."""
+        if csv_spread is not None:
+            spec, path = cfg.spec, tmp_path_factory.getbasetemp() / "pool.csv"
+            save_csv(make_blobs(spec.num_classes, spec.input_dim, cfg.data.n_samples, csv_spread,
+                                cfg.seed), str(path))
+            cfg = replace(cfg, data=replace(cfg.data, csv_path=str(path)))
         try:
             want, want_holdout = reference_clients(cfg)
         except ValueError:

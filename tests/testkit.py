@@ -25,7 +25,7 @@ from metafl.aggregator import (
     BOUNDARY_CLAMP, AggregationOutcome, MetaParams, aggregate, fedavg_weights, meta_agg,
 )
 from metafl.datagen import (
-    MAX_PARTITION_ATTEMPTS, ClientDataset, PartitionConfig, Segments, make_blobs,
+    MAX_PARTITION_ATTEMPTS, ClientDataset, PartitionConfig, Segments, _read_csv,
 )
 from metafl.federation import RoundRecord
 from metafl.metafeatures import composite_errors
@@ -131,18 +131,37 @@ def per_client(clients: Tuple[Segments, Segments]) -> list:
             for k in range(len(clients[0].n))]
 
 
-def reference_partition(data: ClientDataset, cfg: PartitionConfig) -> list:
-    """datagen.partition_dirichlet as it was when it built a (train, val)
-    pair of datasets per client."""
+def reference_blobs(num_classes: int, dim: int, n: int, spread: float, seed: int) -> ClientDataset:
+    """datagen.make_blobs as it was when it summed centroids[labels] and
+    spread * noise into a new array, which ClientDataset copied and checked."""
+    rng = make_rng(seed)
+    while True:
+        centroids = rng.normal(size=(num_classes, dim))
+        diffs = centroids[:, None, :] - centroids[None, :, :]
+        dists = np.sqrt((diffs**2).sum(axis=2))
+        min_dist = dists[np.triu_indices(num_classes, k=1)].min()
+        if min_dist > 0.0:
+            break
+    centroids /= min_dist
+    labels = np.arange(n, dtype=np.int64) % num_classes
+    labels = labels[rng.permutation(n)]
+    with np.errstate(over="ignore"):
+        features = centroids[labels] + spread * rng.normal(size=(n, dim))
+    return ClientDataset(features, labels)
+
+
+def reference_partition(labels: np.ndarray, cfg: PartitionConfig) -> tuple[list, list]:
+    """datagen.partition_dirichlet as it was when it built each client's
+    rows by extending a list with its slice of every class, attempt by
+    attempt: (train, val), per client its positions in labels."""
     k = cfg.num_clients
-    if data.n < k:
-        raise ValueError(f"infeasible (n < K): {data.n} samples for {k} clients")
+    if labels.size < k:
+        raise ValueError(f"infeasible (n < K): {labels.size} samples for {k} clients")
     rng = make_rng(cfg.seed)
-    classes = np.unique(data.labels)
     for _ in range(MAX_PARTITION_ATTEMPTS):
         assignment = [[] for _ in range(k)]
-        for cls in classes:
-            idx = np.nonzero(data.labels == cls)[0]
+        for cls in np.unique(labels):
+            idx = np.nonzero(labels == cls)[0]
             idx = idx[rng.permutation(idx.size)]
             props = rng.dirichlet(np.full(k, cfg.dirichlet_beta))
             bounds = np.floor(np.cumsum(props) * idx.size).astype(int)
@@ -152,15 +171,19 @@ def reference_partition(data: ClientDataset, cfg: PartitionConfig) -> list:
                 assignment[client].extend(idx[start:stop].tolist())
                 start = stop
         if all(len(a) >= 2 for a in assignment):
-            splits = []
+            train, val = [], []
             for a in assignment:
                 idx = np.asarray(a, dtype=np.int64)
                 idx = idx[rng.permutation(idx.size)]
                 n_val = int(round(cfg.val_fraction * idx.size))
                 n_val = min(max(n_val, 1), idx.size - 1)
-                splits.append((data.subset(idx[n_val:]), data.subset(idx[:n_val])))
-            return splits
-    raise ValueError("retry exhaustion")
+                train.append(idx[n_val:])
+                val.append(idx[:n_val])
+            return train, val
+    raise ValueError(
+        f"retry exhaustion: no assignment with >=1 train and >=1 val sample "
+        f"per client after {MAX_PARTITION_ATTEMPTS} attempts"
+    )
 
 
 def reference_label_noise(
@@ -180,14 +203,23 @@ def reference_label_noise(
 
 
 def reference_clients(cfg) -> tuple[list, ClientDataset]:
-    """federation.build_federation for a synthetic pool, built as it was:
-    a (train, val) pair of datasets per client, each noisy client's train
-    split replaced by a relabelled copy; and the server's holdout."""
+    """federation.build_federation built as it was: the pool (reference_blobs,
+    or a CSV file read row by row), the rest of it after the holdout as a
+    dataset, a (train, val) pair of datasets per client, each noisy
+    client's train split replaced by a relabelled copy; and the server's
+    holdout."""
     spec, data, part = cfg.spec, cfg.data, cfg.partition
-    pool = make_blobs(spec.num_classes, spec.input_dim, data.n_samples, data.spread, cfg.seed)
+    if data.csv_path is not None:
+        pool = _read_csv(data.csv_path, spec.num_classes)
+    else:
+        pool = reference_blobs(
+            spec.num_classes, spec.input_dim, data.n_samples, data.spread, cfg.seed
+        )
     order = make_rng([cfg.seed, 1]).permutation(pool.n)
     n_holdout = max(1, int(round(data.global_val_fraction * pool.n)))
-    clients = reference_partition(pool.subset(order[n_holdout:]), part)
+    rest = pool.subset(order[n_holdout:])
+    clients = [(rest.subset(train), rest.subset(val))
+               for train, val in zip(*reference_partition(rest.labels, part))]
     for k in part.noise_clients:
         train, val = clients[k]
         seed = derive_seed(part.seed, k, 11)
