@@ -12,11 +12,12 @@ numpy's own pairwise order, so the sums keep numpy's bits.
 train_cohort and cohort_losses take r·K member rows on a side of K
 segments: member i reads segment i mod K, with the rows and shuffles of
 member i mod K, so r copies of a cohort (for train_cohort, each at its
-own learning rate) run as one cohort. train_cohort plans its lockstep
-schedule once per tuple of segment sizes (with batch size, epochs and
-copies), gathers its batches once per call and writes each step's
-gradients into one buffer made per call; cohort_losses plans its size
-groups once per tuple of segment sizes (with copies).
+own learning rate) run as one cohort. Both run on one lockstep plan,
+made by _plan once per tuple of segment sizes, batch size, epochs and
+copies and kept in its one cache: train_cohort at its batch size and
+epochs, cohort_losses at one unshuffled batch per member. Each gathers
+its rows once per call through _gather; train_cohort writes each step's
+gradients into one buffer made per call.
 """
 
 from __future__ import annotations
@@ -243,23 +244,12 @@ def _cross_entropy(z: np.ndarray, labels: tuple) -> np.ndarray:
     return m + np.log(_row_sum(e)) - picked
 
 
-def _ce_grad_arrays(
-    spec: ModelSpec, theta: np.ndarray, x: np.ndarray, onehot: np.ndarray, l2: float
-) -> np.ndarray:
-    """Batch gradients for a stack of members: theta [G, P], x [G, n, d]
-    and one-hot labels [G, n, c] give [G, P], as a new array."""
-    grad = np.empty_like(theta, dtype=np.float64)
-    _ce_grad_into(spec, _unpack(spec, theta), x, onehot, _unpack(spec, grad))
-    if l2 > 0.0:
-        grad += l2 * theta
-    return grad
-
-
 def _ce_grad_into(
     spec: ModelSpec, layers: Sequence[np.ndarray], x: np.ndarray, onehot: np.ndarray,
     out: Sequence[np.ndarray],
 ) -> None:
-    """The cross-entropy part of _ce_grad_arrays, written into out, the
+    """Mean cross-entropy gradients of a stack of members on their batches
+    x [G, n, d] with one-hot labels [G, n, c], written into out, the
     _unpack views of the members' gradient rows; layers are those of their
     parameter rows. Every operation acts within one member (a matmul per
     member, reductions over its own rows), so member g's gradient is
@@ -312,10 +302,10 @@ def train_local(
 
 
 class _Plan(NamedTuple):
-    """train_cohort's schedule for one (n, batch size, epochs, copies).
-    Lockstep position i trains cohort member order[i]; a plan row is one
+    """The lockstep schedule for one (n, batch size, epochs, copies).
+    Lockstep position i holds cohort member order[i]; a plan row is one
     batch row of one (member, step), and each group of plan rows is one
-    stacked SGD step."""
+    stacked SGD step, or for cohort_losses one stacked forward pass."""
 
     sizes: tuple  # the distinct segment sizes; each draws `epochs` shuffles
     order: np.ndarray  # [M] the cohort member at each lockstep position
@@ -324,13 +314,15 @@ class _Plan(NamedTuple):
     groups: tuple  # (k, r0, r1, sel): k positions sel (a slice if adjacent) take rows r0:r1
 
 
-@functools.lru_cache(maxsize=3)
+@functools.lru_cache(maxsize=5)
 def _plan(n: tuple, size: int, epochs: int, copies: int = 1) -> _Plan:
-    """The part of train_cohort that depends only on the segment sizes n
-    (segment order), the batch size, epochs >= 1 and the copies r of the
-    cohort (member i on segment i mod K), with read-only arrays. A run asks
-    for up to three keys: its rounds' epochs, extract's one-epoch probe and
-    its two copies of the cohort for one epoch."""
+    """The part of train_cohort and cohort_losses that depends only on the
+    segment sizes n (segment order), the batch size, epochs >= 1 and the
+    copies r of the cohort (member i on segment i mod K), with read-only
+    arrays. A run asks for up to five keys: its rounds' epochs, extract's
+    one-epoch probe and its two copies of the cohort for one epoch, and
+    cohort_losses' one batch per member on the validation side, once and
+    twice over."""
     segments = np.array(n)
     n = np.tile(segments, copies)
     per_epoch = -(-n // size)
@@ -419,6 +411,17 @@ def train_cohort(
     return trained
 
 
+def _gather(plan: _Plan, shuffles: list, side: Segments) -> tuple[np.ndarray, np.ndarray]:
+    """The features [R, d] and labels [R] of every plan row, in plan order.
+    shuffles are the permutations of each of plan.sizes in turn, one per
+    epoch, and plan row p reads the side row plan.offset[p] plus entry
+    plan.pos[p] of the joined shuffles."""
+    rows = np.concatenate(shuffles)[plan.pos]
+    rows += plan.offset
+    # np.take gathers in about half the time that indexing by rows takes
+    return np.take(side.data.features, rows, axis=0), np.take(side.data.labels, rows)
+
+
 def _descend(spec: ModelSpec, starts: np.ndarray, side: Segments, cfg: TrainConfig,
              rates: np.ndarray | None, copies: int) -> np.ndarray:
     """train_cohort's SGD for cfg.epochs >= 1 on checked arguments, with
@@ -430,12 +433,9 @@ def _descend(spec: ModelSpec, starts: np.ndarray, side: Segments, cfg: TrainConf
     for n_k in plan.sizes:
         rng.bit_generator.state = fresh  # a new make_rng(cfg.seed), at a tenth of the cost
         shuffles += [rng.permutation(n_k) for _ in range(cfg.epochs)]
-    rows = np.concatenate(shuffles)[plan.pos]
-    rows += plan.offset
+    xs, labels = _gather(plan, shuffles, side)
     d, c = spec.input_dim, spec.num_classes
-    # np.take gathers in about half the time that indexing by rows takes
-    xs = np.take(side.data.features, rows, axis=0)
-    ys = np.take(np.eye(c), np.take(side.data.labels, rows), axis=0)
+    ys = np.take(np.eye(c), labels, axis=0)
 
     theta = np.asarray(starts, dtype=np.float64)[plan.order]
     grad = np.empty_like(theta)
@@ -524,46 +524,28 @@ def holdout_losses(spec: ModelSpec, thetas: np.ndarray, data: ClientDataset) -> 
         return np.mean(ce, axis=1)
 
 
-@functools.lru_cache(maxsize=2)
-def _loss_plan(n: tuple, copies: int) -> tuple:
-    """cohort_losses' size groups for the segment sizes n (segment order)
-    and the copies r of the cohort (member i on segment i mod K), with
-    read-only arrays: per segment length L, the members idx [G] of that
-    length, their side rows [G, L] and the aranges [G, 1] and [L] that pick
-    each row's label logit. A run asks for two keys: its validation side
-    once and twice over."""
-    segments = np.array(n)
-    sizes, first = np.tile(segments, copies), np.tile(np.cumsum(segments) - segments, copies)
-    order = np.argsort(sizes, kind="stable")
-    sizes, first = sizes[order], first[order]
-    cuts = (np.flatnonzero(np.diff(sizes)) + 1).tolist()
-    groups = []
-    for lo, hi in zip([0, *cuts], [*cuts, len(sizes)]):
-        within = np.arange(sizes[lo])
-        group = (order[lo:hi], first[lo:hi, None] + within, np.arange(hi - lo)[:, None], within)
-        for array in group:
-            array.flags.writeable = False
-        groups.append(group)
-    return tuple(groups)
-
-
 def cohort_losses(spec: ModelSpec, thetas: np.ndarray, side: Segments) -> np.ndarray:
     """local_loss for every member i, of row i of thetas [M, P] on segment
     i mod K of side's K segments (M a multiple of K), bitwise; returns the
     losses [M].
 
-    Members whose segments have one length share one stacked forward pass,
-    and each member's mean is taken over its own rows. Nothing is padded
-    or reduced across members. The size groups come from _loss_plan,
-    made once per tuple of segment sizes and copies; a call only gathers
-    and scores. An overflow is not warned of: it shows as a non-finite loss,
-    which the caller's check names.
+    Scoring is train_cohort's lockstep plan at one epoch of one batch per
+    member (the batch size is the longest segment), with each segment
+    unshuffled: members whose segments have one length form one group and
+    share one stacked forward pass, and each member's mean is taken over
+    its own rows. Nothing is padded or reduced across members. A call only
+    gathers and scores. An overflow is not warned of: it shows as a
+    non-finite loss, which the caller's check names.
     """
     copies = _check_side(spec, thetas, side)
+    plan = _plan(tuple(side.n.tolist()), int(side.n.max()), 1, copies)
+    xs, labels = _gather(plan, [np.arange(n_k) for n_k in plan.sizes], side)
+    ordered = thetas[plan.order]
     losses = np.empty(len(thetas))
-    features, labels = side.data.features, side.data.labels
     with np.errstate(over="ignore", invalid="ignore"):
-        for idx, rows, member, within in _loss_plan(tuple(side.n.tolist()), copies):
-            _, logits = _forward(spec, _unpack(spec, thetas[idx]), features[rows])
-            losses[idx] = np.mean(_cross_entropy(logits, (member, within, labels[rows])), axis=-1)
+        for k, r0, r1, sel in plan.groups:
+            x, y = xs[r0:r1].reshape(k, -1, spec.input_dim), labels[r0:r1].reshape(k, -1)
+            _, z = _forward(spec, _unpack(spec, ordered[sel]), x)
+            picks = (np.arange(k)[:, None], np.arange(y.shape[1]), y)
+            losses[plan.order[sel]] = np.mean(_cross_entropy(z, picks), axis=-1)
     return losses

@@ -19,10 +19,8 @@ from metafl.models import (
     ModelSpec,
     PerformanceMetrics,
     TrainConfig,
-    _ce_grad_arrays,
     _cross_entropy,
     _forward,
-    _loss_plan,
     _plan,
     _row_max,
     _row_sum,
@@ -39,6 +37,7 @@ from metafl.models import (
 )
 from metafl.numerics import ParamVector, make_rng
 from testkit import (
+    ce_grad_arrays,
     finite_diff_grad,
     loss_and_grad,
     pooled,
@@ -291,8 +290,8 @@ class TestTrainCohort:
 
 
 class TestPlan:
-    """train_cohort's schedule is cached per (sizes, batch, epochs); the
-    data and the shuffles are not."""
+    """The lockstep schedule of train_cohort and cohort_losses is cached per
+    (sizes, batch, epochs, copies); the data and the shuffles are not."""
 
     def test_equal_sizes_share_no_data(self):
         """Two sides of one size tuple, each with its own rows, labels and seed,
@@ -319,26 +318,31 @@ class TestPlan:
         for array in (plan.order, plan.pos, plan.offset, *indices):
             assert not array.flags.writeable
 
-    def test_cache_holds_a_runs_three_plans(self):
-        """A run asks for three plans: its rounds' epochs, extract's probe
-        and extract's two copies of the cohort for one epoch. Once each is
-        made, no later round rebuilds one, and the cache stays bounded."""
+    def test_cache_holds_a_runs_five_plans(self):
+        """A run that weights data_complexity and lr_sensitivity asks for
+        five plans: its rounds' epochs, extract's probe, extract's two
+        copies of the cohort for one epoch, and the scoring of its
+        validation side once (each round's losses and the probe's) and
+        twice over (the 1x and 1.5x epochs). Once each is made, no later
+        round rebuilds one, and the cache stays bounded."""
         spec = ModelSpec(2, 3, 2)
         data = make_blobs(2, 2, 40, 0.5, 3)
         train = pooled([data.subset(np.arange(0, 15)), data.subset(np.arange(15, 32))])
-        val = pooled([data.subset(np.arange(32, 36)), data.subset(np.arange(36, 40))])
+        val = pooled([data.subset(np.arange(32, 35)), data.subset(np.arange(35, 40))])
         theta = init_params(spec, 0)
         _plan.cache_clear()
         for seed in range(3):
             cfg = TrainConfig(0.1, epochs=2, batch_size=4, seed=seed)
             thetas = train_cohort(spec, np.tile(theta.coords, (2, 1)), train, cfg)
-            extract(spec, theta, thetas, (train, val), cfg, (1.0,) * 5)
+            cohort_losses(spec, thetas, val)
+            extract(spec, theta, thetas, (train, val), cfg, (0.0, 0.0, 0.0, 1.0, 1.0))
         info = _plan.cache_info()
-        assert (info.misses, info.currsize) == (3, 3)
+        assert (info.misses, info.currsize) == (5, 5)
         for n in range(1, 6):
-            train_cohort(LOGISTIC_2D, starts(1), pooled([make_blobs(2, 2, 2 + n, 0.5, n)]),
-                         TrainConfig(0.1))
-        assert _plan.cache_info().currsize <= 3
+            side = pooled([make_blobs(2, 2, 2 + n, 0.5, n)])
+            train_cohort(LOGISTIC_2D, starts(1), side, TrainConfig(0.1))
+            cohort_losses(LOGISTIC_2D, starts(1), side)
+        assert _plan.cache_info().currsize <= 5
 
 
 def starts(k):
@@ -364,32 +368,6 @@ class TestCohortLosses:
         k = len(side.n)
         apart = [cohort_losses(spec, thetas[i * k:(i + 1) * k], side) for i in range(len(rates))]
         assert cohort_losses(spec, thetas, side).tobytes() == np.concatenate(apart).tobytes()
-
-    def test_cache_holds_a_runs_two_loss_plans(self):
-        """A run that weights data_complexity and lr_sensitivity asks for two
-        loss plans: its validation side once (each round's scoring and
-        extract's probe) and twice over (extract's 1x and 1.5x epochs).
-        Once each is made, no later round rebuilds one, the cache stays
-        bounded and the plans' arrays are read-only."""
-        spec = ModelSpec(2, 3, 2)
-        data = make_blobs(2, 2, 40, 0.5, 3)
-        train = pooled([data.subset(np.arange(0, 15)), data.subset(np.arange(15, 32))])
-        val = pooled([data.subset(np.arange(32, 35)), data.subset(np.arange(35, 40))])
-        theta = init_params(spec, 0)
-        _loss_plan.cache_clear()
-        for seed in range(3):
-            cfg = TrainConfig(0.1, epochs=2, batch_size=4, seed=seed)
-            thetas = train_cohort(spec, np.tile(theta.coords, (2, 1)), train, cfg)
-            cohort_losses(spec, thetas, val)
-            extract(spec, theta, thetas, (train, val), cfg, (0.0, 0.0, 0.0, 1.0, 1.0))
-        info = _loss_plan.cache_info()
-        assert (info.misses, info.currsize) == (2, 2)
-        for copies in (1, 2):
-            for group in _loss_plan((3, 5), copies):
-                assert not any(array.flags.writeable for array in group)
-        for n in range(1, 6):
-            cohort_losses(LOGISTIC_2D, starts(1), pooled([make_blobs(2, 2, 2 + n, 0.5, n)]))
-        assert _loss_plan.cache_info().currsize <= 2
 
     def test_dimension_mismatch(self):
         good = pooled([make_blobs(2, 2, 20, 0.5, 3)] * 3)
@@ -700,7 +678,7 @@ class TestGradientPass:
         and parameters of scale 10, which the federations of
         test_run_rounds_equals_reference_federation do not reach."""
         spec, theta, x, y, l2 = case
-        got = _ce_grad_arrays(spec, theta, x, np.eye(spec.num_classes)[y], l2)
+        got = ce_grad_arrays(spec, theta, x, np.eye(spec.num_classes)[y], l2)
         want = [reference_grad(spec, *member, l2) for member in zip(theta, x, y)]
         assert same_bits(got, np.array(want))
 

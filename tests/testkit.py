@@ -1,9 +1,9 @@
 """Helpers only the tests use: central finite differences, the analytic
-gradient of Phi and the mirror step the solver oracle takes, the
-full-data training objective with its analytic gradient, a CSV writer in
-the format datagen.load_csv reads, conversions between per-client
-datasets and pooled sides, the sampled contraction modulus the exact one
-replaced, and the reference program.
+gradient of Phi and the mirror step the solver oracle takes, the stacked
+batch gradient, the full-data training objective with its analytic
+gradient, a CSV writer in the format datagen.load_csv reads, conversions
+between per-client datasets and pooled sides, the sampled contraction
+modulus the exact one replaced, and the reference program.
 
 reference_federation is the plain per-client program that run_rounds
 stands for, and run_rounds must equal it bit for bit: one oracle for
@@ -30,7 +30,7 @@ from metafl.datagen import (
 from metafl.federation import RoundRecord
 from metafl.metafeatures import composite_errors
 from metafl.models import (
-    ModelSpec, TrainConfig, _ce_grad_arrays, _check_cohort, _unpack, init_params,
+    ModelSpec, TrainConfig, _ce_grad_into, _check_cohort, _unpack, init_params,
 )
 from metafl.numerics import (
     ParamVector, WeightVector, _check_errors, derive_seed, make_rng, softmax_neg,
@@ -88,6 +88,19 @@ def phi_gradient(w: WeightVector, errors: Sequence[float], tau: float) -> np.nda
     return _gradient(_clamped_log(w.weights), e, tau)
 
 
+def ce_grad_arrays(
+    spec: ModelSpec, theta: np.ndarray, x: np.ndarray, onehot: np.ndarray, l2: float
+) -> np.ndarray:
+    """Batch gradients for a stack of members through models._ce_grad_into:
+    theta [G, P], x [G, n, d] and one-hot labels [G, n, c] give [G, P], as
+    a new array."""
+    grad = np.empty_like(theta, dtype=np.float64)
+    _ce_grad_into(spec, _unpack(spec, theta), x, onehot, _unpack(spec, grad))
+    if l2 > 0.0:
+        grad += l2 * theta
+    return grad
+
+
 def loss_and_grad(
     spec: ModelSpec, params: ParamVector, data: ClientDataset, l2: float = 0.0
 ) -> Tuple[float, np.ndarray]:
@@ -98,7 +111,7 @@ def loss_and_grad(
     if l2 > 0.0:
         loss += 0.5 * l2 * float(theta @ theta)
     onehot = np.eye(spec.num_classes)[data.labels]
-    return loss, _ce_grad_arrays(spec, theta[None], data.features[None], onehot[None], l2)[0]
+    return loss, ce_grad_arrays(spec, theta[None], data.features[None], onehot[None], l2)[0]
 
 
 def save_csv(data: ClientDataset, path: str) -> None:
