@@ -318,19 +318,22 @@ class TestPlan:
         for array in (plan.order, plan.pos, plan.offset, *indices):
             assert not array.flags.writeable
 
-    def test_cache_holds_a_runs_five_plans(self):
-        """A run that weights data_complexity and lr_sensitivity asks for
-        five plans: its rounds' epochs, extract's probe, extract's two
-        copies of the cohort for one epoch, and the scoring of its
-        validation side once (each round's losses and the probe's) and
-        twice over (the 1x and 1.5x epochs). Once each is made, no later
-        round rebuilds one, and the cache stays bounded."""
+    def test_cache_holds_a_runs_three_plans(self):
+        """A run's training asks for three plans: its rounds' epochs,
+        extract's probe and extract's two copies of the cohort for one
+        epoch. With the two that score its validation side, a run that
+        weights data_complexity and lr_sensitivity makes five in _plan's
+        one cache. Once each is made, no later round rebuilds one, and the
+        cache stays bounded."""
         spec = ModelSpec(2, 3, 2)
         data = make_blobs(2, 2, 40, 0.5, 3)
         train = pooled([data.subset(np.arange(0, 15)), data.subset(np.arange(15, 32))])
         val = pooled([data.subset(np.arange(32, 35)), data.subset(np.arange(35, 40))])
         theta = init_params(spec, 0)
         _plan.cache_clear()
+        for copies in (1, 2):
+            cohort_losses(spec, np.tile(theta.coords, (2 * copies, 1)), val)
+        assert _plan.cache_info().misses == 2
         for seed in range(3):
             cfg = TrainConfig(0.1, epochs=2, batch_size=4, seed=seed)
             thetas = train_cohort(spec, np.tile(theta.coords, (2, 1)), train, cfg)
@@ -343,7 +346,6 @@ class TestPlan:
             train_cohort(LOGISTIC_2D, starts(1), side, TrainConfig(0.1))
             cohort_losses(LOGISTIC_2D, starts(1), side)
         assert _plan.cache_info().currsize <= 5
-
 
 def starts(k):
     """k copies of init_params(LOGISTIC_2D, 0) as a [k, P] matrix."""
@@ -368,6 +370,33 @@ class TestCohortLosses:
         k = len(side.n)
         apart = [cohort_losses(spec, thetas[i * k:(i + 1) * k], side) for i in range(len(rates))]
         assert cohort_losses(spec, thetas, side).tobytes() == np.concatenate(apart).tobytes()
+
+    def test_cache_holds_a_runs_two_loss_plans(self):
+        """Scoring a run's validation side once (each round's losses and
+        extract's probe) and twice over (extract's 1x and 1.5x epochs) asks
+        _plan for two plans, one epoch of one batch per member. Once each
+        is made, no later round rebuilds one, the plans' arrays are
+        read-only and the cache stays bounded."""
+        spec = ModelSpec(2, 3, 2)
+        data = make_blobs(2, 2, 8, 0.5, 3)
+        val = pooled([data.subset(np.arange(0, 3)), data.subset(np.arange(3, 8))])
+        rng = make_rng(6)
+        _plan.cache_clear()
+        for _ in range(3):
+            thetas = rng.normal(size=(2, param_count(spec)))
+            cohort_losses(spec, thetas, val)
+            cohort_losses(spec, np.tile(thetas, (2, 1)), val)
+        info = _plan.cache_info()
+        assert (info.misses, info.currsize) == (2, 2)
+        for copies in (1, 2):
+            plan = _plan((3, 5), 5, 1, copies)
+            indices = [sel for *_, sel in plan.groups if not isinstance(sel, slice)]
+            for array in (plan.order, plan.pos, plan.offset, *indices):
+                assert not array.flags.writeable
+        assert _plan.cache_info().misses == 2
+        for n in range(1, 6):
+            cohort_losses(LOGISTIC_2D, starts(1), pooled([make_blobs(2, 2, 2 + n, 0.5, n)]))
+        assert _plan.cache_info().currsize <= 5
 
     def test_dimension_mismatch(self):
         good = pooled([make_blobs(2, 2, 20, 0.5, 3)] * 3)
