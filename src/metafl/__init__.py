@@ -49,15 +49,12 @@ from .models import (
     evaluate,
     holdout_losses,
     init_params,
-    local_loss,
     train_cohort,
-    train_local,
 )
 from .numerics import (
     ParamVector,
     WeightVector,
     make_rng,
-    project_simplex,
     softmax_neg,
     weighted_sum,
 )

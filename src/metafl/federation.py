@@ -424,13 +424,12 @@ def compare_runs(cfg_a: ExperimentConfig, cfg_b: ExperimentConfig) -> Comparison
 def kl_divergence_diagnostic(side: Segments, num_classes: int) -> float:
     """Mean KL divergence of a side's client label distributions from their average.
 
-    Uses the 0 * ln(0/q) = 0 convention and clamps zero denominators at
-    1e-12.
+    Uses the 0 * ln(0/q) = 0 convention.
     """
     dists = label_distribution(side, num_classes)
     avg = dists.mean(axis=0)
     total = 0.0
     for p in dists:
         nz = p > 0.0
-        total += float((p[nz] * np.log(p[nz] / np.maximum(avg[nz], 1e-12))).sum())
+        total += float((p[nz] * np.log(p[nz] / avg[nz])).sum())
     return total / len(dists)

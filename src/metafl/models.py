@@ -8,7 +8,8 @@ One forward pass (_forward) and one per-row cross-entropy (_cross_entropy)
 score every model and feed the SGD gradient; each loss is one mean over
 its own rows, so it is bitwise the same whichever function scores it.
 Softmax rows are summed by _row_sum, one np.add per class column in
-numpy's own pairwise order, so the sums keep numpy's bits.
+numpy's own order up to 8 classes, numpy's sum above, so the sums keep
+numpy's bits.
 train_cohort and cohort_losses take r·K member rows on a side of K
 segments: member i reads segment i mod K, with the rows and shuffles of
 member i mod K, so r copies of a cohort (for train_cohort, each at its
@@ -38,10 +39,8 @@ __all__ = [
     "param_count",
     "init_params",
     "ClientError",
-    "train_local",
     "train_cohort",
     "evaluate",
-    "local_loss",
     "holdout_losses",
     "cohort_losses",
 ]
@@ -205,25 +204,19 @@ def _row_max(z: np.ndarray) -> np.ndarray:
 
 def _row_sum(z: np.ndarray) -> np.ndarray:
     """z.sum(axis=-1) by one np.add per column of z [..., c], bitwise: numpy
-    adds each row's pairwise sum to 0.0, a left fold below 8 columns, 8
-    running sums up to 128 and two halves split at a multiple of 8 above,
-    and so does this, far faster over few classes."""
+    adds each row's pairwise sum to 0.0, a left fold below 8 columns and
+    pairs of pairs at 8, and so does this, far faster over few classes. A
+    wider row is numpy's own sum."""
     c = z.shape[-1]
-    if c > 128:
-        half = c // 2 - (c // 2) % 8
-        return _row_sum(z[..., :half]) + _row_sum(z[..., half:])
+    if c > 8:
+        return z.sum(axis=-1)
     if c < 8:
         s = z[..., 0] + 0.0
         for j in range(1, c):
             s += z[..., j]
         return s
-    body = c - c % 8
-    r = [z[..., j] + z[..., j + 8] if body > 8 else z[..., j] for j in range(8)]
-    for j in range(16, body):
-        r[j % 8] += z[..., j]
-    s = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-    for j in range(body, c):
-        s += z[..., j]
+    s = (z[..., 0] + z[..., 1]) + (z[..., 2] + z[..., 3])
+    s += (z[..., 4] + z[..., 5]) + (z[..., 6] + z[..., 7])
     s += 0.0  # an all -0.0 row sums to +0.0, as numpy's 0.0 start gives
     return s
 

@@ -20,7 +20,6 @@ __all__ = [
     "make_rng",
     "derive_seed",
     "softmax_neg",
-    "project_simplex",
     "weighted_sum",
 ]
 

@@ -1,14 +1,20 @@
 """Round-loop orchestration, comparison, and diagnostics tests."""
 
 import math
+import os
+import re
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import metafl
 from metafl import federation, metafeatures
 from metafl.datagen import ClientDataset, ConfigError, PartitionConfig, make_blobs
 from metafl.federation import (
@@ -691,3 +697,17 @@ def test_run_rounds_equals_reference_federation(cfg):
     want_theta, want = reference_federation(cfg)
     assert [record_bits(rec) for rec in history] == [record_bits(rec) for rec in want]
     assert theta.coords.tobytes() == want_theta.coords.tobytes()
+
+
+def test_readme_library_example_runs():
+    """README's python block runs as written in a fresh interpreter and
+    prints one accuracy, so the names it imports stay exported."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"```python\n(.*?)```", readme, re.S).group(1)
+    path = [str(Path(metafl.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    done = subprocess.run([sys.executable, "-c", block], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    (line,) = done.stdout.splitlines()
+    assert 0.0 <= float(line) <= 1.0

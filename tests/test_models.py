@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -636,6 +636,11 @@ class TestForwardPass:
         c=st.one_of(st.integers(1, 20), st.integers(1, 300)),
         seed=st.integers(0, 2**32),
     )
+    # the edges of the fold (7), the pairs of pairs (8) and numpy's own sum (9);
+    # at seed 1 one row at 8 columns moves if a pair is swapped
+    @example(lead=(2, 3), c=7, seed=1)
+    @example(lead=(2, 3), c=8, seed=1)
+    @example(lead=(2, 3), c=9, seed=1)
     def test_row_sum_equals_numpy_sum_bitwise(self, lead, c, seed):
         # magnitudes 2^-60 to 2^60, so the order of the additions shows;
         # a twentieth of the entries are signed zeros or infinities; with
