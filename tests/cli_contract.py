@@ -33,6 +33,7 @@ from metafl.datagen import make_blobs
 PREFIX = {2: "config error: ", 3: "runtime error: "}
 GOLDEN = Path(__file__).parent / "golden"
 FEATURES_CFG = str(GOLDEN / "metafl_features.cfg")
+TANH_L2_CFG = str(GOLDEN / "tanh_l2.cfg")
 RUN_FILES = ("rounds.csv", "summary.json", "config_echo.txt")
 
 
@@ -222,6 +223,7 @@ GOLDENS = {
     "diagnose_iid": (["diagnose", "preset_iid"], ("diagnostics.json",)),
     "diagnose_features": (["diagnose", FEATURES_CFG], ("diagnostics.json",)),
     "metafl_features": (["run", FEATURES_CFG, "--no-timing"], RUN_FILES),
+    "tanh_l2": (["run", TANH_L2_CFG, "--no-timing"], RUN_FILES),
 }
 
 
