@@ -16,9 +16,14 @@ member i mod K, so r copies of a cohort (for train_cohort, each at its
 own learning rate) run as one cohort. Both run on one lockstep plan,
 made by _plan once per tuple of segment sizes, batch size, epochs and
 copies and kept in its one cache: train_cohort at its batch size and
-epochs, cohort_losses at one unshuffled batch per member. Each gathers
-its rows once per call through _gather; train_cohort writes each step's
-gradients into one buffer made per call.
+epochs, cohort_losses at one unshuffled batch per member. The plan puts
+each member's batches in slots: an epoch has as many slots as the most
+batches any member has per epoch, a full batch takes the slot of its
+index within the epoch, and every member's last batch, short or full,
+takes the epoch's last slot. The members at one slot on batches of one
+length take one stacked step. Each gathers its rows once per call
+through _gather; train_cohort writes each step's gradients into one
+buffer made per call.
 """
 
 from __future__ import annotations
@@ -297,7 +302,9 @@ def train_local(
 class _Plan(NamedTuple):
     """The lockstep schedule for one (n, batch size, epochs, copies).
     Lockstep position i holds cohort member order[i]; a plan row is one
-    batch row of one (member, step), and each group of plan rows is one
+    batch row of one (member, step). Each group of plan rows holds the
+    batches of one length at one slot (a full batch's index within its
+    epoch, or the epoch's last slot for every last batch) and is one
     stacked SGD step, or for cohort_losses one stacked forward pass."""
 
     sizes: tuple  # the distinct segment sizes; each draws `epochs` shuffles
@@ -312,42 +319,49 @@ def _plan(n: tuple, size: int, epochs: int, copies: int = 1) -> _Plan:
     """The part of train_cohort and cohort_losses that depends only on the
     segment sizes n (segment order), the batch size, epochs >= 1 and the
     copies r of the cohort (member i on segment i mod K), with read-only
-    arrays. A run asks for up to five keys: its rounds' epochs, extract's
-    one-epoch probe and its two copies of the cohort for one epoch, and
-    cohort_losses' one batch per member on the validation side, once and
-    twice over."""
+    arrays. With P the most batches any member has per epoch, epoch e
+    runs slots e·P to e·P + P - 1: a member's full batch of index j takes
+    slot e·P + j, and its last batch slot e·P + P - 1, so each member
+    still takes its batches in order and the plan has
+    epochs · (P - 1 + distinct last-batch lengths) groups. A run asks for
+    up to five keys: its rounds' epochs, extract's one-epoch probe and its
+    two copies of the cohort for one epoch, and cohort_losses' one batch
+    per member on the validation side, once and twice over."""
     segments = np.array(n)
     n = np.tile(segments, copies)
     per_epoch = -(-n // size)
     tail = n - (per_epoch - 1) * size
     steps = epochs * per_epoch
+    last = int(per_epoch.max()) - 1  # the slot of each epoch's last batches
 
     # One draw per size and epoch; member k's epochs run on from drawn[k]
     # in the joined shuffles.
     sizes, size_of = np.unique(n, return_inverse=True)
     drawn = epochs * (np.cumsum(sizes) - sizes)[size_of]
 
-    # Most steps first, so the members still training at a step are a
-    # prefix; then longest last batch first, so members on batches of one
-    # length mostly sit together and their group is a slice.
+    # Most steps first, so the members on a full batch at a slot are a
+    # prefix and their group is a slice; then longest last batch first, so
+    # that in a one-batch plan (cohort_losses') every group is a slice.
     order = np.lexsort((-tail, -steps))
     first = np.tile(np.cumsum(segments) - segments, copies)[order]
     n, per_epoch, tail, steps = n[order], per_epoch[order], tail[order], steps[order]
     drawn = drawn[order]
 
-    # The plan has one batch per (member, step), ordered by step, then batch
-    # length, then member; each run of equal (step, length) is a group.
+    # The plan has one batch per (member, step), ordered by slot, then batch
+    # length, then member; each run of equal (slot, length) is a group.
     member = np.repeat(np.arange(n.size), steps)
     step = np.arange(member.size) - np.repeat(np.cumsum(steps) - steps, steps)
     epoch, within = np.divmod(step, per_epoch[member])
     start = drawn[member] + epoch * n[member] + within * size
-    length = np.where(within == per_epoch[member] - 1, tail[member], size)
-    plan = np.lexsort((member, length, step))
-    member, step, start, length = member[plan], step[plan], start[plan], length[plan]
+    is_last = within == per_epoch[member] - 1
+    length = np.where(is_last, tail[member], size)
+    slot = epoch * (last + 1) + np.where(is_last, last, within)
+    plan = np.lexsort((member, length, slot))
+    member, slot, start, length = member[plan], slot[plan], start[plan], length[plan]
     end = np.cumsum(length)
     pos = np.repeat(start - (end - length), length) + np.arange(end[-1])
     offset = np.repeat(first[member], length)
-    cuts = np.flatnonzero((step[1:] != step[:-1]) | (length[1:] != length[:-1])) + 1
+    cuts = np.flatnonzero((slot[1:] != slot[:-1]) | (length[1:] != length[:-1])) + 1
     lo, hi = np.append(0, cuts), np.append(cuts, member.size)
     contiguous = member[hi - 1] - member[lo] == hi - lo - 1
     for array in (order, pos, offset, member):
@@ -377,9 +391,10 @@ def train_cohort(
 
     Each member shuffles as a fresh make_rng(cfg.seed) would, one
     permutation per epoch, and walks its batches in order; members of one
-    size share those permutations, drawn once. At every global step the
-    members still training take one stacked SGD step per batch length.
-    Batches are never padded and nothing is reduced across members.
+    size share those permutations, drawn once. Full batches of one index
+    within an epoch take one stacked SGD step, and so do the epoch's last
+    batches of one length, which all wait for the epoch's last slot (see
+    _plan). Batches are never padded and nothing is reduced across members.
     The schedule comes from _plan; only the shuffles are drawn per call,
     and every batch row is gathered once, in plan order. Each step writes
     its k members' gradients into the first k rows of one [M, P] buffer

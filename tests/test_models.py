@@ -95,8 +95,9 @@ def replicated_cohorts(draw):
     clients, starts [r·K, P] unequal across copies, and each copy's rate.
     Hidden 0-4 with relu or tanh, l2 0 or 0.01, epochs 0-3, batch b 2-6.
     With 2+ epochs and 3+ clients the first three hold b + 1, b and 1 rows:
-    at the second step the first and third sit on batches of one row
-    around the second's full batch, an index-gathered (non-slice) group."""
+    at each epoch's last slot the first and third sit on batches of one
+    row around the second's full last batch, an index-gathered (non-slice)
+    group."""
     d, c = draw(st.integers(1, 4)), draw(st.integers(2, 4))
     spec = ModelSpec(d, draw(st.integers(0, 4)), c, draw(st.sampled_from(ACTIVATIONS)))
     cfg = TrainConfig(
@@ -311,8 +312,44 @@ class TestPlan:
                 want = reference_train_local(spec, theta, data, cfg)
                 assert same_bits(row, want)
 
+    @settings(max_examples=150, deadline=None)
+    @given(sizes=st.lists(st.integers(1, 60), min_size=1, max_size=40),
+           size=st.integers(1, 8), epochs=st.integers(1, 3), copies=st.integers(1, 2))
+    @example(sizes=[3, 5, 9], size=2, epochs=1, copies=1)  # 5 groups; per step it was 7
+    def test_slots_keep_each_members_batches(self, sizes, size, epochs, copies):
+        """Each member walks its own shuffle positions in order, one batch of
+        `size` rows after another and a short last batch per epoch; every
+        group holds batches of one length, and the full batches of one index
+        within the epoch share a group, as do the last batches of one length."""
+        plan = _plan(tuple(sizes), size, epochs, copies)
+        n = np.tile(sizes, copies)
+        distinct = sorted(set(sizes))
+        first = np.tile(np.cumsum(sizes) - sizes, copies)
+        walked = {i: [] for i in range(n.size)}  # member -> [(pos, offset)] per batch
+        r = 0
+        for k, r0, r1, sel in plan.groups:
+            assert r0 == r and (r1 - r0) % k == 0
+            members = plan.order[sel]
+            assert len(set(members.tolist())) == k
+            length = (r1 - r0) // k
+            for j, i in enumerate(members.tolist()):
+                rows = slice(r0 + j * length, r0 + (j + 1) * length)
+                walked[i].append((plan.pos[rows], plan.offset[rows]))
+            r = r1
+        assert r == len(plan.pos) == epochs * n.sum()
+        per_epoch = -(-n // size)
+        tail = n - (per_epoch - 1) * size
+        for i, batches in walked.items():
+            drawn = epochs * sum(s for s in distinct if s < n[i])
+            want = [size] * (per_epoch[i] - 1) + [tail[i]]
+            assert [len(pos) for pos, _ in batches] == want * epochs
+            assert np.array_equal(np.concatenate([pos for pos, _ in batches]),
+                                  drawn + np.arange(epochs * n[i]))
+            assert all((offset == first[i]).all() for _, offset in batches)
+        assert len(plan.groups) == epochs * (per_epoch.max() - 1 + len(set(tail.tolist())))
+
     def test_arrays_are_read_only(self):
-        plan = _plan((1, 1, 2, 3), 2, 2)  # its third group is not a slice
+        plan = _plan((1, 1, 2, 3), 2, 2)  # its 1-row last batches are no slice
         indices = [sel for *_, sel in plan.groups if not isinstance(sel, slice)]
         assert indices
         for array in (plan.order, plan.pos, plan.offset, *indices):
