@@ -317,13 +317,12 @@ class TestPlan:
            size=st.integers(1, 8), epochs=st.integers(1, 3), copies=st.integers(1, 2))
     @example(sizes=[3, 5, 9], size=2, epochs=1, copies=1)  # 5 groups; per step it was 7
     def test_slots_keep_each_members_batches(self, sizes, size, epochs, copies):
-        """Each member walks its own shuffle positions in order, one batch of
-        `size` rows after another and a short last batch per epoch; every
-        group holds batches of one length, and the full batches of one index
-        within the epoch share a group, as do the last batches of one length."""
+        """Each member walks its own shuffle positions in order, in batches of
+        `size` rows and then its last batch, each epoch; every group holds
+        batches of one length, and the full batches of one index within the
+        epoch share a group, as do the epoch's last batches of one length."""
         plan = _plan(tuple(sizes), size, epochs, copies)
         n = np.tile(sizes, copies)
-        distinct = sorted(set(sizes))
         first = np.tile(np.cumsum(sizes) - sizes, copies)
         walked = {i: [] for i in range(n.size)}  # member -> [(pos, offset)] per batch
         r = 0
@@ -340,7 +339,7 @@ class TestPlan:
         per_epoch = -(-n // size)
         tail = n - (per_epoch - 1) * size
         for i, batches in walked.items():
-            drawn = epochs * sum(s for s in distinct if s < n[i])
+            drawn = epochs * sum(s for s in set(sizes) if s < n[i])
             want = [size] * (per_epoch[i] - 1) + [tail[i]]
             assert [len(pos) for pos, _ in batches] == want * epochs
             assert np.array_equal(np.concatenate([pos for pos, _ in batches]),
