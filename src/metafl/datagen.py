@@ -11,7 +11,7 @@ import csv
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -30,6 +30,10 @@ __all__ = [
 ]
 
 MAX_PARTITION_ATTEMPTS = 100
+
+#: Most bytes of one block of make_blobs' noise; draws in blocks of one
+#: stream equal one draw, bit for bit.
+BLOB_BLOCK_BYTES = 1 << 18
 
 
 class ConfigError(ValueError):
@@ -130,13 +134,21 @@ class PartitionConfig:
 
 
 def make_blobs(
-    num_classes: int, dim: int, n: int, spread: float, seed: int
-) -> ClientDataset:
+    num_classes: int, dim: int, n: int, spread: float, seed: int,
+    split: Callable[[np.ndarray], Sequence[np.ndarray]] | None = None,
+) -> ClientDataset | list[ClientDataset]:
     """Gaussian class clusters around unit-separated random centroids.
 
     Centroids are rescaled so the minimum pairwise distance is exactly 1;
     the label multiset is balanced within +-1 and the sample order is a
     seeded shuffle. Features that overflow float64 raise ValueError.
+
+    With split, a function from the pool's labels [n] to arrays of pool
+    row positions, the result is instead one dataset per array, bitwise
+    pool.subset(rows) for each, and the pool is never held whole: the
+    labels are drawn before any feature, and the noise is drawn in blocks
+    of at most BLOB_BLOCK_BYTES of one stream, each block's finished rows
+    written straight into the datasets that take them.
     """
     if num_classes < 2:
         raise ValueError("num_classes must be >= 2")
@@ -157,15 +169,39 @@ def make_blobs(
     centroids /= min_dist
     labels = np.arange(n, dtype=np.int64) % num_classes
     labels = labels[rng.permutation(n)]
-    # centroids[labels] + spread * noise, built in the noise's array: a
-    # float product and sum commute, so every element keeps its bits
-    features = rng.normal(size=(n, dim))
+    parts = [np.arange(n)] if split is None else split(labels)
+    block_rows = max(1, BLOB_BLOCK_BYTES // (8 * dim))
+    edges = list(range(0, n, block_rows)) + [n]
+    # per part: its positions ordered by block and ascending within one, so
+    # that each block writes its rows of the part in order; their pool rows
+    # as offsets into the block; and each block's range of them
+    plans = []
+    for rows in parts:
+        if len(edges) == 2:
+            plans.append((None, rows, [0, rows.size]))
+            continue
+        block_of = (rows // block_rows).astype(np.min_scalar_type(len(edges)))  # a radix sort
+        place = np.argsort(block_of, kind="stable")
+        counts = np.bincount(block_of, minlength=len(edges) - 1)
+        plans.append((place, rows[place] % block_rows, np.append(0, np.cumsum(counts)).tolist()))
+    features = [np.empty((rows.size, dim)) for rows in parts]
     with np.errstate(over="ignore"):  # an overflow fails the finiteness check below
-        features *= spread
-        features += centroids[labels]
-    if not np.isfinite(features).all():
-        raise ValueError("features contain non-finite values")
-    return ClientDataset._wrap(features, labels)
+        for b, (lo, hi) in enumerate(zip(edges, edges[1:])):
+            # centroids[labels] + spread * noise, built in the noise's array: a
+            # float product and sum commute, so every element keeps its bits
+            block = rng.normal(size=(hi - lo, dim))
+            block *= spread
+            block += centroids[labels[lo:hi]]
+            if not np.isfinite(block).all():
+                raise ValueError("features contain non-finite values")
+            for out, (place, offsets, cut) in zip(features, plans):
+                a, z = cut[b], cut[b + 1]
+                if z - a == len(out):  # the whole part lies in this block
+                    np.take(block, offsets, axis=0, out=out)
+                elif z > a:
+                    out[place[a:z]] = np.take(block, offsets[a:z], axis=0)
+    datasets = [ClientDataset._wrap(out, labels[rows]) for out, rows in zip(features, parts)]
+    return datasets[0] if split is None else datasets
 
 
 def partition_dirichlet(

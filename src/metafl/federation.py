@@ -228,14 +228,30 @@ def build_federation(cfg: ExperimentConfig) -> tuple[tuple[Segments, Segments], 
     """Materialize the client (train, val) sides and the server's IID holdout.
 
     The holdout is drawn before partitioning, and the rest of the pool is
-    partitioned by its labels alone: each side gathers its rows straight
-    from the pool, so the rest is never copied as a dataset. Label noise
-    corrupts the marked clients' train splits only, so client validation
-    losses honestly reflect the damage. Any fault in drawing the pool, the
-    holdout or the partition raises one ConfigError, naming data.csv_path
-    when the pool is a CSV file.
+    partitioned by its labels alone, so the labels fix each pool row's
+    place: in the holdout, the train side or the val side. A synthetic
+    pool is drawn straight into those three datasets (make_blobs' split)
+    and is never held whole; a CSV pool is parsed whole and each dataset
+    gathers its rows from it. Label noise corrupts the marked clients'
+    train splits only, so client validation losses honestly reflect the
+    damage. Any fault in drawing the pool, the holdout or the partition
+    raises one ConfigError, naming data.csv_path when the pool is a CSV
+    file.
     """
     spec, data, part = cfg.spec, cfg.data, cfg.partition
+    counts = []  # each side's per-client row counts, as split finds them
+
+    def split(labels: np.ndarray) -> list[np.ndarray]:
+        """The pool rows of the holdout, the train side and the val side."""
+        order = make_rng([cfg.seed, 1]).permutation(labels.size)
+        n_holdout = max(1, int(round(data.global_val_fraction * labels.size)))
+        if n_holdout >= labels.size:
+            raise ValueError("global validation holdout would consume every sample")
+        rest = order[n_holdout:]
+        sides = partition_dirichlet(labels[rest], part)
+        counts.extend(np.array([rows.size for rows in side]) for side in sides)
+        return [order[:n_holdout], *(rest[np.concatenate(side)] for side in sides)]
+
     source = (f"invalid data set-up (synthetic pool, data.n_samples = {data.n_samples}, "
               f"data.spread = {data.spread}): ")
     try:
@@ -246,33 +262,25 @@ def build_federation(cfg: ExperimentConfig) -> tuple[tuple[Segments, Segments], 
                 raise ValueError(
                     f"csv feature dim {pool.dim} does not match model input_dim {spec.input_dim}"
                 )
+            global_val, train, val = (pool.subset(rows) for rows in split(pool.labels))
         else:
-            pool = make_blobs(
-                spec.num_classes, spec.input_dim, data.n_samples, data.spread, cfg.seed
+            global_val, train, val = make_blobs(
+                spec.num_classes, spec.input_dim, data.n_samples, data.spread, cfg.seed, split
             )
-        rng = make_rng([cfg.seed, 1])
-        order = rng.permutation(pool.n)
-        n_holdout = max(1, int(round(data.global_val_fraction * pool.n)))
-        if n_holdout >= pool.n:
-            raise ValueError("global validation holdout would consume every sample")
-        global_val = pool.subset(order[:n_holdout])
-        rest = order[n_holdout:]
-        labels = pool.labels[rest]
-        train_rows, val_rows = partition_dirichlet(labels, part)
     except ValueError as err:
         raise ConfigError(f"{source}{err}") from None
-    for k in sorted(part.noise_clients):
-        rows = train_rows[k]
-        labels[rows] = inject_label_noise(
-            labels[rows], part.label_noise_rate, derive_seed(part.seed, k, 11), spec.num_classes
-        )
-
-    def side(split: list[np.ndarray]) -> Segments:
-        rows = np.concatenate(split)
-        n = np.array([r.size for r in split])
-        return Segments(ClientDataset._wrap(pool.features[rest[rows]], labels[rows]), n)
-
-    return (side(train_rows), side(val_rows)), global_val
+    n_train, n_val = counts
+    if part.noise_clients:
+        labels = train.labels.copy()
+        start = np.cumsum(n_train) - n_train
+        for k in sorted(part.noise_clients):
+            rows = slice(start[k], start[k] + n_train[k])
+            labels[rows] = inject_label_noise(
+                labels[rows], part.label_noise_rate, derive_seed(part.seed, k, 11),
+                spec.num_classes,
+            )
+        train = ClientDataset._wrap(train.features, labels)
+    return (Segments(train, n_train), Segments(val, n_val)), global_val
 
 
 def set_up(

@@ -7,6 +7,8 @@ include the penalty. Argmax ties break toward the lowest class index.
 One forward pass (_forward) and one per-row cross-entropy (_cross_entropy)
 score every model and feed the SGD gradient; each loss is one mean over
 its own rows, so it is bitwise the same whichever function scores it.
+evaluate, holdout_losses and local_loss share one blocked pass over a
+holdout (_holdout_pass), with rows per block set by the stack height.
 Softmax rows are summed by _row_sum, one np.add per class column in
 numpy's own order up to 8 classes, numpy's sum above, so the sums keep
 numpy's bits.
@@ -18,12 +20,12 @@ made by _plan once per tuple of segment sizes, batch size, epochs and
 copies and kept in its one cache: train_cohort at its batch size and
 epochs, cohort_losses at one unshuffled batch per member. The plan puts
 each member's batches in slots: an epoch has as many slots as the most
-batches any member has per epoch, a full batch takes the slot of its
-index within the epoch, and every member's last batch, short or full,
-takes the epoch's last slot. The members at one slot on batches of one
-length take one stacked step. Each gathers its rows once per call
-through _gather; train_cohort writes each step's gradients into one
-buffer made per call.
+batches any member has per epoch, a full batch, a full last batch
+included, takes the slot of its index within the epoch, and every short
+last batch takes the epoch's last slot. The members at one slot on
+batches of one length take one stacked step. Each gathers its rows once
+per call through _gather; train_cohort writes each step's gradients into
+one buffer made per call.
 """
 
 from __future__ import annotations
@@ -52,9 +54,11 @@ __all__ = [
 
 ACTIVATIONS = ("relu", "tanh")
 
-#: Most rows of one block of holdout_losses: a block's activations for the
-#: whole parameter stack stay in cache while every vector scores it.
-HOLDOUT_BLOCK = 512
+#: The blocked holdout pass (_block_rows): a stack of M parameter vectors
+#: scores blocks of at most HOLDOUT_BUDGET // M rows, so that a block's
+#: activations for the whole stack stay in cache, and at most HOLDOUT_ROWS.
+HOLDOUT_BUDGET = 4608
+HOLDOUT_ROWS = 2048
 
 
 @dataclass(frozen=True)
@@ -304,7 +308,7 @@ class _Plan(NamedTuple):
     Lockstep position i holds cohort member order[i]; a plan row is one
     batch row of one (member, step). Each group of plan rows holds the
     batches of one length at one slot (a full batch's index within its
-    epoch, or the epoch's last slot for every last batch) and is one
+    epoch, or the epoch's last slot for every short last batch) and is one
     stacked SGD step, or for cohort_losses one stacked forward pass."""
 
     sizes: tuple  # the distinct segment sizes; each draws `epochs` shuffles
@@ -321,9 +325,11 @@ def _plan(n: tuple, size: int, epochs: int, copies: int = 1) -> _Plan:
     copies r of the cohort (member i on segment i mod K), with read-only
     arrays. With P the most batches any member has per epoch, epoch e
     runs slots e·P to e·P + P - 1: a member's full batch of index j takes
-    slot e·P + j, and its last batch slot e·P + P - 1, so each member
-    still takes its batches in order and the plan has
-    epochs · (P - 1 + distinct last-batch lengths) groups. A run asks for
+    slot e·P + j, its last batch too if it is full, and a short last
+    batch slot e·P + P - 1, so each member still takes its batches in
+    order. The plan has epochs · (P - 1 + L) groups, L the distinct
+    lengths at the last slot: the last batches of the members with P
+    batches and every short last batch. A run asks for
     up to five keys: its rounds' epochs, extract's one-epoch probe and its
     two copies of the cohort for one epoch, and cohort_losses' one batch
     per member on the validation side, once and twice over."""
@@ -339,9 +345,10 @@ def _plan(n: tuple, size: int, epochs: int, copies: int = 1) -> _Plan:
     sizes, size_of = np.unique(n, return_inverse=True)
     drawn = epochs * (np.cumsum(sizes) - sizes)[size_of]
 
-    # Most steps first, so the members on a full batch at a slot are a
-    # prefix and their group is a slice; then longest last batch first, so
-    # that in a one-batch plan (cohort_losses') every group is a slice.
+    # Most steps first, then longest last batch first: the members on a
+    # full batch at a slot, a full last batch included, are a prefix and
+    # their group is a slice, and in a one-batch plan (cohort_losses')
+    # every group is a slice.
     order = np.lexsort((-tail, -steps))
     first = np.tile(np.cumsum(segments) - segments, copies)[order]
     n, per_epoch, tail, steps = n[order], per_epoch[order], tail[order], steps[order]
@@ -353,9 +360,8 @@ def _plan(n: tuple, size: int, epochs: int, copies: int = 1) -> _Plan:
     step = np.arange(member.size) - np.repeat(np.cumsum(steps) - steps, steps)
     epoch, within = np.divmod(step, per_epoch[member])
     start = drawn[member] + epoch * n[member] + within * size
-    is_last = within == per_epoch[member] - 1
-    length = np.where(is_last, tail[member], size)
-    slot = epoch * (last + 1) + np.where(is_last, last, within)
+    length = np.where(within == per_epoch[member] - 1, tail[member], size)
+    slot = epoch * (last + 1) + np.where(length < size, last, within)
     plan = np.lexsort((member, length, slot))
     member, slot, start, length = member[plan], slot[plan], start[plan], length[plan]
     end = np.cumsum(length)
@@ -392,9 +398,10 @@ def train_cohort(
     Each member shuffles as a fresh make_rng(cfg.seed) would, one
     permutation per epoch, and walks its batches in order; members of one
     size share those permutations, drawn once. Full batches of one index
-    within an epoch take one stacked SGD step, and so do the epoch's last
-    batches of one length, which all wait for the epoch's last slot (see
-    _plan). Batches are never padded and nothing is reduced across members.
+    within an epoch, full last batches included, take one stacked SGD
+    step, and so do the epoch's short last batches of one length, which
+    wait for the epoch's last slot (see _plan). Batches are never padded
+    and nothing is reduced across members.
     The schedule comes from _plan; only the shuffles are drawn per call,
     and every batch row is gathered once, in plan order. Each step writes
     its k members' gradients into the first k rows of one [M, P] buffer
@@ -487,14 +494,13 @@ def _diverged_epoch(spec: ModelSpec, starts: np.ndarray, side: Segments, cfg: Tr
 
 
 def evaluate(spec: ModelSpec, params: ParamVector, data: ClientDataset) -> PerformanceMetrics:
-    """Mean cross-entropy (nats) and top-1 accuracy on ``data``. An
-    overflow is not warned of: PerformanceMetrics rejects the non-finite loss."""
+    """Mean cross-entropy (nats) and top-1 accuracy on ``data``: the
+    one-vector case of holdout_losses' blocked pass, which also counts each
+    block's argmax hits. An overflow is not warned of: PerformanceMetrics
+    rejects the non-finite loss."""
     _check_cohort(spec, params.coords[None], data)
-    with np.errstate(over="ignore", invalid="ignore"):
-        _, logits = _forward(spec, _unpack(spec, params.coords), data.features)
-        val_acc = float(np.mean(np.argmax(logits, axis=1) == data.labels))
-        val_loss = float(np.mean(_cross_entropy(logits, (np.arange(data.n), data.labels))))
-    return PerformanceMetrics(val_loss, val_acc)
+    losses, hits = _holdout_pass(spec, params.coords[None], data, count_hits=True)
+    return PerformanceMetrics(float(losses[0]), float(hits[0] / data.n))
 
 
 def local_loss(spec: ModelSpec, params: ParamVector, data: ClientDataset) -> float:
@@ -507,7 +513,7 @@ def holdout_losses(spec: ModelSpec, thetas: np.ndarray, data: ClientDataset) -> 
     dataset data, each bitwise that of its own unblocked forward pass;
     returns the losses [M].
 
-    The rows of data are scored in blocks of at most HOLDOUT_BLOCK rows,
+    The rows of data are scored in blocks of at most _block_rows(M) rows,
     their sizes within one row of each other, all M models at once. Only
     per-row arithmetic is blocked: each block writes its rows'
     cross-entropies into one [M, n] array, and each loss is one mean over
@@ -516,20 +522,41 @@ def holdout_losses(spec: ModelSpec, thetas: np.ndarray, data: ClientDataset) -> 
     is not warned of: it shows as a non-finite loss.
     """
     _check_cohort(spec, thetas, data, len(thetas))
+    return _holdout_pass(spec, thetas, data)[0]
+
+
+def _block_rows(m: int) -> int:
+    """The most rows of one block of the holdout pass for a stack of m
+    vectors: HOLDOUT_BUDGET // m within [4, HOLDOUT_ROWS], so 2048 for one
+    vector and 512 for a 9-point alpha grid. With at least 4, blocks cut
+    within one row of each other hold 2 rows or more when n >= 2: numpy
+    sends a 1-row product to gemv, whose bits differ."""
+    return max(4, min(HOLDOUT_ROWS, HOLDOUT_BUDGET // m))
+
+
+def _holdout_pass(spec: ModelSpec, thetas: np.ndarray, data: ClientDataset,
+                  count_hits: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
+    """holdout_losses on checked arguments: (the losses [M], and with
+    count_hits each vector's argmax hits [M] summed over the blocks, else
+    None). A hit count is an integer, so it is exact in any block order."""
     n = data.n
-    blocks = -(-n // HOLDOUT_BLOCK)
-    bounds = (np.arange(blocks + 1) * n // blocks).tolist()
+    blocks = -(-n // _block_rows(len(thetas)))
+    bounds = [i * n // blocks for i in range(blocks + 1)]
     rows = -(-n // blocks)  # the largest block's
     tiled = [np.repeat(p, rows, axis=1) if i % 2 else p
              for i, p in enumerate(_unpack(spec, thetas))]
+    steps = np.arange(rows)
     ce = np.empty((len(thetas), n))
+    hits = np.zeros(len(thetas), dtype=np.int64) if count_hits else None
     with np.errstate(over="ignore", invalid="ignore"):
         for lo, hi in zip(bounds, bounds[1:]):
             layers = [p[:, : hi - lo] if i % 2 else p for i, p in enumerate(tiled)]
             _, z = _forward(spec, layers, data.features[lo:hi])
-            labels = (slice(None), np.arange(hi - lo), data.labels[lo:hi])
-            ce[:, lo:hi] = _cross_entropy(z, labels)
-        return np.mean(ce, axis=1)
+            y = data.labels[lo:hi]
+            if count_hits:
+                hits += (np.argmax(z, axis=-1) == y).sum(axis=-1)
+            ce[:, lo:hi] = _cross_entropy(z, (slice(None), steps[: hi - lo], y))
+        return np.mean(ce, axis=1), hits
 
 
 def cohort_losses(spec: ModelSpec, thetas: np.ndarray, side: Segments) -> np.ndarray:

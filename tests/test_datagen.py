@@ -1,6 +1,8 @@
 """Synthetic data, partitioning, noise, and CSV round-trip tests."""
 
+import contextlib
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -91,6 +93,17 @@ def sorted_rows(data: ClientDataset) -> np.ndarray:
     return rows[np.lexsort(rows.T[::-1])]
 
 
+@contextlib.contextmanager
+def blob_blocks(dim: int, rows: int | None):
+    """make_blobs draws its noise in blocks of `rows` rows of dim features
+    (None leaves its own block size)."""
+    if rows is None:
+        yield
+        return
+    with mock.patch.object(datagen, "BLOB_BLOCK_BYTES", 8 * dim * rows):
+        yield
+
+
 class TestMakeBlobs:
     def test_label_balance(self):
         data = make_blobs(2, 3, 100, 0.5, 0)
@@ -124,12 +137,52 @@ class TestMakeBlobs:
         extra=st.integers(0, 80),
         spread=st.floats(1e-300, 1.7e308),
         seed=st.integers(0, 2**32),
+        block_rows=st.one_of(st.just(None), st.integers(1, 40)),
     )
-    def test_equals_reference_sum(self, num_classes, dim, extra, spread, seed):
+    def test_equals_reference_sum(self, num_classes, dim, extra, spread, seed, block_rows):
         # the noise scaled and shifted in place is centroids[labels] + spread * noise,
-        # bit for bit, and an overflow fails both with one message
+        # bit for bit, drawn in one block or in blocks of block_rows rows, and an
+        # overflow fails both with one message
         args = num_classes, dim, num_classes + extra, spread, seed
-        assert outcome(make_blobs, *args) == outcome(reference_blobs, *args)
+        with blob_blocks(dim, block_rows):
+            assert outcome(make_blobs, *args) == outcome(reference_blobs, *args)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        num_classes=st.integers(2, 5),
+        dim=st.integers(1, 4),
+        extra=st.integers(0, 200),
+        block_rows=st.one_of(st.just(None), st.integers(1, 40)),
+        seed=st.integers(0, 2**32),
+        cuts=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3),
+        keep_tail=st.booleans(),
+    )
+    def test_split_equals_pool_subsets(self, num_classes, dim, extra, block_rows, seed, cuts,
+                                       keep_tail):
+        """Each dataset of a split is the pool's rows at its positions, bit
+        for bit: disjoint parts in shuffled order, which may leave rows out,
+        with the split reading the pool's labels."""
+        n = num_classes + extra
+        pool = reference_blobs(num_classes, dim, n, 0.7, seed)
+        order = make_rng(seed).permutation(n)
+        bounds = sorted(int(c * n) for c in cuts)
+        parts = [order[lo:hi] for lo, hi in zip([0] + bounds, bounds)]
+        if keep_tail:
+            parts.append(order[bounds[-1]:])
+
+        def split(labels):
+            assert labels.tobytes() == pool.labels.tobytes()
+            return parts
+
+        with blob_blocks(dim, block_rows):
+            got = make_blobs(num_classes, dim, n, 0.7, seed, split)
+        assert len(got) == len(parts)
+        for data, rows in zip(got, parts):
+            want = pool.subset(rows)
+            assert data.features.shape == want.features.shape
+            assert data.features.tobytes() == want.features.tobytes()
+            assert data.labels.tobytes() == want.labels.tobytes()
+            assert not data.features.flags.writeable
 
     def test_errors(self):
         with pytest.raises(ValueError, match="num_classes"):

@@ -5,7 +5,6 @@ import os
 import re
 import subprocess
 import sys
-import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -39,7 +38,8 @@ from metafl.models import (
 )
 from metafl.numerics import derive_seed, softmax_neg
 from testkit import (
-    as_clients, per_client, pooled, reference_clients, reference_federation, save_csv,
+    SETUP_PEAK_BOUND, as_clients, kept_bytes, per_client, pooled, reference_clients,
+    reference_federation, save_csv, traced, wide_cohort_config,
 )
 
 
@@ -407,21 +407,15 @@ class TestBuildFederation:
 
 
 class TestSetUpMemory:
-    """set_up holds at most one pool beside what it keeps: its tracemalloc
-    peak stays within SETUP_PEAK_BOUND of the bytes it returns, at
-    wide_cohort's shapes (K = 300, 30,000 samples of 16 features)."""
+    """set_up's tracemalloc peak stays within SETUP_PEAK_BOUND of the bytes
+    it returns, at wide_cohort's shapes (K = 300, 30,000 samples of 16
+    features), and it holds nothing beside them."""
 
-    SETUP_PEAK_BOUND = 2.5
-
-    @staticmethod
-    def wide_config(**data) -> ExperimentConfig:
-        return small_config(
-            spec=ModelSpec(input_dim=16, hidden_dim=16, num_classes=4),
-            partition=PartitionConfig(num_clients=300, dirichlet_beta=1.0, val_fraction=0.3,
-                                      noise_clients=frozenset(range(0, 300, 5)),
-                                      label_noise_rate=0.4, seed=5),
-            data=DataConfig(n_samples=30_000, spread=0.7, **data),
-        )
+    # 30,000 rows of 16 features and a label, both sides' 300 counts and the
+    # 340 parameters: what set_up kept before the pool was drawn into its splits
+    KEPT_BYTES = 30_000 * (16 + 1) * 8 + 2 * 300 * 8 + 340 * 8
+    # set_up's own Python objects; a view that pinned the pool would add 3.84 MB
+    HELD_SLACK = 64 * 1024
 
     @pytest.mark.parametrize("source", ["synthetic", "csv"])
     def test_peak_within_bound_of_kept_bytes(self, tmp_path, source):
@@ -429,23 +423,14 @@ class TestSetUpMemory:
         if source == "csv":
             data["csv_path"] = str(tmp_path / "pool.csv")
             save_csv(make_blobs(4, 16, 30_000, 0.7, 1), data["csv_path"])
-        cfg = self.wide_config(**data)
+        cfg = wide_cohort_config(300, **data)
         set_up(cfg)  # the first call also pays one-off imports
-        started = tracemalloc.is_tracing()
-        if not started:
-            tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            (train, val), holdout, theta0 = set_up(cfg)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            if not started:
-                tracemalloc.stop()
-        kept = sum(array.nbytes for array in (
-            train.data.features, train.data.labels, train.n, val.data.features, val.data.labels,
-            val.n, holdout.features, holdout.labels, theta0.coords))
-        assert peak <= self.SETUP_PEAK_BOUND * kept, f"peak {peak / kept:.2f} times the kept bytes"
+        fed, held, peak = traced(lambda: set_up(cfg))
+        kept = kept_bytes(fed)
+        assert kept == self.KEPT_BYTES
+        assert held - kept <= self.HELD_SLACK, f"{held - kept} bytes held beside the kept ones"
+        bound = SETUP_PEAK_BOUND[source]
+        assert peak <= bound * kept, f"peak {peak / kept:.2f} times the kept bytes"
 
 
 class TestCompareRuns:
@@ -673,10 +658,15 @@ def record_bits(rec) -> dict:
 
 @settings(max_examples=120, deadline=None)
 @given(cfg=federations())
-@example(cfg=small_config(  # a holdout of 550 > HOLDOUT_BLOCK rows: two blocks
+@example(cfg=small_config(  # a 550-row holdout, one block for a 3-point grid
     spec=ModelSpec(2, 3, 3, "tanh"), partition=THREE_CLIENTS, rounds=1,
     meta=MetaParams(alpha=1.0, lam=0.1, c=WEIGHTED), alpha_grid=(0.0, 1.0, 4.0),
     data=DataConfig(n_samples=1100, global_val_fraction=0.5),
+))
+@example(cfg=small_config(  # a 2100-row holdout: two blocks for the grid and for evaluate
+    spec=ModelSpec(2, 3, 3, "relu"), partition=THREE_CLIENTS, rounds=1,
+    meta=MetaParams(alpha=1.0, lam=0.1, c=WEIGHTED), alpha_grid=(0.0, 1.0, 4.0),
+    data=DataConfig(n_samples=4200, global_val_fraction=0.5),
 ))
 @example(cfg=small_config(  # 0 epochs: train_cohort returned its starts in F order
     spec=ModelSpec(1, 1, 3, "tanh"), partition=PartitionConfig(3, val_fraction=0.5, seed=2),

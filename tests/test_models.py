@@ -14,7 +14,6 @@ from metafl.datagen import ClientDataset, Segments, make_blobs
 from metafl.metafeatures import extract
 from metafl.models import (
     ACTIVATIONS,
-    HOLDOUT_BLOCK,
     ClientError,
     ModelSpec,
     PerformanceMetrics,
@@ -25,6 +24,7 @@ from metafl.models import (
     _row_max,
     _row_sum,
     _shifted_exp,
+    _block_rows,
     _unpack,
     cohort_losses,
     evaluate,
@@ -37,6 +37,7 @@ from metafl.models import (
 )
 from metafl.numerics import ParamVector, make_rng
 from testkit import (
+    EVALUATE_PEAK_BOUND,
     ce_grad_arrays,
     finite_diff_grad,
     loss_and_grad,
@@ -45,9 +46,12 @@ from testkit import (
     reference_logits,
     reference_mean_ce,
     reference_train_local,
+    traced,
 )
 
 LOGISTIC_2D = ModelSpec(input_dim=2, hidden_dim=0, num_classes=2)
+GRID_BLOCK = _block_rows(9)  # a block's rows for a 9-point alpha grid: 512
+VECTOR_BLOCK = _block_rows(1)  # for one vector (evaluate, local_loss): 2048
 
 
 @st.composite
@@ -319,8 +323,9 @@ class TestPlan:
     def test_slots_keep_each_members_batches(self, sizes, size, epochs, copies):
         """Each member walks its own shuffle positions in order, in batches of
         `size` rows and then its last batch, each epoch; every group holds
-        batches of one length, and the full batches of one index within the
-        epoch share a group, as do the epoch's last batches of one length."""
+        batches of one length. The full batches of one index within the
+        epoch, a full last batch included, share a group, which is a slice;
+        the epoch's short last batches of one length share its last slot."""
         plan = _plan(tuple(sizes), size, epochs, copies)
         n = np.tile(sizes, copies)
         first = np.tile(np.cumsum(sizes) - sizes, copies)
@@ -331,6 +336,7 @@ class TestPlan:
             members = plan.order[sel]
             assert len(set(members.tolist())) == k
             length = (r1 - r0) // k
+            assert length < size or isinstance(sel, slice)
             for j, i in enumerate(members.tolist()):
                 rows = slice(r0 + j * length, r0 + (j + 1) * length)
                 walked[i].append((plan.pos[rows], plan.offset[rows]))
@@ -345,7 +351,9 @@ class TestPlan:
             assert np.array_equal(np.concatenate([pos for pos, _ in batches]),
                                   drawn + np.arange(epochs * n[i]))
             assert all((offset == first[i]).all() for _, offset in batches)
-        assert len(plan.groups) == epochs * (per_epoch.max() - 1 + len(set(tail.tolist())))
+        slots = per_epoch.max()
+        last_slot = set(tail[per_epoch == slots].tolist()) | set(tail[tail < size].tolist())
+        assert len(plan.groups) == epochs * (slots - 1 + len(last_slot))
 
     def test_arrays_are_read_only(self):
         plan = _plan((1, 1, 2, 3), 2, 2)  # its 1-row last batches are no slice
@@ -459,18 +467,20 @@ class TestSegmentCounts:
 
 
 @st.composite
-def holdout_cases(draw, n=st.integers(1, 1600)):
+def holdout_cases(draw, n=st.integers(1, 1600), m=st.integers(1, 12)):
     """(spec, thetas, data): M 1-12 parameter vectors on one dataset of n
     rows; hidden_dim 0 or 1-8, relu or tanh, 2-12 classes. A fifth of the
     parameters and a tenth of the features are exactly 0, and some vectors
-    are all zero or repeat another, so logits and rows tie."""
+    are all zero or repeat another, so logits and rows tie. n may be a
+    function of M."""
     spec = ModelSpec(
         input_dim=draw(st.integers(1, 6)),
         hidden_dim=draw(st.one_of(st.just(0), st.integers(1, 8))),
         num_classes=draw(st.integers(2, 12)),
         activation=draw(st.sampled_from(ACTIVATIONS)),
     )
-    m, rows = draw(st.integers(1, 12)), draw(n)
+    m = draw(m)
+    rows = draw(n(m) if callable(n) else n)
     rng = make_rng(draw(st.integers(0, 2**32)))
     thetas = rng.normal(scale=draw(st.sampled_from([0.1, 1.0, 30.0])), size=(m, param_count(spec)))
     thetas *= rng.random(thetas.shape) < 0.8
@@ -482,9 +492,15 @@ def holdout_cases(draw, n=st.integers(1, 1600)):
     return spec, thetas, ClientDataset(x, rng.integers(0, spec.num_classes, rows))
 
 
+def edge_sizes(m: int):
+    """Row counts at the block edges of a stack of m vectors."""
+    block = _block_rows(m)
+    return st.sampled_from([block - 1, block, block + 1, 2 * block, 2 * block + 1])
+
+
 def assert_holdout_losses_equal_one_pass_each(case):
     """Ties, zero vectors, up to 12 classes and every block edge, which the
-    federation oracle's one 550-row holdout does not reach."""
+    federation oracle's holdouts do not reach."""
     spec, thetas, data = case
     got = holdout_losses(spec, thetas, data)
     alone = [reference_mean_ce(reference_logits(spec, theta, data.features), data.labels)
@@ -498,12 +514,29 @@ class TestHoldoutLosses:
     def test_equals_one_unblocked_pass_per_vector(self, case):
         assert_holdout_losses_equal_one_pass_each(case)
 
-    @pytest.mark.parametrize("n", [1, 2, HOLDOUT_BLOCK - 1, HOLDOUT_BLOCK, HOLDOUT_BLOCK + 1,
-                                   2 * HOLDOUT_BLOCK, 2 * HOLDOUT_BLOCK + 1])
+    @pytest.mark.parametrize("n", [1, 2, GRID_BLOCK - 1, GRID_BLOCK, GRID_BLOCK + 1,
+                                   2 * GRID_BLOCK, 2 * GRID_BLOCK + 1])
     @settings(max_examples=10, deadline=None)
     @given(data=st.data())
     def test_block_edges(self, n, data):
-        assert_holdout_losses_equal_one_pass_each(data.draw(holdout_cases(st.just(n))))
+        """The edges of a 9-point alpha grid's blocks."""
+        assert_holdout_losses_equal_one_pass_each(
+            data.draw(holdout_cases(st.just(n), st.just(9))))
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=holdout_cases(edge_sizes))
+    def test_block_edges_at_every_stack_height(self, case):
+        """The block size falls as the stack grows; each height has edges."""
+        assert_holdout_losses_equal_one_pass_each(case)
+
+    def test_block_rows(self):
+        """One budget sets the rows of a block from the stack height, and no
+        block holds a lone row while there are two or more."""
+        assert [_block_rows(m) for m in (1, 2, 3, 9, 4608, 10**6)] == [2048, 2048, 1536, 512, 4, 4]
+        rows = _block_rows(10**6)
+        for n in range(2, 5 * rows):
+            blocks = -(-n // rows)
+            assert np.diff(np.arange(blocks + 1) * n // blocks).min() >= 2, n
 
     def test_dimension_mismatch(self):
         data = make_blobs(2, 2, 20, 0.5, 3)
@@ -512,7 +545,73 @@ class TestHoldoutLosses:
                 holdout_losses(LOGISTIC_2D, thetas, data)
 
 
+@st.composite
+def evaluate_cases(draw, n=st.integers(1, 5000), activation=st.sampled_from(ACTIVATIONS)):
+    """(spec, params, data): one model of hidden_dim 0-8 with the given
+    activation and 2-12 classes on n rows. The rows at each of evaluate's
+    block edges are 0 and the model's biases put a tie at the top of its
+    output there, so argmax ties sit at the edges; the labels there are
+    drawn, so the tie-break decides the hits."""
+    spec = ModelSpec(
+        input_dim=draw(st.integers(1, 6)),
+        hidden_dim=draw(st.integers(0, 8)),
+        num_classes=draw(st.integers(2, 12)),
+        activation=draw(activation),
+    )
+    rows = draw(n)
+    rng = make_rng(draw(st.integers(0, 2**32)))
+    theta = rng.normal(scale=draw(st.sampled_from([0.1, 1.0, 30.0])), size=param_count(spec))
+    *hidden, _, bias = _unpack(spec, theta)
+    if hidden:
+        hidden[1][...] = 0.0  # a 0 row's activations are 0, so its logits are the output bias
+    top = rng.choice(spec.num_classes, size=2, replace=False)
+    bias[..., top] = bias.max() + 1.0
+    blocks = -(-rows // VECTOR_BLOCK)
+    bounds = np.arange(blocks + 1) * rows // blocks
+    edges = np.unique(np.clip(np.concatenate([bounds - 1, bounds]), 0, rows - 1))
+    x = rng.normal(size=(rows, spec.input_dim))
+    x[edges] = 0.0
+    y = rng.integers(0, spec.num_classes, rows)
+    y[edges] = rng.choice(top, size=edges.size)
+    return spec, ParamVector(theta), ClientDataset(x, y)
+
+
+def assert_evaluate_equals_unblocked_reference(case):
+    spec, params, data = case
+    logits = reference_logits(spec, params.coords, data.features)
+    want_acc = float(np.mean(np.argmax(logits, axis=1) == data.labels))
+    want_loss = float(reference_mean_ce(logits, data.labels))
+    perf = evaluate(spec, params, data)
+    assert same_bits(perf.val_loss, want_loss) and same_bits(perf.val_accuracy, want_acc)
+
+
 class TestEvaluate:
+    @settings(max_examples=100, deadline=None)
+    @given(case=evaluate_cases())
+    def test_equals_unblocked_reference(self, case):
+        """Loss and accuracy are bitwise those of one unblocked pass with
+        numpy's argmax and mean, ties at the block edges included."""
+        assert_evaluate_equals_unblocked_reference(case)
+
+    @pytest.mark.parametrize("activation", ACTIVATIONS)
+    @pytest.mark.parametrize("n", [1, 2, VECTOR_BLOCK - 1, VECTOR_BLOCK, VECTOR_BLOCK + 1,
+                                   2 * VECTOR_BLOCK + 1])
+    @settings(max_examples=5, deadline=None)
+    @given(data=st.data())
+    def test_block_edges(self, n, activation, data):
+        assert_evaluate_equals_unblocked_reference(
+            data.draw(evaluate_cases(st.just(n), st.just(activation))))
+
+    def test_peak_is_bounded(self):
+        """On 60,000 rows of 16 features, evaluate's peak above its start
+        is its [n] cross-entropy row (0.48 MB) and one block's arrays; one
+        unblocked pass took 11.4 MB."""
+        spec = ModelSpec(input_dim=16, hidden_dim=16, num_classes=4)
+        data = make_blobs(4, 16, 60_000, 0.7, 1)
+        params = init_params(spec, 0)
+        peak = traced(lambda: evaluate(spec, params, data))[2]
+        assert peak < EVALUATE_PEAK_BOUND, f"peak {peak / 1e6:.2f} MB above the start"
+
     def test_zero_params_balanced_binary(self):
         data = ClientDataset([[1.0, 0.0], [0.0, 1.0], [2.0, 1.0], [1.0, 2.0]],
                              [0, 1, 0, 1])
@@ -543,8 +642,9 @@ class TestEvaluate:
 
 class TestLocalLoss:
     def test_consistent_with_evaluate(self):
-        # local_loss scores in blocks of rows and evaluate in one pass
-        blocked = 2 * HOLDOUT_BLOCK + 1
+        # local_loss and evaluate score one vector in one blocked pass; its
+        # three blocks here must not move the loss
+        blocked = 2 * VECTOR_BLOCK + 1
         for hidden_dim, activation, rows in [(0, "relu", 40), (6, "relu", blocked),
                                              (6, "tanh", blocked)]:
             data = make_blobs(2, 3, rows, 0.7, 5)

@@ -3,7 +3,8 @@ gradient of Phi and the mirror step the solver oracle takes, the stacked
 batch gradient, the full-data training objective with its analytic
 gradient, a CSV writer in the format datagen.load_csv reads, conversions
 between per-client datasets and pooled sides, the sampled contraction
-modulus the exact one replaced, and the reference program.
+modulus the exact one replaced, the memory bounds that the tests and
+tests/scale_memory.py share, and the reference program.
 
 reference_federation is the plain per-client program that run_rounds
 stands for, and run_rounds must equal it bit for bit: one oracle for
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import math
+import tracemalloc
 from dataclasses import replace
 from typing import Callable, Sequence, Tuple
 
@@ -27,7 +29,7 @@ from metafl.aggregator import (
 from metafl.datagen import (
     MAX_PARTITION_ATTEMPTS, ClientDataset, PartitionConfig, Segments, _read_csv,
 )
-from metafl.federation import RoundRecord
+from metafl.federation import DataConfig, ExperimentConfig, RoundRecord
 from metafl.metafeatures import composite_errors
 from metafl.models import (
     ModelSpec, TrainConfig, _ce_grad_into, _check_cohort, _unpack, init_params,
@@ -35,6 +37,55 @@ from metafl.models import (
 from metafl.numerics import (
     ParamVector, WeightVector, _check_errors, derive_seed, make_rng, softmax_neg,
 )
+
+#: set_up's tracemalloc peak, as a multiple of the bytes it keeps, per pool
+#: source: a synthetic pool is drawn straight into its splits, while a CSV
+#: table is parsed whole and each split gathers from it.
+SETUP_PEAK_BOUND = {"synthetic": 1.45, "csv": 2.5}
+#: evaluate's tracemalloc peak above its start on a 60,000-row holdout of
+#: 16 features, wide_cohort's model at K = 3000.
+EVALUATE_PEAK_BOUND = 2 * 1024 * 1024
+
+
+def wide_cohort_config(k: int, seed: int = 0, **data) -> ExperimentConfig:
+    """The wide_cohort benchmark's config at K = k clients, closed form,
+    on a synthetic pool of 100·k rows unless data names a CSV file."""
+    return ExperimentConfig(
+        spec=ModelSpec(input_dim=16, hidden_dim=16, num_classes=4),
+        partition=PartitionConfig(num_clients=k, dirichlet_beta=1.0, val_fraction=0.3,
+                                  noise_clients=frozenset(range(0, k, 5)),
+                                  label_noise_rate=0.4, seed=seed),
+        train=TrainConfig(learning_rate=0.1, epochs=1, batch_size=16, seed=seed),
+        meta=MetaParams(alpha=1.0),
+        data=DataConfig(n_samples=100 * k, spread=0.7, global_val_fraction=0.2, **data),
+        rounds=5,
+        seed=seed,
+    )
+
+
+def traced(call: Callable[[], object]) -> tuple[object, int, int]:
+    """(call's result, the bytes it left allocated, its peak), both byte
+    counts above its start, as tracemalloc counts them."""
+    started = tracemalloc.is_tracing()
+    if not started:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = call()
+        held, peak = (count - base for count in tracemalloc.get_traced_memory())
+    finally:
+        if not started:
+            tracemalloc.stop()
+    return result, held, peak
+
+
+def kept_bytes(fed: tuple) -> int:
+    """The array bytes of set_up's result: both sides, the holdout, theta0."""
+    (train, val), holdout, theta0 = fed
+    return sum(array.nbytes for array in (
+        train.data.features, train.data.labels, train.n, val.data.features, val.data.labels,
+        val.n, holdout.features, holdout.labels, theta0.coords))
 
 
 def finite_diff_grad(
