@@ -1,8 +1,6 @@
 """Synthetic data, partitioning, noise, and CSV round-trip tests."""
 
-import contextlib
 import warnings
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,7 +20,7 @@ from metafl.datagen import (
 )
 from metafl.models import ModelSpec, TrainConfig, evaluate, init_params, train_local
 from metafl.numerics import make_rng
-from testkit import pooled, reference_blobs, reference_partition, save_csv
+from testkit import blob_blocks, pooled, reference_blobs, reference_partition, save_csv
 
 
 def outcome(make, *args):
@@ -93,17 +91,6 @@ def sorted_rows(data: ClientDataset) -> np.ndarray:
     return rows[np.lexsort(rows.T[::-1])]
 
 
-@contextlib.contextmanager
-def blob_blocks(dim: int, rows: int | None):
-    """make_blobs draws its noise in blocks of `rows` rows of dim features
-    (None leaves its own block size)."""
-    if rows is None:
-        yield
-        return
-    with mock.patch.object(datagen, "BLOB_BLOCK_BYTES", 8 * dim * rows):
-        yield
-
-
 class TestMakeBlobs:
     def test_label_balance(self):
         data = make_blobs(2, 3, 100, 0.5, 0)
@@ -152,37 +139,38 @@ class TestMakeBlobs:
         num_classes=st.integers(2, 5),
         dim=st.integers(1, 4),
         extra=st.integers(0, 200),
+        spread=st.one_of(st.just(0.7), st.floats(1e-300, 1.7e308)),
         block_rows=st.one_of(st.just(None), st.integers(1, 40)),
         seed=st.integers(0, 2**32),
-        cuts=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3),
-        keep_tail=st.booleans(),
+        perm_seed=st.integers(0, 2**32),
     )
-    def test_split_equals_pool_subsets(self, num_classes, dim, extra, block_rows, seed, cuts,
-                                       keep_tail):
-        """Each dataset of a split is the pool's rows at its positions, bit
-        for bit: disjoint parts in shuffled order, which may leave rows out,
-        with the split reading the pool's labels."""
+    def test_order_equals_pool_subset(self, num_classes, dim, extra, spread, block_rows, seed,
+                                      perm_seed):
+        """With order, the result is the pool's rows in the order's
+        permutation, bit for bit and read-only, with the order reading the
+        pool's labels; an overflow fails as the pool's does."""
         n = num_classes + extra
-        pool = reference_blobs(num_classes, dim, n, 0.7, seed)
-        order = make_rng(seed).permutation(n)
-        bounds = sorted(int(c * n) for c in cuts)
-        parts = [order[lo:hi] for lo, hi in zip([0] + bounds, bounds)]
-        if keep_tail:
-            parts.append(order[bounds[-1]:])
+        args = num_classes, dim, n, spread, seed
+        perm = make_rng(perm_seed).permutation(n)
+        pool_labels = reference_blobs(num_classes, dim, n, 0.7, seed).labels  # spread moves no label
 
-        def split(labels):
-            assert labels.tobytes() == pool.labels.tobytes()
-            return parts
+        def order(labels):
+            assert labels.tobytes() == pool_labels.tobytes()
+            return perm
 
+        try:
+            want = reference_blobs(*args).subset(perm)
+        except ValueError as err:
+            with blob_blocks(dim, block_rows), pytest.raises(ValueError) as got:
+                make_blobs(*args, order)
+            assert str(got.value) == str(err)
+            return
         with blob_blocks(dim, block_rows):
-            got = make_blobs(num_classes, dim, n, 0.7, seed, split)
-        assert len(got) == len(parts)
-        for data, rows in zip(got, parts):
-            want = pool.subset(rows)
-            assert data.features.shape == want.features.shape
-            assert data.features.tobytes() == want.features.tobytes()
-            assert data.labels.tobytes() == want.labels.tobytes()
-            assert not data.features.flags.writeable
+            data = make_blobs(*args, order)
+        assert data.features.shape == want.features.shape
+        assert data.features.tobytes() == want.features.tobytes()
+        assert data.labels.tobytes() == want.labels.tobytes()
+        assert not data.features.flags.writeable and not data.labels.flags.writeable
 
     def test_errors(self):
         with pytest.raises(ValueError, match="num_classes"):

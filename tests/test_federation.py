@@ -38,8 +38,8 @@ from metafl.models import (
 )
 from metafl.numerics import derive_seed, softmax_neg
 from testkit import (
-    SETUP_PEAK_BOUND, as_clients, kept_bytes, per_client, pooled, reference_clients,
-    reference_federation, save_csv, traced, wide_cohort_config,
+    SETUP_PEAK_BOUND, as_clients, blob_blocks, kept_bytes, per_client, pooled,
+    reference_clients, reference_federation, save_csv, traced, wide_cohort_config,
 )
 
 
@@ -414,7 +414,8 @@ class TestSetUpMemory:
     # 30,000 rows of 16 features and a label, both sides' 300 counts and the
     # 340 parameters: what set_up kept before the pool was drawn into its splits
     KEPT_BYTES = 30_000 * (16 + 1) * 8 + 2 * 300 * 8 + 340 * 8
-    # set_up's own Python objects; a view that pinned the pool would add 3.84 MB
+    # set_up's own Python objects; a second copy of the pool's features pinned
+    # beside them would add 3.84 MB
     HELD_SLACK = 64 * 1024
 
     @pytest.mark.parametrize("source", ["synthetic", "csv"])
@@ -608,22 +609,26 @@ class TestPooledLayout:
     make."""
 
     @settings(max_examples=80, deadline=None)
-    @given(cfg=federations(), csv_spread=st.sampled_from([None, None, 1e-3, 0.5, 1e3]))
-    def test_segments_equal_per_client_set_up(self, tmp_path_factory, cfg, csv_spread):
+    @given(cfg=federations(), csv_spread=st.sampled_from([None, None, 1e-3, 0.5, 1e3]),
+           block_rows=st.one_of(st.just(None), st.integers(1, 40)))
+    def test_segments_equal_per_client_set_up(self, tmp_path_factory, cfg, csv_spread, block_rows):
         """With csv_spread, the pool is a CSV file of that spread: the one-call
-        parse's view of it against the row-by-row reader's dataset."""
-        if csv_spread is not None:
-            spec, path = cfg.spec, tmp_path_factory.getbasetemp() / "pool.csv"
-            save_csv(make_blobs(spec.num_classes, spec.input_dim, cfg.data.n_samples, csv_spread,
-                                cfg.seed), str(path))
-            cfg = replace(cfg, data=replace(cfg.data, csv_path=str(path)))
-        try:
-            want, want_holdout = reference_clients(cfg)
-        except ValueError:
-            with pytest.raises(ConfigError):
-                build_federation(cfg)
-            return
-        clients, holdout = build_federation(cfg)
+        parse's view of it against the row-by-row reader's dataset. With
+        block_rows, make_blobs draws its noise in blocks of that many rows,
+        so that a pool spans block edges."""
+        with blob_blocks(cfg.spec.input_dim, block_rows):
+            if csv_spread is not None:
+                spec, path = cfg.spec, tmp_path_factory.getbasetemp() / "pool.csv"
+                save_csv(make_blobs(spec.num_classes, spec.input_dim, cfg.data.n_samples,
+                                    csv_spread, cfg.seed), str(path))
+                cfg = replace(cfg, data=replace(cfg.data, csv_path=str(path)))
+            try:
+                want, want_holdout = reference_clients(cfg)
+            except ValueError:
+                with pytest.raises(ConfigError):
+                    build_federation(cfg)
+                return
+            clients, holdout = build_federation(cfg)
         assert len(clients[0].n) == len(clients[1].n) == len(want)
         for got, pair in zip(per_client(clients) + [(holdout,)], want + [(want_holdout,)]):
             for part, ref in zip(got, pair):

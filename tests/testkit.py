@@ -3,8 +3,9 @@ gradient of Phi and the mirror step the solver oracle takes, the stacked
 batch gradient, the full-data training objective with its analytic
 gradient, a CSV writer in the format datagen.load_csv reads, conversions
 between per-client datasets and pooled sides, the sampled contraction
-modulus the exact one replaced, the memory bounds that the tests and
-tests/scale_memory.py share, and the reference program.
+modulus the exact one replaced, a patch of make_blobs' noise block size,
+the memory bounds that the tests and tests/scale_memory.py share, and
+the reference program.
 
 reference_federation is the plain per-client program that run_rounds
 stands for, and run_rounds must equal it bit for bit: one oracle for
@@ -15,13 +16,17 @@ it pins a bit the oracle cannot reach, which its test names.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import math
 import tracemalloc
 from dataclasses import replace
 from typing import Callable, Sequence, Tuple
+from unittest import mock
 
 import numpy as np
+
+from metafl import datagen
 
 from metafl.aggregator import (
     BOUNDARY_CLAMP, AggregationOutcome, MetaParams, aggregate, fedavg_weights, meta_agg,
@@ -39,9 +44,9 @@ from metafl.numerics import (
 )
 
 #: set_up's tracemalloc peak, as a multiple of the bytes it keeps, per pool
-#: source: a synthetic pool is drawn straight into its splits, while a CSV
-#: table is parsed whole and each split gathers from it.
-SETUP_PEAK_BOUND = {"synthetic": 1.45, "csv": 2.5}
+#: source: a synthetic pool is drawn straight into the federation's row
+#: order, while a CSV table is parsed whole and gathered into that order.
+SETUP_PEAK_BOUND = {"synthetic": 1.35, "csv": 2.5}
 #: evaluate's tracemalloc peak above its start on a 60,000-row holdout of
 #: 16 features, wide_cohort's model at K = 3000.
 EVALUATE_PEAK_BOUND = 2 * 1024 * 1024
@@ -187,6 +192,17 @@ def pooled(datasets: Sequence[ClientDataset]) -> Segments:
 def as_clients(pairs: Sequence[Tuple[ClientDataset, ClientDataset]]) -> Tuple[Segments, Segments]:
     """Per-client (train, val) pairs as the (train, val) sides."""
     return pooled([train for train, _ in pairs]), pooled([val for _, val in pairs])
+
+
+@contextlib.contextmanager
+def blob_blocks(dim: int, rows: int | None):
+    """datagen.make_blobs draws its noise in blocks of `rows` rows of dim
+    features (None leaves its own block size)."""
+    if rows is None:
+        yield
+        return
+    with mock.patch.object(datagen, "BLOB_BLOCK_BYTES", 8 * dim * rows):
+        yield
 
 
 def per_client(clients: Tuple[Segments, Segments]) -> list:
