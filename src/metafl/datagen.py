@@ -173,6 +173,9 @@ def make_blobs(
     place = np.empty(n, dtype=np.intp)  # each pool row's place in the result
     place[rows] = np.arange(n)
     features = np.empty((n, dim))
+    # one item per row: a row scatter then copies whole rows, where a 2-D
+    # fancy write steps through every feature
+    rows_of = features.view(np.dtype((np.void, 8 * dim)))
     block_rows = max(1, BLOB_BLOCK_BYTES // (8 * dim))
     with np.errstate(over="ignore"):  # an overflow fails the finiteness check below
         for lo in range(0, n, block_rows):
@@ -184,7 +187,7 @@ def make_blobs(
             block += centroids[labels[lo:hi]]
             if not np.isfinite(block).all():
                 raise ValueError("features contain non-finite values")
-            features[place[lo:hi]] = block
+            rows_of[place[lo:hi]] = block.view(rows_of.dtype)
     return ClientDataset._wrap(features, labels[rows])
 
 

@@ -27,7 +27,6 @@ from unittest import mock
 import numpy as np
 
 from metafl import datagen
-
 from metafl.aggregator import (
     BOUNDARY_CLAMP, AggregationOutcome, MetaParams, aggregate, fedavg_weights, meta_agg,
 )
