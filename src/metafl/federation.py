@@ -407,12 +407,18 @@ def rounds_to_target(history: Sequence[RoundRecord], target: float) -> int | Non
 
 
 def compare_runs(cfg_a: ExperimentConfig, cfg_b: ExperimentConfig) -> ComparisonSummary:
-    """Run two configs on one federation and pair their round metrics."""
+    """Run two configs on one federation and pair their round metrics.
+    A run's failure names its arm: `arm a, ` or `arm b, ` before the round."""
     if not shares_data_setup(cfg_a, cfg_b):
         raise ConfigError("configs must share data setup")
     fed = set_up(cfg_a)
-    _, hist_a = run_rounds(cfg_a, *fed)
-    _, hist_b = run_rounds(cfg_b, *fed)
+    histories = []
+    for arm, cfg in (("a", cfg_a), ("b", cfg_b)):
+        try:
+            histories.append(run_rounds(cfg, *fed)[1])
+        except RuntimeError as err:
+            raise RuntimeError(f"arm {arm}, {err}") from err
+    hist_a, hist_b = histories
     rows = tuple(
         (ra.round, ra.global_val_loss, ra.global_val_accuracy,
          rb.global_val_loss, rb.global_val_accuracy)

@@ -83,6 +83,9 @@ LOG_H = r"diagnostics\.log_h \* 2 must be finite"
 LOSS_SUM_OVERFLOWS = ("rounds = 2\npartition.num_clients = 1\ntrain.l2 = 1.7e308\n"
                       "model.activation = tanh\ndata.global_val_fraction = 0.99\n"
                       "model.num_classes = 5\n")
+#: Meta-FL's composite errors overflow; its fedavg twin never forms them.
+OVERFLOWING_C = "rounds = 1\npartition.num_clients = 2\nmeta.c = 1.7e308,1.7e308,0,0,0\n"
+OVERFLOWING_C_FEDAVG = OVERFLOWING_C + "aggregator = fedavg\n"
 DIVERGED = "round 1, client 0: training diverged to non-finite parameters in epoch {}"
 COMMANDS = ("run", "diagnose", "compare")
 
@@ -162,7 +165,9 @@ CASES = {case.name: case for case in (
           ("dim_mismatch", "1.0,2.0,3.0,0\n0.5,1.5,2.5,1\n",
            "csv feature dim 3 does not match model input_dim 2"),
       ]),
-    *(Case(f"training_diverges_{command}", command, DIVERGES, 3, DIVERGED.format(1))
+    # compare names the arm whose run failed
+    *(Case(f"training_diverges_{command}", command, DIVERGES, 3,
+           ("arm a, " if command == "compare" else "") + DIVERGED.format(1))
       for command in COMMANDS),
     Case("training_diverges_two_clients", "run",
          MINIMAL + "model.hidden_dim = 4\ntrain.learning_rate = 1e306\n", 3, DIVERGED.format(1)),
@@ -203,9 +208,13 @@ CASES = {case.name: case for case in (
     Case("mirror_step_overflows", "run",
          ONE_ROUND + "aggregator = metafl_mirror\nmeta.eta = 1e308\nmeta.alpha = 1\n", 3,
          "round 1, aggregation: divergence in mirror solver at iteration 2"),
-    *(Case(f"composite_error_overflows_{command}", command,
-           "rounds = 1\npartition.num_clients = 2\nmeta.c = 1.7e308,1.7e308,0,0,0\n", 3,
+    *(Case(f"composite_error_overflows_{command}", command, OVERFLOWING_C, 3,
            "round 1, aggregation: non-finite error metric") for command in ("run", "diagnose")),
+    # only the Meta-FL arm fails, first as arm a, then as arm b
+    *(Case(f"composite_error_overflows_compare_{arm}", "compare", a, 3,
+           f"arm {arm}, round 1, aggregation: non-finite error metric", {"b.txt": b})
+      for arm, a, b in [("a", OVERFLOWING_C, OVERFLOWING_C_FEDAVG),
+                        ("b", OVERFLOWING_C_FEDAVG, OVERFLOWING_C)]),
     # -alpha * E overflows; the closed form's limit is no failure
     Case("huge_alpha", "run", ONE_ROUND + "model.num_classes = 8\nmodel.input_dim = 4\n"
          "data.n_samples = 400\ntrain.epochs = 0\nmeta.alpha = 1.7e308\n", 0),

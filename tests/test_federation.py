@@ -694,6 +694,56 @@ def test_run_rounds_equals_reference_federation(cfg):
     assert theta.coords.tobytes() == want_theta.coords.tobytes()
 
 
+#: A config whose composite errors overflow under Meta-FL, and its fedavg twin.
+OVERFLOWING_C = small_config(rounds=1, meta=MetaParams(
+    c=CompositeErrorConfig((1.7e308, 1.7e308, 0.0, 0.0, 0.0), normalize=False)))
+OVERFLOWING_C_FEDAVG = replace(OVERFLOWING_C, aggregator_mode="fedavg")
+
+
+@settings(max_examples=50, deadline=None)
+@given(cfg_a=federations(), other=federations())
+@example(cfg_a=OVERFLOWING_C, other=OVERFLOWING_C_FEDAVG)
+@example(cfg_a=OVERFLOWING_C_FEDAVG, other=OVERFLOWING_C)
+def test_compare_runs_is_two_runs_on_one_set_up(cfg_a, other):
+    """Arm b is cfg_a with other's mode, grid and meta. The summary's rows
+    are bitwise the two run_rounds histories on one set_up, and its other
+    fields follow from the rows; a failing run fails the comparison with
+    the first failing arm's message after its name."""
+    cfg_b = replace(cfg_a, aggregator_mode=other.aggregator_mode, alpha_grid=other.alpha_grid,
+                    meta=other.meta)
+    try:
+        fed = set_up(cfg_a)
+    except ConfigError:
+        with pytest.raises(ConfigError):
+            compare_runs(cfg_a, cfg_b)
+        return
+    histories = []
+    for arm, cfg in (("a", cfg_a), ("b", cfg_b)):
+        try:
+            histories.append(run_rounds(cfg, *fed)[1])
+        except RuntimeError as err:
+            with pytest.raises(RuntimeError) as info:
+                compare_runs(cfg_a, cfg_b)
+            assert str(info.value) == f"arm {arm}, {err}"
+            return
+    summary = compare_runs(cfg_a, cfg_b)
+    want = [(ra.round, ra.global_val_loss, ra.global_val_accuracy,
+             rb.global_val_loss, rb.global_val_accuracy) for ra, rb in zip(*histories)]
+    assert np.array(summary.rows).tobytes() == np.array(want).tobytes()
+    _, _, acc_a, _, acc_b = np.array(want).T
+    target = acc_b[-1]
+
+    def first_reaching(acc):
+        return next((t + 1 for t, value in enumerate(acc) if value >= target), None)
+
+    assert (summary.terminal_accuracy_a, summary.terminal_accuracy_b) == (acc_a[-1], acc_b[-1])
+    assert summary.target_accuracy == target
+    assert summary.terminal_accuracy_diff == acc_a[-1] - acc_b[-1]
+    assert summary.mean_accuracy_diff == float(np.mean(acc_a - acc_b))
+    assert summary.rounds_to_target_a == first_reaching(acc_a)
+    assert summary.rounds_to_target_b == first_reaching(acc_b)
+
+
 def test_readme_library_example_runs():
     """README's python block runs as written in a fresh interpreter and
     prints one accuracy, so the names it imports stay exported."""

@@ -1,11 +1,9 @@
 """Golden outputs: the files every command writes, byte for byte.
 
-The goldens are rows of the CLI contract, `GOLDENS` in
-tests/cli_contract.py: the --no-timing outputs of all six presets, a
-compare run, and a run and a diagnose of one small config that weights
-the meta-features, plus a diagnose of preset_iid; each run case pins all
-three files that `metafl run` writes. This checks each row in process.
-A refactor must leave them unchanged.
+The goldens are the rows of `GOLDENS` in tests/cli_contract.py: each
+row names a command and the files under tests/golden/<row>/ that it
+must write byte for byte. This checks each row in process. A refactor
+must leave them unchanged.
 Re-bless them only for a change that is meant to move the outputs, and
 say why in CHANGES.md:
 
