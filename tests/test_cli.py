@@ -31,7 +31,7 @@ from metafl.federation import DataConfig, ExperimentConfig, set_up
 from metafl.metafeatures import CompositeErrorConfig
 from metafl.models import ACTIVATIONS, ClientError, ModelSpec, TrainConfig, train_cohort
 from metafl.numerics import derive_seed
-from cli_contract import CASES, DIVERGE_AT_1_5X, MINIMAL, check
+from cli_contract import CASES, COMMANDS, CONFIG_ERRORS, DIVERGE_AT_1_5X, MINIMAL, check
 from testkit import save_csv
 
 SMALL = """
@@ -242,6 +242,12 @@ class TestConfigParsing:
 
 
 class TestCmdRun:
+    @pytest.mark.parametrize(
+        "name", ["missing_rounds", "fewer_samples_than_clients", *CONFIG_ERRORS]
+    )
+    def test_config_error_exit_2(self, tmp_path, name):
+        check(CASES[name], tmp_path)
+
     def test_minimal_run(self, tmp_path):
         out = tmp_path / "out"
         assert cmd_run(write(tmp_path, MINIMAL), str(out)) == 0
@@ -305,6 +311,17 @@ class TestCmdRun:
         assert os.path.samefile(echoed.data.csv_path, tmp_path / "dir" / "pool.csv")
         assert echoed == load_config("dir/cfg.txt")
 
+    def test_runtime_failure_exit_3(self, tmp_path):
+        check(CASES["ridge_overflow"], tmp_path)
+
+    @pytest.mark.parametrize(
+        "name",
+        ["training_diverges_two_clients", "update_norm_overflows", "validation_logits_overflow"],
+        ids=["training", "meta-features", "scoring"],
+    )
+    def test_divergence_writes_one_line(self, tmp_path, name):
+        check(CASES[name], tmp_path)
+
     def test_extra_epoch_divergence_fails_only_when_weighted(self, tmp_path):
         """At this rate, found by bisection, the round and its extra epoch
         at 1x stay finite and only the 1.5x epoch diverges, for client 2 of
@@ -322,6 +339,11 @@ class TestCmdRun:
         assert info.value.index == 6
         train_cohort(cfg.spec, thetas, train, replace(round_train, epochs=1))  # the 1x half alone
 
+    @pytest.mark.parametrize("name", ["holdout_overflows", "holdout_overflows_grid"],
+                             ids=["fixed", "grid"])
+    def test_server_evaluation_overflow_writes_one_line(self, tmp_path, name):
+        check(CASES[name], tmp_path)
+
     def test_huge_alpha_weights_the_least_loss(self, tmp_path):
         # -alpha * E overflows; the closed form's limit is all weight on the
         # client with the least loss (meta.c = 0, so E is the loss)
@@ -330,6 +352,13 @@ class TestCmdRun:
         losses = [cells[f"client_val_loss_{k}"] for k in range(4)]
         weights = [cells[f"w_{k}"] for k in range(4)]
         assert weights == [float(k == int(np.argmin(losses))) for k in range(4)]
+
+    def test_projected_step_too_large_exit_3(self, tmp_path):
+        check(CASES["projected_step_too_large"], tmp_path)
+
+    @pytest.mark.parametrize("name", ["bad_label", "non_numeric", "ragged", "dim_mismatch"])
+    def test_malformed_csv_pool_exit_2(self, tmp_path, name):
+        check(CASES[f"csv_{name}"], tmp_path)
 
     def test_programming_error_prints_traceback(self, tmp_path, monkeypatch, capsys):
         def broken(*args, **kwargs):
@@ -395,6 +424,9 @@ class TestCmdCompare:
         summary = json.loads((out / "compare_summary.json").read_text())
         assert summary["winner"] == "tie"
 
+    def test_different_seeds_rejected(self, tmp_path):
+        check(CASES["different_seeds"], tmp_path)
+
     def test_preset_pair_schema(self, tmp_path):
         out = tmp_path / "out"
         assert cmd_compare("preset_iid", "preset_iid_fedavg", str(out)) == 0
@@ -419,6 +451,9 @@ class TestCmdDiagnose:
         assert payload["kl_diagnostic"] < 0.05  # IID partition
         assert payload["jensen_gap"] >= -1e-9  # convex hidden_dim=0 loss
         assert payload["generalization_bound"] > 0.0
+
+    def test_overflowing_holdout_writes_one_line(self, tmp_path):
+        check(CASES["holdout_overflows_diagnose"], tmp_path)
 
     def test_default_eta_contracts(self, tmp_path):
         cfg = MINIMAL + "data.n_samples = 200\n"
@@ -457,6 +492,20 @@ def test_builds_federation_once(tmp_path, monkeypatch, command):
     )
     assert command(write(tmp_path, MINIMAL), str(tmp_path / "out")) == 0
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_data_setup_fault_leaves_no_output_dir(tmp_path, command):
+    check(CASES[f"too_few_samples_{command}"], tmp_path)
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_runtime_failure_leaves_no_output_dir(tmp_path, command):
+    check(CASES[f"training_diverges_{command}"], tmp_path)
+
+
+def test_unwritable_output_is_config_error(tmp_path):
+    check(CASES["unwritable_output"], tmp_path)
 
 
 @pytest.mark.parametrize("command, name", [(cmd_run, "summary.json"),
